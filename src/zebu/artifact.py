@@ -129,7 +129,6 @@ def _enc_header(ch: CompiledHeader) -> dict:
         "keys": list(ch.keys),
         "mandatory": ch.mandatory_in.value,
         "multiple": ch.multiple,
-        "readonly": ch.readonly,
         "entry": _enc_entry(ch.entry),
         "localConstraints": [_enc_expr(e) for e in ch.local_constraints],
     }
@@ -242,29 +241,33 @@ def _dec_header(doc: dict) -> CompiledHeader:
         keys=tuple(doc["keys"]),
         mandatory_in=Mandatory(doc["mandatory"]),
         multiple=doc["multiple"],
-        readonly=doc["readonly"],
         entry=_dec_entry(doc["entry"]),
         local_constraints=[_dec_expr(e) for e in doc["localConstraints"]],
     )
 
 
 def deserialize(data: bytes) -> CompiledGrammar:
+    """Load an artifact; any malformed document raises ArtifactError."""
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
         raise ArtifactError(f"not a grammar artifact: {exc}") from None
-    version = doc.get("formatVersion")
+    version = doc.get("formatVersion") if isinstance(doc, dict) else None
     if version != FORMAT_VERSION:
         raise ArtifactError(f"unsupported artifact formatVersion {version!r}")
-    return CompiledGrammar(
-        protocol=doc["protocol"],
-        request_line=_dec_entry(doc["requestLine"]),
-        status_line=_dec_entry(doc["statusLine"]),
-        headers=[_dec_header(h) for h in doc["headers"]],
-        request_constraints=[_dec_expr(e) for e in doc["requestConstraints"]],
-        response_constraints=[_dec_expr(e) for e in doc["responseConstraints"]],
-        source=doc.get("source"),
-    )
+    try:
+        return CompiledGrammar(
+            protocol=doc["protocol"],
+            request_line=_dec_entry(doc["requestLine"]),
+            status_line=_dec_entry(doc["statusLine"]),
+            headers=[_dec_header(h) for h in doc["headers"]],
+            request_constraints=[_dec_expr(e) for e in doc["requestConstraints"]],
+            response_constraints=[_dec_expr(e) for e in doc["responseConstraints"]],
+            source=doc.get("source"),
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ArtifactError(
+            f"malformed grammar artifact: {type(exc).__name__} {exc}") from None
 
 
 def save(grammar: CompiledGrammar, path) -> None:

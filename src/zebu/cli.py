@@ -189,7 +189,7 @@ def _render_value(value) -> str:
 
 
 def cmd_parse(args) -> int:
-    grammar = artifact.load(args.artifact)
+    grammar = artifact.deserialize(_read(args.artifact))
     raw = _read(args.message)
     session = None
     try:
@@ -294,7 +294,7 @@ def cmd_mutate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    grammar = artifact.load(args.artifact)
+    grammar = artifact.deserialize(_read(args.artifact))
     headers = [h for h in args.headers.split(",") if h]
     corpus = {}
     for name in BENCH_SHAPES:

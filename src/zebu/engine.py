@@ -66,10 +66,6 @@ class Verdict:
     accepted: bool
     reasons: list[Reason]
 
-    @property
-    def outcome(self) -> str:
-        return "ACCEPT" if self.accepted else "REJECT"
-
     def report(self) -> str:
         if self.accepted:
             return "ACCEPT\n"
@@ -340,9 +336,11 @@ class CompiledHeader:
     keys: tuple[str, ...]
     mandatory_in: Mandatory
     multiple: bool
-    readonly: bool
     entry: CompiledEntry
     local_constraints: list = dc_field(default_factory=list)
+
+    def __post_init__(self):
+        self.key_bytes = frozenset(k.lower().encode("ascii") for k in self.keys)
 
 
 @dataclass
@@ -353,14 +351,7 @@ class CompiledGrammar:
     headers: list[CompiledHeader]
     request_constraints: list = dc_field(default_factory=list)
     response_constraints: list = dc_field(default_factory=list)
-    match_budget: int = pat.DEFAULT_MATCH_BUDGET
     source: str | None = None  # original .zebu text, kept for the mutation harness
-
-    def __post_init__(self):
-        self.header_table: dict[str, CompiledHeader] = {}
-        for ch in self.headers:
-            for key in ch.keys:
-                self.header_table[key.lower()] = ch
 
     def header(self, name: str) -> CompiledHeader | None:
         low = name.lower()
@@ -368,42 +359,6 @@ class CompiledGrammar:
             if ch.name.lower() == low:
                 return ch
         return None
-
-    def lazy_set(self) -> set[str]:
-        out = set()
-        for entry in (self.request_line, self.status_line):
-            out.update(f"{entry.name}.{n}" for n in entry.lazy_patterns)
-        for ch in self.headers:
-            out.update(f"{ch.name}.{n}" for n in ch.entry.lazy_patterns)
-        return out
-
-    def stub_names(self) -> dict[str, str]:
-        """Generated-stub naming surface, mechanically derived from the grammar."""
-        proto = self.protocol
-        names = {
-            f"{proto}_getType": "message kind probe",
-            f"{proto}_parse_headers": "header parse driver",
-        }
-        for entry, label in ((self.request_line, "RequestLine"),
-                             (self.status_line, "StatusLine")):
-            for sf in entry.table.values():
-                names[f"{proto}_{label}_{_stub_get(sf.path)}"] = f"{entry.name}.{sf.key}"
-        for ch in self.headers:
-            flat = ch.name.replace("-", "_")
-            names[f"{proto}_get_header_{flat}"] = ch.name
-            for sf in ch.entry.table.values():
-                names[f"{proto}_header_{flat}_{_stub_get(sf.path)}"] = (
-                    f"{ch.name}.{sf.key}")
-            for lazy_name in ch.entry.lazy_patterns:
-                names[f"{proto}_Lazy_{flat}_{lazy_name}_getParsed"] = (
-                    f"{ch.name}.{lazy_name}")
-        return names
-
-
-def _stub_get(path: tuple[str, ...]) -> str:
-    *front, last = path
-    stem = "get" + last[:1].upper() + last[1:]
-    return "_".join(front + [stem]) if front else stem
 
 
 def _compile_entry(name: str, body, ag: AnnotatedGrammar,
@@ -443,7 +398,6 @@ def compile_grammar(ag: AnnotatedGrammar) -> CompiledGrammar:
             keys=decl.keys,
             mandatory_in=decl.mandatory_in,
             multiple=decl.multiple,
-            readonly=decl.readonly,
             entry=entry,
             local_constraints=list(decl.local_constraints),
         ))
@@ -458,12 +412,6 @@ def compile_grammar(ag: AnnotatedGrammar) -> CompiledGrammar:
 
 
 # --- typed conversion -----------------------------------------------------------
-
-class _ConvertErrors(ZebuError):
-    def __init__(self, reasons):
-        super().__init__("; ".join(r.message for r in reasons))
-        self.reasons = reasons
-
 
 def _convert(entry: CompiledEntry, pattern: Pattern, res, source: bytes,
              sf: Subfield, location: str, errors: list[Reason]):
@@ -608,7 +556,7 @@ class ParsedMessage:
         if lazy:
             self._lazy_exec += 1
         try:
-            return match_full(pattern, subject, self.grammar.match_budget)
+            return match_full(pattern, subject, pat.DEFAULT_MATCH_BUDGET)
         except MatchBudgetExceeded as exc:
             raise _Budget(Reason(ReasonCode.BUDGET, location, str(exc))) from None
 
@@ -672,8 +620,7 @@ class ParsedMessage:
         low = ch.name.lower()
         hit = self._scans.get(low)
         if hit is None:
-            keys = {k.lower().encode("ascii") for k in ch.keys}
-            hit = [h for h in self.index.headers if h.key.lower() in keys]
+            hit = [h for h in self.index.headers if h.key.lower() in ch.key_bytes]
             self._scans[low] = hit
         return hit
 
@@ -726,9 +673,6 @@ class ParsedMessage:
                                   fields, ch.entry)
         self._parsed[memo_key] = parsed
         return parsed
-
-    def get_subfield(self, header: ParsedHeader, name: str):
-        return header.get_subfield(name)
 
     # lazy forcing -----------------------------------------------------------------
 
@@ -909,39 +853,19 @@ def _lookup(ref: FieldRef, msg, kind, command, first_instances):
     if ref.entry in (REQUEST_LINE, STATUS_LINE):
         if command is None or command.entry.name != ref.entry:
             return None
-        entry = command.entry
-        value = _dig(msg, command.fields, ref.sub_path)
+        entry, fields = command.entry, command.fields
     else:
         parsed = first_instances.get(ref.entry)
         if parsed is None:
             return None
-        entry = parsed._entry
-        value = _dig(msg, parsed.fields, ref.sub_path)
-    if value is None:
+        entry, fields = parsed._entry, parsed.fields
+    try:
+        value = msg._walk(fields, ref.sub_path)
+    except ForceFailed:
+        return None
+    if value is ABSENT:
         return None
     return value, ".".join(ref.sub_path) in entry.ci_fields
-
-
-def _dig(msg, fields, path):
-    current = fields.get(path[0], ABSENT)
-    for name in path[1:]:
-        if isinstance(current, LazyPending):
-            try:
-                current = msg.force_lazy(current)
-            except ForceFailed:
-                return None
-        if isinstance(current, (StructVal, UnionVal)):
-            current = current.get(name)
-        else:
-            return None
-    if isinstance(current, LazyPending):
-        try:
-            current = msg.force_lazy(current)
-        except ForceFailed:
-            return None
-    if current is ABSENT:
-        return None
-    return current
 
 
 def _check_constraint(expr, lookup, location, reasons):

@@ -271,6 +271,7 @@ class AnnotatedGrammar:
     range_constraints: dict[str, RangeBound] = field(default_factory=dict)
     rule_shapes: dict[str, tuple[Shape, tuple[int, int]]] = field(default_factory=dict)
     subfields: dict[str, dict[str, Subfield]] = field(default_factory=dict)
+    _leaf_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def header(self, name: str) -> HeaderDecl | None:
         low = name.lower()
@@ -286,12 +287,6 @@ class AnnotatedGrammar:
             yield STATUS_LINE, self.status_line.body
         for decl in self.headers:
             yield decl.name, decl.body
-
-    def entry_table(self, entry: str) -> dict[str, Subfield] | None:
-        if entry in self.subfields:
-            return self.subfields[entry]
-        decl = self.header(entry)
-        return self.subfields.get(decl.name) if decl else None
 
     def all_constraints(self):
         yield from self.request_block
@@ -399,69 +394,98 @@ def branch_child_names(alt: Alternation, path, ag: AnnotatedGrammar) -> list[tup
     return result
 
 
-def declared_range(elem: Element, ag: AnnotatedGrammar) -> RangeBound | None:
-    """The range directive applying to `elem`, found by following its
-    rule-reference chain; None when no directive names a rule on the chain."""
-    seen = set()
+def reachable_leaves(elem: Element, ag: AnnotatedGrammar) -> tuple:
+    """The leaves reachable from `elem`, each once, in depth-first source
+    order: terminals, `Annotated` markers (whose inner elements are walked
+    too), and references to undefined rules.
+
+    Each rule body is entered at most once, tracked by a visited set of
+    rule names, so a cycle needs no stack and every answer is complete.
+    Answers are memoised on the grammar, keyed by element identity, so the
+    grammar must gain no rules after the first call.
+    """
+    memo = ag._leaf_memo
+    hit = memo.get(id(elem))
+    if hit is not None and hit[0] is elem:
+        return hit[1]
+    leaves: dict[int, Element] = {}
+    entered: set[str] = set()
+    todo = [elem]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, Sequence):
+            todo.extend(reversed(e.items))
+        elif isinstance(e, Alternation):
+            todo.extend(reversed(e.branches))
+        elif isinstance(e, Repetition):
+            todo.append(e.inner)
+        elif isinstance(e, RuleRef):
+            low = e.name.lower()
+            if low in entered:
+                continue
+            entered.add(low)
+            rule = abnf.resolve(e.name, ag.base)
+            if rule is None:
+                leaves[id(e)] = e
+            else:
+                todo.append(rule.body)
+        else:
+            leaves[id(e)] = e
+            if isinstance(e, Annotated):
+                todo.append(e.inner)
+    result = tuple(leaves.values())
+    memo[id(elem)] = (elem, result)  # holding elem keeps its id from reuse
+    return result
+
+
+def terminal_bytes(leaf) -> bytes | range | None:
+    """The byte values a terminal leaf is built from (a quoted literal's as
+    written); None for an `Annotated` marker or an undefined reference."""
+    if isinstance(leaf, LiteralCI):
+        return leaf.text.encode("ascii")
+    if isinstance(leaf, CharCodes):
+        return leaf.data
+    if isinstance(leaf, CharRange):
+        return range(leaf.lo, leaf.hi + 1)
+    return None
+
+
+def follow_refs(elem: Element,
+                ag: AnnotatedGrammar) -> tuple[Element, tuple[str, ...]] | None:
+    """Follow `elem`'s chain of rule references to the first element that
+    is not one. Returns that element and the lowercased names of the rules
+    passed through, or None when the chain loops or names an undefined rule."""
+    names: list[str] = []
     while isinstance(elem, RuleRef):
         low = elem.name.lower()
-        if low in seen:
-            return None
-        seen.add(low)
-        bound = ag.range_constraints.get(low)
-        if bound is not None:
-            return bound
         rule = abnf.resolve(elem.name, ag.base)
-        if rule is None:
+        if low in names or rule is None:
             return None
+        names.append(low)
         elem = rule.body
-    return None
+    return elem, tuple(names)
+
+
+def declared_range(elem: Element, ag: AnnotatedGrammar) -> RangeBound | None:
+    """The range directive applying to `elem`: the first on its rule-reference
+    chain; None when no directive names a rule on the chain."""
+    chain = follow_refs(elem, ag)
+    names = chain[1] if chain is not None else ()
+    return next((ag.range_constraints[n] for n in names if n in ag.range_constraints), None)
 
 
 def resolve_to_alternation(elem: Element, ag: AnnotatedGrammar) -> Alternation | None:
     """Follow rule references until an alternation body is found (for
     enum/union subfields); None when the element cannot supply one."""
-    seen = set()
-    while True:
-        if isinstance(elem, Alternation):
-            return elem
-        if isinstance(elem, RuleRef):
-            low = elem.name.lower()
-            if low in seen:
-                return None
-            seen.add(low)
-            rule = abnf.resolve(elem.name, ag.base)
-            if rule is None:
-                return None
-            elem = rule.body
-            continue
-        return None
+    chain = follow_refs(elem, ag)
+    return chain[0] if chain is not None and isinstance(chain[0], Alternation) else None
 
 
-def terminals_all_ci(elem: Element, ag: AnnotatedGrammar, _stack=frozenset()) -> bool:
+def terminals_all_ci(elem: Element, ag: AnnotatedGrammar) -> bool:
     """True when every terminal reachable from `elem` is a case-insensitive
     literal; governs case-insensitive string comparison in constraints."""
-    if isinstance(elem, LiteralCI):
-        return True
-    if isinstance(elem, (CharCodes, CharRange)):
-        return False
-    if isinstance(elem, Annotated):
-        return terminals_all_ci(elem.inner, ag, _stack)
-    if isinstance(elem, Sequence):
-        return all(terminals_all_ci(i, ag, _stack) for i in elem.items)
-    if isinstance(elem, Alternation):
-        return all(terminals_all_ci(b, ag, _stack) for b in elem.branches)
-    if isinstance(elem, Repetition):
-        return terminals_all_ci(elem.inner, ag, _stack)
-    if isinstance(elem, RuleRef):
-        low = elem.name.lower()
-        if low in _stack:
-            return True
-        rule = abnf.resolve(elem.name, ag.base)
-        if rule is None:
-            return True
-        return terminals_all_ci(rule.body, ag, _stack | {low})
-    return False
+    return not any(isinstance(leaf, (CharCodes, CharRange))
+                   for leaf in reachable_leaves(elem, ag))
 
 
 # --- parsing ----------------------------------------------------------------

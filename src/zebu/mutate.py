@@ -144,7 +144,6 @@ class _Deriver:
         self.ag = ag
         self.rng = rng
         self.size_budget = size_budget
-        self._crlf_cache: dict[int, bool] = {}
 
     def derive_value(self, body) -> tuple[bytes, DNode]:
         out = bytearray()
@@ -180,7 +179,7 @@ class _Deriver:
             return DNode(elem, start, len(out), children)
         if isinstance(elem, Alternation):
             indices = [i for i, b in enumerate(elem.branches)
-                       if not self._may_crlf(b)]
+                       if not _may_contain_crlf(b, self.ag)]
             if not indices:
                 indices = list(range(len(elem.branches)))
             i = self.rng.choice(indices)
@@ -196,7 +195,7 @@ class _Deriver:
 
     def _pick_count(self, elem: Repetition) -> int:
         # base messages stay fold-free; torture introduces folds later
-        if self._may_crlf(elem.inner):
+        if _may_contain_crlf(elem.inner, self.ag):
             return elem.min
         if elem.max is None:
             extra = 0
@@ -204,14 +203,6 @@ class _Deriver:
                 extra += 1
             return elem.min + extra
         return self.rng.randint(elem.min, min(elem.max, elem.min + self.size_budget))
-
-    def _may_crlf(self, elem) -> bool:
-        key = id(elem)
-        hit = self._crlf_cache.get(key)
-        if hit is None:
-            hit = _may_contain_crlf(elem, self.ag, frozenset())
-            self._crlf_cache[key] = hit
-        return hit
 
 
 def _annotated_branch(node: DNode) -> int | None:
@@ -226,57 +217,18 @@ def _annotated_branch(node: DNode) -> int | None:
         return None
 
 
-def _may_contain_crlf(elem, ag, stack) -> bool:
-    if isinstance(elem, LiteralCI):
-        return False
-    if isinstance(elem, CharCodes):
-        return any(b in (0x0D, 0x0A) for b in elem.data)
-    if isinstance(elem, CharRange):
-        return elem.lo <= 0x0D <= elem.hi or elem.lo <= 0x0A <= elem.hi
-    if isinstance(elem, Annotated):
-        return _may_contain_crlf(elem.inner, ag, stack)
-    if isinstance(elem, Sequence):
-        return any(_may_contain_crlf(i, ag, stack) for i in elem.items)
-    if isinstance(elem, Alternation):
-        return any(_may_contain_crlf(b, ag, stack) for b in elem.branches)
-    if isinstance(elem, Repetition):
-        return _may_contain_crlf(elem.inner, ag, stack)
-    if isinstance(elem, RuleRef):
-        low = elem.name.lower()
-        if low in stack:
-            return False
-        rule = abnf.resolve(elem.name, ag.base)
-        if rule is None:
-            return False
-        return _may_contain_crlf(rule.body, ag, stack | {low})
-    return False
+_WHITESPACE = frozenset(b" \t\r\n")
 
 
-def _whitespace_only(elem, ag, stack=frozenset()) -> bool:
-    if isinstance(elem, LiteralCI):
-        return all(c in " \t" for c in elem.text)
-    if isinstance(elem, CharCodes):
-        return all(b in (0x20, 0x09, 0x0D, 0x0A) for b in elem.data)
-    if isinstance(elem, CharRange):
-        return all(b in (0x20, 0x09, 0x0D, 0x0A)
-                   for b in range(elem.lo, elem.hi + 1))
-    if isinstance(elem, Annotated):
-        return False
-    if isinstance(elem, Sequence):
-        return all(_whitespace_only(i, ag, stack) for i in elem.items)
-    if isinstance(elem, Alternation):
-        return all(_whitespace_only(b, ag, stack) for b in elem.branches)
-    if isinstance(elem, Repetition):
-        return _whitespace_only(elem.inner, ag, stack)
-    if isinstance(elem, RuleRef):
-        low = elem.name.lower()
-        if low in stack:
-            return True
-        rule = abnf.resolve(elem.name, ag.base)
-        if rule is None:
-            return False
-        return _whitespace_only(rule.body, ag, stack | {low})
-    return False
+def _may_contain_crlf(elem, ag) -> bool:
+    return any(b is not None and (0x0D in b or 0x0A in b)
+               for b in map(frontend.terminal_bytes, frontend.reachable_leaves(elem, ag)))
+
+
+def _whitespace_only(elem, ag) -> bool:
+    """False as soon as a capture or an undefined rule is reachable."""
+    return all(b is not None and _WHITESPACE.issuperset(b)
+               for b in map(frontend.terminal_bytes, frontend.reachable_leaves(elem, ag)))
 
 
 def _derive_message(ag: AnnotatedGrammar, rng: random.Random,
@@ -497,7 +449,7 @@ def mutate_repetition(tree: DerivationTree, seed, retries: int = 40) -> Mutant:
     for _ in range(retries):
         part, node = rng.choice(candidates)
         elem: Repetition = node.elem
-        if deriver._may_crlf(elem.inner):
+        if _may_contain_crlf(elem.inner, tree.ag):
             continue
         counts = []
         if elem.min > 0:
@@ -529,18 +481,10 @@ def mutate_repetition(tree: DerivationTree, seed, retries: int = 40) -> Mutant:
 
 def _exact_digit_count(elem, ag) -> int | None:
     """k when the element derives exactly k digits, None otherwise."""
-    seen = set()
-    while isinstance(elem, RuleRef):
-        low = elem.name.lower()
-        if low in seen:
-            return None
-        seen.add(low)
-        rule = abnf.resolve(elem.name, ag.base)
-        if rule is None:
-            return None
-        elem = rule.body
-    if isinstance(elem, Repetition) and elem.min == elem.max:
-        return elem.min
+    chain = frontend.follow_refs(elem, ag)
+    rep = chain[0] if chain is not None else None
+    if isinstance(rep, Repetition) and rep.min == rep.max:
+        return rep.min
     return None
 
 
@@ -809,7 +753,7 @@ def mutate_torture(ag: AnnotatedGrammar, tree: DerivationTree, seed,
                 names.append("fold")
             else:
                 bounded = [(p, nd) for p, nd in _repetition_nodes(tree)
-                           if not _may_contain_crlf(nd.elem.inner, ag, frozenset())]
+                           if not _may_contain_crlf(nd.elem.inner, ag)]
                 if not bounded:
                     continue
                 part, node = rng.choice(bounded)

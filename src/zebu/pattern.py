@@ -22,8 +22,6 @@ from .abnf import (
     Alternation,
     CharCodes,
     CharRange,
-    Element,
-    Grammar,
     LiteralCI,
     Repetition,
     Rule,
@@ -104,9 +102,6 @@ class Pattern:
     root: PatternNode
     capture_index: dict[str, int] = field(default_factory=dict)
     deferred_ranges: dict[str, RangeBound] = field(default_factory=dict)
-
-    def capture_id(self, key: str) -> int:
-        return self.capture_index[key]
 
 
 @dataclass

@@ -20,7 +20,9 @@ from .frontend import (
     Shape,
     Subfield,
     iter_unresolved,
+    reachable_leaves,
     resolve_to_alternation,
+    terminal_bytes,
 )
 
 
@@ -314,31 +316,13 @@ def _finite_strings(elem, ag, stack=frozenset()) -> set[str] | None:
     return None
 
 
-def _digits_only(elem, ag, stack=frozenset()) -> bool:
+_DIGITS = frozenset(b"0123456789")
+
+
+def _digits_only(elem, ag) -> bool:
     """True when every terminal reachable from `elem` is a decimal digit."""
-    if isinstance(elem, LiteralCI):
-        return elem.text.isascii() and elem.text.isdigit()
-    if isinstance(elem, CharCodes):
-        return all(0x30 <= b <= 0x39 for b in elem.data)
-    if isinstance(elem, CharRange):
-        return elem.lo >= 0x30 and elem.hi <= 0x39
-    if isinstance(elem, Annotated):
-        return _digits_only(elem.inner, ag, stack)
-    if isinstance(elem, Sequence):
-        return all(_digits_only(i, ag, stack) for i in elem.items)
-    if isinstance(elem, Alternation):
-        return all(_digits_only(b, ag, stack) for b in elem.branches)
-    if isinstance(elem, Repetition):
-        return _digits_only(elem.inner, ag, stack)
-    if isinstance(elem, RuleRef):
-        low = elem.name.lower()
-        if low in stack:
-            return True
-        rule = abnf.resolve(elem.name, ag.base)
-        if rule is None:
-            return True
-        return _digits_only(rule.body, ag, stack | {low})
-    return False
+    return all(b is None or _DIGITS.issuperset(b)
+               for b in map(terminal_bytes, reachable_leaves(elem, ag)))
 
 
 def check_type_annotations(ag: AnnotatedGrammar) -> list[Diagnostic]:

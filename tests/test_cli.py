@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,44 @@ def test_artifact_round_trip_agrees_on_large_campaign(compiled_artifact, sip_ag,
 
 
 # --- parse ------------------------------------------------------------------
+
+def _drop_headers(doc):
+    del doc["headers"]
+
+
+def _int_keys(doc):
+    doc["headers"][0]["keys"] = 7
+
+
+def _unknown_node(doc):
+    doc["requestLine"]["pattern"]["root"] = {"items": []}
+
+
+def _unknown_shape(doc):
+    doc["requestLine"]["table"][0]["shape"] = "float"
+
+
+@pytest.mark.parametrize("damage", [_drop_headers, _int_keys, _unknown_node, _unknown_shape])
+def test_malformed_artifact_exits_2(compiled_artifact, tmp_path, damage):
+    doc = json.loads(compiled_artifact.read_bytes())
+    damage(doc)
+    bad = tmp_path / "bad.zbc"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(artifact.ArtifactError):
+        artifact.load(bad)
+    msg = tmp_path / "m.msg"
+    msg.write_bytes(sip_request())
+    assert main(["parse", str(bad), str(msg)]) == 2
+    assert main(["mutate", str(bad), "--count", "1", "--out", str(tmp_path / "out")]) == 2
+
+
+def test_missing_artifact_exits_2(tmp_path):
+    msg = tmp_path / "m.msg"
+    msg.write_bytes(sip_request())
+    missing = str(tmp_path / "missing.zbc")
+    assert main(["parse", missing, str(msg)]) == 2
+    assert main(["bench", missing, str(CORPUS), "--headers", "From"]) == 2
+
 
 def test_parse_prints_fields_and_verdict(compiled_artifact, tmp_path, capsys):
     msg = tmp_path / "invite.msg"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import sip_request, sip_response
+from zebu import pattern
 from zebu.engine import (
     ABSENT,
     DuplicateHeader,
@@ -366,17 +367,6 @@ def test_body_exposed_raw(sip):
     assert msg.body() == b"opaque \x01 payload"
 
 
-def test_stub_names_follow_schema(sip):
-    names = sip.stub_names()
-    assert "sip3261_getType" in names
-    assert "sip3261_parse_headers" in names
-    assert "sip3261_header_From_getUri" in names
-    assert "sip3261_header_From_uri_getHost" in names
-    assert "sip3261_RequestLine_getMethod" in names
-    assert "sip3261_Lazy_From_uri_getParsed" in names
-    assert names["sip3261_header_From_getUri"] == "From.uri"
-
-
 def test_union_subfield_conversion():
     ag = parse_zebu(
         'requestLine = "GO"\nstatusLine = "NO"\n'
@@ -414,12 +404,12 @@ def test_numeric_safety_fuzz(sip):
             assert value.value == int(digits)
 
 
-def test_budget_exhaustion_reported_as_budget_reason():
+def test_budget_exhaustion_reported_as_budget_reason(monkeypatch):
     ag = parse_zebu(
         'requestLine = "GO"\nstatusLine = "NO"\n'
         'header H = 1*( 1*"a" ) "b"\n')
     cg = compile_grammar(ag)
-    cg.match_budget = 2_000
+    monkeypatch.setattr(pattern, "DEFAULT_MATCH_BUDGET", 2_000)
     verdict = validate(cg, b"GO\r\nH: " + b"a" * 26 + b"\r\n\r\n")
     assert not verdict.accepted
     assert {r.code for r in verdict.reasons} == {ReasonCode.BUDGET}

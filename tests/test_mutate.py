@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from zebu.abnf import RuleRef
 from zebu.engine import MessageSyntaxError, index_message, validate
 from zebu.frontend import parse_zebu
 from zebu.mutate import (
@@ -12,6 +13,7 @@ from zebu.mutate import (
     Mutant,
     MutRule,
     Position,
+    _whitespace_only,
     derive_valid,
     make_mutant,
     mutate_charset,
@@ -156,6 +158,17 @@ def test_torture_mutants_are_valid(sip_ag, sip):
         assert mutant.ground_truth == "VALID"
         assert reference_validate(sip_ag, mutant.data)[0]
         assert validate(sip, mutant.data).accepted, mutant.provenance
+
+
+def test_whitespace_only_sees_capture_reachable_through_cycle():
+    # asking about ws2 first walks ws while ws2 is still open; ws must not
+    # keep the partial answer that hides the capture behind ws2
+    ag = parse_zebu('ws = " " / ws2\nws2 = ws / c:cap " "\n')
+    assert not _whitespace_only(RuleRef("ws2"), ag)
+    assert not _whitespace_only(RuleRef("ws"), ag)
+    plain = parse_zebu('ws = " " / ws2\nws2 = ws / HTAB\n')
+    assert _whitespace_only(RuleRef("ws2"), plain)
+    assert _whitespace_only(RuleRef("ws"), plain)
 
 
 def test_torture_produces_folds_and_case_flips(sip_ag):

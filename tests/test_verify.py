@@ -185,6 +185,17 @@ def test_verify_all_order_omission_before_cycle():
     assert codes(diags)[:2] == [Code.UNDEFINED_RULE, Code.RULE_CYCLE]
 
 
+def test_cycle_between_numeric_captures_reports_both():
+    # q is first reached while p's walk is still open; its answer must not
+    # come from that partial walk, or the m diagnostic is lost
+    ag = parse_zebu('requestLine = p:n:uint32 SP q:m:uint16 CRLF\n'
+                    'statusLine = "NO"\np = q / "x"\nq = p / "1"\n')
+    diags = verify_all(ag)
+    assert codes(diags) == [Code.RULE_CYCLE, Code.TYPE_MISMATCH, Code.TYPE_MISMATCH]
+    assert "requestLine.n " in diags[1].message
+    assert "requestLine.m " in diags[2].message
+
+
 def test_verify_all_empty_grammar_missing_entry_points():
     diags = verify_all(parse_zebu('A = "x"\n'))
     errors = [d for d in diags if d.is_error]
