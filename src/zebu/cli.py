@@ -41,6 +41,7 @@ from .engine import (
 )
 from .errors import SourceError, ZebuError
 from .frontend import parse_zebu
+from .pattern import flagged_repetition, regex_text
 from .verify import format_diagnostic, has_errors, verify_all
 
 BENCH_SHAPES = ("invite1.msg", "invite2.msg", "invite3.msg", "bye.msg")
@@ -160,12 +161,34 @@ def cmd_compile(args) -> int:
         return 1
     compiled = compile_grammar(ag)
     compiled.source = text
+    for line in _interpreter_warnings(compiled):
+        print(line, file=sys.stderr)
     try:
         artifact.save(compiled, args.out)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
         return 3
     return 0
+
+
+def _interpreter_warnings(compiled) -> list[str]:
+    """One line per pattern the ambiguity guard keeps off the regex backend."""
+    entries = [("entry", compiled.request_line), ("entry", compiled.status_line)]
+    entries += [("header", h.entry) for h in compiled.headers]
+    lines = []
+    for kind, entry in entries:
+        named = [(f"{kind} {entry.name}", entry.pattern)]
+        named += [(f"{kind} {entry.name} lazy subfield {name}", p)
+                  for name, p in entry.lazy_patterns.items()]
+        for where, p in named:
+            rep = flagged_repetition(p.root)
+            if rep is not None:
+                text = regex_text(rep, [])
+                if len(text) > 72:
+                    text = text[:69] + "..."
+                lines.append(f"warning: {where}: ambiguous repetition {text} "
+                             "runs on the budgeted interpreter")
+    return lines
 
 
 def _render_value(value) -> str:

@@ -2,10 +2,28 @@
 
 `compile_pattern` fully inlines rule references (the verifier guarantees
 acyclicity) and attaches capture nodes for named subfields. `match_full`
-is a backtracking interpreter over the inlined tree: alternation branches
-are tried in source order, repetition is greedy, and backtracking is
-complete, so a subject matches iff some derivation exists. Captures report
-the spans of the first successful derivation under that order.
+decides whether the whole subject derives from the inlined tree under one
+disambiguation contract: alternation branches are tried in source order,
+repetition is greedy, and backtracking is complete, so a subject matches
+iff some derivation exists. Captures report the spans of the first
+successful derivation under that order.
+
+`match_full` has two backends, chosen per `Pattern` by a static property
+of its tree, never by an option:
+
+* the stdlib `re` engine. On first use the tree is translated into a bytes
+  regex (one group per capture, `(?i:...)` for case-insensitive literals,
+  ordered `(?:a|b)`, greedy `{m,n}`), compiled, and kept on the Pattern.
+  It runs in C with no step budget and no recursion per repetition.
+* the budgeted backtracking interpreter, kept for trees the ambiguity
+  guard rejects and for bare pattern nodes. The guard flags a repetition
+  that may iterate more than once over an inner matching more than one
+  byte when that inner is nullable or can end with a byte it can start
+  with (`1*( 1*"a" ) "b"`, `*( "a" / "aa" )`): such a repetition can
+  split one subject in exponentially many ways. It also flags an
+  optional nullable inner, whose empty iteration the interpreter skips
+  and `re` records. `MatchBudgetExceeded` (the engine's `BUDGET` reason)
+  therefore comes only from guarded patterns.
 
 `reference_match` is the independent testing oracle: a direct set-of-end-
 positions interpretation of the grammar AST with no inlining, no captures,
@@ -14,6 +32,7 @@ and no sharing of code with the compiled matcher.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -102,6 +121,9 @@ class Pattern:
     root: PatternNode
     capture_index: dict[str, int] = field(default_factory=dict)
     deferred_ranges: dict[str, RangeBound] = field(default_factory=dict)
+    # (compiled regex, ((group, cid), ...)), or (None, ()) for the
+    # interpreter; filled by the first match_full
+    _backend: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -276,10 +298,26 @@ DEFAULT_MATCH_BUDGET = 1_000_000
 def match_full(pattern, subject: bytes, budget: int = DEFAULT_MATCH_BUDGET) -> MatchResult:
     """Match the entire subject against the pattern.
 
-    Raises MatchBudgetExceeded when the step budget (or Python's recursion
-    limit) is hit, which callers must treat as distinct from a non-match.
+    A Pattern whose tree passes the ambiguity guard runs on its compiled
+    regex; any other Pattern, and a bare pattern node, run on the
+    interpreter. The interpreter raises MatchBudgetExceeded when the step
+    budget (or Python's recursion limit) is hit, which callers must treat
+    as distinct from a non-match.
     """
-    root = pattern.root if isinstance(pattern, Pattern) else pattern
+    if isinstance(pattern, Pattern):
+        backend = pattern._backend
+        if backend is None:
+            backend = pattern._backend = _regex_backend(pattern.root)
+        rx, groups = backend
+        if rx is not None:
+            m = rx.fullmatch(subject)
+            if m is None:
+                return MatchResult(False, {})
+            regs = m.regs
+            return MatchResult(True, {cid: regs[g] for g, cid in groups if regs[g][0] >= 0})
+        root = pattern.root
+    else:
+        root = pattern
     n = len(subject)
     caps: dict[int, tuple[int, int]] = {}
     steps = budget
@@ -357,6 +395,119 @@ def match_full(pattern, subject: bytes, budget: int = DEFAULT_MATCH_BUDGET) -> M
     except RecursionError:
         raise MatchBudgetExceeded("recursion limit exhausted during match") from None
     return MatchResult(False, {})
+
+
+# --- regex backend ------------------------------------------------------------
+
+_NO_BYTES: frozenset[int] = frozenset()
+_NEVER = "(?!)"
+
+
+def _byte_facts(node, flagged: list):
+    """(nullable, first bytes, last bytes) of `node`. Appends to `flagged`
+    every repetition the regex backend must not run (see module docstring)."""
+    t = type(node)
+    if t is PClass:
+        return False, node.members, node.members
+    if t is PBytes or t is PLit:
+        data = node.data
+        if not data:
+            return True, _NO_BYTES, _NO_BYTES
+        return False, _single_byte_set(t(data[:1])), _single_byte_set(t(data[-1:]))
+    if t is PCap:
+        return _byte_facts(node.inner, flagged)
+    if t is PRep:
+        nullable, first, last = _byte_facts(node.inner, flagged)
+        repeats = node.max is None or node.max > 1
+        if _single_byte_set(node.inner) is None and (
+                (repeats and (nullable or first & last))
+                or (nullable and node.max != node.min)):
+            flagged.append(node)
+        return nullable or node.min == 0, first, last
+    facts = [_byte_facts(item, flagged)
+             for item in (node.items if t is PSeq else node.branches)]
+    if t is PAlt:
+        return (any(f[0] for f in facts),
+                _NO_BYTES.union(*(f[1] for f in facts)),
+                _NO_BYTES.union(*(f[2] for f in facts)))
+    return all(f[0] for f in facts), _edge(facts, 1), _edge(reversed(facts), 2)
+
+
+def _edge(facts, which: int) -> frozenset[int]:
+    """Union of one edge set over sequence items up to the first non-nullable."""
+    out = set()
+    for f in facts:
+        out |= f[which]
+        if not f[0]:
+            break
+    return frozenset(out)
+
+
+def flagged_repetition(root) -> PRep | None:
+    """The first repetition that keeps `root` on the interpreter, or None."""
+    flagged: list = []
+    _byte_facts(root, flagged)
+    return flagged[0] if flagged else None
+
+
+def _class_text(members: frozenset[int]) -> str:
+    if not members:
+        return _NEVER
+    runs = []
+    for b in sorted(members):
+        if runs and runs[-1][1] == b - 1:
+            runs[-1][1] = b
+        else:
+            runs.append([b, b])
+    return "[" + "".join(f"\\x{lo:02x}" if lo == hi else f"\\x{lo:02x}-\\x{hi:02x}"
+                         for lo, hi in runs) + "]"
+
+
+def regex_text(node, groups: list) -> str:
+    """`re` syntax for `node`; appends each capture's cid to `groups` in
+    group-number order."""
+    t = type(node)
+    if t is PClass:
+        return _class_text(node.members)
+    if t is PBytes:
+        return re.escape(node.data.decode("latin-1"))
+    if t is PLit:
+        return "(?i:" + re.escape(node.data.decode("latin-1")) + ")"
+    if t is PSeq:
+        return "".join(regex_text(item, groups) for item in node.items)
+    if t is PAlt:
+        if not node.branches:
+            return _NEVER
+        return "(?:" + "|".join(regex_text(b, groups) for b in node.branches) + ")"
+    if t is PRep:
+        lo, hi = node.min, node.max
+        if hi is None:
+            quant = {0: "*", 1: "+"}.get(lo, f"{{{lo},}}")
+        elif (lo, hi) == (0, 1):
+            quant = "?"
+        else:
+            quant = f"{{{lo},{hi}}}"
+        return "(?:" + regex_text(node.inner, groups) + ")" + quant
+    if t is PCap:
+        groups.append(node.cid)
+        return "(" + regex_text(node.inner, groups) + ")"
+    raise TypeError(f"not a pattern node: {node!r}")
+
+
+def _regex_backend(root) -> tuple:
+    """(compiled regex, ((group, cid), ...)) for `root`, or (None, ()) when
+    it must stay on the interpreter."""
+    if flagged_repetition(root) is not None:
+        return None, ()
+    groups: list[int] = []
+    text = regex_text(root, groups)
+    if len(set(groups)) != len(groups):
+        return None, ()  # one cid, two groups: "last set wins" has no regex form
+    try:
+        rx = re.compile(text.encode("latin-1"))
+    except (re.error, RecursionError, OverflowError):
+        return None, ()
+    return rx, tuple(enumerate(groups, 1))
 
 
 # --- independent reference matcher -------------------------------------------

@@ -72,6 +72,22 @@ def test_compile_failing_grammar_writes_nothing(tmp_path):
     assert not out.exists()
 
 
+def test_compile_warns_once_per_interpreter_pattern(tmp_path, capsys):
+    spec = write(tmp_path, "ambiguous.zebu",
+                 'requestLine = "GO"\nstatusLine = "NO"\nheader H = 1*( 1*"a" ) "b"\n'
+                 'header J = "j"\n')
+    assert main(["compile", str(spec), "-o", str(tmp_path / "a.zbc")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("warning: header H: ambiguous repetition (?:")
+
+
+def test_compile_bundled_grammars_warns_nothing(tmp_path, capsys):
+    for spec in (SIP_SPEC, RTSP_SPEC):
+        assert main(["compile", str(spec), "-o", str(tmp_path / "out.zbc")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_artifact_round_trip_agrees_on_corpus(compiled_artifact, sip_ag, sip):
     loaded = artifact.load(compiled_artifact)
     assert artifact.serialize(loaded) == compiled_artifact.read_bytes()

@@ -413,3 +413,22 @@ def test_budget_exhaustion_reported_as_budget_reason(monkeypatch):
     verdict = validate(cg, b"GO\r\nH: " + b"a" * 26 + b"\r\n\r\n")
     assert not verdict.accepted
     assert {r.code for r in verdict.reasons} == {ReasonCode.BUDGET}
+
+
+# --- length ceiling -----------------------------------------------------------
+
+@pytest.mark.parametrize("count", [1000, 10000])
+@pytest.mark.parametrize("site", ["via", "to", "from"])
+def test_long_repetition_accepted(sip, site, count):
+    reps = {site: count}
+    raw = sip_request(cseq=b"4711", drop=("Via", "To", "From"), extra=(
+        b"Via: SIP/2.0/UDP pc33.example.com" + b";p=v" * reps.get("via", 1),
+        b"To: " + b" ".join([b"Bob"] * reps.get("to", 1)) + b" <sip:bob@example.com>",
+        b"From: <sip:alice@atlanta.example.org>;tag=88a7s" + b";p=v" * reps.get("from", 0),
+    ))
+    assert len(raw) > 4 * count
+    assert validate(sip, raw).report() == "ACCEPT\n"
+    msg = ParsedMessage(sip, raw)
+    assert msg.select("CSeq.number") == U32(4711)
+    assert msg.select("From.tag").data == b"88a7s"
+    assert msg.select("From.uri.host").data == b"atlanta.example.org"

@@ -3,7 +3,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from zebu.abnf import Repetition, RuleRef, parse_abnf
@@ -12,13 +12,17 @@ from zebu.pattern import (
     MatchBudgetExceeded,
     PAlt,
     PBytes,
+    PCap,
     PClass,
     PLit,
     Pattern,
     PRep,
+    PSeq,
     compile_pattern,
+    flagged_repetition,
     match_full,
     reference_match,
+    regex_text,
 )
 
 FIG_RULES = """\
@@ -249,3 +253,146 @@ def test_reference_budget_enforced():
     g = parse_abnf('R = 1*( 1*"a" ) "b"')
     with pytest.raises(RecursionBudgetExceeded):
         reference_match(g.get("R"), g, b"a" * 40, budget=50)
+
+
+# --- regex backend --------------------------------------------------------------
+
+def backend_of(p: Pattern) -> str:
+    match_full(p, b"")
+    return "regex" if p._backend[0] is not None else "interpreter"
+
+
+@pytest.mark.parametrize("rule", ['1*( 1*"a" ) "b"', '*( "a" / "aa" )', '*( *"a" )'])
+def test_ambiguous_repetition_stays_on_budgeted_interpreter(rule):
+    g = parse_abnf(f"R = {rule}")
+    p = compile_pattern(g.get("R"), g)
+    assert flagged_repetition(p.root) is not None
+    assert backend_of(p) == "interpreter"
+    with pytest.raises(MatchBudgetExceeded):
+        match_full(p, b"a" * 26 + b"!", budget=2_000)
+
+
+def test_optional_nullable_inner_stays_on_interpreter():
+    # the interpreter skips the empty iteration of [ ... ]; `re` would
+    # record it, and the later capture would then take both bytes
+    root = PSeq((PRep(0, 1, PCap(0, PAlt((PBytes(b""), PBytes(b"a"))))),
+                 PCap(1, PRep(0, None, PBytes(b"a")))))
+    assert flagged_repetition(root) is not None
+    assert match_full(Pattern(root), b"aa").captures == {0: (0, 1), 1: (1, 2)}
+
+
+def test_capture_id_in_two_branches_stays_on_interpreter():
+    # same-named subfields in two alternation branches share one capture id
+    root = PAlt((PCap(0, PBytes(b"a")), PCap(0, PBytes(b"b"))))
+    assert flagged_repetition(root) is None
+    assert backend_of(Pattern(root)) == "interpreter"
+    assert match_full(Pattern(root), b"b").captures == {0: (0, 1)}
+
+
+def test_single_byte_repetition_uses_regex():
+    g = parse_abnf('R = 1*"a"')
+    p = compile_pattern(g.get("R"), g)
+    assert backend_of(p) == "regex"
+    assert match_full(p, b"aA" * 5000).matched
+
+
+def test_oracle_rules_use_regex(fig):
+    # criterion 3 compares these against reference_match
+    for name in ("CSeq", "SIP-Version", "HCOLON"):
+        assert backend_of(compiled(fig, name)) == "regex", name
+
+
+def bundled_patterns(cg):
+    entries = [cg.request_line, cg.status_line] + [h.entry for h in cg.headers]
+    for entry in entries:
+        yield entry.name, entry.pattern
+        yield from entry.lazy_patterns.items()
+
+
+@pytest.mark.parametrize("grammar,count", [("sip", 12), ("rtsp", 6)])
+def test_bundled_patterns_use_regex(request, grammar, count):
+    named = list(bundled_patterns(request.getfixturevalue(grammar)))
+    assert len(named) == count
+    for name, p in named:
+        assert flagged_repetition(p.root) is None, name
+        assert backend_of(p) == "regex", name
+
+
+def test_capture_kept_from_earlier_iteration():
+    root = PRep(1, None, PAlt((PCap(0, PClass(frozenset(b"0123456789"))), PBytes(b","))))
+    for p in (Pattern(root), root):
+        assert match_full(p, b"1,2,,").captures == {0: (2, 3)}
+
+
+@pytest.mark.parametrize("grammar,seed", [("sip", "diff:101"), ("rtsp", "diff:7")])
+def test_backends_agree_on_campaign_mutants(request, monkeypatch, grammar, seed):
+    from zebu import engine
+    from zebu.mutate import make_mutant
+
+    ag, cg = request.getfixturevalue(f"{grammar}_ag"), request.getfixturevalue(grammar)
+    runs = []
+
+    def both(p, subject, budget):
+        got = match_full(p, subject, budget)
+        want = match_full(p.root, subject, budget)
+        assert (got.matched, got.captures) == (want.matched, want.captures), subject
+        runs.append(p)
+        return got
+
+    monkeypatch.setattr(engine, "match_full", both)
+    for i in range(300):
+        engine.validate(cg, make_mutant(ag, i, seed).data)
+    assert len(runs) > 1000
+    assert all(p._backend[0] is not None for p in runs)
+
+
+_SUBJECT_BYTES = b"aAbB-"
+
+
+@st.composite
+def guardable_trees(draw, depth=3, cids=None):
+    """Small pattern trees over a five-byte alphabet with distinct cids."""
+    cids = [0] if cids is None else cids
+    kinds = ["class", "bytes", "lit"]
+    if depth:
+        kinds += ["seq", "alt", "rep", "cap", "enum"] * 2
+    kind = draw(st.sampled_from(kinds))
+    sub = guardable_trees(depth - 1, cids)
+    if kind == "class":
+        return PClass(frozenset(draw(st.sets(st.sampled_from(b"aAb-"), max_size=3))))
+    if kind == "bytes":
+        return PBytes(draw(st.text("abA", max_size=2)).encode())
+    if kind == "lit":
+        return PLit(draw(st.text("ab-", max_size=2)).encode())
+    if kind == "seq":
+        return PSeq(tuple(draw(st.lists(sub, max_size=3))))
+    if kind == "alt":
+        return PAlt(tuple(draw(st.lists(sub, min_size=1, max_size=3))))
+    if kind == "rep":
+        lo = draw(st.integers(0, 2))
+        return PRep(lo, draw(st.one_of(st.none(), st.integers(lo, lo + 2))), draw(sub))
+    cid = cids[0]
+    cids[0] += 1
+    if kind == "cap":
+        return PCap(cid, draw(sub))
+    branches = []  # an enum subfield: key, then key#0, key#1, ... per branch
+    for branch in draw(st.lists(sub, min_size=1, max_size=3)):
+        branches.append(PCap(cids[0], branch))
+        cids[0] += 1
+    return PCap(cid, PAlt(tuple(branches)))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(guardable_trees(),
+       st.lists(st.binary(max_size=7).map(
+           lambda b: bytes(_SUBJECT_BYTES[x % 5] for x in b)), min_size=1, max_size=6))
+def test_regex_backend_agrees_with_interpreter(root, subjects):
+    assume(flagged_repetition(root) is None)
+    p = Pattern(root)
+    for subject in subjects:
+        want = match_full(root, subject)
+        got = match_full(p, subject)
+        assert (got.matched, got.captures) == (want.matched, want.captures), (
+            regex_text(root, []), subject)
+    assert p._backend[0] is not None
