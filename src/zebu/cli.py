@@ -173,21 +173,12 @@ def cmd_compile(args) -> int:
 
 def _interpreter_warnings(compiled) -> list[str]:
     """One line per pattern the ambiguity guard keeps off the regex backend."""
-    entries = [("entry", compiled.request_line), ("entry", compiled.status_line)]
-    entries += [("header", h.entry) for h in compiled.headers]
     lines = []
-    for kind, entry in entries:
-        named = [(f"{kind} {entry.name}", entry.pattern)]
-        named += [(f"{kind} {entry.name} lazy subfield {name}", p)
-                  for name, p in entry.lazy_patterns.items()]
-        for where, p in named:
-            rep = flagged_repetition(p.root)
-            if rep is not None:
-                text = regex_text(rep, [])
-                if len(text) > 72:
-                    text = text[:69] + "..."
-                lines.append(f"warning: {where}: ambiguous repetition {text} "
-                             "runs on the budgeted interpreter")
+    for where, p in compiled.named_patterns():
+        rep = flagged_repetition(p.root)
+        if rep is not None:
+            lines.append(f"warning: {where}: ambiguous repetition {regex_text(rep, [])} "
+                         "runs on the budgeted interpreter")
     return lines
 
 

@@ -353,6 +353,16 @@ class CompiledGrammar:
     response_constraints: list = dc_field(default_factory=list)
     source: str | None = None  # original .zebu text, kept for the mutation harness
 
+    def named_patterns(self):
+        """(name, pattern) for every pattern: each command line's and
+        header's own, then those of its lazy subfields."""
+        entries = [("entry", self.request_line), ("entry", self.status_line)]
+        entries += [("header", h.entry) for h in self.headers]
+        for kind, entry in entries:
+            yield f"{kind} {entry.name}", entry.pattern
+            for name, p in entry.lazy_patterns.items():
+                yield f"{kind} {entry.name} lazy subfield {name}", p
+
     def header(self, name: str) -> CompiledHeader | None:
         low = name.lower()
         for ch in self.headers:

@@ -14,16 +14,31 @@ of its tree, never by an option:
 * the stdlib `re` engine. On first use the tree is translated into a bytes
   regex (one group per capture, `(?i:...)` for case-insensitive literals,
   ordered `(?:a|b)`, greedy `{m,n}`), compiled, and kept on the Pattern.
-  It runs in C with no step budget and no recursion per repetition.
+  Two cuts stop backtracking where it cannot change a result: a one-byte
+  repetition is possessive (`*+`) when what follows can always do without
+  a byte it would give back, and a repetition's iterations are atomic
+  (`(?>...)`) when no byte that may come after a whole iteration extends
+  it, so a lookahead on that byte leaves one end per iteration.
 * the budgeted backtracking interpreter, kept for trees the ambiguity
-  guard rejects and for bare pattern nodes. The guard flags a repetition
-  that may iterate more than once over an inner matching more than one
-  byte when that inner is nullable or can end with a byte it can start
-  with (`1*( 1*"a" ) "b"`, `*( "a" / "aa" )`): such a repetition can
-  split one subject in exponentially many ways. It also flags an
-  optional nullable inner, whose empty iteration the interpreter skips
-  and `re` records. `MatchBudgetExceeded` (the engine's `BUDGET` reason)
-  therefore comes only from guarded patterns.
+  guard flags and for bare pattern nodes.
+
+The guard judges the position automaton of the translated tree, cuts
+included. It flags a tree where one word leads two paths out of a state
+and back into it (backtracking exponential in the subject: `1*( 1*"a" )
+"b"`, `*( "a" / "aa" )`, `1*( ";" DIGIT / ";" 1*DIGIT ) "x"`) or loops at a
+state, leads it to a second one and loops there (polynomial: `*( "ab" )
+*( "ab" / "c" ) "x"`). It also flags a repetition that matches the empty
+word in two ways, which the automaton cannot show: one with a nullable
+inner (`*( *"a" )`; an optional one too, whose empty iteration the
+interpreter skips and `re` records), or a repeating one holding an
+alternation with two nullable branches. A tree too large to analyse is
+flagged. What passes has a finitely ambiguous automaton: the paths
+backtracking can follow over a stretch of the subject are bounded, so
+matching time grows linearly with the subject, by a factor that depends
+on the pattern alone (many optional parts in a row that match the same
+bytes can make it large).
+`MatchBudgetExceeded`
+(the engine's `BUDGET` reason) therefore comes only from flagged patterns.
 
 `reference_match` is the independent testing oracle: a direct set-of-end-
 positions interpretation of the grammar AST with no inlining, no captures,
@@ -34,6 +49,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import and_, or_
 from typing import Optional, Union
 
 from . import abnf, frontend
@@ -398,77 +414,585 @@ def match_full(pattern, subject: bytes, budget: int = DEFAULT_MATCH_BUDGET) -> M
 
 
 # --- regex backend ------------------------------------------------------------
+#
+# _Planner.plan marks the possessive and atomic cuts (see the module
+# docstring), _flagged judges the planned tree on its _Automaton, and
+# regex_text translates it. Byte sets are ints here, bit b standing for byte b.
 
-_NO_BYTES: frozenset[int] = frozenset()
+_ALL = (1 << 256) - 1
 _NEVER = "(?!)"
+_MAX_DFA_STATES = 512  # per atomic repetition
+_MAX_UNROLL = 16       # one-byte counted repetitions up to this count get a state per iteration
+_MAX_PAIRS = 200_000   # reachable pairs of the product automaton
 
 
-def _byte_facts(node, flagged: list):
-    """(nullable, first bytes, last bytes) of `node`. Appends to `flagged`
-    every repetition the regex backend must not run (see module docstring)."""
+def _mask(members) -> int:
+    m = 0
+    for b in members:
+        m |= 1 << b
+    return m
+
+
+def _byte_masks(node) -> list[int]:
+    """One byte set per byte of a PBytes or PLit."""
     t = type(node)
-    if t is PClass:
-        return False, node.members, node.members
-    if t is PBytes or t is PLit:
-        data = node.data
-        if not data:
-            return True, _NO_BYTES, _NO_BYTES
-        return False, _single_byte_set(t(data[:1])), _single_byte_set(t(data[-1:]))
+    return [_mask(_single_byte_set(t(node.data[i:i + 1]))) for i in range(len(node.data))]
+
+
+@dataclass(frozen=True)
+class _Possessive:
+    """A one-byte repetition that never gives a byte back (`*+`)."""
+    rep: PRep
+
+
+@dataclass(frozen=True)
+class _Atomic:
+    """A repetition whose every iteration commits (`(?>...)`) to the one end
+    followed by a byte of `follow` or, with `at_end`, by the subject's end."""
+    rep: PRep
+    follow: int
+    at_end: bool
+
+
+@dataclass(frozen=True)
+class _Facts:
+    nullable: bool
+    first: int  # bytes a non-empty word starts with
+    ext: int    # bytes that extend some whole word to a longer word (a superset)
+    bytes: int  # bytes any word holds
+
+
+_EMPTY = _Facts(True, 0, 0, 0)
+
+
+class _Planner:
+    def __init__(self):
+        self._facts: dict[int, _Facts] = {}
+        self._absorbs: dict[tuple, bool] = {}
+
+    def facts(self, node) -> _Facts:
+        f = self._facts.get(id(node))
+        if f is None:
+            f = self._facts[id(node)] = self._compute(node)
+        return f
+
+    def _compute(self, node) -> _Facts:
+        t = type(node)
+        if t is PClass:
+            m = _mask(node.members)
+            return _Facts(False, m, 0, m)
+        if t is PBytes or t is PLit:
+            masks = _byte_masks(node)
+            if not masks:
+                return _EMPTY
+            every = 0
+            for m in masks:
+                every |= m
+            return _Facts(False, masks[0], 0, every)
+        if t is PCap:
+            return self.facts(node.inner)
+        if t is _Possessive or t is _Atomic:
+            return self.facts(node.rep)
+        if t is PRep:
+            if node.max == 0:
+                return _EMPTY
+            f = self.facts(node.inner)
+            ext = f.ext
+            if node.max is None or node.max > node.min:
+                ext |= f.first  # one more iteration
+            if f.nullable or f.ext & f.first:
+                ext |= f.bytes  # iterations may split a stretch two ways
+            return _Facts(node.min == 0 or f.nullable, f.first, ext, f.bytes)
+        if t is PAlt:
+            fs = [self.facts(b) for b in node.branches]
+            first = ext = every = 0
+            for i, fi in enumerate(fs):
+                first, ext, every = first | fi.first, ext | fi.ext, every | fi.bytes
+                for j, fj in enumerate(fs):
+                    if i != j and (fi.nullable or fi.first & fj.first):
+                        ext |= fj.bytes  # a word of one branch may begin one of another
+            return _Facts(any(f.nullable for f in fs), first, ext, every)
+        acc = _EMPTY
+        for item in node.items:
+            f = self.facts(item)
+            ext = f.ext | (acc.ext if f.nullable else 0)
+            if acc.ext & f.first:
+                ext |= acc.bytes | f.bytes  # the split between the two may move
+            acc = _Facts(acc.nullable and f.nullable,
+                         acc.first | (f.first if acc.nullable else 0),
+                         ext, acc.bytes | f.bytes)
+        return acc
+
+    # A continuation is what follows a node up to the subject's end: a tuple
+    # of segments, innermost first. A segment is a tuple of sequence items,
+    # or a repeating PRep standing for its further iterations.
+
+    def follow(self, cont) -> tuple[int, bool]:
+        """(bytes the continuation can start with, whether it can be empty)."""
+        first = 0
+        for seg in cont:
+            if type(seg) is tuple:
+                for item in seg:
+                    f = self.facts(item)
+                    first |= f.first
+                    if not f.nullable:
+                        return first, False
+            else:
+                first |= self.facts(seg.inner).first
+        return first, True
+
+    def absorbs(self, node, c: int, eps: bool) -> bool:
+        """Whether dropping a leading byte of `c` from any word of `node`
+        leaves a word of `node` (or, with `eps`, the empty word)."""
+        key = (id(node), c, eps)
+        hit = self._absorbs.get(key)
+        if hit is None:
+            hit = self._absorbs[key] = self._absorbs_of(node, c, eps)
+        return hit
+
+    def _absorbs_of(self, node, c: int, eps: bool) -> bool:
+        if not self.facts(node).first & c:
+            return True
+        t = type(node)
+        if t is PClass:
+            return eps
+        if t is PBytes or t is PLit:
+            return eps and len(node.data) == 1
+        if t is PCap:
+            return self.absorbs(node.inner, c, eps)
+        if t is PAlt:
+            return all(self.absorbs(b, c, eps) for b in node.branches)
+        if t is PSeq:
+            return self.items_absorb(node.items, c, eps)
+        if self.facts(node.inner).nullable:
+            return False
+        if self.absorbs(node.inner, c, False):
+            return True
+        # the shortened first iteration may vanish, leaving one fewer
+        return self.absorbs(node.inner, c, True) and (node.min == 0 or (eps and node.min == 1))
+
+    def items_absorb(self, items: tuple, c: int, eps: bool) -> bool:
+        if not items:
+            return True
+        head, rest = items[0], items[1:]
+        f = self.facts(head)
+        if f.first & c and not (
+                self.absorbs(head, c, False)
+                or (self.absorbs(head, c, True) and (f.nullable or (eps and not rest)))):
+            return False
+        return not f.nullable or self.items_absorb(rest, c, eps)
+
+    def absorbs_after(self, c: int, cont) -> bool:
+        """Whether the continuation can always do without a leading byte of
+        `c`: then the repetition before it need never give one back."""
+        for seg in cont:
+            if type(seg) is tuple:
+                if not self.items_absorb(seg, c, False):
+                    return False
+                if not all(self.facts(item).nullable for item in seg):
+                    return True
+            elif self.facts(seg.inner).first & c and not self.absorbs(seg.inner, c, False):
+                return False
+        return True
+
+    def plan(self, node, cont=()):
+        t = type(node)
+        if t is PSeq:
+            items = node.items
+            return PSeq(tuple(self.plan(item, (items[i + 1:],) + cont)
+                              for i, item in enumerate(items)))
+        if t is PAlt:
+            return PAlt(tuple(self.plan(b, cont) for b in node.branches))
+        if t is PCap:
+            return PCap(node.cid, self.plan(node.inner, cont))
+        if t is not PRep:
+            return node
+        members = _single_byte_set(node.inner)
+        if members is not None:
+            if node.max != node.min and self.absorbs_after(_mask(members), cont):
+                return _Possessive(node)
+            return node
+        if node.max is not None and node.max <= 1:
+            return PRep(node.min, node.max, self.plan(node.inner, cont))
+        inner_cont = (node,) + cont
+        rep = PRep(node.min, node.max, self.plan(node.inner, inner_cont))
+        f = self.facts(node.inner)
+        follow, at_end = self.follow(inner_cont)
+        if not f.nullable and not f.ext & follow:
+            # after a whole iteration, no byte that may come next extends it
+            return _Atomic(rep, follow, at_end)
+        return rep
+
+
+class _TooLarge(Exception):
+    """The automaton outgrew its bounds; the argument is the node to name."""
+
+
+def _union(a: dict, b: dict, combine) -> dict:
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = combine(out[k], v) if k in out else v
+    return out
+
+
+def _partition(masks) -> list[int]:
+    """The coarsest byte sets on which every mask is constant."""
+    blocks = [_ALL]
+    for m in set(masks):
+        blocks = [p for b in blocks for p in (b & m, b & ~m) if p]
+    return blocks
+
+
+class _Automaton:
+    """The paths that backtracking can explore on a planned tree.
+
+    A Glushkov automaton: one state per byte position, each edge labelled
+    with the bytes it reads. A one-byte repetition counted up to
+    _MAX_UNROLL gets a state per iteration; every other repetition is a
+    loop, which for a counted one can only add paths: nested counts such as
+    `2*4( 2*4"a" )` split a run in finitely but vastly many ways, and a loop
+    shows that. A possessive repetition bars its own bytes right
+    after it stops, and the iteration of an atomic repetition is
+    determinized, because only one of its paths ever goes on; its own
+    paths are explored once per iteration, from a start of their own.
+    A fragment of a node is (nullable, bytes barred after it matched
+    empty, entry states -> bytes entering them, exit states -> bytes barred
+    right after them).
+    """
+
+    def __init__(self, root):
+        self.root = root  # named when no single repetition is to blame
+        self.edges: list[dict[int, int]] = []
+        self.reps: list[tuple] = []  # enclosing repetitions of each state, outermost first
+        self.starts: list[int] = []
+        self.doubled: dict[tuple[int, int], object] = {}  # edge made twice -> repetition that remade it
+
+    def state(self, reps: tuple) -> int:
+        self.edges.append({})
+        self.reps.append(reps)
+        return len(self.edges) - 1
+
+    def link(self, last: dict, first: dict, by=None) -> None:
+        for u, barred in last.items():
+            out = self.edges[u]
+            for v, mask in first.items():
+                m = mask & ~barred
+                if m:
+                    had = out.get(v, 0)
+                    if had & m:
+                        self.doubled[(u, v)] = by
+                    out[v] = had | m
+
+    def start(self, first: dict) -> None:
+        s = self.state(())
+        self.link({s: 0}, first)
+        self.starts.append(s)
+
+    def build(self, node, reps: tuple = ()) -> tuple:
+        t = type(node)
+        if t is PClass or t is PBytes or t is PLit:
+            masks = [_mask(node.members)] if t is PClass else _byte_masks(node)
+            if not masks:
+                return True, 0, {}, {}
+            states = [self.state(reps) for _ in masks]
+            for u, v, m in zip(states, states[1:], masks[1:]):
+                self.edges[u][v] = m
+            return False, 0, {states[0]: masks[0]}, {states[-1]: 0}
+        if t is PCap:
+            return self.build(node.inner, reps)
+        if t is PSeq:
+            return self.chain([self.build(item, reps) for item in node.items])
+        if t is PAlt:
+            nullable, barred, first, last = False, _ALL, {}, {}
+            for branch in node.branches:
+                n, b, f, l = self.build(branch, reps)
+                if n:
+                    nullable, barred = True, barred & b
+                first, last = _union(first, f, or_), _union(last, l, and_)
+            return nullable, barred if nullable else 0, first, last
+        if t is _Possessive:
+            return self.counted_class(node.rep, reps + (node,), True)
+        if t is _Atomic:
+            rep = node.rep
+            _, _, f, l = self.build(rep.inner, reps + (node,))
+            self.start(f)
+            first, last = self.determinize(f, l, node, reps + (node,))
+            self.link(last, first, node)
+            return rep.min == 0, 0, first, last
+        if node.max == 0:
+            return True, 0, {}, {}
+        if _single_byte_set(node.inner) is not None:
+            return self.counted_class(node, reps + (node,), False)
+        n, b, f, l = self.build(node.inner, reps + (node,))
+        if node.max is None or node.max > 1:
+            self.link(l, f, node)
+        return n or node.min == 0, b if node.min else 0, f, l
+
+    def counted_class(self, rep: PRep, reps: tuple, possessive: bool) -> tuple:
+        """A repetition of one byte: a state per iteration up to
+        _MAX_UNROLL, a loop beyond. A possessive one stops before its
+        maximum count only where no byte of its class follows."""
+        c = _mask(_single_byte_set(rep.inner))
+        barred = c if possessive else 0
+        empty = barred if rep.min == 0 else 0
+        if rep.max is None or rep.max > _MAX_UNROLL:
+            s = self.state(reps)
+            self.edges[s][s] = c
+            return rep.min == 0, empty, {s: c}, {s: barred if rep.max is None else 0}
+        states = [self.state(reps) for _ in range(rep.max)]
+        for u, v in zip(states, states[1:]):
+            self.edges[u][v] = c
+        last = {s: barred for s in states[max(rep.min, 1) - 1:]}
+        last[states[-1]] = 0
+        return rep.min == 0, empty, {states[0]: c}, last
+
+    def chain(self, frags: list) -> tuple:
+        """The fragment of a sequence of fragments."""
+        nullable, barred, first, last = True, 0, {}, {}
+        for n, b, f, l in frags:
+            self.link(last, f)
+            if nullable:
+                first = _union(first, {v: m & ~barred for v, m in f.items()}, or_)
+            last = _union(l, {u: x | b for u, x in last.items()}, and_) if n else l
+            nullable, barred = nullable and n, barred | b
+        return nullable, barred, first, last
+
+    def determinize(self, first: dict, last: dict, node: _Atomic, reps: tuple) -> tuple:
+        """Entry and exit states of a deterministic copy of one iteration;
+        an exit admits only the bytes of the lookahead."""
+        ids: dict[frozenset, int] = {}
+        todo = []
+
+        def step(moves: list) -> dict:
+            out: dict[int, int] = {}
+            for block in _partition(m for _, m in moves):
+                target = frozenset(v for v, m in moves if m & block)
+                if target:
+                    d = ids.get(target)
+                    if d is None:
+                        if len(ids) == _MAX_DFA_STATES:
+                            raise _TooLarge(node)
+                        d = ids[target] = self.state(reps)
+                        todo.append(target)
+                    out[d] = out.get(d, 0) | block
+            return out
+
+        dfa_first, dfa_last = step(list(first.items())), {}
+        while todo:
+            subset = todo.pop()
+            d = ids[subset]
+            self.edges[d] = step([vm for u in subset for vm in self.edges[u].items()])
+            exits = [last[u] for u in subset if u in last]
+            if exits:
+                barred = _ALL
+                for x in exits:
+                    barred &= x
+                dfa_last[d] = (_ALL & ~node.follow) | barred
+        return dfa_first, dfa_last
+
+    def pairs(self) -> dict:
+        """The product automaton: every pair of states two paths can be in
+        after reading one word, with its successor pairs."""
+        graph: dict[tuple, list] = {}
+        todo = [(s, s) for s in self.starts]
+        for p in todo:
+            graph[p] = []
+        while todo:
+            x, y = todo.pop()
+            out = graph[(x, y)]
+            ex, ey = self.edges[x], self.edges[y]
+            for v, m in ex.items():
+                for w, n in ey.items():
+                    if m & n:
+                        out.append((v, w))
+                        if (v, w) not in graph:
+                            if len(graph) == _MAX_PAIRS:
+                                raise _TooLarge(self.root)
+                            graph[(v, w)] = []
+                            todo.append((v, w))
+        return graph
+
+    def _reaches3(self, p: int, q: int, component: dict) -> bool:
+        """Whether one word leads p to p, p to q and q to q. The paths that
+        return to p and to q never leave the component of p and of q."""
+        goal = (p, q, q)
+        seen = {(p, p, q)}
+        todo = list(seen)
+        cp, cq = component[p], component[q]
+        while todo:
+            x, y, z = todo.pop()
+            for v, m in self.edges[x].items():
+                if component[v] != cp:
+                    continue
+                for w, n in self.edges[y].items():
+                    mn = m & n
+                    if mn:
+                        for u, k in self.edges[z].items():
+                            if mn & k and component[u] == cq and (v, w, u) not in seen:
+                                if (v, w, u) == goal:
+                                    return True
+                                seen.add((v, w, u))
+                                todo.append((v, w, u))
+        return False
+
+    def ambiguous_repetition(self):
+        """A repetition through which backtracking can take time exponential
+        in the subject (two paths, or two routes of one edge, leave one
+        state and meet there again on one word) or polynomial (one word
+        loops at p, leads p to q and loops at q, so the split between two
+        loops can fall anywhere), or None."""
+        graph = self.pairs()
+        loops = []
+        for comp in _sccs(graph):
+            if len(comp) == 1 and comp[0] not in graph[comp[0]]:
+                continue
+            split = [(x, y) for x, y in comp if x != y]
+            if split and len(split) < len(comp):
+                return self._innermost(x for pair in comp for x in pair)
+            members = set(comp)
+            for x, y in comp:
+                for v, w in graph[(x, y)] if x == y else ():
+                    if v == w and (v, v) in members and (x, v) in self.doubled:
+                        return self.doubled[(x, v)] or self._innermost([x, v])
+            loops += split
+        component = {s: i for i, comp in enumerate(_sccs(dict(enumerate(self.edges))))
+                     for s in comp}
+        for p, q in loops:
+            if self._reaches3(p, q, component):
+                return self._innermost([p])
+        return None
+
+    def _innermost(self, states):
+        """The innermost repetition enclosing all `states` (every cycle lies
+        in one)."""
+        common = None
+        for s in states:
+            reps = self.reps[s]
+            if common is None:
+                common = reps
+            else:
+                k = 0
+                while k < min(len(common), len(reps)) and common[k] is reps[k]:
+                    k += 1
+                common = common[:k]
+        return common[-1] if common else self.root
+
+
+def _sccs(graph: dict) -> list[list]:
+    """Strongly connected components (iterative Tarjan)."""
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    on_stack: set = set()
+    out = []
+    for root in graph:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(graph[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(graph[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    out.append(comp)
+    return out
+
+
+def _empty_ambiguous(node, facts, loop=None):
+    """A repetition matching the empty word more than one way, which the
+    automaton has no states to show: one with a nullable inner, or a
+    repeating one holding an alternation with two nullable branches."""
+    t = type(node)
     if t is PCap:
-        return _byte_facts(node.inner, flagged)
-    if t is PRep:
-        nullable, first, last = _byte_facts(node.inner, flagged)
-        repeats = node.max is None or node.max > 1
-        if _single_byte_set(node.inner) is None and (
-                (repeats and (nullable or first & last))
-                or (nullable and node.max != node.min)):
-            flagged.append(node)
-        return nullable or node.min == 0, first, last
-    facts = [_byte_facts(item, flagged)
-             for item in (node.items if t is PSeq else node.branches)]
-    if t is PAlt:
-        return (any(f[0] for f in facts),
-                _NO_BYTES.union(*(f[1] for f in facts)),
-                _NO_BYTES.union(*(f[2] for f in facts)))
-    return all(f[0] for f in facts), _edge(facts, 1), _edge(reversed(facts), 2)
+        return _empty_ambiguous(node.inner, facts, loop)
+    if t is PSeq or t is PAlt:
+        children = node.items if t is PSeq else node.branches
+        if t is PAlt and loop is not None and sum(facts(b).nullable for b in children) > 1:
+            return loop
+        for child in children:
+            found = _empty_ambiguous(child, facts, loop)
+            if found is not None:
+                return found
+        return None
+    if t is PRep or t is _Atomic:
+        rep = node if t is PRep else node.rep
+        repeats = rep.max is None or rep.max > 1
+        if rep.max != 0 and facts(rep.inner).nullable and (repeats or rep.max != rep.min):
+            return node
+        return _empty_ambiguous(rep.inner, facts, node if repeats else loop)
+    return None
 
 
-def _edge(facts, which: int) -> frozenset[int]:
-    """Union of one edge set over sequence items up to the first non-nullable."""
-    out = set()
-    for f in facts:
-        out |= f[which]
-        if not f[0]:
-            break
-    return frozenset(out)
+def _flagged(planned, facts):
+    """The repetition that keeps a planned tree off the regex backend, or None."""
+    found = _empty_ambiguous(planned, facts)
+    if found is not None:
+        return found
+    auto = _Automaton(planned)
+    try:
+        _, _, first, _ = auto.build(planned)
+        auto.start(first)
+        return auto.ambiguous_repetition()
+    except _TooLarge as exc:
+        return exc.args[0]
 
 
-def flagged_repetition(root) -> PRep | None:
-    """The first repetition that keeps `root` on the interpreter, or None."""
-    flagged: list = []
-    _byte_facts(root, flagged)
-    return flagged[0] if flagged else None
+def flagged_repetition(root):
+    """The repetition that keeps `root` on the interpreter, or None."""
+    planner = _Planner()
+    return _flagged(planner.plan(root), planner.facts)
 
 
-def _class_text(members: frozenset[int]) -> str:
-    if not members:
+def _class_text(mask: int) -> str:
+    if not mask:
         return _NEVER
     runs = []
-    for b in sorted(members):
-        if runs and runs[-1][1] == b - 1:
-            runs[-1][1] = b
-        else:
-            runs.append([b, b])
+    for b in range(256):
+        if mask >> b & 1:
+            if runs and runs[-1][1] == b - 1:
+                runs[-1][1] = b
+            else:
+                runs.append([b, b])
     return "[" + "".join(f"\\x{lo:02x}" if lo == hi else f"\\x{lo:02x}-\\x{hi:02x}"
                          for lo, hi in runs) + "]"
 
 
+def _quantifier(lo: int, hi: int | None) -> str:
+    if hi is None:
+        return {0: "*", 1: "+"}.get(lo, f"{{{lo},}}")
+    if (lo, hi) == (0, 1):
+        return "?"
+    return f"{{{lo},{hi}}}"
+
+
 def regex_text(node, groups: list) -> str:
-    """`re` syntax for `node`; appends each capture's cid to `groups` in
-    group-number order."""
+    """`re` syntax for a (planned) tree; appends each capture's cid to
+    `groups` in group-number order."""
     t = type(node)
     if t is PClass:
-        return _class_text(node.members)
+        return _class_text(_mask(node.members))
     if t is PBytes:
         return re.escape(node.data.decode("latin-1"))
     if t is PLit:
@@ -480,14 +1004,17 @@ def regex_text(node, groups: list) -> str:
             return _NEVER
         return "(?:" + "|".join(regex_text(b, groups) for b in node.branches) + ")"
     if t is PRep:
-        lo, hi = node.min, node.max
-        if hi is None:
-            quant = {0: "*", 1: "+"}.get(lo, f"{{{lo},}}")
-        elif (lo, hi) == (0, 1):
-            quant = "?"
-        else:
-            quant = f"{{{lo},{hi}}}"
-        return "(?:" + regex_text(node.inner, groups) + ")" + quant
+        return "(?:" + regex_text(node.inner, groups) + ")" + _quantifier(node.min, node.max)
+    if t is _Possessive:
+        return regex_text(node.rep, groups) + "+"
+    if t is _Atomic:
+        ahead = [_class_text(node.follow)] if node.follow else []
+        if node.at_end:
+            ahead.append(r"\Z")
+        look = "(?=" + "|".join(ahead) + ")" if ahead else _NEVER
+        rep = node.rep
+        return ("(?>" + regex_text(rep.inner, groups) + look + ")"
+                + _quantifier(rep.min, rep.max))
     if t is PCap:
         groups.append(node.cid)
         return "(" + regex_text(node.inner, groups) + ")"
@@ -497,10 +1024,12 @@ def regex_text(node, groups: list) -> str:
 def _regex_backend(root) -> tuple:
     """(compiled regex, ((group, cid), ...)) for `root`, or (None, ()) when
     it must stay on the interpreter."""
-    if flagged_repetition(root) is not None:
+    planner = _Planner()
+    planned = planner.plan(root)
+    if _flagged(planned, planner.facts) is not None:
         return None, ()
     groups: list[int] = []
-    text = regex_text(root, groups)
+    text = regex_text(planned, groups)
     if len(set(groups)) != len(groups):
         return None, ()  # one cid, two groups: "last set wins" has no regex form
     try:

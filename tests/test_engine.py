@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from conftest import sip_request, sip_response
@@ -432,3 +434,24 @@ def test_long_repetition_accepted(sip, site, count):
     assert msg.select("CSeq.number") == U32(4711)
     assert msg.select("From.tag").data == b"88a7s"
     assert msg.select("From.uri.host").data == b"atlanta.example.org"
+
+
+# --- adversarial subjects -------------------------------------------------------
+
+_RTSP_SETUP = b"SETUP rtsp://h/x RTSP/1.0\r\nCSeq: 1\r\nTransport: RTP/AVP"
+
+
+@pytest.mark.parametrize("grammar,raw", [
+    # ">" SWS, then SWS ";": two optional whitespace runs meet
+    ("sip", sip_request(drop=("From",), extra=(b"From: <sip:a@b>" + b" " * 200_000 + b"x",))),
+    ("sip", sip_request(drop=("To",), extra=(b"To: <sip:a@b>" + b" " * 200_000 + b"x",))),
+    ("sip", sip_request(drop=("Via",), extra=(b"Via: SIP/2.0/UDP h" + b";p" * 100_000 + b"@",))),
+    # "unicast" is both a literal branch and a token: two ways per parameter
+    ("rtsp", _RTSP_SETUP + b";unicast" * 25_000 + b"@\r\n\r\n"),
+], ids=["from-spaces", "to-spaces", "via-params", "rtsp-transport"])
+def test_adversarial_header_rejected_quickly(request, grammar, raw):
+    start = time.perf_counter()
+    report = validate(request.getfixturevalue(grammar), raw).report()
+    assert time.perf_counter() - start < 5  # tens of milliseconds when linear
+    assert report.startswith("REJECT SYNTAX")
+    assert "BUDGET" not in report

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -262,14 +263,26 @@ def backend_of(p: Pattern) -> str:
     return "regex" if p._backend[0] is not None else "interpreter"
 
 
-@pytest.mark.parametrize("rule", ['1*( 1*"a" ) "b"', '*( "a" / "aa" )', '*( *"a" )'])
-def test_ambiguous_repetition_stays_on_budgeted_interpreter(rule):
+@pytest.mark.parametrize("rule,subject", [
+    ('1*( 1*"a" ) "b"', b"a" * 26 + b"!"),
+    ('*( "a" / "aa" )', b"a" * 26 + b"!"),
+    ('*( *"a" )', b"a" * 26 + b"!"),
+    # both branches match each ";1": two ways per iteration
+    ('1*( ";" DIGIT / ";" 1*DIGIT ) "x"', b";1" * 40),
+    # "aa" is one iteration or two
+    ('1*( "a" [ "a" ] ) "b"', b"a" * 40),
+    # polynomial: the split between the two loops can fall anywhere
+    ('*( "ab" ) *( "ab" / "c" ) "x"', b"ab" * 60),
+    # bounded, but a run of 65 splits in millions of ways
+    ('2*4( 2*4( 2*4"a" ) )', b"a" * 65),
+])
+def test_ambiguous_repetition_stays_on_budgeted_interpreter(rule, subject):
     g = parse_abnf(f"R = {rule}")
     p = compile_pattern(g.get("R"), g)
     assert flagged_repetition(p.root) is not None
     assert backend_of(p) == "interpreter"
     with pytest.raises(MatchBudgetExceeded):
-        match_full(p, b"a" * 26 + b"!", budget=2_000)
+        match_full(p, subject, budget=2_000)
 
 
 def test_optional_nullable_inner_stays_on_interpreter():
@@ -302,16 +315,27 @@ def test_oracle_rules_use_regex(fig):
         assert backend_of(compiled(fig, name)) == "regex", name
 
 
-def bundled_patterns(cg):
-    entries = [cg.request_line, cg.status_line] + [h.entry for h in cg.headers]
-    for entry in entries:
-        yield entry.name, entry.pattern
-        yield from entry.lazy_patterns.items()
+@pytest.mark.parametrize("rule,body,good", [
+    # the first loop never needs to hand a digit to the second: possessive
+    ('*DIGIT *DIGIT "x"', b"1" * 200_000, b"x"),
+    ('"<" *WSP *WSP ";"', b"<" + b" " * 200_000, b";"),
+    # each iteration has one end that a following "a" or the end admits: atomic
+    ('*( "a" *"b" *"b" ";" )', b"abbbb;" * 40_000, b""),
+    ('*( ";" ( "u" / 1*ALPHA ) )', b";u" * 100_000, b""),
+])
+def test_unambiguous_repetition_runs_in_linear_time(rule, body, good):
+    g = parse_abnf(f"R = {rule}")
+    p = compile_pattern(g.get("R"), g)
+    assert backend_of(p) == "regex"
+    start = time.perf_counter()
+    assert not match_full(p, body + b"!").matched
+    assert time.perf_counter() - start < 2  # milliseconds when linear
+    assert match_full(p, body + good).matched
 
 
 @pytest.mark.parametrize("grammar,count", [("sip", 12), ("rtsp", 6)])
 def test_bundled_patterns_use_regex(request, grammar, count):
-    named = list(bundled_patterns(request.getfixturevalue(grammar)))
+    named = list(request.getfixturevalue(grammar).named_patterns())
     assert len(named) == count
     for name, p in named:
         assert flagged_repetition(p.root) is None, name
