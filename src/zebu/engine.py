@@ -423,6 +423,9 @@ def compile_grammar(ag: AnnotatedGrammar) -> CompiledGrammar:
 
 # --- typed conversion -----------------------------------------------------------
 
+_UINT_DIGITS = {16: len(str(1 << 16)), 32: len(str(1 << 32))}
+
+
 def _convert(entry: CompiledEntry, pattern: Pattern, res, source: bytes,
              sf: Subfield, location: str, errors: list[Reason]):
     span = res.span(pattern, sf.key)
@@ -439,12 +442,14 @@ def _convert(entry: CompiledEntry, pattern: Pattern, res, source: bytes,
                 ReasonCode.SYNTAX, location,
                 f"captured value {text!r} is not an unsigned decimal integer"))
             return ABSENT
-        value = int(text)
+        # overflow is decided on the digits first: int() refuses very long strings
+        digits = text.lstrip(b"0")
         width = 16 if shape is Shape.UINT16 else 32
-        if value >= (1 << width):
+        value = int(digits or b"0") if len(digits) <= _UINT_DIGITS[width] else None
+        if value is None or value >= (1 << width):
             errors.append(Reason(
                 ReasonCode.RANGE, location,
-                f"value {value} overflows uint{width}"))
+                f"value {digits.decode('ascii')} overflows uint{width}"))
             return ABSENT
         bound = pattern.deferred_ranges.get(sf.key)
         if bound is not None and not bound.holds(value):

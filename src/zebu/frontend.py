@@ -271,7 +271,19 @@ class AnnotatedGrammar:
     range_constraints: dict[str, RangeBound] = field(default_factory=dict)
     rule_shapes: dict[str, tuple[Shape, tuple[int, int]]] = field(default_factory=dict)
     subfields: dict[str, dict[str, Subfield]] = field(default_factory=dict)
-    _leaf_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memos: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def memo(self, name: str) -> dict:
+        """The grammar's memo table `name`: element id -> (element, fact).
+
+        Grammar facts are computed once per grammar and kept here, keyed
+        by element identity. Each entry holds its element, so no other
+        live object can share the id; the grammar must gain no rules
+        after the first fact is recorded."""
+        table = self._memos.get(name)
+        if table is None:
+            table = self._memos[name] = {}
+        return table
 
     def header(self, name: str) -> HeaderDecl | None:
         low = name.lower()
@@ -401,12 +413,11 @@ def reachable_leaves(elem: Element, ag: AnnotatedGrammar) -> tuple:
 
     Each rule body is entered at most once, tracked by a visited set of
     rule names, so a cycle needs no stack and every answer is complete.
-    Answers are memoised on the grammar, keyed by element identity, so the
-    grammar must gain no rules after the first call.
+    Answers are memoised on the grammar (`AnnotatedGrammar.memo`).
     """
-    memo = ag._leaf_memo
+    memo = ag.memo("leaves")
     hit = memo.get(id(elem))
-    if hit is not None and hit[0] is elem:
+    if hit is not None:
         return hit[1]
     leaves: dict[int, Element] = {}
     entered: set[str] = set()
@@ -434,7 +445,7 @@ def reachable_leaves(elem: Element, ag: AnnotatedGrammar) -> tuple:
             if isinstance(e, Annotated):
                 todo.append(e.inner)
     result = tuple(leaves.values())
-    memo[id(elem)] = (elem, result)  # holding elem keeps its id from reuse
+    memo[id(elem)] = (elem, result)
     return result
 
 

@@ -79,11 +79,15 @@ class DNode:
     branch: int | None = None
     count: int | None = None
     path: str | None = None
+    env: dict | None = field(default=None, repr=False, compare=False)
 
     def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """This node and its descendants, depth-first in source order."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 @dataclass
@@ -132,11 +136,16 @@ class DerivationTree:
         return out
 
     def env_of(self, part: Part) -> dict:
-        env = {}
-        for node in part.node.walk():
-            if node.path is not None:
-                env[node.path] = (node.start, node.end, node.branch)
-        return env
+        """The annotation env of a part's derivation, computed once per
+        derived node; callers must not modify it."""
+        root = part.node
+        if root.env is None:
+            env = {}
+            for node in root.walk():
+                if node.path is not None:
+                    env[node.path] = (node.start, node.end, node.branch)
+            root.env = env
+        return root.env
 
 
 class _Deriver:
@@ -144,6 +153,7 @@ class _Deriver:
         self.ag = ag
         self.rng = rng
         self.size_budget = size_budget
+        self.facts = ag.memo("mutate.derive")
 
     def derive_value(self, body) -> tuple[bytes, DNode]:
         out = bytearray()
@@ -159,14 +169,11 @@ class _Deriver:
             out += elem.data
             return DNode(elem, start, len(out))
         if isinstance(elem, CharRange):
-            pool = [b for b in range(elem.lo, elem.hi + 1) if b not in (0x0D, 0x0A)]
+            pool = self._fact(elem)
             out.append(self.rng.choice(pool) if pool else elem.lo)
             return DNode(elem, start, len(out))
         if isinstance(elem, RuleRef):
-            rule = abnf.resolve(elem.name, self.ag.base)
-            if rule is None:
-                raise ZebuError(f"cannot derive undefined rule {elem.name!r}")
-            child = self._derive(rule.body, out, prefix)
+            child = self._derive(self._fact(elem), out, prefix)
             return DNode(elem, start, len(out), [child])
         if isinstance(elem, Annotated):
             path = prefix + (elem.name,)
@@ -178,11 +185,7 @@ class _Deriver:
             children = [self._derive(i, out, prefix) for i in elem.items]
             return DNode(elem, start, len(out), children)
         if isinstance(elem, Alternation):
-            indices = [i for i, b in enumerate(elem.branches)
-                       if not _may_contain_crlf(b, self.ag)]
-            if not indices:
-                indices = list(range(len(elem.branches)))
-            i = self.rng.choice(indices)
+            i = self.rng.choice(self._fact(elem))
             child = self._derive(elem.branches[i], out, prefix)
             return DNode(elem, start, len(out), [child], branch=i)
         if isinstance(elem, Repetition):
@@ -192,6 +195,28 @@ class _Deriver:
                 children.append(self._derive(elem.inner, out, prefix))
             return DNode(elem, start, len(out), children, count=count)
         raise TypeError(f"cannot derive {elem!r}")
+
+    def _fact(self, elem):
+        """Per-grammar derivation fact: a rule reference's body, an
+        alternation's CRLF-free branch indices (all when none is), a byte
+        range's CR/LF-free byte pool."""
+        hit = self.facts.get(id(elem))
+        if hit is not None:
+            return hit[1]
+        if isinstance(elem, RuleRef):
+            rule = abnf.resolve(elem.name, self.ag.base)
+            if rule is None:
+                raise ZebuError(f"cannot derive undefined rule {elem.name!r}")
+            fact = rule.body
+        elif isinstance(elem, Alternation):
+            fact = [i for i, b in enumerate(elem.branches)
+                    if not _may_contain_crlf(b, self.ag)]
+            if not fact:
+                fact = list(range(len(elem.branches)))
+        else:
+            fact = [b for b in range(elem.lo, elem.hi + 1) if b not in (0x0D, 0x0A)]
+        self.facts[id(elem)] = (elem, fact)
+        return fact
 
     def _pick_count(self, elem: Repetition) -> int:
         # base messages stay fold-free; torture introduces folds later
@@ -221,8 +246,14 @@ _WHITESPACE = frozenset(b" \t\r\n")
 
 
 def _may_contain_crlf(elem, ag) -> bool:
-    return any(b is not None and (0x0D in b or 0x0A in b)
-               for b in map(frontend.terminal_bytes, frontend.reachable_leaves(elem, ag)))
+    memo = ag.memo("mutate.crlf")
+    hit = memo.get(id(elem))
+    if hit is None:
+        leaves = frontend.reachable_leaves(elem, ag)
+        hit = memo[id(elem)] = (elem, any(
+            b is not None and (0x0D in b or 0x0A in b)
+            for b in map(frontend.terminal_bytes, leaves)))
+    return hit[1]
 
 
 def _whitespace_only(elem, ag) -> bool:
@@ -715,6 +746,11 @@ def mutate_torture(ag: AnnotatedGrammar, tree: DerivationTree, seed,
     Re-verified VALID before emission; the identity transform is the
     fallback, so this never exhausts."""
     rng = random.Random(f"torture:{seed}")
+    literal_spans = _literal_spans(tree)
+    ws_points = _ws_points(tree)
+    fold_points = [p for p in ws_points if p[3] and p[2] > p[1]]
+    bounded = [(p, nd) for p, nd in _repetition_nodes(tree)
+               if not _may_contain_crlf(nd.elem.inner, ag)]
     for _ in range(retries):
         data = tree.message
         edits = []  # (start, end, replacement) applied right-to-left
@@ -723,10 +759,9 @@ def mutate_torture(ag: AnnotatedGrammar, tree: DerivationTree, seed,
         for _ in range(n_transforms):
             choice = rng.randrange(4)
             if choice == 0:
-                spans = _literal_spans(tree)
-                if not spans:
+                if not literal_spans:
                     continue
-                s, e = rng.choice(spans)
+                s, e = rng.choice(literal_spans)
                 flipped = bytes(
                     (b ^ 0x20) if (0x41 <= b <= 0x5A or 0x61 <= b <= 0x7A)
                     and rng.random() < 0.6 else b
@@ -734,26 +769,22 @@ def mutate_torture(ag: AnnotatedGrammar, tree: DerivationTree, seed,
                 edits.append((s, e, flipped))
                 names.append("case-flip")
             elif choice == 1:
-                points = _ws_points(tree)
-                if not points:
+                if not ws_points:
                     continue
-                part, s, e, _ = rng.choice(points)
+                part, s, e, _ = rng.choice(ws_points)
                 run = bytes(rng.choice((0x20, 0x09))
                             for _ in range(rng.randint(1, 3)))
                 edits.append((s, s, run))
                 names.append("extra-whitespace")
             elif choice == 2:
-                points = [p for p in _ws_points(tree) if p[3] and p[2] > p[1]]
-                if not points:
+                if not fold_points:
                     continue
-                part, s, e, _ = rng.choice(points)
+                part, s, e, _ = rng.choice(fold_points)
                 fold = b"\r\n" + bytes(rng.choice((0x20, 0x09))
                                        for _ in range(rng.randint(1, 2)))
                 edits.append((s, e, fold))
                 names.append("fold")
             else:
-                bounded = [(p, nd) for p, nd in _repetition_nodes(tree)
-                           if not _may_contain_crlf(nd.elem.inner, ag)]
                 if not bounded:
                     continue
                 part, node = rng.choice(bounded)

@@ -178,7 +178,9 @@ class _Compiler:
             sf = self.table.get(key)
             if sf is None:
                 raise CompileError(f"no subfield metadata for {key!r}")
-            return self.compile_subfield(sf)
+            # same-named subfields in two alternation branches share one
+            # table entry; each compiles its own element
+            return self.compile_subfield(sf, elem.inner)
         if isinstance(elem, LiteralCI):
             return PLit(elem.text.lower().encode("ascii"))
         if isinstance(elem, CharCodes):
@@ -205,13 +207,16 @@ class _Compiler:
                 self._depth -= 1
         raise CompileError(f"cannot compile {elem!r}")
 
-    def compile_subfield(self, sf: Subfield):
+    def compile_subfield(self, sf: Subfield, element=None):
+        """Compile the annotated `element` (default: `sf.element`) as the
+        subfield `sf` describes."""
+        element = sf.element if element is None else element
         key = sf.key
         cid = self.cap_id(key)
         if sf.lazy and len(sf.path) == 1 and self.lazy_holes:
             return PCap(cid, LAZY_HOLE)
         if sf.shape in (Shape.ENUM, Shape.UNION):
-            alt = frontend.resolve_to_alternation(sf.element, self.ag)
+            alt = frontend.resolve_to_alternation(element, self.ag)
             if alt is None:
                 raise CompileError(
                     f"subfield {key!r} is {sf.shape.value} but derives no alternation")
@@ -221,9 +226,9 @@ class _Compiler:
             )
             node = PAlt(branches)
         else:
-            node = self.compile(sf.element, sf.path)
+            node = self.compile(element, sf.path)
         if sf.shape in (Shape.UINT16, Shape.UINT32):
-            bound = frontend.declared_range(sf.element, self.ag)
+            bound = frontend.declared_range(element, self.ag)
             if bound is not None:
                 self.deferred[key] = bound
         return PCap(cid, node)

@@ -7,7 +7,20 @@ rules and constraint semantics directly over the grammar AST: derivations
 are explored by a recursive environment-threading backtracker (same
 disambiguation contract as the compiled matcher: source-order branches,
 greedy repetition, full backtracking), with no pattern compilation, no
-inlining, and no lazy holes, so lazy regions are checked in full.
+inlining, and no lazy holes, so lazy regions are checked in full. It
+imports nothing from `engine` or `pattern` and shares no matching or
+evaluation code with them.
+
+The env a derivation threads is a linked chain of `(parent, key, value)`
+links, one per annotation, so extending it costs one tuple; only the first
+full derivation is turned into a dict, later links overriding earlier ones.
+A repetition whose inner always matches exactly one byte from a fixed set
+(byte ranges, one-byte codes, one-character literals and alternations of
+them, through rule references, with no annotation) takes a byte-run
+shortcut: the run is scanned greedily and its ends are yielded longest
+first, the positions and order the per-byte backtracker gives, without a
+generator frame per byte. Rule bodies, lowercased literals, enum branches
+and byte-run sets are learnt once per grammar (`AnnotatedGrammar.memo`).
 """
 
 from __future__ import annotations
@@ -51,50 +64,58 @@ def derive_env(body, ag: AnnotatedGrammar, subject: bytes,
     when the subject is not derivable."""
     n = len(subject)
     steps = budget
+    facts = ag.memo("refcheck")
 
     def gen(elem, pos, env, prefix):
         nonlocal steps
         steps -= 1
         if steps < 0:
             raise ReferenceBudgetExceeded("reference derivation budget exhausted")
-        if isinstance(elem, LiteralCI):
-            lit = elem.text.lower().encode("ascii")
+        t = type(elem)
+        if t is CharRange:
+            if pos < n and elem.lo <= subject[pos] <= elem.hi:
+                yield pos + 1, env
+        elif t is RuleRef:
+            hit = facts.get(id(elem)) or _learn(facts, elem, ag)
+            yield from gen(hit[1], pos, env, prefix)
+        elif t is Sequence:
+            yield from seq(elem.items, 0, pos, env, prefix)
+        elif t is Alternation:
+            for branch in elem.branches:
+                yield from gen(branch, pos, env, prefix)
+        elif t is Repetition:
+            hit = facts.get(id(elem)) or _learn(facts, elem, ag)
+            members = hit[1]
+            if members is None:
+                yield from rep(elem, 0, pos, env, prefix)
+                return
+            limit = n - pos if elem.max is None else min(elem.max, n - pos)
+            k = _run_length(subject, pos, limit, members)
+            for end in range(pos + k, pos + elem.min - 1, -1):
+                yield end, env
+        elif t is LiteralCI:
+            hit = facts.get(id(elem)) or _learn(facts, elem, ag)
+            lit = hit[1]
             end = pos + len(lit)
             if end <= n and subject[pos:end].lower() == lit:
                 yield end, env
-        elif isinstance(elem, CharCodes):
+        elif t is CharCodes:
             end = pos + len(elem.data)
             if subject[pos:end] == elem.data:
                 yield end, env
-        elif isinstance(elem, CharRange):
-            if pos < n and elem.lo <= subject[pos] <= elem.hi:
-                yield pos + 1, env
-        elif isinstance(elem, Annotated):
+        elif t is Annotated:
             path = prefix + (elem.name,)
             key = ".".join(path)
             sf = table.get(key)
             shape = sf.shape if sf is not None else Shape.RAW
             if shape in (Shape.ENUM, Shape.UNION):
-                alt = frontend.resolve_to_alternation(elem.inner, ag)
-                branches = alt.branches if alt is not None else (elem.inner,)
-                for i, branch in enumerate(branches):
+                hit = facts.get(id(elem)) or _learn(facts, elem, ag)
+                for i, branch in enumerate(hit[1]):
                     for end, env2 in gen(branch, pos, env, path):
-                        yield end, {**env2, key: (pos, end, i)}
+                        yield end, (env2, key, (pos, end, i))
             else:
                 for end, env2 in gen(elem.inner, pos, env, path):
-                    yield end, {**env2, key: (pos, end, None)}
-        elif isinstance(elem, RuleRef):
-            rule = abnf.resolve(elem.name, ag.base)
-            if rule is None:
-                raise ZebuError(f"undefined rule {elem.name!r} in reference validation")
-            yield from gen(rule.body, pos, env, prefix)
-        elif isinstance(elem, Sequence):
-            yield from seq(elem.items, 0, pos, env, prefix)
-        elif isinstance(elem, Alternation):
-            for branch in elem.branches:
-                yield from gen(branch, pos, env, prefix)
-        elif isinstance(elem, Repetition):
-            yield from rep(elem, 0, pos, env, prefix)
+                    yield end, (env2, key, (pos, end, None))
         else:
             raise TypeError(f"not a grammar element: {elem!r}")
 
@@ -117,12 +138,88 @@ def derive_env(body, ag: AnnotatedGrammar, subject: bytes,
             yield pos, env
 
     try:
-        for end, env in gen(body, 0, {}, ()):
+        for end, env in gen(body, 0, None, ()):
             if end == n:
-                return env
+                return _materialise(env)
     except RecursionError:
         raise ReferenceBudgetExceeded("recursion limit during reference derivation") from None
     return None
+
+
+def _materialise(env) -> dict:
+    """The dict of a linked env `(parent, key, value)`; a later entry
+    overrides an earlier one with the same key."""
+    links = []
+    while env is not None:
+        links.append(env)
+        env = env[0]
+    out = {}
+    for _, key, value in reversed(links):
+        out[key] = value
+    return out
+
+
+def _learn(facts: dict, elem, ag: AnnotatedGrammar) -> tuple:
+    """Record and return `(elem, fact)` for one element, once per grammar:
+    a rule reference's body, a literal's lowercased bytes, an enum or union
+    annotation's branches, a repetition's byte-run members (or None)."""
+    if isinstance(elem, RuleRef):
+        rule = abnf.resolve(elem.name, ag.base)
+        if rule is None:
+            raise ZebuError(f"undefined rule {elem.name!r} in reference validation")
+        fact = rule.body
+    elif isinstance(elem, LiteralCI):
+        fact = elem.text.lower().encode("ascii")
+    elif isinstance(elem, Annotated):
+        alt = frontend.resolve_to_alternation(elem.inner, ag)
+        fact = alt.branches if alt is not None else (elem.inner,)
+    else:
+        members = _byte_set(elem.inner, ag, set())
+        fact = bytes(sorted(members)) if members is not None else None
+    hit = facts[id(elem)] = (elem, fact)
+    return hit
+
+
+def _byte_set(elem, ag: AnnotatedGrammar, entered: set) -> set | None:
+    """The bytes `elem` matches when it always matches exactly one byte and
+    holds no annotation; None otherwise."""
+    if isinstance(elem, CharRange):
+        return set(range(elem.lo, elem.hi + 1))
+    if isinstance(elem, CharCodes):
+        return set(elem.data) if len(elem.data) == 1 else None
+    if isinstance(elem, LiteralCI):
+        text = elem.text
+        return {ord(text.lower()), ord(text.upper())} if len(text) == 1 else None
+    if isinstance(elem, RuleRef):
+        low = elem.name.lower()
+        rule = abnf.resolve(elem.name, ag.base)
+        if rule is None or low in entered:
+            return None
+        return _byte_set(rule.body, ag, entered | {low})
+    if isinstance(elem, Alternation):
+        out = set()
+        for branch in elem.branches:
+            members = _byte_set(branch, ag, entered)
+            if members is None:
+                return None
+            out |= members
+        return out
+    return None
+
+
+def _run_length(subject: bytes, pos: int, limit: int, members: bytes) -> int:
+    """Length of the run of `members` bytes at `pos`, at most `limit`.
+    Scans in growing chunks so that a short run copies little."""
+    k = 0
+    step = 64
+    while k < limit:
+        chunk = subject[pos + k:pos + min(limit, k + step)]
+        rest = len(chunk.lstrip(members))
+        k += len(chunk) - rest
+        if rest:
+            break
+        step *= 2
+    return k
 
 
 # --- structural scan ----------------------------------------------------------
@@ -208,12 +305,23 @@ def _env_value(ag, entry, env, subject, key):
         text = subject[start:end]
         if not text.isdigit():
             return None
-        return int(text)
+        return _uint_value(text, 16 if sf.shape is Shape.UINT16 else 32)
     if sf.shape is Shape.ENUM:
         return branch
     if sf.shape is Shape.RAW:
         return subject[start:end], frontend.terminals_all_ci(sf.element, ag)
     return None
+
+
+def _uint_value(digits: bytes, width: int) -> int | None:
+    """The value of an ASCII digit string, or None when it does not fit in
+    `width` bits. Long strings are judged by their length, because int()
+    refuses strings of more than 4 300 digits."""
+    significant = digits.lstrip(b"0")
+    if len(significant) > len(str(1 << width)):
+        return None
+    value = int(significant or b"0")
+    return value if value < (1 << width) else None
 
 
 def _eval_ref(expr, lookup):
@@ -288,10 +396,11 @@ def _range_violations(ag, entry, env, subject) -> list[str]:
         if not text.isdigit():
             out.append(f"{entry}.{key}: non-numeric {text!r}")
             continue
-        value = int(text)
         width = 16 if sf.shape is Shape.UINT16 else 32
-        if value >= (1 << width):
-            out.append(f"{entry}.{key}: {value} overflows uint{width}")
+        value = _uint_value(text, width)
+        if value is None:
+            out.append(f"{entry}.{key}: {text.lstrip(b'0').decode('ascii')} "
+                       f"overflows uint{width}")
             continue
         bound = frontend.declared_range(sf.element, ag)
         if bound is not None and not bound.holds(value):

@@ -180,6 +180,16 @@ def test_parse_rejects_mutant_with_reasons(compiled_artifact, tmp_path, capsys):
     assert "REJECT RANGE" in out
 
 
+def test_parse_number_too_long_for_int_rejects(compiled_artifact, tmp_path, capsys):
+    msg = tmp_path / "long.msg"
+    msg.write_bytes(sip_request(cseq=b"9" * 5_000))
+    code = main(["parse", str(compiled_artifact), str(msg), "--field", "CSeq.number"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "REJECT RANGE" in captured.out
+    assert "Traceback" not in captured.err
+
+
 def test_parse_optional_absent_prints_absent(compiled_artifact, tmp_path, capsys):
     msg = tmp_path / "m.msg"
     msg.write_bytes(sip_request().replace(b"<sip:alice@example.com>",

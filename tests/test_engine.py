@@ -27,6 +27,7 @@ from zebu.engine import (
     validate,
 )
 from zebu.frontend import parse_zebu
+from zebu.refcheck import reference_validate
 
 
 # --- line index ---------------------------------------------------------------
@@ -123,6 +124,23 @@ def test_parse_cseq_never_a_silent_garbage_integer(sip):
     assert [r.code for r in header.failures] == [ReasonCode.SYNTAX]
     with pytest.raises(Exception):
         header.get_subfield("number")
+
+
+@pytest.mark.parametrize("digits, shown", [
+    (b"004294967296", b"4294967296"),
+    (b"1" * 5_000, b"1" * 5_000),
+    (b"0" * 5_000 + b"4294967296", b"4294967296"),
+], ids=["zero-padded", "5000-digits", "5000-zeros"])
+def test_overflow_decided_on_any_number_of_digits(sip, digits, shown):
+    verdict = validate(sip, sip_request(cseq=digits))
+    assert [(r.code, r.message) for r in verdict.reasons] == [
+        (ReasonCode.RANGE, f"value {shown.decode()} overflows uint32")]
+
+
+def test_leading_zeros_beyond_int_limit_convert(sip):
+    msg = ParsedMessage(sip, sip_request(cseq=b"0" * 5_000 + b"7"))
+    assert msg.parse_header("CSeq").get_subfield("number") == U32(7)
+    assert validate(sip, sip_request(cseq=b"0" * 5_000 + b"7")).accepted
 
 
 def test_parse_header_is_memoized(sip):
@@ -384,6 +402,18 @@ def test_union_subfield_conversion():
     value2 = msg2.parse_header("H").get_subfield("k")
     assert value2.branch == 1
     assert value2.get("w") == RawSlice(b"ab", 0, 2)
+
+
+def test_same_named_subfields_in_two_branches_compile_their_own_element():
+    ag = parse_zebu('requestLine = "GO"\nstatusLine = "NO"\n'
+                    'header H = 1*DIGIT:d "x" / 1*ALPHA:d "x"\n')
+    cg = compile_grammar(ag)
+    for value, accepted in ((b"12x", True), (b"abx", True), (b"a1x", False)):
+        raw = b"GO\r\nH: " + value + b"\r\n\r\n"
+        assert validate(cg, raw).accepted is accepted, value
+        assert reference_validate(ag, raw)[0] is accepted, value
+    msg = ParsedMessage(cg, b"GO\r\nH: abx\r\n\r\n")
+    assert msg.parse_header("H").get_subfield("d") == RawSlice(b"abx", 0, 2)
 
 
 def test_numeric_safety_fuzz(sip):

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import sip_request, sip_response
+from zebu.abnf import Repetition
 from zebu.engine import validate
 from zebu.frontend import parse_zebu
-from zebu.mutate import derive_valid, make_mutant
-from zebu.refcheck import derive_env, reference_validate
+from zebu.mutate import _Deriver, derive_valid, make_mutant
+from zebu.refcheck import _scan_structure, derive_env, reference_validate
 
 
 def test_agrees_with_engine_on_handcrafted_messages(sip_ag, sip):
@@ -52,6 +57,13 @@ def test_derive_env_none_on_mismatch(sip_ag):
     assert derive_env(body, sip_ag, b"x INVITE", table) is None
 
 
+def test_derive_env_keeps_last_iteration_of_a_repeated_capture():
+    ag = parse_zebu('requestLine = "GO"\nstatusLine = "NO"\n'
+                    'header H = 1*( 1*DIGIT:d "," ):all\n')
+    env = derive_env(ag.header("H").body, ag, b"1,22,", ag.subfields["H"])
+    assert list(env.items()) == [("all.d", (2, 4, None)), ("all", (0, 5, None))]
+
+
 def test_checks_lazy_regions_in_full(sip_ag):
     raw = sip_request().replace(b"<sip:alice@example.com>", b"<sip:###>")
     ok, notes = reference_validate(sip_ag, raw)
@@ -79,3 +91,103 @@ def test_message_kind_builtin_constraint():
         'request { message.kind == "REQUEST"; }\n')
     ok, notes = reference_validate(ag, b"GO 1\r\n\r\n")
     assert ok, notes
+
+
+# --- long runs and long numbers -------------------------------------------------
+
+def test_long_single_byte_runs_get_a_verdict(sip_ag, sip):
+    long_word = sip_request().replace(
+        b"Call-ID: a84b4c76e66710@pc33.example.com", b"Call-ID: " + b"w" * 20_000)
+    assert reference_validate(sip_ag, long_word) == (True, [])
+    assert validate(sip, long_word).accepted
+
+    digits = b"9" * 3_000
+    assert reference_validate(sip_ag, sip_request(cseq=digits)) == (
+        False, [f"CSeq.number: {digits.decode()} overflows uint32"])
+    assert reference_validate(sip_ag, sip_request(cseq=b"0" * 3_000 + b"7")) == (True, [])
+
+
+@pytest.mark.parametrize("digits", [
+    b"004294967296", b"1" * 5_000, b"0" * 5_000 + b"4294967296",
+], ids=["zero-padded", "5000-digits", "5000-zeros"])
+def test_overflow_decided_on_any_number_of_digits(sip_ag, digits):
+    ok, notes = reference_validate(sip_ag, sip_request(cseq=digits))
+    assert not ok
+    assert notes == [f"CSeq.number: {digits.lstrip(b'0').decode()} overflows uint32"]
+
+
+# --- per-grammar memos ------------------------------------------------------------
+
+def _labels_and_envs(ag, raw):
+    """The label of `raw`, and every entry's env over every line of it."""
+    command, headers, ok, _ = _scan_structure(raw)
+    lines = [command] + [h.value for h in headers] if ok else []
+    envs = []
+    for entry, body in ag.entry_points():
+        for line in lines:
+            env = derive_env(body, ag, line, ag.subfields[entry])
+            envs.append(None if env is None else list(env.items()))
+    return reference_validate(ag, raw), envs
+
+
+def test_memos_are_per_grammar(sip_source, rtsp_source, sip_ag, rtsp_ag):
+    sip_mutants = [make_mutant(sip_ag, i, "memo").data for i in range(200)]
+    rtsp_mutants = [make_mutant(rtsp_ag, i, "memo").data for i in range(200)]
+    sip_shared, rtsp_shared = parse_zebu(sip_source), parse_zebu(rtsp_source)
+    alternating = []
+    for s, r in zip(sip_mutants, rtsp_mutants):
+        alternating.append(_labels_and_envs(sip_shared, s))
+        alternating.append(_labels_and_envs(rtsp_shared, r))
+    fresh_sip, fresh_rtsp = parse_zebu(sip_source), parse_zebu(rtsp_source)
+    assert alternating[0::2] == [_labels_and_envs(fresh_sip, s) for s in sip_mutants]
+    assert alternating[1::2] == [_labels_and_envs(fresh_rtsp, r) for r in rtsp_mutants]
+
+
+# --- byte-run shortcut --------------------------------------------------------------
+
+_ATOMS = st.one_of(
+    st.tuples(st.integers(0x2D, 0x7A), st.integers(0, 12)).map(
+        lambda t: f"%x{t[0]:02X}-{min(t[0] + t[1], 0x7A):02X}"),
+    st.integers(0x2D, 0x7A).map(lambda b: f"%x{b:02X}"),
+    st.sampled_from("aqxzAQZ09-.;").map(lambda c: f'"{c}"'),
+    st.sampled_from(("DIGIT", "ALPHA", "HEXDIG", "cls")),
+)
+_CLASSES = st.lists(_ATOMS, min_size=1, max_size=3).map(" / ".join)
+_BOUNDS = st.tuples(st.integers(0, 3), st.none() | st.integers(0, 4)).map(
+    lambda t: f"{t[0]}*" + ("" if t[1] is None else str(t[0] + t[1])))
+_RUNS = st.lists(st.tuples(_BOUNDS, _CLASSES, st.booleans()), min_size=1, max_size=4)
+
+
+def _run_grammar(runs, blocked: bool):
+    """A header H of byte-class repetitions, some captured. `blocked` wraps
+    each class in a capture `z<i>`, which keeps the byte-run shortcut off."""
+    items = []
+    for i, (bounds, cls, captured) in enumerate(runs):
+        inner = f"( {cls} ):z{i}" if blocked else f"( {cls} )"
+        item = f"{bounds}( {inner} )"
+        items.append(f"( {item} ):r{i}" if captured else item)
+    return parse_zebu('protocol t\nrequestLine = "GO"\nstatusLine = "NO"\n'
+                      f'header H = {" ".join(items)}\ncls = "q" / %x30-32\n')
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RUNS, st.lists(st.tuples(st.integers(0, 2**32), st.integers(0, 20), st.booleans()),
+                       min_size=1, max_size=4))
+def test_byte_run_shortcut_agrees_with_per_byte_derivation(runs, draws):
+    fast, slow = _run_grammar(runs, False), _run_grammar(runs, True)
+    body = fast.header("H").body
+    for seed, cut, drop in draws:
+        # a derivable value, or one with a byte dropped or doubled
+        subject, _ = _Deriver(fast, random.Random(seed), size_budget=6).derive_value(body)
+        if subject and cut < len(subject):
+            subject = subject[:cut] + subject[cut + 1:] if drop else (
+                subject[:cut] + subject[cut:cut + 1] + subject[cut:])
+        got = derive_env(body, fast, subject, fast.subfields["H"])
+        want = derive_env(slow.header("H").body, slow, subject, slow.subfields["H"])
+        if want is not None:
+            want = {k: v for k, v in want.items() if not k.split(".")[-1].startswith("z")}
+            assert got is not None and list(got.items()) == list(want.items()), subject
+        else:
+            assert got is None, subject
+    assert any(isinstance(elem, Repetition) and members is not None
+               for elem, members in fast.memo("refcheck").values())
