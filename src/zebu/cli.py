@@ -19,7 +19,6 @@ import argparse
 import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import artifact, mutate
@@ -160,7 +159,6 @@ def cmd_compile(args) -> int:
     if has_errors(diags):
         return 1
     compiled = compile_grammar(ag)
-    compiled.source = text
     for line in _interpreter_warnings(compiled):
         print(line, file=sys.stderr)
     try:
@@ -228,21 +226,19 @@ def cmd_parse(args) -> int:
     return 0 if verdict.accepted else 1
 
 
-def _load_for_mutation(path: Path):
+def _load_for_mutation(path: Path) -> str:
+    """The verified .zebu text of a spec file or an artifact."""
     data = _read(path)
-    if path.suffix == ".zebu":
+    if path.suffix != ".zebu":
+        return artifact.verified_source(data).source
+    try:
         text = data.decode("utf-8")
-        ag, diags = _load_spec(path, text)
-        if has_errors(diags):
-            raise ZebuError(f"{path} fails verification")
-        compiled = compile_grammar(ag)
-        compiled.source = text
-        return ag, compiled
-    compiled = artifact.deserialize(data)
-    if not compiled.source:
-        raise ZebuError(f"{path} carries no grammar source; recompile it")
-    ag = parse_zebu(compiled.source)
-    return ag, compiled
+    except UnicodeDecodeError as exc:
+        raise _Unreadable(f"cannot read {path}: {exc}") from None
+    _, diags = _load_spec(path, text)
+    if has_errors(diags):
+        raise ZebuError(f"{path} fails verification")
+    return text
 
 
 def _mutate_worker(packed):
@@ -267,7 +263,7 @@ def _mutate_worker(packed):
 
 
 def cmd_mutate(args) -> int:
-    ag, compiled = _load_for_mutation(args.source)
+    source_text = _load_for_mutation(args.source)
     mix = mutate.parse_mix(args.mix) if args.mix else dict(mutate.DEFAULT_MIX)
     try:
         args.out.mkdir(parents=True, exist_ok=True)
@@ -276,7 +272,6 @@ def cmd_mutate(args) -> int:
         return 2
     n = args.count
     mix_values = {rule.value: weight for rule, weight in mix.items()}
-    source_text = compiled.source or ""
     jobs = min(args.jobs, n)
     chunk = -(-n // jobs)
     ranges = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
@@ -288,6 +283,7 @@ def cmd_mutate(args) -> int:
         if jobs == 1:
             results = [_mutate_worker(task) for task in tasks]
         else:
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = list(pool.map(_mutate_worker, tasks))
     except OSError as exc:

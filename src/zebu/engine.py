@@ -351,7 +351,7 @@ class CompiledGrammar:
     headers: list[CompiledHeader]
     request_constraints: list = dc_field(default_factory=list)
     response_constraints: list = dc_field(default_factory=list)
-    source: str | None = None  # original .zebu text, kept for the mutation harness
+    source: str | None = None  # the .zebu text; the artifact stores only this
 
     def named_patterns(self):
         """(name, pattern) for every pattern: each command line's and
@@ -378,7 +378,7 @@ def _compile_entry(name: str, body, ag: AnnotatedGrammar,
     branch_children = {}
     ci = set()
     for sf in table.values():
-        if sf.lazy and len(sf.path) == 1:
+        if sf.forced_lazily:
             lazy_patterns[sf.name] = compile_subfield_pattern(sf, ag, table)
         if sf.shape is Shape.UNION:
             alt = frontend.resolve_to_alternation(sf.element, ag)
@@ -418,6 +418,7 @@ def compile_grammar(ag: AnnotatedGrammar) -> CompiledGrammar:
         headers=headers,
         request_constraints=list(ag.request_block),
         response_constraints=list(ag.response_block),
+        source=ag.source,
     )
 
 

@@ -247,10 +247,18 @@ class Subfield:
     declared_shape: Shape | None = None
     def_shape: Shape | None = None
     children: tuple[str, ...] = ()
+    multi_site: bool = False  # declared in more than one alternation branch
 
     @property
     def key(self) -> str:
         return ".".join(self.path)
+
+    @property
+    def forced_lazily(self) -> bool:
+        """A lazy top-level subfield declared at one site: a hole in its
+        entry's pattern, with its own pattern run only when forced. At
+        several sites, each compiles from its own element instead."""
+        return self.lazy and len(self.path) == 1 and not self.multi_site
 
 
 SubfieldTable = "dict[str, Subfield]"
@@ -271,6 +279,7 @@ class AnnotatedGrammar:
     range_constraints: dict[str, RangeBound] = field(default_factory=dict)
     rule_shapes: dict[str, tuple[Shape, tuple[int, int]]] = field(default_factory=dict)
     subfields: dict[str, dict[str, Subfield]] = field(default_factory=dict)
+    source: str | None = None  # the .zebu text parse_zebu read
     _memos: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def memo(self, name: str) -> dict:
@@ -395,6 +404,7 @@ def _merge_branches(out, new):
             )
         merged_children = old.children + tuple(c for c in sf.children if c not in old.children)
         old.children = merged_children
+        old.multi_site = old.multi_site or sf.multi_site or sf.element is not old.element
 
 
 def branch_child_names(alt: Alternation, path, ag: AnnotatedGrammar) -> list[tuple[str, ...]]:
@@ -531,7 +541,7 @@ class _ZebuParser:
     def __init__(self, source: str):
         self.s = Scanner(source)
         self.elements = _ZebuElements(self.s)
-        self.ag = AnnotatedGrammar(base=Grammar())
+        self.ag = AnnotatedGrammar(base=Grammar(), source=source)
         self._protocol_seen = False
         self._mandatory_decls: list[tuple[str, str, tuple[int, int]]] = []
 
@@ -885,7 +895,10 @@ def parse_zebu(source: str) -> AnnotatedGrammar:
     Subfield namespaces are computed per entry point; a duplicate name is
     rejected at its second declaration.
     """
-    return _ZebuParser(source).parse()
+    try:
+        return _ZebuParser(source).parse()
+    except RecursionError:
+        raise ZebuSyntaxError("elements nested too deeply") from None
 
 
 # --- field-reference resolution ----------------------------------------------

@@ -213,7 +213,7 @@ class _Compiler:
         element = sf.element if element is None else element
         key = sf.key
         cid = self.cap_id(key)
-        if sf.lazy and len(sf.path) == 1 and self.lazy_holes:
+        if sf.forced_lazily and self.lazy_holes:
             return PCap(cid, LAZY_HOLE)
         if sf.shape in (Shape.ENUM, Shape.UNION):
             alt = frontend.resolve_to_alternation(element, self.ag)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -59,9 +60,14 @@ def test_check_parse_error_has_position(tmp_path, capsys):
 def test_compile_is_deterministic(tmp_path):
     a = tmp_path / "a.zbc"
     b = tmp_path / "b.zbc"
-    assert main(["compile", str(SIP_SPEC), "-o", str(a)]) == 0
-    assert main(["compile", str(SIP_SPEC), "-o", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    for spec in (SIP_SPEC, RTSP_SPEC):
+        assert main(["compile", str(spec), "-o", str(a)]) == 0
+        assert main(["compile", str(spec), "-o", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert artifact.serialize(artifact.load(a)) == a.read_bytes()
+        doc = json.loads(a.read_bytes())
+        assert set(doc) == {"formatVersion", "protocol", "source"}
+        assert doc["source"] == spec.read_text()
 
 
 def test_compile_failing_grammar_writes_nothing(tmp_path):
@@ -119,34 +125,73 @@ def test_artifact_round_trip_agrees_on_large_campaign(compiled_artifact, sip_ag,
 
 # --- parse ------------------------------------------------------------------
 
-def _drop_headers(doc):
-    del doc["headers"]
+def _drop_source(doc):
+    del doc["source"]
 
 
-def _int_keys(doc):
-    doc["headers"][0]["keys"] = 7
+def _int_source(doc):
+    doc["source"] = 7
 
 
-def _unknown_node(doc):
-    doc["requestLine"]["pattern"]["root"] = {"items": []}
+def _syntax_error(doc):
+    doc["source"] += '\nBroken = "unterminated\n'
 
 
-def _unknown_shape(doc):
-    doc["requestLine"]["table"][0]["shape"] = "float"
+def _rule_cycle(doc):
+    doc["source"] += "\nCycleA = CycleB\nCycleB = CycleA\n"
 
 
-@pytest.mark.parametrize("damage", [_drop_headers, _int_keys, _unknown_node, _unknown_shape])
-def test_malformed_artifact_exits_2(compiled_artifact, tmp_path, damage):
+def _other_protocol(doc):
+    doc["protocol"] = "rtsp2326"
+
+
+def _format_v1(doc):
+    doc["formatVersion"] = 1
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_drop_source, "keys"),
+    (_int_source, "source is not a string"),
+    (_syntax_error, "does not parse"),
+    (_rule_cycle, "RULE_CYCLE"),
+    (_other_protocol, "differs from its source's"),
+    (_format_v1, "recompile"),
+], ids=["_drop_source", "_int_source", "_syntax_error", "_rule_cycle",
+        "_other_protocol", "_format_v1"])
+def test_malformed_artifact_exits_2(compiled_artifact, tmp_path, capsys, damage, message):
     doc = json.loads(compiled_artifact.read_bytes())
     damage(doc)
     bad = tmp_path / "bad.zbc"
     bad.write_text(json.dumps(doc))
-    with pytest.raises(artifact.ArtifactError):
+    with pytest.raises(artifact.ArtifactError, match=message):
         artifact.load(bad)
     msg = tmp_path / "m.msg"
     msg.write_bytes(sip_request())
     assert main(["parse", str(bad), str(msg)]) == 2
+    assert main(["bench", str(bad), str(CORPUS), "--headers", "From"]) == 2
     assert main(["mutate", str(bad), "--count", "1", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("error: ") == 3
+
+
+def test_deeply_nested_source_is_a_syntax_error(tmp_path, capsys):
+    text = 'requestLine = ' + "(" * 5000 + '"a"' + ")" * 5000 + '\nstatusLine = "NO"\n'
+    spec = write(tmp_path, "deep.zebu", text)
+    assert main(["check", str(spec)]) == 1
+    bad = tmp_path / "deep.zbc"
+    bad.write_text(json.dumps({"formatVersion": 2, "protocol": "zebu", "source": text}))
+    msg = tmp_path / "m.msg"
+    msg.write_bytes(b"a\r\n\r\n")
+    assert main(["parse", str(bad), str(msg)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("nested too deeply") == 2
+
+
+def test_serialize_without_source_raises(sip):
+    with pytest.raises(artifact.ArtifactError):
+        artifact.serialize(dataclasses.replace(sip, source=None))
 
 
 def test_missing_artifact_exits_2(tmp_path):
@@ -262,6 +307,17 @@ def test_mutate_accepts_spec_path(tmp_path):
     out_dir = tmp_path / "m"
     assert main(["mutate", str(SIP_SPEC), "--count", "10",
                  "--seed", "1", "--out", str(out_dir)]) == 0
+
+
+def test_mutate_unusable_spec_exits_2(tmp_path, capsys):
+    undecodable = tmp_path / "latin1.zebu"
+    undecodable.write_bytes(b"\xff\xfe")
+    cyclic = write(tmp_path, "cyclic.zebu",
+                   'requestLine = "GO"\nstatusLine = "NO"\nA = B\nB = A\n')
+    for spec in (undecodable, cyclic):
+        assert main(["mutate", str(spec), "--count", "1",
+                     "--out", str(tmp_path / "m")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_mutate_torture_only_mix(compiled_artifact, tmp_path, capsys):

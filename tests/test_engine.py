@@ -416,6 +416,23 @@ def test_same_named_subfields_in_two_branches_compile_their_own_element():
     assert msg.parse_header("H").get_subfield("d") == RawSlice(b"abx", 0, 2)
 
 
+@pytest.mark.parametrize("second, value", [
+    ('"x"', b"abx"),  # legal: second branch derives it
+    ('"y"', b"12y"),  # illegal: digits only before "x"
+    ('"y"', b"aby"),  # legal: second branch derives it
+], ids=["abx", "12y", "aby"])
+def test_same_named_lazy_subfields_in_two_branches_agree_with_oracle(
+        sip_source, second, value):
+    ag = parse_zebu(sip_source + "\nheader H = ( 1*DIGIT ):d:lazy \"x\""
+                    f" / ( 1*ALPHA ):d:lazy {second}\n")
+    cg = compile_grammar(ag)
+    raw = sip_request(extra=(b"H: " + value,))
+    expected, _ = reference_validate(ag, raw)
+    assert validate(cg, raw).accepted is expected
+    assert expected is (value != b"12y")
+    assert cg.header("H").entry.lazy_patterns == {}
+
+
 def test_numeric_safety_fuzz(sip):
     # no accessor may produce a numeric value from a span containing a
     # non-digit, whatever bytes arrive in the CSeq number position
