@@ -39,7 +39,7 @@ from .engine import (
     validate,
 )
 from .errors import SourceError, ZebuError
-from .frontend import parse_zebu
+from .frontend import AnnotatedGrammar, parse_zebu
 from .pattern import flagged_repetition, regex_text
 from .verify import format_diagnostic, has_errors, verify_all
 
@@ -116,48 +116,38 @@ class _Unreadable(ZebuError):
     pass
 
 
-def _load_spec(path: Path, text: str):
-    """parse + verify; returns (ag, diagnostics) or raises SourceError."""
-    ag = parse_zebu(text)
-    return ag, verify_all(ag)
+def _load_spec(path: Path) -> tuple[AnnotatedGrammar | None, int]:
+    """Read, parse and verify the spec at `path`, printing every diagnostic
+    to stderr. Returns (grammar, 0), or (None, exit status) when the file
+    cannot be read (2) or fails to parse or verify (1)."""
+    try:
+        text = _read(path).decode("utf-8")
+    except (_Unreadable, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None, 2
+    try:
+        ag = parse_zebu(text)
+    except SourceError as exc:
+        print(f"{path}:{exc.line or 0}:{exc.col or 0}: error[SYNTAX]: "
+              f"{exc.message}", file=sys.stderr)
+        return None, 1
+    diags = verify_all(ag)
+    for diag in diags:
+        print(format_diagnostic(diag, str(path)), file=sys.stderr)
+    return (None, 1) if has_errors(diags) else (ag, 0)
 
 
 # --- commands -----------------------------------------------------------------
 
 
 def cmd_check(args) -> int:
-    try:
-        text = _read(args.spec).decode("utf-8")
-    except (_Unreadable, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        _, diags = _load_spec(args.spec, text)
-    except SourceError as exc:
-        print(f"{args.spec}:{exc.line or 0}:{exc.col or 0}: error[SYNTAX]: "
-              f"{exc.message}", file=sys.stderr)
-        return 1
-    for diag in diags:
-        print(format_diagnostic(diag, str(args.spec)), file=sys.stderr)
-    return 1 if has_errors(diags) else 0
+    return _load_spec(args.spec)[1]
 
 
 def cmd_compile(args) -> int:
-    try:
-        text = _read(args.spec).decode("utf-8")
-    except (_Unreadable, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        ag, diags = _load_spec(args.spec, text)
-    except SourceError as exc:
-        print(f"{args.spec}:{exc.line or 0}:{exc.col or 0}: error[SYNTAX]: "
-              f"{exc.message}", file=sys.stderr)
-        return 1
-    for diag in diags:
-        print(format_diagnostic(diag, str(args.spec)), file=sys.stderr)
-    if has_errors(diags):
-        return 1
+    ag, status = _load_spec(args.spec)
+    if ag is None:
+        return status
     compiled = compile_grammar(ag)
     for line in _interpreter_warnings(compiled):
         print(line, file=sys.stderr)
@@ -235,8 +225,7 @@ def _load_for_mutation(path: Path) -> str:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise _Unreadable(f"cannot read {path}: {exc}") from None
-    _, diags = _load_spec(path, text)
-    if has_errors(diags):
+    if has_errors(verify_all(parse_zebu(text))):
         raise ZebuError(f"{path} fails verification")
     return text
 

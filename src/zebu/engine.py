@@ -323,8 +323,6 @@ class CompiledEntry:
     pattern: Pattern
     table: dict[str, Subfield]
     lazy_patterns: dict[str, Pattern] = dc_field(default_factory=dict)
-    branch_children: dict[str, tuple] = dc_field(default_factory=dict)
-    ci_fields: frozenset = frozenset()
 
     def top_fields(self):
         return [sf for sf in self.table.values() if len(sf.path) == 1]
@@ -374,21 +372,9 @@ class CompiledGrammar:
 def _compile_entry(name: str, body, ag: AnnotatedGrammar,
                    table: dict[str, Subfield]) -> CompiledEntry:
     entry_pattern = compile_pattern(body, ag, table=table)
-    lazy_patterns = {}
-    branch_children = {}
-    ci = set()
-    for sf in table.values():
-        if sf.forced_lazily:
-            lazy_patterns[sf.name] = compile_subfield_pattern(sf, ag, table)
-        if sf.shape is Shape.UNION:
-            alt = frontend.resolve_to_alternation(sf.element, ag)
-            if alt is not None:
-                branch_children[sf.key] = tuple(
-                    frontend.branch_child_names(alt, sf.path, ag))
-        if frontend.terminals_all_ci(sf.element, ag):
-            ci.add(sf.key)
-    return CompiledEntry(name, entry_pattern, table, lazy_patterns,
-                         branch_children, frozenset(ci))
+    lazy_patterns = {sf.name: compile_subfield_pattern(sf, ag, table)
+                     for sf in table.values() if sf.forced_lazily}
+    return CompiledEntry(name, entry_pattern, table, lazy_patterns)
 
 
 def compile_grammar(ag: AnnotatedGrammar) -> CompiledGrammar:
@@ -452,7 +438,7 @@ def _convert(entry: CompiledEntry, pattern: Pattern, res, source: bytes,
                 ReasonCode.RANGE, location,
                 f"value {digits.decode('ascii')} overflows uint{width}"))
             return ABSENT
-        bound = pattern.deferred_ranges.get(sf.key)
+        bound = sf.range
         if bound is not None and not bound.holds(value):
             op = "<" if bound.hi_strict else "<="
             errors.append(Reason(
@@ -480,12 +466,9 @@ def _convert(entry: CompiledEntry, pattern: Pattern, res, source: bytes,
             errors.append(Reason(
                 ReasonCode.SYNTAX, location, "no alternation branch recorded"))
             return ABSENT
-        children = ()
-        per_branch = entry.branch_children.get(sf.key)
-        if per_branch and branch < len(per_branch):
-            children = per_branch[branch]
+        per_branch = sf.branch_children
         fields = {}
-        for child in children:
+        for child in per_branch[branch] if branch < len(per_branch) else ():
             child_sf = entry.table[f"{sf.key}.{child}"]
             fields[child] = _convert(entry, pattern, res, source, child_sf,
                                      f"{location}.{child}", errors)
@@ -507,7 +490,6 @@ def _matched_branch(pattern: Pattern, res, key: str) -> int | None:
 # --- parsed views ----------------------------------------------------------------
 
 class HeaderState(enum.Enum):
-    UNPARSED = "unparsed"
     PARSED_OK = "ok"
     PARSE_FAILED = "failed"
 
@@ -881,7 +863,7 @@ def _lookup(ref: FieldRef, msg, kind, command, first_instances):
         return None
     if value is ABSENT:
         return None
-    return value, ".".join(ref.sub_path) in entry.ci_fields
+    return value, entry.table[".".join(ref.sub_path)].ci
 
 
 def _check_constraint(expr, lookup, location, reasons):

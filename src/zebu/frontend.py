@@ -107,12 +107,8 @@ class Annotated:
 class FieldRef:
     path: tuple[str, ...]
     span: tuple[int, int]
-    entry: str | None = None          # bound entry key, set by resolution
+    entry: str | None = None          # bound entry key, set by parse_zebu
     sub_path: tuple[str, ...] = ()    # bound path within the entry
-
-    @property
-    def bound(self) -> bool:
-        return self.entry is not None
 
 
 @dataclass(frozen=True)
@@ -243,11 +239,14 @@ class Subfield:
     shape: Shape
     lazy: bool
     element: Element
-    span: tuple[int, int]
     declared_shape: Shape | None = None
     def_shape: Shape | None = None
     children: tuple[str, ...] = ()
     multi_site: bool = False  # declared in more than one alternation branch
+    range: RangeBound | None = None  # uint shapes: the declared range directive
+    ci: bool = False  # every reachable terminal is a case-insensitive literal
+    # union shape: the direct child names each alternation branch declares
+    branch_children: tuple[tuple[str, ...], ...] = ()
 
     @property
     def key(self) -> str:
@@ -277,7 +276,7 @@ class AnnotatedGrammar:
     request_block: list = field(default_factory=list)
     response_block: list = field(default_factory=list)
     range_constraints: dict[str, RangeBound] = field(default_factory=dict)
-    rule_shapes: dict[str, tuple[Shape, tuple[int, int]]] = field(default_factory=dict)
+    rule_shapes: dict[str, Shape] = field(default_factory=dict)
     subfields: dict[str, dict[str, Subfield]] = field(default_factory=dict)
     source: str | None = None  # the .zebu text parse_zebu read
     _memos: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -321,9 +320,7 @@ class AnnotatedGrammar:
 def rule_def_shape(elem: Element, ag: AnnotatedGrammar) -> Shape | None:
     """Shape attached at the definition of the rule `elem` references, if any."""
     if isinstance(elem, RuleRef):
-        hit = ag.rule_shapes.get(elem.name.lower())
-        if hit:
-            return hit[0]
+        return ag.rule_shapes.get(elem.name.lower())
     return None
 
 
@@ -333,7 +330,7 @@ def collect_subfields(body: Element, ag: AnnotatedGrammar) -> dict[str, Subfield
 
     Duplicate names are rejected at the second declaration unless the two
     sites lie in disjoint branches of one alternation (in which case they
-    merge and must agree on shape and laziness).
+    merge and must agree on shape, laziness and declared range).
     """
     return _collect(body, (), ag, frozenset())
 
@@ -341,22 +338,32 @@ def collect_subfields(body: Element, ag: AnnotatedGrammar) -> dict[str, Subfield
 def _collect(elem, prefix, ag, stack):
     if isinstance(elem, Annotated):
         path = prefix + (elem.name,)
+        ci = terminals_all_ci(elem.inner, ag)
         inner = _collect(elem.inner, path, ag, stack)
         def_shape = rule_def_shape(elem.inner, ag)
         if elem.shape is not None and def_shape is not None and elem.shape is not def_shape:
             shape = elem.shape  # conflicting declaration; the verifier reports it
         else:
             shape = elem.shape or def_shape or Shape.RAW
+        branch_children = ()
+        if shape is Shape.UNION:
+            alt = resolve_to_alternation(elem.inner, ag)
+            if alt is not None:
+                branch_children = tuple(_child_names(_collect(b, path, ag, stack), path)
+                                        for b in alt.branches)
         sf = Subfield(
             name=elem.name,
             path=path,
             shape=shape,
             lazy=elem.lazy,
             element=elem.inner,
-            span=(0, 0),
             declared_shape=elem.shape,
             def_shape=def_shape,
-            children=tuple(s.name for s in inner.values() if len(s.path) == len(path) + 1),
+            children=_child_names(inner, path),
+            range=(declared_range(elem.inner, ag)
+                   if shape in (Shape.UINT16, Shape.UINT32) else None),
+            ci=ci,
+            branch_children=branch_children,
         )
         out = {sf.key: sf}
         out.update(inner)
@@ -384,6 +391,10 @@ def _collect(elem, prefix, ag, stack):
     return {}
 
 
+def _child_names(table, path) -> tuple[str, ...]:
+    return tuple(s.name for s in table.values() if len(s.path) == len(path) + 1)
+
+
 def _merge_strict(out, new):
     for key, sf in new.items():
         if key in out:
@@ -397,23 +408,14 @@ def _merge_branches(out, new):
         if old is None:
             out[key] = sf
             continue
-        if old.shape is not sf.shape or old.lazy != sf.lazy:
+        if old.shape is not sf.shape or old.lazy != sf.lazy or old.range != sf.range:
             raise DuplicateSubfield(
                 f"subfield {key!r} redeclared across alternation branches "
-                f"with a different shape or laziness"
+                f"with a different shape, laziness or declared range"
             )
         merged_children = old.children + tuple(c for c in sf.children if c not in old.children)
         old.children = merged_children
         old.multi_site = old.multi_site or sf.multi_site or sf.element is not old.element
-
-
-def branch_child_names(alt: Alternation, path, ag: AnnotatedGrammar) -> list[tuple[str, ...]]:
-    """Direct child subfield names contributed by each alternation branch."""
-    result = []
-    for branch in alt.branches:
-        table = _collect(branch, path, ag, frozenset())
-        result.append(tuple(s.name for s in table.values() if len(s.path) == len(path) + 1))
-    return result
 
 
 def reachable_leaves(elem: Element, ag: AnnotatedGrammar) -> tuple:
@@ -692,7 +694,7 @@ class _ZebuParser:
         body = self.elements.parse_alternation()
         block = self._maybe_annotation_block(allow_flags=False, allow_exprs=False)
         if block["shape"] is not None:
-            self.ag.rule_shapes[name.lower()] = (block["shape"], span)
+            self.ag.rule_shapes[name.lower()] = block["shape"]
         self.ag.base.add(Rule(name, body, span))
         self._end_of_declaration()
 
@@ -863,6 +865,9 @@ class _ZebuParser:
             decl.mandatory_in = _merge_mandatory(decl.mandatory_in, kind)
         for entry, body in ag.entry_points():
             ag.subfields[entry] = collect_subfields(body, ag)
+        for expr in ag.all_constraints():
+            for ref in iter_field_refs(expr):
+                _bind_ref(ref, ag)
 
 
 def _merge_mandatory(current: Mandatory, kind: str) -> Mandatory:
@@ -893,7 +898,9 @@ def parse_zebu(source: str) -> AnnotatedGrammar:
 
     Plain ABNF rules land in `.base`; annotated rules become entry points.
     Subfield namespaces are computed per entry point; a duplicate name is
-    rejected at its second declaration.
+    rejected at its second declaration. Every constraint field reference
+    that names a declared subfield is bound to its entry and sub-path; the
+    rest stay unbound (`iter_unresolved`).
     """
     try:
         return _ZebuParser(source).parse()
@@ -907,42 +914,85 @@ BUILTIN_MESSAGE = "message"
 BUILTIN_KIND_PATH = (BUILTIN_MESSAGE, "kind")
 
 
-def _bind_ref(ref: FieldRef, ag: AnnotatedGrammar) -> bool:
+def _bind_ref(ref: FieldRef, ag: AnnotatedGrammar) -> None:
+    """Bind `ref` to the entry and sub-path it names, if any."""
     if ref.path == BUILTIN_KIND_PATH:
         ref.entry = BUILTIN_MESSAGE
         ref.sub_path = ("kind",)
-        return True
+        return
     if len(ref.path) < 2:
-        return False
+        return
     head = ref.path[0]
     if head in (REQUEST_LINE, STATUS_LINE):
         entry = head
     else:
         decl = ag.header(head)
         if decl is None:
-            return False
+            return
         entry = decl.name
-    table = ag.subfields.get(entry, {})
     sub = ref.path[1:]
-    if ".".join(sub) not in table:
-        return False
-    ref.entry = entry
-    ref.sub_path = sub
-    return True
+    if ".".join(sub) in ag.subfields.get(entry, {}):
+        ref.entry = entry
+        ref.sub_path = sub
 
 
 def iter_unresolved(ag: AnnotatedGrammar):
-    """Yield every FieldRef that does not bind, attempting to bind the rest."""
+    """Yield every FieldRef that `parse_zebu` left unbound."""
     for expr in ag.all_constraints():
         for ref in iter_field_refs(expr):
-            if not _bind_ref(ref, ag):
+            if ref.entry is None:
                 yield ref
 
 
 def resolve_constraint_refs(ag: AnnotatedGrammar) -> AnnotatedGrammar:
-    """Bind every field reference in every constraint to an (entry, subfield)
-    pair. Raises UnresolvedFieldRef for the first reference that does not
-    bind. Idempotent; returns the same grammar with bindings attached."""
+    """Raise UnresolvedFieldRef for the first field reference that names no
+    declared subfield; returns the same grammar otherwise."""
     for ref in iter_unresolved(ag):
         raise UnresolvedFieldRef(ref.path, ref.span)
     return ag
+
+
+# --- graph utilities ------------------------------------------------------------
+
+def strongly_connected(graph: dict) -> list[list]:
+    """Strongly connected components of `graph` (node -> successors, every
+    successor itself a key), in the order Tarjan's algorithm closes them;
+    iterative, so deep graphs need no recursion."""
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    on_stack: set = set()
+    out = []
+    for root in graph:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(graph[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(graph[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    out.append(comp)
+    return out

@@ -312,20 +312,8 @@ def _first_violation(tree: DerivationTree) -> Part | None:
         if refcheck._range_violations(ag, entry, env, part.value):
             return part
 
-    def lookup(ref: FieldRef):
-        entry = _ref_entry(ref, ag)
-        if entry == frontend.BUILTIN_MESSAGE:
-            return tree.kind.upper().encode(), True
-        part = entry_parts.get(entry)
-        if part is None:
-            return None
-        if entry in (REQUEST_LINE, STATUS_LINE):
-            wanted = REQUEST_LINE if tree.kind == "request" else STATUS_LINE
-            if entry != wanted:
-                return None
-        key = ".".join(ref.sub_path or ref.path[1:])
-        return refcheck._env_value(ag, entry, tree.env_of(part), part.value, key)
-
+    lookup = refcheck.field_lookup(ag, tree.kind, {
+        entry: (tree.env_of(part), part.value) for entry, part in entry_parts.items()})
     block = ag.request_block if tree.kind == "request" else ag.response_block
     local = [(decl, expr) for decl in ag.headers for expr in decl.local_constraints]
     for expr in block:
@@ -337,20 +325,9 @@ def _first_violation(tree: DerivationTree) -> Part | None:
     return None
 
 
-def _ref_entry(ref: FieldRef, ag) -> str | None:
-    if ref.entry is not None:
-        return ref.entry
-    head = ref.path[0]
-    if head in (REQUEST_LINE, STATUS_LINE, frontend.BUILTIN_MESSAGE):
-        return head
-    decl = ag.header(head)
-    return decl.name if decl else None
-
-
 def _part_for_expr(expr, tree, entry_parts) -> Part | None:
     for ref in frontend.iter_field_refs(expr):
-        entry = _ref_entry(ref, tree.ag)
-        part = entry_parts.get(entry)
+        part = entry_parts.get(ref.entry)
         if part is not None:
             return part
     return None
@@ -532,7 +509,7 @@ def _range_targets(tree: DerivationTree):
             if sf.shape not in (Shape.UINT16, Shape.UINT32) or key not in env:
                 continue
             width = 16 if sf.shape is Shape.UINT16 else 32
-            bound = frontend.declared_range(sf.element, ag)
+            bound = sf.range
             hi = bound.hi if bound is not None else (1 << width)
             strict = bound.hi_strict if bound is not None else True
             lo = bound.lo if bound is not None else 0
@@ -543,11 +520,11 @@ def _range_targets(tree: DerivationTree):
         if parsed is None:
             continue
         ref, lo, hi, strict = parsed
-        entry = _ref_entry(ref, ag)
+        entry = ref.entry
         part = entry_parts.get(entry)
         if part is None:
             continue
-        key = ".".join(ref.sub_path or ref.path[1:])
+        key = ".".join(ref.sub_path)
         sf = (ag.subfields.get(entry) or {}).get(key)
         if sf is None or key not in tree.env_of(part):
             continue
@@ -650,11 +627,11 @@ def mutate_constraint(ag: AnnotatedGrammar, tree: DerivationTree, seed,
             describe = f"header {decl.name} duplicated"
         else:
             side = rng.choice((payload.lhs, payload.rhs))
-            entry = _ref_entry(side, ag)
+            entry = side.entry
             part = entry_parts.get(entry)
             if part is None:
                 continue
-            key = ".".join(side.sub_path or side.path[1:])
+            key = ".".join(side.sub_path)
             env = tree.env_of(part)
             hit = env.get(key)
             sf = (ag.subfields.get(entry) or {}).get(key)

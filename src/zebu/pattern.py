@@ -64,7 +64,7 @@ from .abnf import (
     Sequence,
 )
 from .errors import ZebuError
-from .frontend import Annotated, AnnotatedGrammar, RangeBound, Shape, Subfield
+from .frontend import Annotated, AnnotatedGrammar, Shape, Subfield
 
 
 class InliningDepthExceeded(ZebuError):
@@ -136,7 +136,6 @@ _MAX_INLINE_DEPTH = 128
 class Pattern:
     root: PatternNode
     capture_index: dict[str, int] = field(default_factory=dict)
-    deferred_ranges: dict[str, RangeBound] = field(default_factory=dict)
     # (compiled regex, ((group, cid), ...)), or (None, ()) for the
     # interpreter; filled by the first match_full
     _backend: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -166,7 +165,6 @@ class _Compiler:
         self.table = table
         self.lazy_holes = lazy_holes
         self.capture_index: dict[str, int] = {}
-        self.deferred: dict[str, RangeBound] = {}
         self._depth = 0
 
     def cap_id(self, key: str) -> int:
@@ -227,29 +225,23 @@ class _Compiler:
             node = PAlt(branches)
         else:
             node = self.compile(element, sf.path)
-        if sf.shape in (Shape.UINT16, Shape.UINT32):
-            bound = frontend.declared_range(element, self.ag)
-            if bound is not None:
-                self.deferred[key] = bound
         return PCap(cid, node)
 
 
-def compile_pattern(entry, g, *, table: dict[str, Subfield] | None = None,
-                    lazy_holes: bool = True, prefix: tuple[str, ...] = ()) -> Pattern:
+def compile_pattern(entry, g, *, table: dict[str, Subfield] | None = None) -> Pattern:
     """Compile a rule or entry-point body into an executable Pattern.
 
     `entry` is a Rule or a bare element; `g` a Grammar or AnnotatedGrammar.
-    Lazy depth-1 subfields compile to an opaque hole unless `lazy_holes`
-    is false; their own patterns are compiled separately (see
-    compile_subfield_pattern).
+    Lazy depth-1 subfields compile to an opaque hole; their own patterns
+    are compiled separately (see compile_subfield_pattern).
     """
     ag = _as_annotated_grammar(g)
     body = entry.body if isinstance(entry, Rule) else entry
     if table is None:
-        table = frontend.collect_subfields(body, ag) if prefix == () else {}
-    comp = _Compiler(ag, table, lazy_holes)
-    root = _simplify(comp.compile(body, prefix))
-    return Pattern(root, comp.capture_index, comp.deferred)
+        table = frontend.collect_subfields(body, ag)
+    comp = _Compiler(ag, table, lazy_holes=True)
+    root = _simplify(comp.compile(body, ()))
+    return Pattern(root, comp.capture_index)
 
 
 def compile_subfield_pattern(sf: Subfield, ag: AnnotatedGrammar,
@@ -257,7 +249,7 @@ def compile_subfield_pattern(sf: Subfield, ag: AnnotatedGrammar,
     """Compile a lazy subfield's own pattern (captures keyed by full path)."""
     comp = _Compiler(ag, table, lazy_holes=False)
     root = _simplify(comp.compile_subfield(sf))
-    return Pattern(root, comp.capture_index, comp.deferred)
+    return Pattern(root, comp.capture_index)
 
 
 # --- simplification ---------------------------------------------------------
@@ -848,7 +840,7 @@ class _Automaton:
         loops can fall anywhere), or None."""
         graph = self.pairs()
         loops = []
-        for comp in _sccs(graph):
+        for comp in frontend.strongly_connected(graph):
             if len(comp) == 1 and comp[0] not in graph[comp[0]]:
                 continue
             split = [(x, y) for x, y in comp if x != y]
@@ -860,8 +852,8 @@ class _Automaton:
                     if v == w and (v, v) in members and (x, v) in self.doubled:
                         return self.doubled[(x, v)] or self._innermost([x, v])
             loops += split
-        component = {s: i for i, comp in enumerate(_sccs(dict(enumerate(self.edges))))
-                     for s in comp}
+        comps = frontend.strongly_connected(dict(enumerate(self.edges)))
+        component = {s: i for i, comp in enumerate(comps) for s in comp}
         for p, q in loops:
             if self._reaches3(p, q, component):
                 return self._innermost([p])
@@ -881,48 +873,6 @@ class _Automaton:
                     k += 1
                 common = common[:k]
         return common[-1] if common else self.root
-
-
-def _sccs(graph: dict) -> list[list]:
-    """Strongly connected components (iterative Tarjan)."""
-    index: dict = {}
-    low: dict = {}
-    stack: list = []
-    on_stack: set = set()
-    out = []
-    for root in graph:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(graph[root]))]
-        while work:
-            v, it = work[-1]
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(graph[w])))
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == v:
-                            break
-                    out.append(comp)
-    return out
 
 
 def _empty_ambiguous(node, facts, loop=None):

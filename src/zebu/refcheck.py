@@ -309,8 +309,27 @@ def _env_value(ag, entry, env, subject, key):
     if sf.shape is Shape.ENUM:
         return branch
     if sf.shape is Shape.RAW:
-        return subject[start:end], frontend.terminals_all_ci(sf.element, ag)
+        return subject[start:end], sf.ci
     return None
+
+
+def field_lookup(ag, kind: str, entries: dict):
+    """The constraint operand lookup for a message of `kind` ("request" or
+    "response") whose entries derived as `entries` (entry -> (env, subject),
+    each header's first instance): a bound field reference's typed value,
+    or None when the field is unavailable."""
+    kind_value = kind.upper().encode(), True
+
+    def lookup(ref: FieldRef):
+        if ref.entry == frontend.BUILTIN_MESSAGE:
+            return kind_value
+        hit = entries.get(ref.entry)
+        if hit is None:
+            return None
+        env, subject = hit
+        return _env_value(ag, ref.entry, env, subject, ".".join(ref.sub_path))
+
+    return lookup
 
 
 def _uint_value(digits: bytes, width: int) -> int | None:
@@ -402,8 +421,7 @@ def _range_violations(ag, entry, env, subject) -> list[str]:
             out.append(f"{entry}.{key}: {text.lstrip(b'0').decode('ascii')} "
                        f"overflows uint{width}")
             continue
-        bound = frontend.declared_range(sf.element, ag)
-        if bound is not None and not bound.holds(value):
+        if sf.range is not None and not sf.range.holds(value):
             out.append(f"{entry}.{key}: {value} outside declared range")
     return out
 
@@ -465,28 +483,7 @@ def reference_validate(ag: AnnotatedGrammar, raw: bytes,
             if i == 0:
                 envs[decl.name] = (env, line.value)
 
-    def lookup(ref: FieldRef):
-        entry = ref.entry
-        if entry is None:
-            head = ref.path[0]
-            if head in (REQUEST_LINE, STATUS_LINE):
-                entry = head
-            else:
-                decl = ag.header(head)
-                entry = decl.name if decl else None
-        if entry == frontend.BUILTIN_MESSAGE:
-            return kind.name.encode(), True
-        key = ".".join(ref.sub_path or ref.path[1:])
-        if entry in (REQUEST_LINE, STATUS_LINE):
-            if entry != cmd_entry:
-                return None
-            return _env_value(ag, entry, cmd_env, command, key)
-        hit = envs.get(entry)
-        if hit is None:
-            return None
-        env, subject = hit
-        return _env_value(ag, entry, env, subject, key)
-
+    lookup = field_lookup(ag, kind.value, {**envs, cmd_entry: (cmd_env, command)})
     block = ag.request_block if kind is Mandatory.REQUEST else ag.response_block
     for expr in block:
         if _eval_ref(expr, lookup) is False:

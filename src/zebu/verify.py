@@ -22,6 +22,7 @@ from .frontend import (
     iter_unresolved,
     reachable_leaves,
     resolve_to_alternation,
+    strongly_connected,
     terminal_bytes,
 )
 
@@ -167,9 +168,8 @@ def check_no_cycles(ag: AnnotatedGrammar) -> list[Diagnostic]:
                 targets.append(tlow)
         graph[low] = targets
 
-    sccs = _tarjan(graph)
     out = []
-    for scc in sccs:
+    for scc in [sorted(c) for c in strongly_connected(graph)]:
         members = set(scc)
         if len(scc) > 1 or scc[0] in graph.get(scc[0], ()):
             path = _witness_cycle(graph, scc[0], members)
@@ -182,57 +182,6 @@ def check_no_cycles(ag: AnnotatedGrammar) -> list[Diagnostic]:
                 cycle=names,
             ))
     return out
-
-
-def _tarjan(graph: dict[str, list[str]]) -> list[list[str]]:
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = [0]
-    sccs: list[list[str]] = []
-
-    def strongconnect(v):
-        # iterative Tarjan; grammars can be deep
-        work = [(v, iter(graph.get(v, ())))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(graph.get(w, ()))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    scc.append(w)
-                    if w == node:
-                        break
-                sccs.append(sorted(scc))
-
-    for v in graph:
-        if v not in index:
-            strongconnect(v)
-    return sccs
 
 
 def _witness_cycle(graph, start, members) -> list[str]:

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import grammar_text
 from zebu.abnf import Alternation, LiteralCI, parse_abnf
+from zebu.cli import main
 from zebu.frontend import (
     Annotated,
     DuplicateEntryPoint,
@@ -15,6 +17,7 @@ from zebu.frontend import (
     collect_subfields,
     is_range_shaped,
     iter_field_refs,
+    iter_unresolved,
     parse_zebu,
     resolve_constraint_refs,
 )
@@ -111,7 +114,7 @@ def test_range_directive():
 
 def test_plain_rule_annotations_only_shapes():
     ag = parse_zebu('M = "a" / "b" { enum }\n')
-    assert ag.rule_shapes["m"][0] is Shape.ENUM
+    assert ag.rule_shapes["m"] is Shape.ENUM
     with pytest.raises(UnknownAnnotation):
         parse_zebu('M = "a" { 1 <= x }\n')
 
@@ -152,6 +155,52 @@ def test_duplicate_subfield_merged_across_branches():
 def test_branch_merge_with_conflicting_shape_rejected():
     with pytest.raises(DuplicateSubfield):
         parse_zebu('header H = ( "a" 1*DIGIT:x:uint16 ) / ( "b" 2DIGIT:x:uint32 )\n')
+
+
+# `n` declared in two branches, over rules whose range directives differ
+RANGE_DISAGREEMENTS = {
+    "both-ranged": 'header H = N1:n:uint32 "x" / N2:n:uint32 "y"\n'
+                   "N1 = 1*DIGIT\nN2 = 1*DIGIT\n"
+                   "range N1 = 0 <= x < 10\nrange N2 = 0 <= x < 100\n",
+    "one-ranged": 'header H = N2:n:uint32 "y" / N1:n:uint32 "x"\n'
+                  "N1 = 1*DIGIT\nN2 = 1*DIGIT\n"
+                  "range N1 = 0 <= x < 10\n",
+}
+
+
+@pytest.mark.parametrize("extra", RANGE_DISAGREEMENTS.values(), ids=list(RANGE_DISAGREEMENTS))
+def test_branch_merge_with_different_declared_range_rejected(extra, tmp_path, capsys):
+    with pytest.raises(DuplicateSubfield):
+        parse_zebu(MINI + extra)
+    spec = tmp_path / "h.zebu"
+    spec.write_text(MINI + extra)
+    assert main(["check", str(spec)]) == 1
+    assert "declared range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["sip-subset.zebu", "rtsp-subset.zebu"])
+def test_parse_binds_every_reference(name):
+    ag = parse_zebu(grammar_text(name))
+    refs = [r for expr in ag.all_constraints() for r in iter_field_refs(expr)]
+    assert refs
+    assert all(r.entry is not None and r.sub_path for r in refs)
+
+
+def test_unresolved_reference_stays_unbound(tmp_path, capsys):
+    src = ('requestLine = "GO"\nstatusLine = "NO"\n'
+           "header CSeq = 1*DIGIT:number:uint32\n"
+           "request { Foo.bar == 1; CSeq.number < 10; }\n")
+    ag = parse_zebu(src)
+    refs = [r for expr in ag.all_constraints() for r in iter_field_refs(expr)]
+    bindings = [(r.entry, r.sub_path) for r in refs]
+    assert bindings == [(None, ()), ("CSeq", ("number",))]
+    assert [r.path for r in iter_unresolved(ag)] == [("Foo", "bar")]
+    assert [(r.entry, r.sub_path) for r in refs] == bindings
+    spec = tmp_path / "unresolved.zebu"
+    spec.write_text(src)
+    assert main(["check", str(spec)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("UNRESOLVED_REF") == 1 and "'Foo.bar'" in err
 
 
 def test_resolve_constraint_refs_binds_paths():

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import sip_request, sip_response
 from zebu.abnf import Repetition
-from zebu.engine import validate
-from zebu.frontend import parse_zebu
+from zebu.engine import compile_grammar, validate
+from zebu.frontend import RangeBound, parse_zebu
 from zebu.mutate import _Deriver, derive_valid, make_mutant
 from zebu.refcheck import _scan_structure, derive_env, reference_validate
 
@@ -31,6 +31,19 @@ def test_agrees_with_engine_on_handcrafted_messages(sip_ag, sip):
     for raw in cases:
         ok, notes = reference_validate(sip_ag, raw)
         assert ok == validate(sip, raw).accepted, (raw, notes)
+
+
+def test_equal_ranges_on_two_branch_sites_agree_with_engine(sip_source):
+    ag = parse_zebu(sip_source
+                    + 'header H = N1:n:uint32 "x" / N2:n:uint32 "y"\n'
+                    + "N1 = 1*DIGIT\nN2 = 1*DIGIT\n"
+                    + "range N1 = 0 <= x < 10\nrange N2 = 0 <= x < 10\n")
+    assert ag.subfields["H"]["n"].range == RangeBound(0, 10, True)
+    grammar = compile_grammar(ag)
+    for value, valid in ((b"5x", True), (b"50x", False), (b"50y", False)):
+        raw = sip_request(extra=(b"H: " + value,))
+        assert reference_validate(ag, raw)[0] is valid, value
+        assert validate(grammar, raw).accepted is valid, value
 
 
 @pytest.mark.parametrize("seed", range(20))
