@@ -26,10 +26,10 @@ class ArtifactError(ZebuError):
 
 
 def serialize(grammar: CompiledGrammar) -> bytes:
-    if not isinstance(grammar.source, str):
+    ag = grammar.ag
+    if not isinstance(ag.source, str):
         raise ArtifactError("grammar carries no source text to store")
-    doc = {"formatVersion": FORMAT_VERSION, "protocol": grammar.protocol,
-           "source": grammar.source}
+    doc = {"formatVersion": FORMAT_VERSION, "protocol": ag.protocol, "source": ag.source}
     return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("ascii")
 
 

@@ -1,10 +1,16 @@
 """Two-level message parsing: a line scanner plus per-header patterns.
 
+`compile_grammar` adds the only thing a verified AnnotatedGrammar lacks:
+its patterns. A CompiledGrammar is that grammar plus one entry table, a
+CompiledEntry per command line and header holding its pattern, its lazy
+subfields' patterns and its declaration.
+
 `index_message` scans lines only (no pattern runs): it locates the command
-line, header lines with folded continuations, and the raw body. Dedicated
-patterns then run on demand per requested header; lazy subfields defer
-their own pattern until forced. A session counts pattern executions so the
-cost model (independent of total header count) is observable.
+line, header lines with folded continuations, and the raw body. A session
+sorts those lines into their declared headers once, on first use.
+Dedicated patterns then run on demand per requested header; lazy subfields
+defer their own pattern until forced. A session counts pattern executions
+so the cost model (independent of total header count) is observable.
 
 `validate` is the full-validation driver used by the mutation campaigns:
 it parses every declared header present, forces lazy subfields, checks
@@ -26,8 +32,8 @@ from .frontend import (
     AnnotatedGrammar,
     Cmp,
     FieldRef,
+    HeaderDecl,
     IntLit,
-    Mandatory,
     Not,
     Or,
     Shape,
@@ -319,93 +325,70 @@ def index_message(raw: bytes) -> LineIndex:
 
 @dataclass
 class CompiledEntry:
+    """One entry point's patterns: the entry's own and one per lazy
+    subfield forced on demand. `decl` is the header declaration, or None
+    for a command line."""
+
     name: str
     pattern: Pattern
     table: dict[str, Subfield]
-    lazy_patterns: dict[str, Pattern] = dc_field(default_factory=dict)
-
-    def top_fields(self):
-        return [sf for sf in self.table.values() if len(sf.path) == 1]
-
-
-@dataclass
-class CompiledHeader:
-    name: str
-    keys: tuple[str, ...]
-    mandatory_in: Mandatory
-    multiple: bool
-    entry: CompiledEntry
-    local_constraints: list = dc_field(default_factory=list)
+    lazy_patterns: dict[str, Pattern]
+    decl: HeaderDecl | None
+    top_fields: tuple[Subfield, ...] = dc_field(init=False, repr=False)
 
     def __post_init__(self):
-        self.key_bytes = frozenset(k.lower().encode("ascii") for k in self.keys)
+        self.top_fields = tuple(sf for sf in self.table.values() if len(sf.path) == 1)
 
 
 @dataclass
 class CompiledGrammar:
-    protocol: str
-    request_line: CompiledEntry
-    status_line: CompiledEntry
-    headers: list[CompiledHeader]
-    request_constraints: list = dc_field(default_factory=list)
-    response_constraints: list = dc_field(default_factory=list)
-    source: str | None = None  # the .zebu text; the artifact stores only this
+    """A verified AnnotatedGrammar plus its patterns.
+
+    `entries` holds one CompiledEntry per entry point, keyed by name in
+    `ag.entry_points()` order: requestLine, statusLine, then each header.
+    `by_key` maps each lowercased header key variant to the header that
+    declares it, so every header line is assigned to one entry once."""
+
+    ag: AnnotatedGrammar
+    entries: dict[str, CompiledEntry]
+    by_key: dict[bytes, CompiledEntry] = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.by_key = {}
+        for entry in self.entries.values():
+            for key in entry.decl.keys if entry.decl is not None else ():
+                self.by_key.setdefault(key.lower().encode("ascii"), entry)
 
     def named_patterns(self):
         """(name, pattern) for every pattern: each command line's and
         header's own, then those of its lazy subfields."""
-        entries = [("entry", self.request_line), ("entry", self.status_line)]
-        entries += [("header", h.entry) for h in self.headers]
-        for kind, entry in entries:
-            yield f"{kind} {entry.name}", entry.pattern
+        for entry in self.entries.values():
+            where = f"{'entry' if entry.decl is None else 'header'} {entry.name}"
+            yield where, entry.pattern
             for name, p in entry.lazy_patterns.items():
-                yield f"{kind} {entry.name} lazy subfield {name}", p
+                yield f"{where} lazy subfield {name}", p
 
-    def header(self, name: str) -> CompiledHeader | None:
-        low = name.lower()
-        for ch in self.headers:
-            if ch.name.lower() == low:
-                return ch
-        return None
-
-
-def _compile_entry(name: str, body, ag: AnnotatedGrammar,
-                   table: dict[str, Subfield]) -> CompiledEntry:
-    entry_pattern = compile_pattern(body, ag, table=table)
-    lazy_patterns = {sf.name: compile_subfield_pattern(sf, ag, table)
-                     for sf in table.values() if sf.forced_lazily}
-    return CompiledEntry(name, entry_pattern, table, lazy_patterns)
+    def header(self, name: str) -> CompiledEntry | None:
+        """The declared header called `name`, in any case."""
+        decl = self.ag.header(name)
+        return None if decl is None else self.entries[decl.name]
 
 
 def compile_grammar(ag: AnnotatedGrammar) -> CompiledGrammar:
-    """Build the loadable artifact from a verified AnnotatedGrammar."""
+    """Compile a verified AnnotatedGrammar's patterns."""
     frontend.resolve_constraint_refs(ag)
     if ag.request_line is None or ag.status_line is None:
         raise ZebuError("grammar must define requestLine and statusLine")
-    request = _compile_entry(REQUEST_LINE, ag.request_line.body, ag,
-                             ag.subfields[REQUEST_LINE])
-    status = _compile_entry(STATUS_LINE, ag.status_line.body, ag,
-                            ag.subfields[STATUS_LINE])
-    headers = []
-    for decl in ag.headers:
-        entry = _compile_entry(decl.name, decl.body, ag, ag.subfields[decl.name])
-        headers.append(CompiledHeader(
-            name=decl.name,
-            keys=decl.keys,
-            mandatory_in=decl.mandatory_in,
-            multiple=decl.multiple,
-            entry=entry,
-            local_constraints=list(decl.local_constraints),
-        ))
-    return CompiledGrammar(
-        protocol=ag.protocol,
-        request_line=request,
-        status_line=status,
-        headers=headers,
-        request_constraints=list(ag.request_block),
-        response_constraints=list(ag.response_block),
-        source=ag.source,
-    )
+    decls = {decl.name: decl for decl in ag.headers}
+    entries = {}
+    for name, body in ag.entry_points():
+        table = ag.subfields[name]
+        entry_pattern = compile_pattern(body, ag, table=table)
+        lazy_patterns = {sf.name: compile_subfield_pattern(sf, ag, table)
+                         for sf in table.values() if sf.forced_lazily}
+        entries[name] = CompiledEntry(name, entry_pattern, table, lazy_patterns,
+                                      decls.get(name))
+    return CompiledGrammar(ag, entries)
 
 
 # --- typed conversion -----------------------------------------------------------
@@ -534,7 +517,7 @@ class ParsedMessage:
         self._lazy_exec = 0
         self._command: ParsedCommandLine | None = None
         self._command_error: MessageTypeError | None = None
-        self._scans: dict[str, list[HeaderLine]] = {}
+        self._lines: dict[str, list[HeaderLine]] | None = None
         self._parsed: dict[tuple[str, int], ParsedHeader] = {}
 
     # counters ------------------------------------------------------------
@@ -574,9 +557,10 @@ class ParsedMessage:
             raise self._command_error
         s, e = self.index.command_line
         subject = self.raw[s:e]
+        entries = self.grammar.entries
         try:
-            for entry, kind in ((self.grammar.request_line, MessageKind.REQUEST),
-                                (self.grammar.status_line, MessageKind.RESPONSE)):
+            for entry, kind in ((entries[REQUEST_LINE], MessageKind.REQUEST),
+                                (entries[STATUS_LINE], MessageKind.RESPONSE)):
                 res = self._run(entry.pattern, subject, "command line")
                 if res.matched:
                     failures: list[Reason] = []
@@ -595,7 +579,7 @@ class ParsedMessage:
     def _materialize(self, entry: CompiledEntry, pattern: Pattern, res,
                      subject: bytes, failures: list[Reason]) -> dict:
         fields = {}
-        for sf in entry.top_fields():
+        for sf in entry.top_fields:
             if sf.lazy and sf.name in entry.lazy_patterns:
                 span = res.span(pattern, sf.key)
                 fields[sf.name] = (
@@ -608,22 +592,29 @@ class ParsedMessage:
 
     # headers ------------------------------------------------------------------
 
-    def _header(self, name: str) -> CompiledHeader:
-        ch = self.grammar.header(name)
-        if ch is None:
-            raise UnknownHeader(f"header {name!r} is not declared in the grammar")
-        return ch
+    def _header_lines(self, entry: CompiledEntry) -> list[HeaderLine]:
+        """The entry's header lines in source order. The first call sorts
+        every line of the message into its declared header's list."""
+        if self._lines is None:
+            by_key = self.grammar.by_key
+            lines = self._lines = {}
+            for line in self.index.headers:
+                owner = by_key.get(line.key.lower())
+                if owner is not None:
+                    if owner.name in lines:
+                        lines[owner.name].append(line)
+                    else:
+                        lines[owner.name] = [line]
+        return self._lines.get(entry.name, [])
 
-    def _scan(self, ch: CompiledHeader) -> list[HeaderLine]:
-        low = ch.name.lower()
-        hit = self._scans.get(low)
-        if hit is None:
-            hit = [h for h in self.index.headers if h.key.lower() in ch.key_bytes]
-            self._scans[low] = hit
-        return hit
+    def _header(self, name: str) -> CompiledEntry:
+        entry = self.grammar.header(name)
+        if entry is None:
+            raise UnknownHeader(f"header {name!r} is not declared in the grammar")
+        return entry
 
     def header_count(self, name: str) -> int:
-        return len(self._scan(self._header(name)))
+        return len(self._header_lines(self._header(name)))
 
     def parse_header(self, name: str) -> ParsedHeader | None:
         """Parse the first instance of a declared header; None when absent.
@@ -631,44 +622,46 @@ class ParsedMessage:
         Raises DuplicateHeader when the header appears more than once and
         is not declared `multiple`.
         """
-        ch = self._header(name)
-        instances = self._scan(ch)
+        entry = self._header(name)
+        instances = self._header_lines(entry)
         if not instances:
             return None
-        if len(instances) > 1 and not ch.multiple:
-            raise DuplicateHeader(ch.name, len(instances))
-        return self.parse_header_nth(name, 0)
+        if len(instances) > 1 and not entry.decl.multiple:
+            raise DuplicateHeader(entry.name, len(instances))
+        return self._parse_instance(entry, 0)
 
     def parse_header_nth(self, name: str, index: int) -> ParsedHeader | None:
         """Indexed access for `multiple` headers, in source order."""
-        ch = self._header(name)
-        memo_key = (ch.name.lower(), index)
+        return self._parse_instance(self._header(name), index)
+
+    def _parse_instance(self, entry: CompiledEntry, index: int) -> ParsedHeader | None:
+        memo_key = (entry.name, index)
         if memo_key in self._parsed:
             return self._parsed[memo_key]
-        instances = self._scan(ch)
+        instances = self._header_lines(entry)
         if index >= len(instances):
             return None
         value = self.index.unfolded_value(instances[index])
-        location = f"{ch.name}[{index}]" if index else ch.name
+        location = f"{entry.name}[{index}]" if index else entry.name
         try:
-            res = self._run(ch.entry.pattern, value, location)
+            res = self._run(entry.pattern, value, location)
         except _Budget as b:
-            parsed = ParsedHeader(ch.name, index, value, HeaderState.PARSE_FAILED,
-                                  [b.reason], {}, ch.entry)
+            parsed = ParsedHeader(entry.name, index, value, HeaderState.PARSE_FAILED,
+                                  [b.reason], {}, entry)
             self._parsed[memo_key] = parsed
             return parsed
         if not res.matched:
             parsed = ParsedHeader(
-                ch.name, index, value, HeaderState.PARSE_FAILED,
+                entry.name, index, value, HeaderState.PARSE_FAILED,
                 [Reason(ReasonCode.SYNTAX, location,
                         f"value {value!r} does not match the header grammar")],
-                {}, ch.entry)
+                {}, entry)
         else:
             failures: list[Reason] = []
-            fields = self._materialize(ch.entry, ch.entry.pattern, res, value, failures)
+            fields = self._materialize(entry, entry.pattern, res, value, failures)
             state = HeaderState.PARSE_FAILED if failures else HeaderState.PARSED_OK
-            parsed = ParsedHeader(ch.name, index, value, state, failures,
-                                  fields, ch.entry)
+            parsed = ParsedHeader(entry.name, index, value, state, failures,
+                                  fields, entry)
         self._parsed[memo_key] = parsed
         return parsed
 
@@ -681,7 +674,7 @@ class ParsedMessage:
             return pending.value
         if pending.failure is not None:
             raise pending.failure
-        entry = self._entry_by_name(pending.entry_name)
+        entry = self.grammar.entries[pending.entry_name]
         sub_pattern = entry.lazy_patterns[pending.key]
         s, e = pending.span
         subject = pending.source[s:e]
@@ -705,13 +698,6 @@ class ParsedMessage:
         pending.value = value
         return value
 
-    def _entry_by_name(self, entry_name: str) -> CompiledEntry:
-        if entry_name == REQUEST_LINE:
-            return self.grammar.request_line
-        if entry_name == STATUS_LINE:
-            return self.grammar.status_line
-        return self._header(entry_name).entry
-
     # selectors ----------------------------------------------------------------------
 
     def select(self, selector: str):
@@ -720,13 +706,12 @@ class ParsedMessage:
         Raises UnknownSubfield for a path not present in the grammar;
         returns ABSENT when the path is valid but unexercised.
         """
-        parts = selector.split(".")
-        head, rest = parts[0], parts[1:]
-        if head in (REQUEST_LINE, STATUS_LINE):
-            entry = (self.grammar.request_line if head == REQUEST_LINE
-                     else self.grammar.status_line)
-            if not rest or ".".join(rest) not in entry.table:
-                raise UnknownSubfield(f"no subfield {selector!r}")
+        head, *rest = selector.split(".")
+        entry = (self.grammar.entries[head] if head in (REQUEST_LINE, STATUS_LINE)
+                 else self._header(head))
+        if not rest or ".".join(rest) not in entry.table:
+            raise UnknownSubfield(f"no subfield {selector!r}")
+        if entry.decl is None:
             try:
                 cmd = self._parse_command()
             except MessageTypeError:
@@ -734,9 +719,6 @@ class ParsedMessage:
             if cmd.entry is not entry:
                 return ABSENT
             return self._walk(cmd.fields, rest)
-        ch = self._header(head)
-        if not rest or ".".join(rest) not in ch.entry.table:
-            raise UnknownSubfield(f"no subfield {selector!r}")
         parsed = self.parse_header(head)
         if parsed is None or parsed.state is not HeaderState.PARSED_OK:
             return ABSENT
@@ -786,53 +768,53 @@ def validate(grammar: CompiledGrammar, raw: bytes,
         command = msg.command_fields()
         kind = command.kind
         reasons.extend(command.failures)
-        _force_all(msg, command.entry, command.fields, reasons)
+        _force_all(msg, command.fields, reasons)
     except MessageTypeError as exc:
         reasons.extend(exc.reasons)
 
     first_instances: dict[str, ParsedHeader] = {}
-    for ch in grammar.headers:
-        count = msg.header_count(ch.name)
+    for decl in grammar.ag.headers:
+        entry = grammar.entries[decl.name]
+        count = len(msg._header_lines(entry))
         if count == 0:
-            if kind is not None and ch.mandatory_in.covers(kind.value):
+            if kind is not None and decl.mandatory_in.covers(kind.value):
                 reasons.append(Reason(
-                    ReasonCode.MANDATORY_MISSING, ch.name,
-                    f"mandatory header {ch.name!r} is missing"))
+                    ReasonCode.MANDATORY_MISSING, decl.name,
+                    f"mandatory header {decl.name!r} is missing"))
             continue
-        if count > 1 and not ch.multiple:
+        if count > 1 and not decl.multiple:
             reasons.append(Reason(
-                ReasonCode.DUPLICATE_HEADER, ch.name,
-                f"header {ch.name!r} appears {count} times"))
+                ReasonCode.DUPLICATE_HEADER, decl.name,
+                f"header {decl.name!r} appears {count} times"))
             count = 1  # constraints still use the first instance
-        for i in range(count if ch.multiple else 1):
-            parsed = msg.parse_header_nth(ch.name, i)
+        for i in range(count):
+            parsed = msg._parse_instance(entry, i)
             if parsed.state is not HeaderState.PARSED_OK:
                 reasons.extend(parsed.failures)
                 continue
-            _force_all(msg, ch.entry, parsed.fields, reasons)
+            _force_all(msg, parsed.fields, reasons)
             if i == 0:
-                first_instances[ch.name] = parsed
+                first_instances[decl.name] = parsed
 
     def lookup(ref: FieldRef):
         return _lookup(ref, msg, kind, command, first_instances)
 
     blocks = []
     if kind is MessageKind.REQUEST:
-        blocks = grammar.request_constraints
+        blocks = grammar.ag.request_block
     elif kind is MessageKind.RESPONSE:
-        blocks = grammar.response_constraints
+        blocks = grammar.ag.response_block
     for expr in blocks:
         _check_constraint(expr, lookup, "block", reasons)
-    for ch in grammar.headers:
-        if ch.name in first_instances:
-            for expr in ch.local_constraints:
-                _check_constraint(expr, lookup, ch.name, reasons)
+    for decl in grammar.ag.headers:
+        if decl.name in first_instances:
+            for expr in decl.local_constraints:
+                _check_constraint(expr, lookup, decl.name, reasons)
 
     return Verdict(not reasons, reasons)
 
 
-def _force_all(msg: ParsedMessage, entry: CompiledEntry, fields: dict,
-               reasons: list[Reason]) -> None:
+def _force_all(msg: ParsedMessage, fields: dict, reasons: list[Reason]) -> None:
     for value in fields.values():
         if isinstance(value, LazyPending):
             try:

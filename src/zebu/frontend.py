@@ -602,6 +602,8 @@ class _ZebuParser:
     def _parse_header(self, span):
         s = self.s
         name = s.take_name("header name")
+        if name in (REQUEST_LINE, STATUS_LINE):
+            raise DuplicateEntryPoint(f"header {name!r} takes a command line's name", *span)
         s.skip_inline()
         key_pattern = None
         if s.peek() == "{":

@@ -58,6 +58,10 @@ class Position(enum.Enum):
 
 INVALID_RULES = (MutRule.CHARSET, MutRule.REPETITION, MutRule.CONSTRAINT)
 
+_BASE_SIZE_BUDGET = 8  # extra repetition iterations a base message may draw
+_REPAIR_TRIES = 200    # constraint re-draws before a base message is given up
+_FAMILY_TRIES = 40     # candidate edits a mutation family draws before exhausting
+
 
 @dataclass
 class Mutant:
@@ -285,10 +289,10 @@ def _derive_message(ag: AnnotatedGrammar, rng: random.Random,
     return tree
 
 
-def _repair(tree: DerivationTree, deriver: _Deriver, retries: int = 200) -> None:
+def _repair(tree: DerivationTree, deriver: _Deriver) -> None:
     """Resample constrained entries until every declared constraint holds."""
     ag = tree.ag
-    for _ in range(retries):
+    for _ in range(_REPAIR_TRIES):
         bad_part = _first_violation(tree)
         if bad_part is None:
             ok, notes = refcheck.reference_validate(ag, tree.message)
@@ -333,7 +337,8 @@ def _part_for_expr(expr, tree, entry_parts) -> Part | None:
     return None
 
 
-def derive_valid(ag: AnnotatedGrammar, seed, size_budget: int = 8) -> DerivationTree:
+def derive_valid(ag: AnnotatedGrammar, seed,
+                 size_budget: int = _BASE_SIZE_BUDGET) -> DerivationTree:
     """Random valid message honoring the grammar and all declared constraints."""
     rng = random.Random(f"derive:{seed}")
     return _derive_message(ag, rng, size_budget)
@@ -401,8 +406,7 @@ def _splice(data: bytes, start: int, end: int, insert: bytes) -> bytes:
     return data[:start] + insert + data[end:]
 
 
-def mutate_charset(tree: DerivationTree, position: Position, seed,
-                   retries: int = 40) -> Mutant:
+def mutate_charset(tree: DerivationTree, position: Position, seed) -> Mutant:
     """Replace the first, middle, or last byte of one message terminal with
     a byte outside its valid set (CR/LF excluded); emit only if the whole
     mutant re-checks INVALID."""
@@ -410,7 +414,7 @@ def mutate_charset(tree: DerivationTree, position: Position, seed,
     targets = _charset_targets(tree)
     if not targets:
         raise Exhausted("derivation has no terminals")
-    for _ in range(retries):
+    for _ in range(_FAMILY_TRIES):
         t = rng.choice(targets)
         if position is Position.FIRST:
             idx = 0
@@ -447,14 +451,14 @@ def _repetition_nodes(tree: DerivationTree):
     return out
 
 
-def mutate_repetition(tree: DerivationTree, seed, retries: int = 40) -> Mutant:
+def mutate_repetition(tree: DerivationTree, seed) -> Mutant:
     """Rewrite one repetition's expansion to a count outside its bounds."""
     rng = random.Random(f"repetition:{seed}")
     candidates = _repetition_nodes(tree)
     if not candidates:
         raise Exhausted("no bounded repetition in this derivation")
     deriver = _Deriver(tree.ag, rng, size_budget=4)
-    for _ in range(retries):
+    for _ in range(_FAMILY_TRIES):
         part, node = rng.choice(candidates)
         elem: Repetition = node.elem
         if _may_contain_crlf(elem.inner, tree.ag):
@@ -566,8 +570,7 @@ def _range_shape_of(expr):
     return ref, lo, hi, strict
 
 
-def mutate_constraint(ag: AnnotatedGrammar, tree: DerivationTree, seed,
-                      retries: int = 40) -> Mutant:
+def mutate_constraint(ag: AnnotatedGrammar, tree: DerivationTree, seed) -> Mutant:
     """Violate a declared constraint while staying grammar-syntactic where
     the strategy allows: out-of-range rewrite of a checked numeric field,
     deletion of a mandatory header, duplication of a multiple=false header,
@@ -592,7 +595,7 @@ def mutate_constraint(ag: AnnotatedGrammar, tree: DerivationTree, seed,
         raise Exhausted("grammar declares no violible constraints")
 
     deriver = _Deriver(ag, rng, size_budget=4)
-    for _ in range(retries):
+    for _ in range(_FAMILY_TRIES):
         kind, payload = rng.choice(strategies)
         data = None
         describe = ""
@@ -715,8 +718,7 @@ def _literal_spans(tree: DerivationTree):
     return out
 
 
-def mutate_torture(ag: AnnotatedGrammar, tree: DerivationTree, seed,
-                   retries: int = 40) -> Mutant:
+def mutate_torture(ag: AnnotatedGrammar, tree: DerivationTree, seed) -> Mutant:
     """Validity-preserving corner-case transforms: case flips inside
     case-insensitive literals, extra legal whitespace, folds at linear-
     whitespace points, and repetition counts pushed to exact bounds.
@@ -728,7 +730,7 @@ def mutate_torture(ag: AnnotatedGrammar, tree: DerivationTree, seed,
     fold_points = [p for p in ws_points if p[3] and p[2] > p[1]]
     bounded = [(p, nd) for p, nd in _repetition_nodes(tree)
                if not _may_contain_crlf(nd.elem.inner, ag)]
-    for _ in range(retries):
+    for _ in range(_FAMILY_TRIES):
         data = tree.message
         edits = []  # (start, end, replacement) applied right-to-left
         names = []
@@ -855,14 +857,13 @@ def _weighted_rule(rng: random.Random, mix: dict) -> MutRule:
     return rng.choices(rules, weights=weights, k=1)[0]
 
 
-def make_mutant(ag: AnnotatedGrammar, index: int, seed, mix=None,
-                size_budget: int = 8) -> Mutant:
+def make_mutant(ag: AnnotatedGrammar, index: int, seed, mix=None) -> Mutant:
     """Deterministic mutant for (grammar, seed, index): fresh valid base,
     weighted rule choice, fallback to the next family on exhaustion."""
     mix = DEFAULT_MIX if mix is None else mix
     mutant_seed = f"{seed}:{index}"
     rng = random.Random(f"rule:{mutant_seed}")
-    tree = _derive_message(ag, random.Random(f"base:{mutant_seed}"), size_budget)
+    tree = _derive_message(ag, random.Random(f"base:{mutant_seed}"), _BASE_SIZE_BUDGET)
     first = _weighted_rule(rng, mix)
     order = [first] + [r for r in (*INVALID_RULES, MutRule.TORTURE) if r is not first]
     for rule in order:
@@ -882,8 +883,7 @@ def make_mutant(ag: AnnotatedGrammar, index: int, seed, mix=None,
     raise Exhausted(f"no mutation family applicable at index {index}")
 
 
-def run_campaign(ag: AnnotatedGrammar, target, n: int, seed, mix=None,
-                 size_budget: int = 8, sink=None,
+def run_campaign(ag: AnnotatedGrammar, target, n: int, seed, mix=None, sink=None,
                  index_range=None) -> MutationReport:
     """Feed n mutants to `target` (bytes -> accepted bool) and tally.
 
@@ -895,7 +895,7 @@ def run_campaign(ag: AnnotatedGrammar, target, n: int, seed, mix=None,
     mix = DEFAULT_MIX if mix is None else mix
     report = MutationReport(seed=seed)
     for index in index_range if index_range is not None else range(n):
-        mutant = make_mutant(ag, index, seed, mix, size_budget)
+        mutant = make_mutant(ag, index, seed, mix)
         accepted = target(mutant.data)
         tally = report.tally(mutant.rule)
         tally.emitted += 1

@@ -57,13 +57,12 @@ DEFAULT_BUDGET = 4_000_000
 Env = "dict[str, tuple[int, int, int | None]]"
 
 
-def derive_env(body, ag: AnnotatedGrammar, subject: bytes,
-               table, budget: int = DEFAULT_BUDGET):
+def derive_env(body, ag: AnnotatedGrammar, subject: bytes, table):
     """First full derivation of `subject` from `body` under the
     disambiguation contract; returns the annotation environment, or None
     when the subject is not derivable."""
     n = len(subject)
-    steps = budget
+    steps = DEFAULT_BUDGET
     facts = ag.memo("refcheck")
 
     def gen(elem, pos, env, prefix):
@@ -426,8 +425,7 @@ def _range_violations(ag, entry, env, subject) -> list[str]:
     return out
 
 
-def reference_validate(ag: AnnotatedGrammar, raw: bytes,
-                       budget: int = DEFAULT_BUDGET) -> tuple[bool, list[str]]:
+def reference_validate(ag: AnnotatedGrammar, raw: bytes) -> tuple[bool, list[str]]:
     """Full-message validity per the grammar and its declared constraints.
 
     Returns (valid, notes); notes name the first problems found. Used as
@@ -445,7 +443,7 @@ def reference_validate(ag: AnnotatedGrammar, raw: bytes,
                                 (STATUS_LINE, ag.status_line, Mandatory.RESPONSE)):
         if rule is None:
             continue
-        env = derive_env(rule.body, ag, command, ag.subfields[entry_name], budget)
+        env = derive_env(rule.body, ag, command, ag.subfields[entry_name])
         if env is not None:
             kind = k
             cmd_entry = entry_name
@@ -475,7 +473,7 @@ def reference_validate(ag: AnnotatedGrammar, raw: bytes,
             problems.append(f"header {decl.name} duplicated")
         table = ag.subfields[decl.name]
         for i, line in enumerate(lines if decl.multiple else lines[:1]):
-            env = derive_env(decl.body, ag, line.value, table, budget)
+            env = derive_env(decl.body, ag, line.value, table)
             if env is None:
                 problems.append(f"header {decl.name} value not derivable")
                 continue

@@ -55,6 +55,25 @@ def test_check_parse_error_has_position(tmp_path, capsys):
     assert "error[SYNTAX]" in capsys.readouterr().err
 
 
+TOY_COMMAND_LINES = ('protocol t\nrequestLine = 1*ALPHA:method SP "X"\n'
+                     'statusLine = "X" SP 3DIGIT:code:uint16\n')
+
+
+@pytest.mark.parametrize("base", ["toy", "sip"])
+@pytest.mark.parametrize("name", ["requestLine", "statusLine"])
+def test_header_named_like_a_command_line_is_rejected(tmp_path, capsys, base, name):
+    # such a header would share its command line's subfield table
+    text = TOY_COMMAND_LINES if base == "toy" else SIP_SPEC.read_text()
+    spec = write(tmp_path, "clash.zebu", text + f"header {name} = 1*DIGIT\n")
+    out = tmp_path / "clash.zbc"
+    assert main(["check", str(spec)]) == 1
+    assert main(["compile", str(spec), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"error[SYNTAX]: header {name!r} takes a command line's name") == 2
+    assert "UNRESOLVED_REF" not in err
+    assert not out.exists()
+
+
 # --- compile ----------------------------------------------------------------
 
 def test_compile_is_deterministic(tmp_path):
@@ -191,7 +210,7 @@ def test_deeply_nested_source_is_a_syntax_error(tmp_path, capsys):
 
 def test_serialize_without_source_raises(sip):
     with pytest.raises(artifact.ArtifactError):
-        artifact.serialize(dataclasses.replace(sip, source=None))
+        artifact.serialize(dataclasses.replace(sip, ag=dataclasses.replace(sip.ag, source=None)))
 
 
 def test_missing_artifact_exits_2(tmp_path):
@@ -214,6 +233,19 @@ def test_parse_prints_fields_and_verdict(compiled_artifact, tmp_path, capsys):
     assert "CSeq.number = 314159" in out
     assert "ACCEPT" in out
     assert "exec_counter" in out
+
+
+def test_parse_tour_output_matches_readme(compiled_artifact, capsys):
+    code = main(["parse", str(compiled_artifact), str(CORPUS / "invite1.msg"),
+                 "--field", "From.uri.host", "--field", "CSeq.number"])
+    out = capsys.readouterr().out
+    assert code == 0
+    # validate reuses the selectors' session: 1 command line, 7 headers, 3 lazy URIs
+    expected = ["From.uri.host = example.com", "CSeq.number = 314159",
+                "ACCEPT", "exec_counter 11"]
+    assert out == "".join(line + "\n" for line in expected)
+    readme = (REPO / "README.md").read_text()
+    assert "".join(f"# {line}\n" for line in expected) in readme
 
 
 def test_parse_rejects_mutant_with_reasons(compiled_artifact, tmp_path, capsys):

@@ -185,6 +185,29 @@ def test_variant_keys_match_case_insensitively(sip):
     assert msg.parse_header("From") is not None
 
 
+def test_header_lines_sorted_once_by_key_variant(sip):
+    vias = [b"SIP/2.0/UDP a.example.com", b"SIP/2.0/TCP b.example.com",
+            b"SIP/2.0/TLS c.example.com"]
+    raw = sip_request(drop=("Via", "From"), extra=(
+        b"Via: " + vias[0],
+        b"From: <sip:alice@example.com>;tag=1",
+        b"v: " + vias[1],
+        b"Fromage: brie",
+        b"f: <sip:carol@example.com>;tag=2",
+        b"VIA: " + vias[2],
+    ))
+    msg = ParsedMessage(sip, raw)
+    assert [msg.parse_header_nth("Via", i).raw_value for i in range(3)] == vias
+    assert msg.parse_header_nth("Via", 3) is None
+    assert msg.header_count("from") == 2
+    # every line but the undeclared Fromage belongs to exactly one header
+    counted = sum(msg.header_count(decl.name) for decl in sip.ag.headers)
+    assert counted == len(msg.index.headers) - 1
+    reasons = validate(sip, raw).reasons
+    assert [(r.code, r.location) for r in reasons] == [
+        (ReasonCode.DUPLICATE_HEADER, "From")]
+
+
 def test_get_subfield_absent_and_unknown(sip):
     # user part of the To URI is optional and absent here
     msg = ParsedMessage(sip, sip_request())
@@ -430,7 +453,7 @@ def test_same_named_lazy_subfields_in_two_branches_agree_with_oracle(
     expected, _ = reference_validate(ag, raw)
     assert validate(cg, raw).accepted is expected
     assert expected is (value != b"12y")
-    assert cg.header("H").entry.lazy_patterns == {}
+    assert cg.header("H").lazy_patterns == {}
 
 
 def test_numeric_safety_fuzz(sip):
