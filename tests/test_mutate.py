@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import random
+from importlib import resources
 
 import pytest
 
 from zebu.abnf import RuleRef
+from zebu.cli import main
 from zebu.engine import MessageSyntaxError, index_message, validate
 from zebu.frontend import parse_zebu
 from zebu.mutate import (
@@ -321,3 +326,32 @@ def test_rtsp_campaign_full_detection(rtsp_ag, rtsp):
                           n=120, seed=4)
     assert report.missed == 0
     assert report.false_rejects == 0
+
+
+# --- pinned corpora ---------------------------------------------------------------------------
+
+def _corpus_digest(out) -> str:
+    """sha256 over manifest.txt, report.txt and every *.raw, by file name."""
+    h = hashlib.sha256()
+    for path in sorted([out / "manifest.txt", out / "report.txt", *out.glob("*.raw")]):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("spec, count, seed, digest", [
+    ("sip-subset.zebu", 300, 101,
+     "b9195b879b19ea279800b597175e4af9e09c867d1ea60eca5045fa68f842452f"),
+    ("rtsp-subset.zebu", 200, 7,
+     "dc598260ee40f35fc8c34e0d96920b3a535827ae02ca0ad525de129779b88a21"),
+])
+def test_fixed_seed_corpus_is_pinned(tmp_path, spec, count, seed, digest):
+    # any change to the order or number of RNG draws in derivation, repair
+    # or a mutation family changes these bytes
+    out = tmp_path / "out"
+    with resources.as_file(resources.files("zebu") / "grammars" / spec) as path, \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(["mutate", str(path), "--count", str(count), "--seed", str(seed),
+                     "--out", str(out)])
+    assert code == 0
+    assert len(list(out.glob("*.raw"))) == count
+    assert _corpus_digest(out) == digest
