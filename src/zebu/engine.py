@@ -226,14 +226,18 @@ class LineIndex:
     body: tuple[int, int]
 
     def unfolded_value(self, header: HeaderLine) -> bytes:
+        raw = self.raw
         spans = header.value_spans
-        first = self.raw[spans[0][0]:spans[0][1]]
+        start, end = spans[0]
+        # skip the leading blanks by offset, so a one-line value is sliced once
+        while start < end and raw[start] in b" \t":
+            start += 1
         if len(spans) == 1:
-            return first.lstrip(b" \t")
-        parts = [first]
+            return raw[start:end]
+        parts = [raw[start:end]]
         for s, e in spans[1:]:
             parts.append(b" ")
-            parts.append(self.raw[s:e].lstrip(b" \t"))
+            parts.append(raw[s:e].lstrip(b" \t"))
         return b"".join(parts).lstrip(b" \t")
 
 

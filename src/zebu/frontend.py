@@ -282,7 +282,8 @@ class AnnotatedGrammar:
     _memos: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def memo(self, name: str) -> dict:
-        """The grammar's memo table `name`: element id -> (element, fact).
+        """The grammar's memo table `name`, most often element id ->
+        (element, fact).
 
         Grammar facts are computed once per grammar and kept here, keyed
         by element identity. Each entry holds its element, so no other

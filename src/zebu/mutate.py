@@ -11,6 +11,14 @@ Every mutant's ground-truth label is re-verified against the independent
 reference validator before emission; unverified labels would corrupt the
 detection-rate metric. Campaigns are deterministic: the RNG stream is
 split per mutant index, so partial tallies merge without changing results.
+
+Derivation runs compiled steps: one closure per grammar element, built
+once per grammar (`AnnotatedGrammar.memo`), holding that element's facts
+(a byte range's pool, an alternation's CRLF-free branches, a repetition's
+CRLF flag; a rule reference binds its body on first use). Each part records
+its annotation env while it is derived, so repair and the families read
+spans without walking the tree. Repair re-checks the ranges of re-drawn
+parts only, and assembles the message once every constraint holds.
 """
 
 from __future__ import annotations
@@ -74,24 +82,32 @@ class Mutant:
 
 # --- derivation --------------------------------------------------------------
 
-@dataclass
 class DNode:
-    elem: object
-    start: int
-    end: int
-    children: list = field(default_factory=list)
-    branch: int | None = None
-    count: int | None = None
-    path: str | None = None
-    env: dict | None = field(default=None, repr=False, compare=False)
+    """One derived grammar element: its span in the part's value, its
+    children in source order, and what was drawn for it (an alternation's
+    branch, a repetition's count, an annotation's dotted path and branch)."""
+
+    __slots__ = ("elem", "start", "end", "children", "branch", "count", "path")
+
+    def __init__(self, elem, start: int, end: int, children=(), branch: int | None = None,
+                 count: int | None = None, path: str | None = None):
+        self.elem = elem
+        self.start = start
+        self.end = end
+        self.children = children
+        self.branch = branch
+        self.count = count
+        self.path = path
 
     def walk(self):
         """This node and its descendants, depth-first in source order."""
         stack = [self]
+        pop, extend = stack.pop, stack.extend
         while stack:
-            node = stack.pop()
+            node = pop()
             yield node
-            stack.extend(reversed(node.children))
+            if node.children:
+                extend(reversed(node.children))
 
 
 @dataclass
@@ -99,10 +115,19 @@ class Part:
     kind: str                      # "command" | "header"
     decl: HeaderDecl | None
     key: bytes | None
-    node: DNode | None
-    value: bytes
+    node: DNode | None = None
+    value: bytes = b""
+    env: dict | None = None        # annotation path -> (start, end, branch)
+    clean: bool = False            # ranges checked clean since the last draw
     offset: int = 0                # absolute offset of the line
     value_offset: int = 0          # absolute offset of the value
+
+    def draw(self, deriver: _Deriver, body) -> Part:
+        """Derive this part's value afresh, recording its env as it goes."""
+        self.env = {}
+        self.value, self.node = deriver.derive_value(body, self.env)
+        self.clean = False
+        return self
 
 
 @dataclass
@@ -139,99 +164,118 @@ class DerivationTree:
                 out.setdefault(part.decl.name, part)
         return out
 
-    def env_of(self, part: Part) -> dict:
-        """The annotation env of a part's derivation, computed once per
-        derived node; callers must not modify it."""
-        root = part.node
-        if root.env is None:
-            env = {}
-            for node in root.walk():
-                if node.path is not None:
-                    env[node.path] = (node.start, node.end, node.branch)
-            root.env = env
-        return root.env
-
 
 class _Deriver:
+    """Draws derivations from a grammar's compiled steps with one RNG."""
+
     def __init__(self, ag: AnnotatedGrammar, rng: random.Random, size_budget: int):
         self.ag = ag
         self.rng = rng
         self.size_budget = size_budget
-        self.facts = ag.memo("mutate.derive")
 
-    def derive_value(self, body) -> tuple[bytes, DNode]:
+    def derive_value(self, body, env: dict | None = None) -> tuple[bytes, DNode]:
+        """One derivation of `body`. Each annotation's (start, end, branch)
+        is recorded in `env` as it is derived: its key in pre-order, its
+        value when it ends, so the last of a repeated path wins."""
         out = bytearray()
-        node = self._derive(body, out, ())
+        node = _step(body, self.ag)(self, out, "", {} if env is None else env)
         return bytes(out), node
 
-    def _derive(self, elem, out: bytearray, prefix) -> DNode:
-        start = len(out)
-        if isinstance(elem, LiteralCI):
-            out += elem.text.encode("ascii")
+
+def _step(elem, ag: AnnotatedGrammar):
+    """The derive step of `elem`, built once per grammar:
+    `step(deriver, out, prefix, env) -> DNode` appends one derivation to
+    `out`, drawing from `deriver.rng`."""
+    memo = ag.memo("mutate.step")
+    hit = memo.get(id(elem))
+    if hit is None:
+        hit = memo[id(elem)] = (elem, _build_step(elem, ag))
+    return hit[1]
+
+
+def _build_step(elem, ag: AnnotatedGrammar):
+    """Each step captures its element's facts when it is built: a byte
+    range's CR/LF-free pool, an alternation's CRLF-free branch indices (all
+    when none is), a repetition's CRLF flag. A rule reference binds its
+    body's step on first use, because rules may be recursive."""
+    if isinstance(elem, (LiteralCI, CharCodes)):
+        data = elem.text.encode("ascii") if isinstance(elem, LiteralCI) else elem.data
+
+        def step(d, out, prefix, env):
+            start = len(out)
+            out += data
             return DNode(elem, start, len(out))
-        if isinstance(elem, CharCodes):
-            out += elem.data
-            return DNode(elem, start, len(out))
-        if isinstance(elem, CharRange):
-            pool = self._fact(elem)
-            out.append(self.rng.choice(pool) if pool else elem.lo)
-            return DNode(elem, start, len(out))
-        if isinstance(elem, RuleRef):
-            child = self._derive(self._fact(elem), out, prefix)
+    elif isinstance(elem, CharRange):
+        pool = [b for b in range(elem.lo, elem.hi + 1) if b not in (0x0D, 0x0A)]
+        lo = elem.lo
+
+        def step(d, out, prefix, env):
+            out.append(d.rng.choice(pool) if pool else lo)
+            return DNode(elem, len(out) - 1, len(out))
+    elif isinstance(elem, RuleRef):
+        body = None
+
+        def step(d, out, prefix, env):
+            nonlocal body
+            if body is None:
+                rule = abnf.resolve(elem.name, d.ag.base)
+                if rule is None:
+                    raise ZebuError(f"cannot derive undefined rule {elem.name!r}")
+                body = _step(rule.body, d.ag)
+            start = len(out)
+            child = body(d, out, prefix, env)
             return DNode(elem, start, len(out), [child])
-        if isinstance(elem, Annotated):
-            path = prefix + (elem.name,)
-            child = self._derive(elem.inner, out, path)
+    elif isinstance(elem, Annotated):
+        inner = _step(elem.inner, ag)
+        name = elem.name
+
+        def step(d, out, prefix, env):
+            path = f"{prefix}.{name}" if prefix else name
+            env.setdefault(path, None)
+            start = len(out)
+            child = inner(d, out, path, env)
             branch = _annotated_branch(child)
-            return DNode(elem, start, len(out), [child],
-                         branch=branch, path=".".join(path))
-        if isinstance(elem, Sequence):
-            children = [self._derive(i, out, prefix) for i in elem.items]
+            env[path] = (start, len(out), branch)
+            return DNode(elem, start, len(out), [child], branch, None, path)
+    elif isinstance(elem, Sequence):
+        items = [_step(i, ag) for i in elem.items]
+
+        def step(d, out, prefix, env):
+            start = len(out)
+            children = [item(d, out, prefix, env) for item in items]
             return DNode(elem, start, len(out), children)
-        if isinstance(elem, Alternation):
-            i = self.rng.choice(self._fact(elem))
-            child = self._derive(elem.branches[i], out, prefix)
-            return DNode(elem, start, len(out), [child], branch=i)
-        if isinstance(elem, Repetition):
-            count = self._pick_count(elem)
-            children = []
-            for _ in range(count):
-                children.append(self._derive(elem.inner, out, prefix))
-            return DNode(elem, start, len(out), children, count=count)
-        raise TypeError(f"cannot derive {elem!r}")
+    elif isinstance(elem, Alternation):
+        branches = [i for i, b in enumerate(elem.branches)
+                    if not _may_contain_crlf(b, ag)] or list(range(len(elem.branches)))
+        steps = [_step(b, ag) for b in elem.branches]
 
-    def _fact(self, elem):
-        """Per-grammar derivation fact: a rule reference's body, an
-        alternation's CRLF-free branch indices (all when none is), a byte
-        range's CR/LF-free byte pool."""
-        hit = self.facts.get(id(elem))
-        if hit is not None:
-            return hit[1]
-        if isinstance(elem, RuleRef):
-            rule = abnf.resolve(elem.name, self.ag.base)
-            if rule is None:
-                raise ZebuError(f"cannot derive undefined rule {elem.name!r}")
-            fact = rule.body
-        elif isinstance(elem, Alternation):
-            fact = [i for i, b in enumerate(elem.branches)
-                    if not _may_contain_crlf(b, self.ag)]
-            if not fact:
-                fact = list(range(len(elem.branches)))
-        else:
-            fact = [b for b in range(elem.lo, elem.hi + 1) if b not in (0x0D, 0x0A)]
-        self.facts[id(elem)] = (elem, fact)
-        return fact
-
-    def _pick_count(self, elem: Repetition) -> int:
+        def step(d, out, prefix, env):
+            i = d.rng.choice(branches)
+            start = len(out)
+            child = steps[i](d, out, prefix, env)
+            return DNode(elem, start, len(out), [child], i)
+    elif isinstance(elem, Repetition):
+        inner = _step(elem.inner, ag)
+        lo, hi = elem.min, elem.max
         # base messages stay fold-free; torture introduces folds later
-        if _may_contain_crlf(elem.inner, self.ag):
-            return elem.min
-        if elem.max is None:
-            extra = 0
-            while extra < self.size_budget and self.rng.random() < 0.5:
-                extra += 1
-            return elem.min + extra
-        return self.rng.randint(elem.min, min(elem.max, elem.min + self.size_budget))
+        fixed = _may_contain_crlf(elem.inner, ag)
+
+        def step(d, out, prefix, env):
+            if fixed:
+                count = lo
+            elif hi is None:
+                count, top, rnd = lo, lo + d.size_budget, d.rng.random
+                while count < top and rnd() < 0.5:
+                    count += 1
+            else:
+                count = d.rng.randint(lo, min(hi, lo + d.size_budget))
+            start = len(out)
+            children = [inner(d, out, prefix, env) for _ in range(count)]
+            return DNode(elem, start, len(out), children, None, count)
+    else:
+        def step(d, out, prefix, env):
+            raise TypeError(f"cannot derive {elem!r}")
+    return step
 
 
 def _annotated_branch(node: DNode) -> int | None:
@@ -262,8 +306,14 @@ def _may_contain_crlf(elem, ag) -> bool:
 
 def _whitespace_only(elem, ag) -> bool:
     """False as soon as a capture or an undefined rule is reachable."""
-    return all(b is not None and _WHITESPACE.issuperset(b)
-               for b in map(frontend.terminal_bytes, frontend.reachable_leaves(elem, ag)))
+    memo = ag.memo("mutate.ws")
+    hit = memo.get(id(elem))
+    if hit is None:
+        leaves = frontend.reachable_leaves(elem, ag)
+        hit = memo[id(elem)] = (elem, all(
+            b is not None and _WHITESPACE.issuperset(b)
+            for b in map(frontend.terminal_bytes, leaves)))
+    return hit[1]
 
 
 def _derive_message(ag: AnnotatedGrammar, rng: random.Random,
@@ -271,30 +321,28 @@ def _derive_message(ag: AnnotatedGrammar, rng: random.Random,
     deriver = _Deriver(ag, rng, size_budget)
     kind = rng.choice(("request", "response"))
     entry_rule = ag.request_line if kind == "request" else ag.status_line
-    parts = []
-    value, node = deriver.derive_value(entry_rule.body)
-    parts.append(Part("command", None, None, node, value))
+    parts = [Part("command", None, None).draw(deriver, entry_rule.body)]
     for decl in ag.headers:
         include = decl.mandatory_in.covers(kind) or rng.random() < 0.5
         if not include:
             continue
         copies = 2 if decl.multiple and rng.random() < 0.34 else 1
         for _ in range(copies):
-            value, node = deriver.derive_value(decl.body)
-            parts.append(Part("header", decl, decl.keys[0].encode("ascii"),
-                              node, value))
+            part = Part("header", decl, decl.keys[0].encode("ascii"))
+            parts.append(part.draw(deriver, decl.body))
     tree = DerivationTree(ag, kind, parts)
-    tree.assemble()
     _repair(tree, deriver)
     return tree
 
 
 def _repair(tree: DerivationTree, deriver: _Deriver) -> None:
-    """Resample constrained entries until every declared constraint holds."""
+    """Resample constrained entries until every declared constraint holds,
+    then assemble the message and check it against the reference validator."""
     ag = tree.ag
     for _ in range(_REPAIR_TRIES):
         bad_part = _first_violation(tree)
         if bad_part is None:
+            tree.assemble()
             ok, notes = refcheck.reference_validate(ag, tree.message)
             if ok:
                 return
@@ -302,22 +350,27 @@ def _repair(tree: DerivationTree, deriver: _Deriver) -> None:
         body = (bad_part.decl.body if bad_part.decl is not None
                 else (ag.request_line if tree.kind == "request"
                       else ag.status_line).body)
-        bad_part.value, bad_part.node = deriver.derive_value(body)
-        tree.assemble()
+        bad_part.draw(deriver, body)
     raise BudgetExhausted("constraint-aware resampling budget exhausted")
 
 
 def _first_violation(tree: DerivationTree) -> Part | None:
+    """The first part that breaks a declared range or constraint. Every
+    part's ranges are checked, each copy of a `multiple` header too, once
+    per draw; cross-field constraints every time."""
     ag = tree.ag
-    entry_parts = tree.entry_parts()
-
-    for entry, part in entry_parts.items():
-        env = tree.env_of(part)
-        if refcheck._range_violations(ag, entry, env, part.value):
+    command = REQUEST_LINE if tree.kind == "request" else STATUS_LINE
+    for part in tree.parts:
+        if part.clean:
+            continue
+        entry = command if part.decl is None else part.decl.name
+        if refcheck._range_violations(ag, entry, part.env, part.value):
             return part
+        part.clean = True
 
+    entry_parts = tree.entry_parts()
     lookup = refcheck.field_lookup(ag, tree.kind, {
-        entry: (tree.env_of(part), part.value) for entry, part in entry_parts.items()})
+        entry: (part.env, part.value) for entry, part in entry_parts.items()})
     block = ag.request_block if tree.kind == "request" else ag.response_block
     local = [(decl, expr) for decl in ag.headers for expr in decl.local_constraints]
     for expr in block:
@@ -474,11 +527,9 @@ def mutate_repetition(tree: DerivationTree, seed) -> Mutant:
         if not counts:
             continue
         count = rng.choice(counts)
-        buf = bytearray()
-        for _ in range(count):
-            deriver._derive(elem.inner, buf, ())
+        run = b"".join(deriver.derive_value(elem.inner)[0] for _ in range(count))
         at = part.value_offset + node.start
-        data = _splice(tree.message, at, part.value_offset + node.end, bytes(buf))
+        data = _splice(tree.message, at, part.value_offset + node.end, run)
         ok, _ = refcheck.reference_validate(tree.ag, data)
         if not ok:
             return Mutant(
@@ -508,7 +559,7 @@ def _range_targets(tree: DerivationTree):
     entry_parts = tree.entry_parts()
     for entry, part in entry_parts.items():
         table = ag.subfields.get(entry) or {}
-        env = tree.env_of(part)
+        env = part.env
         for key, sf in table.items():
             if sf.shape not in (Shape.UINT16, Shape.UINT32) or key not in env:
                 continue
@@ -530,7 +581,7 @@ def _range_targets(tree: DerivationTree):
             continue
         key = ".".join(ref.sub_path)
         sf = (ag.subfields.get(entry) or {}).get(key)
-        if sf is None or key not in tree.env_of(part):
+        if sf is None or key not in part.env:
             continue
         out.append((part, entry, key, sf, lo, hi, strict))
     return out
@@ -601,7 +652,7 @@ def mutate_constraint(ag: AnnotatedGrammar, tree: DerivationTree, seed) -> Mutan
         describe = ""
         if kind == "range":
             part, entry, key, sf, lo, hi, strict = payload
-            span = tree.env_of(part).get(key)
+            span = part.env.get(key)
             bad = _out_of_range_text(rng, ag, sf, lo, hi, strict)
             if bad is None or span is None:
                 continue
@@ -635,8 +686,7 @@ def mutate_constraint(ag: AnnotatedGrammar, tree: DerivationTree, seed) -> Mutan
             if part is None:
                 continue
             key = ".".join(side.sub_path)
-            env = tree.env_of(part)
-            hit = env.get(key)
+            hit = part.env.get(key)
             sf = (ag.subfields.get(entry) or {}).get(key)
             if hit is None or sf is None:
                 continue
@@ -646,10 +696,9 @@ def mutate_constraint(ag: AnnotatedGrammar, tree: DerivationTree, seed) -> Mutan
                 continue
             choices = [i for i in range(len(alt.branches)) if i != branch]
             new_branch = rng.choice(choices)
-            buf = bytearray()
-            deriver._derive(alt.branches[new_branch], buf, ())
+            value, _ = deriver.derive_value(alt.branches[new_branch])
             at = part.value_offset + start
-            data = _splice(tree.message, at, part.value_offset + end, bytes(buf))
+            data = _splice(tree.message, at, part.value_offset + end, value)
             describe = (f"{entry}.{key} rewritten to alternation branch {new_branch} "
                         f"breaking {expr_to_text(payload)}")
         if data is None:
@@ -770,11 +819,9 @@ def mutate_torture(ag: AnnotatedGrammar, tree: DerivationTree, seed) -> Mutant:
                 elem: Repetition = node.elem
                 count = elem.min if (elem.max is None or rng.random() < 0.5) else elem.max
                 deriver = _Deriver(ag, rng, size_budget=2)
-                buf = bytearray()
-                for _ in range(count):
-                    deriver._derive(elem.inner, buf, ())
+                run = b"".join(deriver.derive_value(elem.inner)[0] for _ in range(count))
                 edits.append((part.value_offset + node.start,
-                              part.value_offset + node.end, bytes(buf)))
+                              part.value_offset + node.end, run))
                 names.append(f"boundary-repetition({count})")
         if not edits:
             return Mutant(tree.message, MutRule.TORTURE, "VALID",

@@ -19,8 +19,15 @@ A repetition whose inner always matches exactly one byte from a fixed set
 them, through rule references, with no annotation) takes a byte-run
 shortcut: the run is scanned greedily and its ends are yielded longest
 first, the positions and order the per-byte backtracker gives, without a
-generator frame per byte. Rule bodies, lowercased literals, enum branches
-and byte-run sets are learnt once per grammar (`AnnotatedGrammar.memo`).
+generator frame per byte. Rule bodies, lowercased literals, enum branches,
+byte-run sets and the header key map are learnt once per grammar
+(`AnnotatedGrammar.memo`).
+
+Each grammar also keeps a label table from (entry body, subfield table,
+subject) to the env, or None, that the derivation returned. It holds at
+most `LABEL_TABLE_SIZE` (256) entries and drops the oldest first. A mutant
+shares every unchanged line with the base message the harness has just
+labelled, so about half of a campaign's derivations become lookups.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ class ReferenceBudgetExceeded(ZebuError):
 
 
 DEFAULT_BUDGET = 4_000_000
+LABEL_TABLE_SIZE = 256  # labels kept per grammar; the oldest goes first
 
 # env entry: dotted path -> (start, end, branch or None)
 Env = "dict[str, tuple[int, int, int | None]]"
@@ -60,7 +68,22 @@ Env = "dict[str, tuple[int, int, int | None]]"
 def derive_env(body, ag: AnnotatedGrammar, subject: bytes, table):
     """First full derivation of `subject` from `body` under the
     disambiguation contract; returns the annotation environment, or None
-    when the subject is not derivable."""
+    when the subject is not derivable. The result is kept in the grammar's
+    label table, so callers must not modify it."""
+    labels = ag.memo("refcheck.labels")
+    key = (id(body), id(table), subject)
+    hit = labels.get(key)
+    if hit is not None:
+        return hit[2]
+    env = _derive_env(body, ag, subject, table)
+    if len(labels) >= LABEL_TABLE_SIZE:
+        del labels[next(iter(labels))]
+    # body and table are held so that no other object can take their ids
+    labels[key] = (body, table, env)
+    return env
+
+
+def _derive_env(body, ag: AnnotatedGrammar, subject: bytes, table):
     n = len(subject)
     steps = DEFAULT_BUDGET
     facts = ag.memo("refcheck")
@@ -425,6 +448,17 @@ def _range_violations(ag, entry, env, subject) -> list[str]:
     return out
 
 
+def _declared_keys(ag: AnnotatedGrammar) -> dict:
+    """Lowercased header key -> its declaration, once per grammar; the
+    first declaration of a key wins."""
+    by_key = ag.memo("refcheck.keys")
+    if not by_key:
+        for decl in ag.headers:
+            for k in decl.keys:
+                by_key.setdefault(k.lower(), decl)
+    return by_key
+
+
 def reference_validate(ag: AnnotatedGrammar, raw: bytes) -> tuple[bool, list[str]]:
     """Full-message validity per the grammar and its declared constraints.
 
@@ -453,14 +487,12 @@ def reference_validate(ag: AnnotatedGrammar, raw: bytes) -> tuple[bool, list[str
         return False, ["command line derivable from neither entry point"]
     problems.extend(_range_violations(ag, cmd_entry, cmd_env, command))
 
+    by_key = _declared_keys(ag)
     by_decl: dict[str, list[_RefHeaderLine]] = {}
     for line in headers:
-        low = line.key.decode("latin-1").lower()
-        for decl in ag.headers:
-            if any(low == k.lower() for k in decl.keys):
-                by_decl.setdefault(decl.name, []).append(line)
-                break
-        # undeclared headers are skipped
+        decl = by_key.get(line.key.decode("latin-1").lower())
+        if decl is not None:  # undeclared headers are skipped
+            by_decl.setdefault(decl.name, []).append(line)
 
     envs: dict[str, tuple[dict, bytes]] = {}
     for decl in ag.headers:

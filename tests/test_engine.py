@@ -53,6 +53,23 @@ def test_index_key_allows_whitespace_before_colon():
     assert idx.unfolded_value(idx.headers[0]) == b"1 INVITE"
 
 
+@pytest.mark.parametrize("line", [
+    b"K: v", b"K:v", b"K: \t v w \t", b"K:", b"K: \t ",
+    b"K: a\r\n b", b"K: a \r\n\t b \r\n  c", b"K: \t\r\n b", b"K:\r\n \r\n\tc",
+    b"K: \r\n \t\r\n\t",
+], ids=["one-blank", "no-blank", "blanks-both-ends", "empty", "all-blank",
+        "folded", "folded-three", "blank-first-segment", "empty-first-segment",
+        "all-blank-folded"])
+def test_unfolded_value_equals_strip_and_join(line):
+    # reference: the first segment stripped after slicing, continuations
+    # joined by one space, the whole stripped again
+    idx = index_message(b"X y SIP/2.0\r\n" + line + b"\r\n\r\n")
+    header = idx.headers[0]
+    segments = [idx.raw[s:e] for s, e in header.value_spans]
+    want = b" ".join([segments[0]] + [seg.lstrip(b" \t") for seg in segments[1:]])
+    assert idx.unfolded_value(header) == want.lstrip(b" \t")
+
+
 def test_index_body_is_raw():
     idx = index_message(b"X y SIP/2.0\r\n\r\nraw body \x00bytes")
     assert idx.raw[slice(*idx.body)] == b"raw body \x00bytes"

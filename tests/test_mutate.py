@@ -60,8 +60,69 @@ def test_size_budget_zero_gives_minimum_expansions(sip_ag):
                 assert node.count == node.elem.min
 
 
+def test_every_copy_of_a_multiple_header_is_repaired():
+    # a second copy that broke the declared range made derive_valid raise
+    # BudgetExhausted ("derived message unexpectedly invalid")
+    ag = parse_zebu('protocol t\nrequestLine = "GO"\nstatusLine = "NO"\n'
+                    "header N = Num:n:uint16 { multiple }\nNum = 1*2DIGIT\n"
+                    "range Num = 0 <= x < 50\n")
+    copies = 0
+    for seed in range(200):
+        tree = derive_valid(ag, seed)
+        values = [p.value for p in tree.parts if p.kind == "header"]
+        assert all(int(v) < 50 for v in values), values
+        copies += len(values) > 1
+    assert copies > 0
+
+
 def test_derivation_is_deterministic(sip_ag):
     assert derive_valid(sip_ag, 99).message == derive_valid(sip_ag, 99).message
+
+
+# --- envs recorded while deriving ---------------------------------------------------
+
+_REPEATED_CAPTURES = (
+    'protocol t\nrequestLine = "GO" SP 1*( ( 1*DIGIT:n ):d "," ) ALPHA:t\n'
+    'statusLine = "NO"\n'
+    'header H = 1*( ( 1*DIGIT:n ";" 1*ALPHA:a ):d "," ) ( 1*DIGIT:n ):e\n'
+    "request { mandatory H; }\n")
+
+
+def _walked_env(node) -> dict:
+    """Each annotation path of a pre-order walk: its first visit fixes the
+    order, its last visit the value."""
+    env = {}
+    for n in node.walk():
+        if n.path is not None:
+            env[n.path] = (n.start, n.end, n.branch)
+    return env
+
+
+@pytest.mark.parametrize("grammar", ["sip", "rtsp", "repeated-captures"])
+def test_recorded_env_equals_walk_of_the_tree(grammar, sip_ag, rtsp_ag):
+    ag = {"sip": sip_ag, "rtsp": rtsp_ag}.get(grammar) or parse_zebu(_REPEATED_CAPTURES)
+    repeated = 0
+    for seed in range(200):
+        tree = derive_valid(ag, seed)
+        for part in tree.parts:
+            walked = _walked_env(part.node)
+            assert list(part.env.items()) == list(walked.items())
+            repeated += sum(n.path is not None for n in part.node.walk()) > len(walked)
+        if seed % 20:
+            continue
+        # sub-derivations inside the families write into no live part's env
+        before = [list(part.env.items()) for part in tree.parts]
+        for family in (lambda: mutate_charset(tree, Position.MIDDLE, seed),
+                       lambda: mutate_repetition(tree, seed),
+                       lambda: mutate_constraint(ag, tree, seed),
+                       lambda: mutate_torture(ag, tree, seed)):
+            try:
+                family()
+            except Exhausted:
+                pass
+        assert [list(part.env.items()) for part in tree.parts] == before
+    if grammar == "repeated-captures":
+        assert repeated > 0  # the last visit of a path decided its value
 
 
 # --- charset mutants ------------------------------------------------------------

@@ -11,7 +11,13 @@ from zebu.abnf import Repetition
 from zebu.engine import compile_grammar, validate
 from zebu.frontend import RangeBound, parse_zebu
 from zebu.mutate import _Deriver, derive_valid, make_mutant
-from zebu.refcheck import _scan_structure, derive_env, reference_validate
+from zebu.refcheck import (
+    LABEL_TABLE_SIZE,
+    _derive_env,
+    _scan_structure,
+    derive_env,
+    reference_validate,
+)
 
 
 def test_agrees_with_engine_on_handcrafted_messages(sip_ag, sip):
@@ -154,6 +160,45 @@ def test_memos_are_per_grammar(sip_source, rtsp_source, sip_ag, rtsp_ag):
     fresh_sip, fresh_rtsp = parse_zebu(sip_source), parse_zebu(rtsp_source)
     assert alternating[0::2] == [_labels_and_envs(fresh_sip, s) for s in sip_mutants]
     assert alternating[1::2] == [_labels_and_envs(fresh_rtsp, r) for r in rtsp_mutants]
+
+
+# --- label table ----------------------------------------------------------------------
+
+def test_label_table_holds_at_most_256_entries(sip_source):
+    ag = parse_zebu(sip_source)
+    body, table = ag.header("CSeq").body, ag.subfields["CSeq"]
+    labels = ag.memo("refcheck.labels")
+    oldest = derive_env(body, ag, b"0 INVITE", table)
+    for i in range(1, 1000):
+        env = derive_env(body, ag, b"%d INVITE" % i, table)
+        assert env["number"][:2] == (0, len(str(i)))
+        assert len(labels) <= LABEL_TABLE_SIZE == 256
+    assert len(labels) == 256
+    assert derive_env(body, ag, b"999 INVITE", table) is env  # the newest stays
+    again = derive_env(body, ag, b"0 INVITE", table)  # the oldest went
+    assert again == oldest and again is not oldest
+
+
+def test_label_table_hit_equals_fresh_derivation(sip_source, rtsp_source):
+    for source in (sip_source, rtsp_source):
+        shared = parse_zebu(source)
+        empty = {}  # one body under two tables, and two bodies under one table
+        for i in range(30):
+            raw = make_mutant(shared, i, "labels").data
+            reference_validate(shared, raw)
+            fresh = parse_zebu(source)
+            command, headers, ok, _ = _scan_structure(raw)
+            for line in [command] + [h.value for h in headers] if ok else []:
+                for (entry, body), (_, fresh_body) in zip(shared.entry_points(),
+                                                          fresh.entry_points()):
+                    for table, fresh_table in ((shared.subfields[entry],
+                                                fresh.subfields[entry]), (empty, {})):
+                        env = derive_env(body, shared, line, table)
+                        assert derive_env(body, shared, line, table) is env
+                        want = _derive_env(fresh_body, fresh, line, fresh_table)
+                        assert (env is None) == (want is None), line
+                        if env is not None:
+                            assert list(env.items()) == list(want.items()), line
 
 
 # --- byte-run shortcut --------------------------------------------------------------
