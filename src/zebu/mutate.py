@@ -84,19 +84,19 @@ class Mutant:
 
 class DNode:
     """One derived grammar element: its span in the part's value, its
-    children in source order, and what was drawn for it (an alternation's
-    branch, a repetition's count, an annotation's dotted path and branch)."""
+    children in source order (a repetition has one per iteration), and what
+    was drawn for it (an alternation's branch, an annotation's dotted path
+    and branch)."""
 
-    __slots__ = ("elem", "start", "end", "children", "branch", "count", "path")
+    __slots__ = ("elem", "start", "end", "children", "branch", "path")
 
     def __init__(self, elem, start: int, end: int, children=(), branch: int | None = None,
-                 count: int | None = None, path: str | None = None):
+                 path: str | None = None):
         self.elem = elem
         self.start = start
         self.end = end
         self.children = children
         self.branch = branch
-        self.count = count
         self.path = path
 
     def walk(self):
@@ -236,7 +236,7 @@ def _build_step(elem, ag: AnnotatedGrammar):
             child = inner(d, out, path, env)
             branch = _annotated_branch(child)
             env[path] = (start, len(out), branch)
-            return DNode(elem, start, len(out), [child], branch, None, path)
+            return DNode(elem, start, len(out), [child], branch, path)
     elif isinstance(elem, Sequence):
         items = [_step(i, ag) for i in elem.items]
 
@@ -271,7 +271,7 @@ def _build_step(elem, ag: AnnotatedGrammar):
                 count = d.rng.randint(lo, min(hi, lo + d.size_budget))
             start = len(out)
             children = [inner(d, out, prefix, env) for _ in range(count)]
-            return DNode(elem, start, len(out), children, None, count)
+            return DNode(elem, start, len(out), children)
     else:
         def step(d, out, prefix, env):
             raise TypeError(f"cannot derive {elem!r}")

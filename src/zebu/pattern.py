@@ -39,10 +39,6 @@ on the pattern alone (many optional parts in a row that match the same
 bytes can make it large).
 `MatchBudgetExceeded`
 (the engine's `BUDGET` reason) therefore comes only from flagged patterns.
-
-`reference_match` is the independent testing oracle: a direct set-of-end-
-positions interpretation of the grammar AST with no inlining, no captures,
-and no sharing of code with the compiled matcher.
 """
 
 from __future__ import annotations
@@ -65,6 +61,8 @@ from .abnf import (
 )
 from .errors import ZebuError
 from .frontend import Annotated, AnnotatedGrammar, Shape, Subfield
+# the testing oracle lives in refcheck; these names stay importable from here
+from .refcheck import ReferenceBudgetExceeded as RecursionBudgetExceeded, reference_match  # noqa: F401
 
 
 class InliningDepthExceeded(ZebuError):
@@ -73,10 +71,6 @@ class InliningDepthExceeded(ZebuError):
 
 class MatchBudgetExceeded(ZebuError):
     """The per-match step budget ran out; reported distinctly from non-match."""
-
-
-class RecursionBudgetExceeded(ZebuError):
-    """The reference matcher's node-visit budget ran out."""
 
 
 class CompileError(ZebuError):
@@ -152,12 +146,6 @@ class MatchResult:
 
 
 # --- compilation ------------------------------------------------------------
-
-def _as_annotated_grammar(g) -> AnnotatedGrammar:
-    if isinstance(g, AnnotatedGrammar):
-        return g
-    return AnnotatedGrammar(base=g)
-
 
 class _Compiler:
     def __init__(self, ag: AnnotatedGrammar, table: dict[str, Subfield], lazy_holes: bool):
@@ -235,7 +223,7 @@ def compile_pattern(entry, g, *, table: dict[str, Subfield] | None = None) -> Pa
     Lazy depth-1 subfields compile to an opaque hole; their own patterns
     are compiled separately (see compile_subfield_pattern).
     """
-    ag = _as_annotated_grammar(g)
+    ag = g if isinstance(g, AnnotatedGrammar) else AnnotatedGrammar(base=g)
     body = entry.body if isinstance(entry, Rule) else entry
     if table is None:
         table = frontend.collect_subfields(body, ag)
@@ -992,102 +980,3 @@ def _regex_backend(root) -> tuple:
     except (re.error, RecursionError, OverflowError):
         return None, ()
     return rx, tuple(enumerate(groups, 1))
-
-
-# --- independent reference matcher -------------------------------------------
-
-DEFAULT_REFERENCE_BUDGET = 2_000_000
-
-
-def reference_match(entry, g, subject: bytes,
-                    budget: int = DEFAULT_REFERENCE_BUDGET) -> bool:
-    """Decide full derivability by direct recursive interpretation of the
-    grammar AST: explicit end-position sets, exhaustive over repetition
-    counts and alternation branches, no inlining, no captures.
-
-    The testing oracle for compile_pattern + match_full; it deliberately
-    shares no machinery with them. Subfield annotations are transparent
-    (lazy regions are fully checked).
-    """
-    ag = _as_annotated_grammar(g)
-    body = entry.body if isinstance(entry, Rule) else entry
-    n = len(subject)
-    memo: dict[tuple[int, int], tuple[int, ...]] = {}
-    lit_cache: dict[int, bytes] = {}
-    steps = budget
-
-    def ends(elem, pos) -> tuple[int, ...]:
-        nonlocal steps
-        key = (id(elem), pos)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        steps -= 1
-        if steps < 0:
-            raise RecursionBudgetExceeded("reference matcher budget exhausted")
-        result = _ends(elem, pos)
-        memo[key] = result
-        return result
-
-    def _ends(elem, pos) -> tuple[int, ...]:
-        if isinstance(elem, LiteralCI):
-            lit = lit_cache.get(id(elem))
-            if lit is None:
-                lit = elem.text.lower().encode("ascii")
-                lit_cache[id(elem)] = lit
-            end = pos + len(lit)
-            return (end,) if end <= n and subject[pos:end].lower() == lit else ()
-        if isinstance(elem, CharCodes):
-            end = pos + len(elem.data)
-            return (end,) if subject[pos:end] == elem.data else ()
-        if isinstance(elem, CharRange):
-            if pos < n and elem.lo <= subject[pos] <= elem.hi:
-                return (pos + 1,)
-            return ()
-        if isinstance(elem, Annotated):
-            return ends(elem.inner, pos)
-        if isinstance(elem, RuleRef):
-            rule = abnf.resolve(elem.name, ag.base)
-            if rule is None:
-                raise ZebuError(f"undefined rule {elem.name!r} in reference match")
-            return ends(rule.body, pos)
-        if isinstance(elem, Sequence):
-            positions = {pos}
-            for item in elem.items:
-                positions = {e for p in positions for e in ends(item, p)}
-                if not positions:
-                    return ()
-            return tuple(sorted(positions))
-        if isinstance(elem, Alternation):
-            out = set()
-            for branch in elem.branches:
-                out.update(ends(branch, pos))
-            return tuple(sorted(out))
-        if isinstance(elem, Repetition):
-            current = {pos}
-            for _ in range(elem.min):
-                current = {e for p in current for e in ends(elem.inner, p)}
-                if not current:
-                    return ()
-            reachable = set(current)
-            if elem.max is None:
-                frontier = current
-                while frontier:
-                    step = {e for p in frontier for e in ends(elem.inner, p)}
-                    frontier = step - reachable
-                    reachable |= frontier
-            else:
-                for _ in range(elem.max - elem.min):
-                    nxt = {e for p in current for e in ends(elem.inner, p)}
-                    reachable |= nxt
-                    if not nxt or nxt == current:
-                        break
-                    current = nxt
-            return tuple(sorted(reachable))
-        raise TypeError(f"not a grammar element: {elem!r}")
-
-    try:
-        return n in ends(body, 0)
-    except RecursionError:
-        raise RecursionBudgetExceeded(
-            "recursion limit exhausted during reference match") from None

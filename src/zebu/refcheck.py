@@ -1,33 +1,41 @@
-"""Reference validation of whole messages, independent of the parse engine.
+"""The testing oracles, independent of the parse engine: reference
+validation of whole messages, and `reference_match`.
 
 The mutation harness labels every mutant by re-checking it here before
 emission, so detection rates measured against the engine are a real claim
 rather than a tautology. This module re-implements the message structure
-rules and constraint semantics directly over the grammar AST: derivations
-are explored by a recursive environment-threading backtracker (same
-disambiguation contract as the compiled matcher: source-order branches,
-greedy repetition, full backtracking), with no pattern compilation, no
-inlining, and no lazy holes, so lazy regions are checked in full. It
-imports nothing from `engine` or `pattern` and shares no matching or
-evaluation code with them.
+rules and constraint semantics directly over the grammar AST, with no
+pattern compilation, no inlining, and no lazy holes, so lazy regions are
+checked in full. It imports nothing from `engine` or `pattern` and shares
+no matching or evaluation code with them.
 
-The env a derivation threads is a linked chain of `(parent, key, value)`
-links, one per annotation, so extending it costs one tuple; only the first
-full derivation is turned into a dict, later links overriding earlier ones.
-A repetition whose inner always matches exactly one byte from a fixed set
-(byte ranges, one-byte codes, one-character literals and alternations of
-them, through rule references, with no annotation) takes a byte-run
-shortcut: the run is scanned greedily and its ends are yielded longest
-first, the positions and order the per-byte backtracker gives, without a
-generator frame per byte. Rule bodies, lowercased literals, enum branches,
-byte-run sets and the header key map are learnt once per grammar
-(`AnnotatedGrammar.memo`).
+`derive_env` finds the first derivation under the compiled matcher's
+contract (source-order branches, greedy repetition, full backtracking) in
+one loop over a stack of choice points `(elem, pos, env, prefix, cont)`:
+a parsing machine for PEGs (Medeiros & Ierusalimschy, DLS 2008) without
+committed choice. `cont` links frames: the rest of a sequence, the end of
+an annotation, an iteration of a repetition. An element with several
+outcomes pushes them in reverse, so they are tried in order: branches in
+source order, another iteration before stopping (an empty one counts only
+while fewer than the minimum are done), the longest byte run first. A
+failure pops the latest choice point. Each element visit costs one step of
+`DEFAULT_BUDGET`, and no Python frame is held per iteration, so a subject
+of any length gets a label or `ReferenceBudgetExceeded`.
 
-Each grammar also keeps a label table from (entry body, subfield table,
-subject) to the env, or None, that the derivation returned. It holds at
-most `LABEL_TABLE_SIZE` (256) entries and drops the oldest first. A mutant
-shares every unchanged line with the base message the harness has just
-labelled, so about half of a campaign's derivations become lookups.
+The env is a linked chain of `(parent, key, value)` links, one per
+annotation; only the first full derivation becomes a dict, later links
+overriding earlier ones. A repetition whose inner always matches exactly
+one byte from a fixed set (byte ranges, one-byte codes, one-character
+literals and alternations of them, through rule references, with no
+annotation) scans its run at once and pushes each end. Rule bodies,
+lowercased literals, enum branches, byte-run sets and the header key map
+are learnt once per grammar (`AnnotatedGrammar.memo`). A label table per
+grammar maps (entry body, subfield table, subject) to the env, or None,
+for the latest `LABEL_TABLE_SIZE` (256) derivations: a mutant shares every
+unchanged line with the base message labelled just before it.
+
+`reference_match`, the oracle of `pattern.match_full`, decides
+derivability alone from memoised end-position sets, with its own budget.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import abnf, frontend
-from .abnf import Alternation, CharCodes, CharRange, LiteralCI, Repetition, RuleRef, Sequence
+from .abnf import Alternation, CharCodes, CharRange, LiteralCI, Repetition, Rule, RuleRef, Sequence
 from .errors import ZebuError
 from .frontend import (
     REQUEST_LINE,
@@ -58,8 +66,15 @@ class ReferenceBudgetExceeded(ZebuError):
     pass
 
 
-DEFAULT_BUDGET = 4_000_000
+DEFAULT_BUDGET = 4_000_000  # element visits per derive_env
+DEFAULT_REFERENCE_BUDGET = 2_000_000  # (element, position) pairs per reference_match
 LABEL_TABLE_SIZE = 256  # labels kept per grammar; the oldest goes first
+
+# continuation frames of `_derive_env`, linked through their last item:
+# (_SEQ, items, i, prefix, up)       items[i:] of a sequence come next
+# (_ANN, key, start, branch, up)     an annotation begun at start ends here
+# (_REP, rep, count, start, prefix, up)  iteration `count` of rep, begun at start
+_SEQ, _ANN, _REP = range(3)
 
 # env entry: dotted path -> (start, end, branch or None)
 Env = "dict[str, tuple[int, int, int | None]]"
@@ -87,85 +102,87 @@ def _derive_env(body, ag: AnnotatedGrammar, subject: bytes, table):
     n = len(subject)
     steps = DEFAULT_BUDGET
     facts = ag.memo("refcheck")
-
-    def gen(elem, pos, env, prefix):
-        nonlocal steps
-        steps -= 1
-        if steps < 0:
-            raise ReferenceBudgetExceeded("reference derivation budget exhausted")
-        t = type(elem)
-        if t is CharRange:
-            if pos < n and elem.lo <= subject[pos] <= elem.hi:
-                yield pos + 1, env
-        elif t is RuleRef:
-            hit = facts.get(id(elem)) or _learn(facts, elem, ag)
-            yield from gen(hit[1], pos, env, prefix)
-        elif t is Sequence:
-            yield from seq(elem.items, 0, pos, env, prefix)
-        elif t is Alternation:
-            for branch in elem.branches:
-                yield from gen(branch, pos, env, prefix)
-        elif t is Repetition:
-            hit = facts.get(id(elem)) or _learn(facts, elem, ag)
-            members = hit[1]
-            if members is None:
-                yield from rep(elem, 0, pos, env, prefix)
-                return
-            limit = n - pos if elem.max is None else min(elem.max, n - pos)
-            k = _run_length(subject, pos, limit, members)
-            for end in range(pos + k, pos + elem.min - 1, -1):
-                yield end, env
-        elif t is LiteralCI:
-            hit = facts.get(id(elem)) or _learn(facts, elem, ag)
-            lit = hit[1]
-            end = pos + len(lit)
-            if end <= n and subject[pos:end].lower() == lit:
-                yield end, env
-        elif t is CharCodes:
-            end = pos + len(elem.data)
-            if subject[pos:end] == elem.data:
-                yield end, env
-        elif t is Annotated:
-            path = prefix + (elem.name,)
-            key = ".".join(path)
-            sf = table.get(key)
-            shape = sf.shape if sf is not None else Shape.RAW
-            if shape in (Shape.ENUM, Shape.UNION):
-                hit = facts.get(id(elem)) or _learn(facts, elem, ag)
-                for i, branch in enumerate(hit[1]):
-                    for end, env2 in gen(branch, pos, env, path):
-                        yield end, (env2, key, (pos, end, i))
-            else:
-                for end, env2 in gen(elem.inner, pos, env, path):
-                    yield end, (env2, key, (pos, end, None))
-        else:
-            raise TypeError(f"not a grammar element: {elem!r}")
-
-    def seq(items, i, pos, env, prefix):
-        if i == len(items):
-            yield pos, env
-            return
-        for mid, env2 in gen(items[i], pos, env, prefix):
-            yield from seq(items, i + 1, mid, env2, prefix)
-
-    def rep(node, count, pos, env, prefix):
-        if node.max is None or count < node.max:
-            for mid, env2 in gen(node.inner, pos, env, prefix):
-                if mid == pos:
-                    if count + 1 <= node.min:
-                        yield from rep(node, count + 1, mid, env2, prefix)
+    stack = []  # choice points (elem, pos, env, prefix, cont); elem None resumes cont at pos
+    elem, pos, env, prefix, cont = body, 0, None, (), None
+    while True:
+        matched = True
+        if elem is not None:  # visit elem at pos; on a match, pos is its end
+            steps -= 1
+            if steps < 0:
+                raise ReferenceBudgetExceeded("reference derivation budget exhausted")
+            t = type(elem)
+            if t is CharRange:
+                matched = pos < n and elem.lo <= subject[pos] <= elem.hi
+                pos += 1
+            elif t is RuleRef:
+                elem = (facts.get(id(elem)) or _learn(facts, elem, ag))[1]
+                continue
+            elif t is Sequence:
+                cont = (_SEQ, elem.items, 0, prefix, cont)
+            elif t is Alternation:
+                stack.extend([(b, pos, env, prefix, cont) for b in reversed(elem.branches)])
+                matched = False
+            elif t is Repetition:
+                members = (facts.get(id(elem)) or _learn(facts, elem, ag))[1]
+                if members is None:
+                    # entered as if its zeroth iteration had just ended
+                    cont = (_REP, elem, 0, -1, prefix, cont)
+                else:
+                    limit = n - pos if elem.max is None else min(elem.max, n - pos)
+                    k = _run_length(subject, pos, limit, members)
+                    stack.extend([(None, end, env, None, cont)
+                                  for end in range(pos + elem.min, pos + k + 1)])
+                    matched = False
+            elif t is LiteralCI:
+                lit = (facts.get(id(elem)) or _learn(facts, elem, ag))[1]
+                end = pos + len(lit)
+                matched = end <= n and subject[pos:end].lower() == lit
+                pos = end
+            elif t is CharCodes:
+                end = pos + len(elem.data)
+                matched = subject[pos:end] == elem.data
+                pos = end
+            elif t is Annotated:
+                path = prefix + (elem.name,)
+                key = ".".join(path)
+                sf = table.get(key)
+                if sf is not None and sf.shape in (Shape.ENUM, Shape.UNION):
+                    branches = (facts.get(id(elem)) or _learn(facts, elem, ag))[1]
+                    stack.extend([(b, pos, env, path, (_ANN, key, pos, i, cont))
+                                  for i, b in reversed(list(enumerate(branches)))])
+                    matched = False
+                else:
+                    elem, prefix, cont = elem.inner, path, (_ANN, key, pos, None, cont)
                     continue
-                yield from rep(node, count + 1, mid, env2, prefix)
-        if count >= node.min:
-            yield pos, env
-
-    try:
-        for end, env in gen(body, 0, None, ()):
-            if end == n:
-                return _materialise(env)
-    except RecursionError:
-        raise ReferenceBudgetExceeded("recursion limit during reference derivation") from None
-    return None
+            else:
+                raise TypeError(f"not a grammar element: {elem!r}")
+        while matched:  # resume cont at pos with env
+            if cont is None:
+                if pos == n:
+                    return _materialise(env)
+                matched = False
+            elif cont[0] == _SEQ:
+                _, items, i, prefix, up = cont
+                if i < len(items):
+                    elem, cont = items[i], (_SEQ, items, i + 1, prefix, up)
+                    break
+                cont = up
+            elif cont[0] == _ANN:
+                _, key, start, branch, up = cont
+                env, cont = (env, key, (start, pos, branch)), up
+            else:  # _REP: iteration `count` of `rep`, begun at `start`, ended at pos
+                _, rep, count, start, prefix, up = cont
+                if pos != start or count <= rep.min:  # an empty iteration counts only up to min
+                    if count >= rep.min:
+                        stack.append((None, pos, env, None, up))  # stopping here comes last
+                    if rep.max is None or count < rep.max:
+                        elem, cont = rep.inner, (_REP, rep, count + 1, pos, prefix, up)
+                        break
+                matched = False
+        if not matched:
+            if not stack:
+                return None
+            elem, pos, env, prefix, cont = stack.pop()
 
 
 def _materialise(env) -> dict:
@@ -242,6 +259,95 @@ def _run_length(subject: bytes, pos: int, limit: int, members: bytes) -> int:
             break
         step *= 2
     return k
+
+
+# --- set-based matcher -----------------------------------------------------------
+
+def reference_match(entry, g, subject: bytes,
+                    budget: int = DEFAULT_REFERENCE_BUDGET) -> bool:
+    """Decide full derivability by direct recursive interpretation of the
+    grammar AST: explicit end-position sets, exhaustive over repetition
+    counts and alternation branches, no inlining, no captures.
+
+    The testing oracle for `pattern.compile_pattern` + `match_full`.
+    Subfield annotations are transparent (lazy regions are fully checked).
+    """
+    ag = g if isinstance(g, AnnotatedGrammar) else AnnotatedGrammar(base=g)
+    body = entry.body if isinstance(entry, Rule) else entry
+    n = len(subject)
+    facts = ag.memo("refcheck")
+    memo: dict[tuple[int, int], tuple[int, ...]] = {}
+    steps = budget
+
+    def ends(elem, pos) -> tuple[int, ...]:
+        nonlocal steps
+        key = (id(elem), pos)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        steps -= 1
+        if steps < 0:
+            raise ReferenceBudgetExceeded("reference matcher budget exhausted")
+        result = _ends(elem, pos)
+        memo[key] = result
+        return result
+
+    def _ends(elem, pos) -> tuple[int, ...]:
+        if isinstance(elem, LiteralCI):
+            lit = (facts.get(id(elem)) or _learn(facts, elem, ag))[1]
+            end = pos + len(lit)
+            return (end,) if end <= n and subject[pos:end].lower() == lit else ()
+        if isinstance(elem, CharCodes):
+            end = pos + len(elem.data)
+            return (end,) if subject[pos:end] == elem.data else ()
+        if isinstance(elem, CharRange):
+            if pos < n and elem.lo <= subject[pos] <= elem.hi:
+                return (pos + 1,)
+            return ()
+        if isinstance(elem, Annotated):
+            return ends(elem.inner, pos)
+        if isinstance(elem, RuleRef):
+            return ends((facts.get(id(elem)) or _learn(facts, elem, ag))[1], pos)
+        if isinstance(elem, Sequence):
+            positions = {pos}
+            for item in elem.items:
+                positions = {e for p in positions for e in ends(item, p)}
+                if not positions:
+                    return ()
+            return tuple(sorted(positions))
+        if isinstance(elem, Alternation):
+            out = set()
+            for branch in elem.branches:
+                out.update(ends(branch, pos))
+            return tuple(sorted(out))
+        if isinstance(elem, Repetition):
+            current = {pos}
+            for _ in range(elem.min):
+                current = {e for p in current for e in ends(elem.inner, p)}
+                if not current:
+                    return ()
+            reachable = set(current)
+            if elem.max is None:
+                frontier = current
+                while frontier:
+                    step = {e for p in frontier for e in ends(elem.inner, p)}
+                    frontier = step - reachable
+                    reachable |= frontier
+            else:
+                for _ in range(elem.max - elem.min):
+                    nxt = {e for p in current for e in ends(elem.inner, p)}
+                    reachable |= nxt
+                    if not nxt or nxt == current:
+                        break
+                    current = nxt
+            return tuple(sorted(reachable))
+        raise TypeError(f"not a grammar element: {elem!r}")
+
+    try:
+        return n in ends(body, 0)
+    except RecursionError:
+        raise ReferenceBudgetExceeded(
+            "recursion limit exhausted during reference match") from None
 
 
 # --- structural scan ----------------------------------------------------------

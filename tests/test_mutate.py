@@ -8,7 +8,7 @@ from importlib import resources
 
 import pytest
 
-from zebu.abnf import RuleRef
+from zebu.abnf import Repetition, RuleRef
 from zebu.cli import main
 from zebu.engine import MessageSyntaxError, index_message, validate
 from zebu.frontend import parse_zebu
@@ -56,8 +56,8 @@ def test_size_budget_zero_gives_minimum_expansions(sip_ag):
     tree = derive_valid(sip_ag, seed=3, size_budget=0)
     for part in tree.parts:
         for node in part.node.walk():
-            if node.count is not None and node.elem.max is None:
-                assert node.count == node.elem.min
+            if isinstance(node.elem, Repetition) and node.elem.max is None:
+                assert len(node.children) == node.elem.min
 
 
 def test_every_copy_of_a_multiple_header_is_repaired():

@@ -1,18 +1,23 @@
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sip_request, sip_response
+from zebu import pattern, refcheck
 from zebu.abnf import Repetition
-from zebu.engine import compile_grammar, validate
-from zebu.frontend import RangeBound, parse_zebu
-from zebu.mutate import _Deriver, derive_valid, make_mutant
+from zebu.engine import compile_grammar, index_message, validate
+from zebu.frontend import REQUEST_LINE, STATUS_LINE, RangeBound, parse_zebu
+from zebu.mutate import _Deriver, derive_valid, make_mutant, run_campaign
+from zebu.pattern import match_full
 from zebu.refcheck import (
     LABEL_TABLE_SIZE,
+    ReferenceBudgetExceeded,
     _derive_env,
     _scan_structure,
     derive_env,
@@ -249,3 +254,106 @@ def test_byte_run_shortcut_agrees_with_per_byte_derivation(runs, draws):
             assert got is None, subject
     assert any(isinstance(elem, Repetition) and members is not None
                for elem, members in fast.memo("refcheck").values())
+
+
+# --- one oracle module ------------------------------------------------------------------
+
+def test_imports_nothing_from_engine_or_pattern():
+    tree = ast.parse(Path(refcheck.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ("zebu." if node.level else "") + (node.module or "")
+            imported.add(base.rstrip("."))
+            imported.update(f"{base}.{alias.name}".replace("..", ".") for alias in node.names)
+    assert imported
+    assert not {name for name in imported
+                if name.split(".")[:2] in (["zebu", "engine"], ["zebu", "pattern"])}, imported
+
+
+def test_pattern_reexports_the_oracle():
+    assert pattern.reference_match is refcheck.reference_match
+    assert pattern.RecursionBudgetExceeded is ReferenceBudgetExceeded
+
+
+def test_exponentially_ambiguous_header_exhausts_the_budget(monkeypatch):
+    ag = parse_zebu('requestLine = "GO"\nstatusLine = "NO"\nheader H = 1*( 1*"a" ) "b"\n')
+    monkeypatch.setattr(refcheck, "DEFAULT_BUDGET", 20_000)
+    for n in (30, 5_000):  # 2**29 splits of the run; a run deeper than any Python stack
+        with pytest.raises(ReferenceBudgetExceeded):
+            derive_env(ag.header("H").body, ag, b"a" * n, ag.subfields["H"])
+    assert derive_env(ag.header("H").body, ag, b"a" * 5_000 + b"b", ag.subfields["H"]) == {}
+
+
+def test_budget_counts_one_step_per_element_visit(monkeypatch):
+    ag = parse_zebu('requestLine = "GO"\nstatusLine = "NO"\nheader H = 1*( "ab" ) "c"\n')
+    body, table = ag.header("H").body, ag.subfields["H"]
+    # the sequence, the repetition, "ab" at 0, 2 and 4 (no match), "c" at 4
+    monkeypatch.setattr(refcheck, "DEFAULT_BUDGET", 6)
+    assert _derive_env(body, ag, b"ababc", table) == {}
+    monkeypatch.setattr(refcheck, "DEFAULT_BUDGET", 5)
+    with pytest.raises(ReferenceBudgetExceeded):
+        _derive_env(body, ag, b"ababc", table)
+
+
+# --- capture differential -----------------------------------------------------------------
+
+def _engine_env(entry, subject: bytes):
+    """The engine's captures over one line as an env: the entry pattern's
+    spans, each lazy pattern's offset by its hole, and the matched branch
+    of each enum or union subfield; None when the entry does not match."""
+    res = match_full(entry.pattern, subject)
+    if not res.matched:
+        return None
+    env = {}
+    runs = [(entry.pattern, res, 0)]
+    for name, lazy in entry.lazy_patterns.items():
+        span = res.span(entry.pattern, name)
+        if span is not None:
+            sub = match_full(lazy, subject[span[0]:span[1]])
+            assert sub.matched, (entry.name, name, subject)
+            runs.append((lazy, sub, span[0]))
+    for pat, result, offset in runs:
+        for key, cid in pat.capture_index.items():
+            if cid in result.captures and "#" not in key:
+                start, end = result.captures[cid]
+                env[key] = (start + offset, end + offset, None)
+        for key, cid in pat.capture_index.items():
+            if cid in result.captures and "#" in key:
+                name, _, branch = key.partition("#")
+                env[name] = env[name][:2] + (int(branch),)
+    return env
+
+
+@pytest.mark.parametrize("grammar,count,seed", [("sip", 600, "captures"),
+                                                ("rtsp", 600, "captures")])
+def test_engine_captures_equal_the_oracle_env(request, grammar, count, seed):
+    grammar = request.getfixturevalue(grammar)
+    ag = grammar.ag
+    accepted = []
+
+    def target(raw):
+        ok = validate(grammar, raw).accepted
+        if ok:
+            accepted.append(raw)
+        return ok
+
+    run_campaign(ag, target, count, seed)
+    bodies = dict(ag.entry_points())
+    lines = 0
+    for raw in accepted:
+        index = index_message(raw)
+        command = raw[index.command_line[0]:index.command_line[1]]
+        checks = [(grammar.entries[name], command) for name in (REQUEST_LINE, STATUS_LINE)]
+        for line in index.headers:
+            entry = grammar.by_key.get(line.key.lower())
+            if entry is not None:
+                checks.append((entry, index.unfolded_value(line)))
+        for entry, subject in checks:
+            want = derive_env(bodies[entry.name], ag, subject, entry.table)
+            got = _engine_env(entry, subject)
+            assert got == want, (entry.name, subject)
+            lines += want is not None
+    assert lines > 300, lines
