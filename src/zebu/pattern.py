@@ -14,20 +14,36 @@ of its tree, never by an option:
 * the stdlib `re` engine. On first use the tree is translated into a bytes
   regex (one group per capture, `(?i:...)` for case-insensitive literals,
   ordered `(?:a|b)`, greedy `{m,n}`), compiled, and kept on the Pattern.
-  Two cuts stop backtracking where it cannot change a result: a one-byte
-  repetition is possessive (`*+`) when what follows can always do without
-  a byte it would give back, and a repetition's iterations are atomic
-  (`(?>...)`) when no byte that may come after a whole iteration extends
-  it, so a lookahead on that byte leaves one end per iteration.
+  Three cuts stop backtracking where it cannot change a result:
+  - a one-byte repetition is possessive (`*+`) when what follows can
+    always do without a byte it would give back;
+  - a repetition's iterations are atomic (`(?>...)`) when a lookahead
+    after each iteration passes at one end at most, and what follows can
+    match from no other. The lookahead reads the next byte or, where that
+    cannot tell the ends apart, skips the bytes of the optional items that
+    lead what follows and reads the byte after them. A blank both extends
+    an iteration of SIP's `*( SEMI generic-param )` (`SWS "="`) and begins
+    the next one (`SWS ";"`), so its lookahead skips tabs, spaces, CRs and
+    LFs, then reads `;` or the subject's end.
+    The test runs on the position automaton of the iteration: from where
+    one word ends, no longer word may go on with skipped bytes and then a
+    byte the lookahead reads;
+  - an atomic repetition that only the subject's end may follow is also
+    possessive (`(?>...)*+`): giving an iteration back only moves the end
+    to the left. `re` then keeps no state per iteration, so a tail takes
+    the same memory at any length. An iteration holding a capture stays
+    merely atomic, because some CPython releases misplace a group inside a
+    possessive repetition.
 * the budgeted backtracking interpreter, kept for trees the ambiguity
   guard flags and for bare pattern nodes.
 
 The guard judges the position automaton of the translated tree, cuts
-included. It flags a tree where one word leads two paths out of a state
-and back into it (backtracking exponential in the subject: `1*( 1*"a" )
-"b"`, `*( "a" / "aa" )`, `1*( ";" DIGIT / ";" 1*DIGIT ) "x"`) or loops at a
-state, leads it to a second one and loops there (polynomial: `*( "ab" )
-*( "ab" / "c" ) "x"`). It also flags a repetition that matches the empty
+included; a possessive tail as the atomic repetition it refines. It flags
+a tree where one word leads two paths out of a state and back into it
+(backtracking exponential in the subject: `1*( 1*"a" ) "b"`, `*( "a" /
+"aa" )`, `1*( ";" DIGIT / ";" DIGIT ";" DIGIT ) "x"`) or loops at a state,
+leads it to a second one and loops there (polynomial: `*( "ab" ) *( "ab"
+/ "c" ) "x"`). It also flags a repetition that matches the empty
 word in two ways, which the automaton cannot show: one with a nullable
 inner (`*( *"a" )`; an optional one too, whose empty iteration the
 interpreter skips and `re` records), or a repeating one holding an
@@ -433,21 +449,24 @@ class _Possessive:
 @dataclass(frozen=True)
 class _Atomic:
     """A repetition whose every iteration commits (`(?>...)`) to the one end
-    followed by a byte of `follow` or, with `at_end`, by the subject's end."""
+    where the lookahead passes: a run of `skip` bytes, then a byte of
+    `follow` or, with `at_end`, the subject's end. A `possessive` one also
+    never gives an iteration back (`*+`)."""
     rep: PRep
+    skip: int
     follow: int
     at_end: bool
+    possessive: bool
 
 
 @dataclass(frozen=True)
 class _Facts:
     nullable: bool
     first: int  # bytes a non-empty word starts with
-    ext: int    # bytes that extend some whole word to a longer word (a superset)
     bytes: int  # bytes any word holds
 
 
-_EMPTY = _Facts(True, 0, 0, 0)
+_EMPTY = _Facts(True, 0, 0)
 
 
 class _Planner:
@@ -465,7 +484,7 @@ class _Planner:
         t = type(node)
         if t is PClass:
             m = _mask(node.members)
-            return _Facts(False, m, 0, m)
+            return _Facts(False, m, m)
         if t is PBytes or t is PLit:
             masks = _byte_masks(node)
             if not masks:
@@ -473,7 +492,7 @@ class _Planner:
             every = 0
             for m in masks:
                 every |= m
-            return _Facts(False, masks[0], 0, every)
+            return _Facts(False, masks[0], every)
         if t is PCap:
             return self.facts(node.inner)
         if t is _Possessive or t is _Atomic:
@@ -482,49 +501,74 @@ class _Planner:
             if node.max == 0:
                 return _EMPTY
             f = self.facts(node.inner)
-            ext = f.ext
-            if node.max is None or node.max > node.min:
-                ext |= f.first  # one more iteration
-            if f.nullable or f.ext & f.first:
-                ext |= f.bytes  # iterations may split a stretch two ways
-            return _Facts(node.min == 0 or f.nullable, f.first, ext, f.bytes)
+            return _Facts(node.min == 0 or f.nullable, f.first, f.bytes)
         if t is PAlt:
             fs = [self.facts(b) for b in node.branches]
-            first = ext = every = 0
-            for i, fi in enumerate(fs):
-                first, ext, every = first | fi.first, ext | fi.ext, every | fi.bytes
-                for j, fj in enumerate(fs):
-                    if i != j and (fi.nullable or fi.first & fj.first):
-                        ext |= fj.bytes  # a word of one branch may begin one of another
-            return _Facts(any(f.nullable for f in fs), first, ext, every)
+            first = every = 0
+            for f in fs:
+                first, every = first | f.first, every | f.bytes
+            return _Facts(any(f.nullable for f in fs), first, every)
         acc = _EMPTY
         for item in node.items:
             f = self.facts(item)
-            ext = f.ext | (acc.ext if f.nullable else 0)
-            if acc.ext & f.first:
-                ext |= acc.bytes | f.bytes  # the split between the two may move
             acc = _Facts(acc.nullable and f.nullable,
                          acc.first | (f.first if acc.nullable else 0),
-                         ext, acc.bytes | f.bytes)
+                         acc.bytes | f.bytes)
         return acc
 
     # A continuation is what follows a node up to the subject's end: a tuple
     # of segments, innermost first. A segment is a tuple of sequence items,
     # or a repeating PRep standing for its further iterations.
 
-    def follow(self, cont) -> tuple[int, bool]:
-        """(bytes the continuation can start with, whether it can be empty)."""
-        first = 0
+    def follow(self, cont, skipping: bool = False) -> tuple[int, int, bool]:
+        """(skip, first, at_end): every word of the continuation is a run of
+        `skip` bytes, then a byte of `first` or, with `at_end`, the subject's
+        end. The leading items that can match empty give their first bytes
+        to `first`, or with `skipping` all their bytes to `skip`."""
+        skip = first = 0
         for seg in cont:
             if type(seg) is tuple:
-                for item in seg:
-                    f = self.facts(item)
+                items, optional = seg, False
+            else:  # another iteration, or none
+                inner = seg.inner
+                items, optional = (inner.items if type(inner) is PSeq else (inner,)), True
+            for item in items:
+                f = self.facts(item)
+                if not f.nullable:
                     first |= f.first
-                    if not f.nullable:
-                        return first, False
-            else:
-                first |= self.facts(seg.inner).first
-        return first, True
+                    if not optional:
+                        return skip, first, False
+                    break
+                if skipping:
+                    skip |= f.bytes
+                else:
+                    first |= f.first
+        return skip, first, True
+
+    def lookahead(self, inner, cont) -> tuple[int, int, bool] | None:
+        """A lookahead (see follow) that passes at no end of a word of
+        `inner` from which a longer word of it goes on, or None. After an
+        iteration it then passes at one end at most, and every other end
+        leaves the continuation nothing to match."""
+        if self.facts(inner).nullable:
+            return None
+        auto = _Automaton(inner)
+        try:
+            _, _, entry, last = auto.build(inner)
+            auto.start(entry)
+            graph = auto.pairs()
+        except _TooLarge:
+            return None
+        # the states a longer word can be in where another word ends
+        ends = {y for x, y in graph if x in last}
+        looks = [self.follow(cont)]
+        skip, first, at_end = self.follow(cont, True)
+        if skip and not skip & first:  # the run of skip bytes is then possessive
+            looks.append((skip, first, at_end))
+        for skip, first, at_end in looks:
+            if not auto.passes(ends, last, skip, first):
+                return skip, first, at_end
+        return None
 
     def absorbs(self, node, c: int, eps: bool) -> bool:
         """Whether dropping a leading byte of `c` from any word of `node`
@@ -601,12 +645,25 @@ class _Planner:
             return PRep(node.min, node.max, self.plan(node.inner, cont))
         inner_cont = (node,) + cont
         rep = PRep(node.min, node.max, self.plan(node.inner, inner_cont))
-        f = self.facts(node.inner)
-        follow, at_end = self.follow(inner_cont)
-        if not f.nullable and not f.ext & follow:
-            # after a whole iteration, no byte that may come next extends it
-            return _Atomic(rep, follow, at_end)
-        return rep
+        look = self.lookahead(node.inner, inner_cont)
+        if look is None:
+            return rep
+        # only the subject's end may follow: a shorter run of iterations,
+        # ending further left, cannot match either. CPython 3.11.7, 3.12.1
+        # and 3.13.0 misplace a group that a possessive iteration set and a
+        # later one entered and failed (`(?:(a)|b)*+` on `ab` gives group 1
+        # the span (1, 1)), so an iteration holding a capture stays atomic.
+        possessive = self.follow(cont) == (0, 0, True) and not _holds_capture(node.inner)
+        return _Atomic(rep, *look, possessive)
+
+
+def _holds_capture(node) -> bool:
+    t = type(node)
+    if t is PCap:
+        return True
+    if t is PSeq or t is PAlt:
+        return any(map(_holds_capture, node.items if t is PSeq else node.branches))
+    return t is PRep and _holds_capture(node.inner)
 
 
 class _TooLarge(Exception):
@@ -772,8 +829,21 @@ class _Automaton:
                 barred = _ALL
                 for x in exits:
                     barred &= x
-                dfa_last[d] = (_ALL & ~node.follow) | barred
+                dfa_last[d] = (_ALL & ~(node.skip | node.follow)) | barred
         return dfa_first, dfa_last
+
+    def passes(self, states, last: dict, skip: int, first: int) -> bool:
+        """Whether a word going on from `states` begins with a run of
+        `skip` bytes, then a byte of `first` or an exit."""
+        todo, seen = list(states), set(states)
+        while todo:
+            for v, m in self.edges[todo.pop()].items():
+                if m & first or (m & skip and v in last):
+                    return True
+                if m & skip and v not in seen:
+                    seen.add(v)
+                    todo.append(v)
+        return False
 
     def pairs(self) -> dict:
         """The product automaton: every pair of states two paths can be in
@@ -954,10 +1024,12 @@ def regex_text(node, groups: list) -> str:
         ahead = [_class_text(node.follow)] if node.follow else []
         if node.at_end:
             ahead.append(r"\Z")
-        look = "(?=" + "|".join(ahead) + ")" if ahead else _NEVER
+        look = "|".join(ahead)
+        if node.skip and ahead:
+            look = _class_text(node.skip) + "*+(?:" + look + ")"
         rep = node.rep
-        return ("(?>" + regex_text(rep.inner, groups) + look + ")"
-                + _quantifier(rep.min, rep.max))
+        return ("(?>" + regex_text(rep.inner, groups) + ("(?=" + look + ")" if ahead else _NEVER)
+                + ")" + _quantifier(rep.min, rep.max) + ("+" if node.possessive else ""))
     if t is PCap:
         groups.append(node.cid)
         return "(" + regex_text(node.inner, groups) + ")"

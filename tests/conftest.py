@@ -4,12 +4,17 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from zebu.engine import compile_grammar
 from zebu.frontend import parse_zebu
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus" / "sip"
+
+# `--hypothesis-profile agreement` runs the regex/interpreter agreement
+# property with 3 000 examples; CI does, on every Python it tests
+settings.register_profile("agreement", max_examples=3000)
 
 
 def grammar_text(name: str) -> str:
