@@ -19,7 +19,8 @@ from .engine import (
 )
 from .frontend import AnnotatedGrammar, parse_zebu, resolve_constraint_refs
 from .mutate import MutationReport, derive_valid, run_campaign
-from .pattern import Pattern, compile_pattern, match_full, reference_match
+from .pattern import Pattern, compile_pattern, match_full
+from .refcheck import reference_match
 from .verify import Diagnostic, verify_all
 
 __version__ = "0.1.0"

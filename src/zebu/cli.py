@@ -40,7 +40,7 @@ from .engine import (
 )
 from .errors import SourceError, ZebuError
 from .frontend import AnnotatedGrammar, parse_zebu
-from .pattern import flagged_repetition, regex_text
+from .pattern import interpreter_reason
 from .verify import format_diagnostic, has_errors, verify_all
 
 BENCH_SHAPES = ("invite1.msg", "invite2.msg", "invite3.msg", "bye.msg")
@@ -160,14 +160,12 @@ def cmd_compile(args) -> int:
 
 
 def _interpreter_warnings(compiled) -> list[str]:
-    """One line per pattern the ambiguity guard keeps off the regex backend."""
-    lines = []
-    for where, p in compiled.named_patterns():
-        rep = flagged_repetition(p.root)
-        if rep is not None:
-            lines.append(f"warning: {where}: ambiguous repetition {regex_text(rep, [])} "
-                         "runs on the budgeted interpreter")
-    return lines
+    """One line per pattern that `match_full` runs on the budgeted
+    interpreter, giving the reason its backend decision recorded: the
+    repetition the ambiguity guard flags, or the `re.compile` error."""
+    return [f"warning: {where}: {why} runs on the budgeted interpreter"
+            for where, p in compiled.named_patterns()
+            if (why := interpreter_reason(p)) is not None]
 
 
 def _render_value(value) -> str:

@@ -7,7 +7,7 @@ parser entry points:
     requestLine = Method:method SP Request-URI:uri:struct:lazy SP SIP-Version
     statusLine  = SIP-Version SP Status-Code:code:uint16 SP Reason-Phrase
     header CSeq = CSeq-Num:number:uint32 LWS Method:method
-    header To { "To" / "t" } = to-spec { mandatory; readonly }
+    header To { "To" / "t" } = to-spec { mandatory }
 
     request {
         mandatory Max-Forwards;
@@ -227,7 +227,6 @@ class HeaderDecl:
     body: Element
     mandatory_in: Mandatory = Mandatory.NONE
     multiple: bool = False
-    readonly: bool = False
     local_constraints: list = field(default_factory=list)
     span: tuple[int, int] = (0, 0)
 
@@ -537,7 +536,7 @@ class _ZebuElements(ElementParser):
         return Annotated(elem, name, shape, lazy)
 
 
-_HEADER_FLAGS = ("mandatory", "multiple", "readonly")
+_HEADER_FLAGS = ("mandatory", "multiple")
 
 
 class _ZebuParser:
@@ -630,7 +629,6 @@ class _ZebuParser:
             body=body,
             mandatory_in=Mandatory.BOTH if block["mandatory"] else Mandatory.NONE,
             multiple=block["multiple"],
-            readonly=block["readonly"],
             local_constraints=block["exprs"],
             span=span,
         )
@@ -705,8 +703,7 @@ class _ZebuParser:
 
     def _maybe_annotation_block(self, allow_flags: bool, allow_exprs: bool) -> dict:
         s = self.s
-        result = {"mandatory": False, "multiple": False, "readonly": False,
-                  "shape": None, "exprs": []}
+        result = {"mandatory": False, "multiple": False, "shape": None, "exprs": []}
         s.skip_inline()
         if s.peek() != "{":
             return result

@@ -866,7 +866,6 @@ class MutationReport:
     total: int = 0
     seed: object = None
     positions: set = field(default_factory=set)
-    constraints: set = field(default_factory=set)
 
     def tally(self, rule: MutRule) -> RuleTally:
         return self.per_rule.setdefault(rule.value, RuleTally())
@@ -884,7 +883,6 @@ class MutationReport:
         self.false_rejects += other.false_rejects
         self.total += other.total
         self.positions |= other.positions
-        self.constraints |= other.constraints
 
     def render(self) -> str:
         lines = [f"{'rule':<12} {'emitted':>8} {'detected':>9} {'missed':>7}"]
@@ -956,8 +954,6 @@ def run_campaign(ag: AnnotatedGrammar, target, n: int, seed, mix=None, sink=None
             report.false_rejects += 1
         if mutant.rule is MutRule.CHARSET:
             report.positions.add(mutant.provenance.split(" ", 1)[0])
-        if mutant.rule is MutRule.CONSTRAINT:
-            report.constraints.add(mutant.provenance)
         if sink is not None:
             sink(index, mutant)
     return report

@@ -8,12 +8,17 @@ repetition is greedy, and backtracking is complete, so a subject matches
 iff some derivation exists. Captures report the spans of the first
 successful derivation under that order.
 
-`match_full` has two backends, chosen per `Pattern` by a static property
-of its tree, never by an option:
+`match_full` has two backends, chosen per `Pattern` by one rule, never by
+an option: a tree that passes the ambiguity guard below and whose regex
+`re` compiles runs on `re`. `_regex_backend` alone decides, and records
+why any other pattern runs on the interpreter (`interpreter_reason`).
 
 * the stdlib `re` engine. On first use the tree is translated into a bytes
   regex (one group per capture, `(?i:...)` for case-insensitive literals,
   ordered `(?:a|b)`, greedy `{m,n}`), compiled, and kept on the Pattern.
+  A cid in two groups (same-named subfields in two branches) takes the
+  span of the participating one with the greatest `(start, end)`, which
+  the interpreter sets last.
   Three cuts stop backtracking where it cannot change a result:
   - a one-byte repetition is possessive (`*+`) when what follows can
     always do without a byte it would give back;
@@ -34,8 +39,8 @@ of its tree, never by an option:
     the same memory at any length. An iteration holding a capture stays
     merely atomic, because some CPython releases misplace a group inside a
     possessive repetition.
-* the budgeted backtracking interpreter, kept for trees the ambiguity
-  guard flags and for bare pattern nodes.
+* the budgeted backtracking interpreter, for trees the guard flags, for
+  a regex `re` cannot compile, and for bare pattern nodes.
 
 The guard judges the position automaton of the translated tree, cuts
 included; a possessive tail as the atomic repetition it refines. It flags
@@ -52,15 +57,15 @@ flagged. What passes has a finitely ambiguous automaton: the paths
 backtracking can follow over a stretch of the subject are bounded, so
 matching time grows linearly with the subject, by a factor that depends
 on the pattern alone (many optional parts in a row that match the same
-bytes can make it large).
-`MatchBudgetExceeded`
-(the engine's `BUDGET` reason) therefore comes only from flagged patterns.
+bytes can make it large). `MatchBudgetExceeded` (the engine's `BUDGET`
+reason) therefore comes only from patterns `zebu compile` warns about.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import and_, or_
 from typing import Optional, Union
 
@@ -77,8 +82,6 @@ from .abnf import (
 )
 from .errors import ZebuError
 from .frontend import Annotated, AnnotatedGrammar, Shape, Subfield
-# the testing oracle lives in refcheck; these names stay importable from here
-from .refcheck import ReferenceBudgetExceeded as RecursionBudgetExceeded, reference_match  # noqa: F401
 
 
 class InliningDepthExceeded(ZebuError):
@@ -146,9 +149,10 @@ _MAX_INLINE_DEPTH = 128
 class Pattern:
     root: PatternNode
     capture_index: dict[str, int] = field(default_factory=dict)
-    # (compiled regex, ((group, cid), ...)), or (None, ()) for the
-    # interpreter; filled by the first match_full
-    _backend: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def backend(self) -> tuple:
+        return _regex_backend(self.root)
 
 
 @dataclass
@@ -315,23 +319,24 @@ DEFAULT_MATCH_BUDGET = 1_000_000
 def match_full(pattern, subject: bytes, budget: int = DEFAULT_MATCH_BUDGET) -> MatchResult:
     """Match the entire subject against the pattern.
 
-    A Pattern whose tree passes the ambiguity guard runs on its compiled
-    regex; any other Pattern, and a bare pattern node, run on the
-    interpreter. The interpreter raises MatchBudgetExceeded when the step
-    budget (or Python's recursion limit) is hit, which callers must treat
-    as distinct from a non-match.
+    A Pattern runs where `_regex_backend` decided on its first match: on
+    `re` when its tree passes the guard and `re` compiles its regex, on the
+    interpreter otherwise, as does a bare pattern node. The interpreter
+    raises MatchBudgetExceeded when the step budget (or Python's recursion
+    limit) is hit, which callers must treat as distinct from a non-match.
     """
     if isinstance(pattern, Pattern):
-        backend = pattern._backend
-        if backend is None:
-            backend = pattern._backend = _regex_backend(pattern.root)
-        rx, groups = backend
+        rx, groups, shared, _ = pattern.backend
         if rx is not None:
             m = rx.fullmatch(subject)
             if m is None:
                 return MatchResult(False, {})
             regs = m.regs
-            return MatchResult(True, {cid: regs[g] for g, cid in groups if regs[g][0] >= 0})
+            caps = {cid: regs[g] for g, cid in groups if regs[g][0] >= 0}
+            for cid, gs in shared:
+                if (span := max(regs[g] for g in gs))[0] >= 0:
+                    caps[cid] = span
+            return MatchResult(True, caps)
         root = pattern.root
     else:
         root = pattern
@@ -972,12 +977,6 @@ def _flagged(planned, facts):
         return exc.args[0]
 
 
-def flagged_repetition(root):
-    """The repetition that keeps `root` on the interpreter, or None."""
-    planner = _Planner()
-    return _flagged(planner.plan(root), planner.facts)
-
-
 def _class_text(mask: int) -> str:
     if not mask:
         return _NEVER
@@ -1037,18 +1036,26 @@ def regex_text(node, groups: list) -> str:
 
 
 def _regex_backend(root) -> tuple:
-    """(compiled regex, ((group, cid), ...)) for `root`, or (None, ()) when
-    it must stay on the interpreter."""
+    """The one decision of where `root` runs: `(regex, ((group, cid), ...),
+    ((cid, (group, ...)), ...), None)` on `re`, the last tuple for cids that
+    several groups share; `(None, (), (), why)` on the interpreter."""
     planner = _Planner()
     planned = planner.plan(root)
-    if _flagged(planned, planner.facts) is not None:
-        return None, ()
-    groups: list[int] = []
-    text = regex_text(planned, groups)
-    if len(set(groups)) != len(groups):
-        return None, ()  # one cid, two groups: "last set wins" has no regex form
+    rep = _flagged(planned, planner.facts)
+    if rep is not None:
+        return None, (), (), f"ambiguous repetition {regex_text(rep, [])}"
+    cids: list[int] = []
+    text = regex_text(planned, cids)
     try:
         rx = re.compile(text.encode("latin-1"))
-    except (re.error, RecursionError, OverflowError):
-        return None, ()
-    return rx, tuple(enumerate(groups, 1))
+    except (re.error, RecursionError, OverflowError) as exc:
+        return None, (), (), f"regex that re cannot compile ({exc})"
+    groups = tuple(enumerate(cids, 1))
+    shared = sorted({cid for cid in cids if cids.count(cid) > 1})
+    return (rx, tuple((g, cid) for g, cid in groups if cid not in shared),
+            tuple((cid, tuple(g for g, c in groups if c == cid)) for cid in shared), None)
+
+
+def interpreter_reason(pattern: Pattern) -> str | None:
+    """Why `match_full` runs `pattern` on the budgeted interpreter, or None."""
+    return pattern.backend[3]

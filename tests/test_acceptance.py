@@ -22,7 +22,8 @@ from zebu.engine import (
 )
 from zebu.frontend import parse_zebu
 from zebu.mutate import _whitespace_only, derive_valid, parse_mix, run_campaign
-from zebu.pattern import compile_pattern, match_full, reference_match
+from zebu.pattern import compile_pattern, match_full
+from zebu.refcheck import reference_match
 from zebu.abnf import parse_abnf
 
 SIP_SPEC = REPO / "src" / "zebu" / "grammars" / "sip-subset.zebu"

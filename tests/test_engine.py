@@ -474,6 +474,18 @@ def test_same_named_lazy_subfields_in_two_branches_agree_with_oracle(
     assert cg.header("H").lazy_patterns == {}
 
 
+@pytest.mark.parametrize("count", [1000, 10000])
+def test_same_named_subfields_in_two_branches_accept_long_values(count):
+    # two groups share the capture id of `p`, and the pattern runs on `re`
+    ag = parse_zebu('requestLine = "GO"\nstatusLine = "NO"\n'
+                    'header H = "a" 1*( ";" 1*ALPHA ):p / "b" 1*( ";" 1*DIGIT ):p\n')
+    cg = compile_grammar(ag)
+    raw = b"GO\r\nH: a" + b";x" * count + b"\r\n\r\n"
+    assert validate(cg, raw).report() == "ACCEPT\n"
+    assert reference_validate(ag, raw) == (True, [])
+    assert ParsedMessage(cg, raw).select("H.p").data == b";x" * count
+
+
 def test_numeric_safety_fuzz(sip):
     # no accessor may produce a numeric value from a span containing a
     # non-digit, whatever bytes arrive in the CSeq number position

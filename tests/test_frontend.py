@@ -82,10 +82,9 @@ def test_empty_annotation_block_is_neutral():
 def test_key_variants():
     ag = parse_zebu(
         'requestLine = "GO"\nstatusLine = "NO"\n'
-        'header To { "To" / "t" } = 1*DIGIT { mandatory; readonly }\n')
+        'header To { "To" / "t" } = 1*DIGIT { mandatory }\n')
     decl = ag.header("To")
     assert decl.keys == ("To", "t")
-    assert decl.readonly
     assert decl.mandatory_in is Mandatory.BOTH
     assert isinstance(decl.key_pattern, Alternation)
 
@@ -100,6 +99,8 @@ def test_duplicate_entry_points_rejected():
 def test_unknown_annotation_rejected():
     with pytest.raises(UnknownAnnotation):
         parse_zebu('header X = "a" { mandatori }\n')
+    with pytest.raises(UnknownAnnotation):
+        parse_zebu('header X = "a" { mandatory; readonly }\n')
     with pytest.raises(UnknownAnnotation):
         parse_zebu('A = "a":x:float32\n')
 

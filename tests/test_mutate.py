@@ -28,8 +28,7 @@ from zebu.mutate import (
     parse_mix,
     run_campaign,
 )
-from zebu.pattern import reference_match
-from zebu.refcheck import reference_validate
+from zebu.refcheck import reference_match, reference_validate
 
 
 # --- derivation --------------------------------------------------------------

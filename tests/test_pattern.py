@@ -20,12 +20,12 @@ from zebu.pattern import (
     PRep,
     PSeq,
     compile_pattern,
-    flagged_repetition,
+    interpreter_reason,
     match_full,
-    reference_match,
     regex_text,
 )
-from zebu.pattern import _Atomic, _Planner
+from zebu.pattern import _Atomic, _flagged, _Planner
+from zebu.refcheck import ReferenceBudgetExceeded, reference_match
 
 FIG_RULES = """\
 SIP-Version = "SIP" "/" 1*DIGIT "." 1*DIGIT
@@ -251,17 +251,23 @@ def test_inlining_depth_guard():
 
 
 def test_reference_budget_enforced():
-    from zebu.pattern import RecursionBudgetExceeded
     g = parse_abnf('R = 1*( 1*"a" ) "b"')
-    with pytest.raises(RecursionBudgetExceeded):
+    with pytest.raises(ReferenceBudgetExceeded):
         reference_match(g.get("R"), g, b"a" * 40, budget=50)
 
 
 # --- regex backend --------------------------------------------------------------
 
 def backend_of(p: Pattern) -> str:
-    match_full(p, b"")
-    return "regex" if p._backend[0] is not None else "interpreter"
+    regex = p.backend[0] is not None
+    assert regex is (interpreter_reason(p) is None)
+    return "regex" if regex else "interpreter"
+
+
+def flagged_repetition(root):
+    """The repetition the ambiguity guard flags in `root`, or None."""
+    planner = _Planner()
+    return _flagged(planner.plan(root), planner.facts)
 
 
 @pytest.mark.parametrize("rule,subject", [
@@ -282,6 +288,7 @@ def test_ambiguous_repetition_stays_on_budgeted_interpreter(rule, subject):
     p = compile_pattern(g.get("R"), g)
     assert flagged_repetition(p.root) is not None
     assert backend_of(p) == "interpreter"
+    assert interpreter_reason(p).startswith("ambiguous repetition (?")
     with pytest.raises(MatchBudgetExceeded):
         match_full(p, subject, budget=2_000)
 
@@ -295,12 +302,20 @@ def test_optional_nullable_inner_stays_on_interpreter():
     assert match_full(Pattern(root), b"aa").captures == {0: (0, 1), 1: (1, 2)}
 
 
-def test_capture_id_in_two_branches_stays_on_interpreter():
-    # same-named subfields in two alternation branches share one capture id
+def test_capture_id_in_two_branches_runs_on_regex():
+    # same-named subfields in two alternation branches share one capture id;
+    # it takes the span the interpreter sets last
     root = PAlt((PCap(0, PBytes(b"a")), PCap(0, PBytes(b"b"))))
     assert flagged_repetition(root) is None
-    assert backend_of(Pattern(root)) == "interpreter"
-    assert match_full(Pattern(root), b"b").captures == {0: (0, 1)}
+    p = Pattern(root)
+    assert backend_of(p) == "regex"
+    assert match_full(p, b"b").captures == match_full(root, b"b").captures == {0: (0, 1)}
+    # in a repetition both groups take part; the later iteration's span wins
+    looped = Pattern(PRep(1, None, root))
+    assert backend_of(looped) == "regex"
+    for subject in (b"ab", b"ba", b"aab"):
+        last = {0: (len(subject) - 1, len(subject))}
+        assert match_full(looped, subject).captures == match_full(looped.root, subject).captures == last
 
 
 def test_single_byte_repetition_uses_regex():
@@ -431,7 +446,7 @@ def test_backends_agree_on_campaign_mutants(request, monkeypatch, grammar, seed)
     for i in range(300):
         engine.validate(cg, make_mutant(ag, i, seed).data)
     assert len(runs) > 1000
-    assert all(p._backend[0] is not None for p in runs)
+    assert all(p.backend[0] is not None for p in runs)
 
 
 _SUBJECT_BYTES = b"aAbB- ;="
@@ -439,11 +454,13 @@ _SUBJECT_BYTES = b"aAbB- ;="
 
 @st.composite
 def guardable_trees(draw, depth=3, cids=None):
-    """Small pattern trees over an eight-byte alphabet with distinct cids."""
+    """Small pattern trees over an eight-byte alphabet. Cids are distinct,
+    except that one cid may wrap every branch of an alternation, as
+    same-named subfields in two branches do."""
     cids = [0] if cids is None else cids
     kinds = ["class", "bytes", "lit"]
     if depth:
-        kinds += ["seq", "alt", "rep", "cap", "enum"] * 2
+        kinds += ["seq", "alt", "rep", "cap", "enum", "shared"] * 2
     kind = draw(st.sampled_from(kinds))
     sub = guardable_trees(depth - 1, cids)
     if kind == "class":
@@ -463,6 +480,9 @@ def guardable_trees(draw, depth=3, cids=None):
     cids[0] += 1
     if kind == "cap":
         return PCap(cid, draw(sub))
+    if kind == "shared":
+        return PAlt(tuple(PCap(cid, branch)
+                          for branch in draw(st.lists(sub, min_size=1, max_size=3))))
     branches = []  # an enum subfield: key, then key#0, key#1, ... per branch
     for branch in draw(st.lists(sub, min_size=1, max_size=3)):
         branches.append(PCap(cids[0], branch))
@@ -538,4 +558,4 @@ def test_regex_backend_agrees_with_interpreter(root, data):
         got = match_full(p, subject)
         assert (got.matched, got.captures) == (want.matched, want.captures), (
             regex_text(root, []), subject)
-    assert p._backend[0] is not None
+    assert p.backend[0] is not None

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sip_request, sip_response
-from zebu import pattern, refcheck
+from zebu import engine, pattern, refcheck
 from zebu.abnf import Repetition
 from zebu.engine import compile_grammar, index_message, validate
 from zebu.frontend import REQUEST_LINE, STATUS_LINE, RangeBound, parse_zebu
@@ -258,8 +258,9 @@ def test_byte_run_shortcut_agrees_with_per_byte_derivation(runs, draws):
 
 # --- one oracle module ------------------------------------------------------------------
 
-def test_imports_nothing_from_engine_or_pattern():
-    tree = ast.parse(Path(refcheck.__file__).read_text())
+def _imports_from(module, *banned: str) -> set[str]:
+    """The names `module` imports from the zebu modules in `banned`."""
+    tree = ast.parse(Path(module.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -269,13 +270,16 @@ def test_imports_nothing_from_engine_or_pattern():
             imported.add(base.rstrip("."))
             imported.update(f"{base}.{alias.name}".replace("..", ".") for alias in node.names)
     assert imported
-    assert not {name for name in imported
-                if name.split(".")[:2] in (["zebu", "engine"], ["zebu", "pattern"])}, imported
+    return {name for name in imported if name.split(".")[:2] in [["zebu", b] for b in banned]}
 
 
-def test_pattern_reexports_the_oracle():
-    assert pattern.reference_match is refcheck.reference_match
-    assert pattern.RecursionBudgetExceeded is ReferenceBudgetExceeded
+def test_imports_nothing_from_engine_or_pattern():
+    assert not _imports_from(refcheck, "engine", "pattern")
+
+
+@pytest.mark.parametrize("module", [engine, pattern], ids=["engine", "pattern"])
+def test_matcher_imports_nothing_from_refcheck(module):
+    assert not _imports_from(module, "refcheck")
 
 
 def test_exponentially_ambiguous_header_exhausts_the_budget(monkeypatch):
