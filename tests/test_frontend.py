@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import grammar_text
-from zebu.abnf import Alternation, LiteralCI, parse_abnf
+from zebu.abnf import AbnfSyntaxError, Alternation, LiteralCI, parse_abnf
 from zebu.cli import main
 from zebu.frontend import (
     Annotated,
@@ -265,3 +265,76 @@ def test_collect_subfields_skips_undefined_rules():
     ag = parse_zebu("header H = Missing:x\n")
     table = collect_subfields(ag.header("H").body, ag)
     assert list(table) == ["x"]  # nested names unknowable, top name kept
+
+
+# Malformed specs, one or more per declaration and block kind, with the
+# error each must raise: class, message, line and column.
+MALFORMED = [
+    ("protocol a\nprotocol b\n",
+     ZebuSyntaxError, "duplicate protocol directive", 2, 1),
+    ("protocol a b\n",
+     AbnfSyntaxError, "unexpected 'b' after declaration", 1, 12),
+    ('requestLine "GO"\n',
+     AbnfSyntaxError, "expected '=' after entry point name, found '\"'", 1, 13),
+    ('statusLine = "A"\nstatusLine = "B"\n',
+     DuplicateEntryPoint, "second statusLine declaration", 2, 1),
+    ('requestLine = "GO" { multiple }\n',
+     UnknownAnnotation, "'multiple' is not valid here", 1, 22),
+    ('requestLine = "GO" { a.b == 1 a.b }\n',
+     AbnfSyntaxError, "expected ';' or '}' after annotation item", 1, 31),
+    ('header statusLine = "a"\n',
+     DuplicateEntryPoint, "header 'statusLine' takes a command line's name", 1, 1),
+    ('header H = "a" { mandatory; mandatori }\n',
+     UnknownAnnotation, "unknown annotation 'mandatori'", 1, 29),
+    ('header H = "a" { multiple;\n',
+     AbnfSyntaxError, "unterminated annotation block", 2, 1),
+    ('header H = "a" { mandatory H }\n',
+     AbnfSyntaxError, "expected a comparison operator", 1, 28),
+    ('header To { "To" / t } = "x"\n',
+     ZebuSyntaxError, "header key variants must be quoted literals", 1, 1),
+    ('header To { "To":k } = "x"\n',
+     ZebuSyntaxError, "header key variants must be quoted literals", 1, 1),
+    ('header To { "To" = "x"\n',
+     AbnfSyntaxError, "expected an element, found '='", 1, 18),
+    ('header To { "" } = "x"\n',
+     AbnfSyntaxError, "empty quoted string (use %x codes for explicit bytes)", 1, 13),
+    ("request {\n    mandatory;\n}\n",
+     AbnfSyntaxError, "expected header name", 2, 15),
+    ('requestLine = "GO"\nresponse {\n    mandatory Nope;\n}\n',
+     ZebuSyntaxError, "mandatory declaration names unknown header 'Nope'", 3, 5),
+    ("request {\n    a.b == 1;\n",
+     AbnfSyntaxError, "unterminated block", 3, 1),
+    ("range Num = 5 <= y < 9\n",
+     AbnfSyntaxError, "range bounds must be written around 'x'", 1, 19),
+    ("range Num = 5 <= x < 2\n",
+     ZebuSyntaxError, "empty range", 1, 1),
+    ("range Num = 0 <= x <\n",
+     AbnfSyntaxError, "expected an integer", 2, 1),
+    ("request { a.b = 1; }\n",
+     AbnfSyntaxError, "expected a comparison operator", 1, 15),
+    ("request { (a.b == 1 || a.c == 2; }\n",
+     AbnfSyntaxError, "expected ')', found ';'", 1, 32),
+    ('request { a.b == "x; }\n',
+     AbnfSyntaxError, "unterminated string literal", 1, 18),
+    ("request { a.b == 1 && ; }\n",
+     AbnfSyntaxError, "expected field reference", 1, 23),
+    ('A = "a"\nA =/ "b"\n',
+     AbnfSyntaxError, "incremental alternatives (=/) are not supported", 2, 3),
+    ('A = "a" )\n',
+     AbnfSyntaxError, "unexpected ')' after declaration", 1, 9),
+    ('A = "a" { 1 <= x }\n',
+     UnknownAnnotation, "only shape keywords are allowed on plain rules", 1, 11),
+    ('A = "a" { mandatory }\n',
+     UnknownAnnotation, "'mandatory' is not valid here", 1, 11),
+    ('A = "a":x:enum:uint16\n',
+     AbnfSyntaxError, "subfield 'x' given two shapes", 1, 22),
+]
+
+
+@pytest.mark.parametrize("text, cls, message, line, col", MALFORMED,
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_spec_error(text, cls, message, line, col):
+    with pytest.raises(cls) as exc:
+        parse_zebu(text)
+    err = exc.value
+    assert (type(err), err.message, err.line, err.col) == (cls, message, line, col)
