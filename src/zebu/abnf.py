@@ -171,7 +171,9 @@ def _print(elem: Element, level: int) -> str:
 
 _WSP = " \t"
 _NAME_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
-_NAME_CONT = _NAME_START | set("0123456789-")
+_DIGITS = frozenset("0123456789")
+_HEX_DIGITS = _DIGITS | frozenset("abcdefABCDEF")
+_NAME_CONT = _NAME_START | _DIGITS | {"-"}
 
 
 class Scanner:
@@ -188,18 +190,14 @@ class Scanner:
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < self.n else ""
 
-    def peek_at(self, offset: int) -> str:
-        p = self.pos + offset
-        return self.text[p] if p < self.n else ""
-
     def take(self) -> str:
         ch = self.text[self.pos]
         self.pos += 1
         return ch
 
-    def eat(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
+    def eat(self, token: str) -> bool:
+        if self.text.startswith(token, self.pos):
+            self.pos += len(token)
             return True
         return False
 
@@ -271,6 +269,43 @@ class Scanner:
             self.pos += 1
         return self.text[start:self.pos]
 
+    def at_name(self) -> bool:
+        return self.peek() in _NAME_START
+
+    def at_int(self) -> bool:
+        return self.peek() in _DIGITS
+
+    def take_int(self, base: int = 10, what: str = "an integer",
+                 at: int | None = None) -> int:
+        """An unsigned integer: one or more ASCII digits of `base` (10 or
+        16). A missing integer is an error that names `what` and points at
+        `at` (default: here)."""
+        start = self.pos
+        digits = _HEX_DIGITS if base == 16 else _DIGITS
+        while self.peek() in digits:
+            self.pos += 1
+        if start == self.pos:
+            self.error(f"expected {what}", at)
+        try:
+            return int(self.text[start:self.pos], base)
+        except ValueError:  # more decimal digits than int() converts
+            self.error("integer has too many digits", start)
+
+    def take_quoted(self, what: str) -> str:
+        """The text between double quotes, printable ASCII on one line; the
+        scanner sits on the opening quote. Errors name `what` and point at
+        the opening quote."""
+        start = self.pos
+        self.pos += 1
+        while True:
+            if self.at_end() or self.at_line_break():
+                self.error(f"unterminated {what}", start)
+            ch = self.take()
+            if ch == '"':
+                return self.text[start + 1:self.pos - 1]
+            if not " " <= ch <= "~":
+                self.error(f"non-printable character in {what}", start)
+
 
 # --- element parser -------------------------------------------------------
 
@@ -314,15 +349,15 @@ class ElementParser:
         lo: Optional[int] = None
         hi: Optional[int] = None
         explicit = False
-        if s.peek().isdigit():
-            lo = self._take_int()
+        if s.at_int():
+            lo = s.take_int()
             explicit = True
         if s.peek() == "*":
             s.take()
             if lo is None:
                 lo = 0
-            if s.peek().isdigit():
-                hi = self._take_int()
+            if s.at_int():
+                hi = s.take_int()
             explicit = True
         elif explicit:
             hi = lo  # bare n means exactly n
@@ -354,7 +389,11 @@ class ElementParser:
             s.expect("]", "']'")
             return Repetition(0, 1, inner)
         if ch == '"':
-            return self._parse_quoted()
+            start = s.pos
+            text = s.take_quoted("quoted string")
+            if not text:
+                s.error("empty quoted string (use %x codes for explicit bytes)", start)
+            return LiteralCI(text)
         if ch == "%":
             return self._parse_numval()
         if ch == "<":
@@ -368,30 +407,15 @@ class ElementParser:
     def postfix(self, elem: Element) -> Element:
         return elem
 
-    def _take_int(self) -> int:
+    def parse_definition(self) -> Element:
+        """A rule definition after its name: `=` and the body."""
         s = self.s
-        start = s.pos
-        while s.peek().isdigit():
-            s.take()
-        return int(s.text[start:s.pos])
-
-    def _parse_quoted(self) -> LiteralCI:
-        s = self.s
-        start = s.pos
-        s.take()  # opening quote
-        chars = []
-        while True:
-            if s.at_end() or s.at_line_break():
-                s.error("unterminated quoted string", start)
-            ch = s.take()
-            if ch == '"':
-                break
-            if not (0x20 <= ord(ch) <= 0x7E):
-                s.error("non-printable character in quoted string", start)
-            chars.append(ch)
-        if not chars:
-            s.error("empty quoted string (use %x codes for explicit bytes)", start)
-        return LiteralCI("".join(chars))
+        s.skip_inline()
+        if s.text.startswith("=/", s.pos):
+            s.error("incremental alternatives (=/) are not supported")
+        s.expect("=", "'=' after rule name")
+        s.skip_inline()
+        return self.parse_alternation()
 
     def _parse_numval(self) -> Element:
         s = self.s
@@ -399,9 +423,9 @@ class ElementParser:
         s.take()  # %
         base_ch = s.peek()
         if base_ch in ("x", "X"):
-            base, digits = 16, frozenset("0123456789abcdefABCDEF")
+            base = 16
         elif base_ch in ("d", "D"):
-            base, digits = 10, frozenset("0123456789")
+            base = 10
         elif base_ch in ("b", "B"):
             s.error("%b binary terminals are not supported", start)
         else:
@@ -409,12 +433,7 @@ class ElementParser:
         s.take()
 
         def take_num() -> int:
-            p = s.pos
-            while s.peek() in digits:
-                s.take()
-            if p == s.pos:
-                s.error("expected a character code", start)
-            value = int(s.text[p:s.pos], base)
+            value = s.take_int(base, "a character code", start)
             if value > 0xFF:
                 s.error(f"character code {value} exceeds one byte", start)
             return value
@@ -451,12 +470,7 @@ def parse_abnf(source: str) -> Grammar:
             break
         span = s.location()
         name = s.take_name()
-        s.skip_inline()
-        if s.peek() == "=" and s.peek_at(1) == "/":
-            s.error("incremental alternatives (=/) are not supported")
-        s.expect("=", "'=' after rule name")
-        s.skip_inline()
-        body = parser.parse_alternation()
+        body = parser.parse_definition()
         s.skip_inline()
         if not s.at_end() and not s.at_line_break():
             s.error(f"unexpected {s.peek()!r} after rule body")

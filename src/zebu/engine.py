@@ -213,9 +213,7 @@ Span = "tuple[int, int]"
 @dataclass(frozen=True)
 class HeaderLine:
     key: bytes                      # trailing SP/HTAB before the colon stripped
-    key_span: tuple[int, int]
     value_spans: tuple[tuple[int, int], ...]  # physical segments of a folded value
-    line_no: int
 
 
 @dataclass
@@ -301,9 +299,7 @@ def index_message(raw: bytes) -> LineIndex:
                     "continuation line before any header"))
                 continue
             prev = headers[-1]
-            headers[-1] = HeaderLine(
-                prev.key, prev.key_span,
-                prev.value_spans + ((s, e),), prev.line_no)
+            headers[-1] = HeaderLine(prev.key, prev.value_spans + ((s, e),))
             continue
         colon = raw.find(b":", s, e)
         if colon == -1:
@@ -317,8 +313,7 @@ def index_message(raw: bytes) -> LineIndex:
             reasons.append(Reason(
                 ReasonCode.SYNTAX, f"line {line_no}", "empty header key"))
             continue
-        headers.append(HeaderLine(
-            raw[s:key_end], (s, key_end), ((colon + 1, e),), line_no))
+        headers.append(HeaderLine(raw[s:key_end], ((colon + 1, e),)))
 
     if reasons:
         raise MessageSyntaxError(reasons)

@@ -222,7 +222,6 @@ class RangeBound:
 @dataclass
 class HeaderDecl:
     name: str
-    key_pattern: Element
     keys: tuple[str, ...]
     body: Element
     mandatory_in: Mandatory = Mandatory.NONE
@@ -536,7 +535,30 @@ class _ZebuElements(ElementParser):
         return Annotated(elem, name, shape, lazy)
 
 
-_HEADER_FLAGS = ("mandatory", "multiple")
+# The items each declaration's block takes, as docs/dialect.md lists them:
+# flag words, a shape keyword, `mandatory <Header>` and constraints. The
+# labels of the last three cannot be names, so only a flag word matches a
+# bare word in `takes`.
+_SHAPE = "<shape>"
+_MANDATORY_HEADER = "mandatory <Header>"
+_CONSTRAINT = "<constraint>"
+_COMMAND_LINE_ITEMS = frozenset({_CONSTRAINT})
+_HEADER_ITEMS = frozenset({"mandatory", "multiple", _CONSTRAINT})
+_KIND_ITEMS = frozenset({_MANDATORY_HEADER, _CONSTRAINT})
+_RULE_ITEMS = frozenset({_SHAPE})
+_KEYWORDS = frozenset({"mandatory", "multiple", *_SHAPE_WORDS})
+
+_CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
+_CHAINS = (("||", Or), ("&&", And))  # loosest first
+
+
+@dataclass
+class _Block:
+    """The items one `{ ... }` block gave."""
+    flags: set = field(default_factory=set)
+    shape: Shape | None = None
+    mandatory: list = field(default_factory=list)  # (header name, span)
+    exprs: list = field(default_factory=list)
 
 
 class _ZebuParser:
@@ -568,6 +590,9 @@ class _ZebuParser:
                 self._parse_range(span)
             else:
                 self._parse_plain_rule(name, span)
+            s.skip_inline()
+            if not s.at_end() and not s.at_line_break():
+                s.error(f"unexpected {s.peek()!r} after declaration")
         self._finish()
         return self.ag
 
@@ -578,26 +603,24 @@ class _ZebuParser:
             raise ZebuSyntaxError("duplicate protocol directive", *span)
         self.ag.protocol = self.s.take_name("protocol name")
         self._protocol_seen = True
-        self._end_of_declaration()
 
     def _parse_command_line(self, which, span):
         s = self.s
         s.expect("=", "'=' after entry point name")
         s.skip_inline()
         body = self.elements.parse_alternation()
-        constraints = self._maybe_annotation_block(allow_flags=False, allow_exprs=True)
+        block = self._block(_COMMAND_LINE_ITEMS)
         rule = Rule(which, body, span)
         if which == REQUEST_LINE:
             if self.ag.request_line is not None:
                 raise DuplicateEntryPoint("second requestLine declaration", *span)
             self.ag.request_line = rule
-            self.ag.request_block.extend(constraints["exprs"])
+            self.ag.request_block.extend(block.exprs)
         else:
             if self.ag.status_line is not None:
                 raise DuplicateEntryPoint("second statusLine declaration", *span)
             self.ag.status_line = rule
-            self.ag.response_block.extend(constraints["exprs"])
-        self._end_of_declaration()
+            self.ag.response_block.extend(block.exprs)
 
     def _parse_header(self, span):
         s = self.s
@@ -605,63 +628,36 @@ class _ZebuParser:
         if name in (REQUEST_LINE, STATUS_LINE):
             raise DuplicateEntryPoint(f"header {name!r} takes a command line's name", *span)
         s.skip_inline()
-        key_pattern = None
-        if s.peek() == "{":
-            s.take()
+        variants = None
+        if s.eat("{"):
             self._skip_block_ws()
-            key_pattern = self.elements.parse_alternation()
+            variants = self.elements.parse_alternation()
             self._skip_block_ws()
             s.expect("}", "'}' closing the key variants")
             s.skip_inline()
         s.expect("=", "'=' after header name")
         s.skip_inline()
         body = self.elements.parse_alternation()
-        block = self._maybe_annotation_block(allow_flags=True, allow_exprs=True)
+        block = self._block(_HEADER_ITEMS)
         if self.ag.header(name) is not None:
             raise DuplicateEntryPoint(f"second declaration of header {name!r}", *span)
-        if key_pattern is None:
-            key_pattern = LiteralCI(name)
-        keys = _extract_keys(key_pattern, span)
-        decl = HeaderDecl(
+        self.ag.headers.append(HeaderDecl(
             name=name,
-            key_pattern=key_pattern,
-            keys=keys,
+            keys=(name,) if variants is None else _extract_keys(variants, span),
             body=body,
-            mandatory_in=Mandatory.BOTH if block["mandatory"] else Mandatory.NONE,
-            multiple=block["multiple"],
-            local_constraints=block["exprs"],
+            mandatory_in=Mandatory.BOTH if "mandatory" in block.flags else Mandatory.NONE,
+            multiple="multiple" in block.flags,
+            local_constraints=block.exprs,
             span=span,
-        )
-        self.ag.headers.append(decl)
-        self._end_of_declaration()
+        ))
 
     def _parse_kind_block(self, kind):
-        s = self.s
-        s.expect("{", "'{'")
-        exprs = []
-        while True:
-            self._skip_block_ws()
-            if s.eat("}"):
-                break
-            if s.at_end():
-                s.error("unterminated block")
-            save = s.pos
-            if s.peek() in "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz":
-                word_span = s.location()
-                word = s.take_name()
-                s.skip_inline()
-                if word == "mandatory":
-                    target = s.take_name("header name")
-                    self._mandatory_decls.append((kind, target, word_span))
-                    self._end_of_block_item()
-                    continue
-                s.pos = save
-            exprs.append(self._parse_expr())
-            self._end_of_block_item()
+        block = self._block(_KIND_ITEMS, "block")
+        self._mandatory_decls.extend((kind, target, span) for target, span in block.mandatory)
         if kind == "request":
-            self.ag.request_block.extend(exprs)
+            self.ag.request_block.extend(block.exprs)
         else:
-            self.ag.response_block.extend(exprs)
+            self.ag.response_block.extend(block.exprs)
 
     def _parse_range(self, span):
         s = self.s
@@ -669,7 +665,7 @@ class _ZebuParser:
         s.skip_inline()
         s.expect("=", "'='")
         s.skip_inline()
-        lo = self._take_integer()
+        lo = s.take_int()
         s.skip_inline()
         if not (s.eat("<") and s.eat("=")):
             s.error("expected '<=' after the lower bound")
@@ -680,109 +676,86 @@ class _ZebuParser:
         s.expect("<", "'<' or '<='")
         hi_strict = not s.eat("=")
         s.skip_inline()
-        hi = self._take_integer()
+        hi = s.take_int()
         if lo > hi:
             raise ZebuSyntaxError("empty range", *span)
         self.ag.range_constraints[rule.lower()] = RangeBound(lo, hi, hi_strict)
-        self._end_of_declaration()
 
     def _parse_plain_rule(self, name, span):
-        s = self.s
-        if s.peek() == "=" and s.peek_at(1) == "/":
-            s.error("incremental alternatives (=/) are not supported")
-        s.expect("=", "'=' after rule name")
-        s.skip_inline()
-        body = self.elements.parse_alternation()
-        block = self._maybe_annotation_block(allow_flags=False, allow_exprs=False)
-        if block["shape"] is not None:
-            self.ag.rule_shapes[name.lower()] = block["shape"]
+        body = self.elements.parse_definition()
+        block = self._block(_RULE_ITEMS)
+        if block.shape is not None:
+            self.ag.rule_shapes[name.lower()] = block.shape
         self.ag.base.add(Rule(name, body, span))
-        self._end_of_declaration()
 
-    # block machinery --------------------------------------------------------
+    # blocks -----------------------------------------------------------------
 
-    def _maybe_annotation_block(self, allow_flags: bool, allow_exprs: bool) -> dict:
+    def _block(self, takes: frozenset, what: str = "annotation block") -> _Block:
+        """The `{ ... }` block that may follow a declaration, holding only
+        the items in `takes`; an empty `_Block` when there is none."""
         s = self.s
-        result = {"mandatory": False, "multiple": False, "shape": None, "exprs": []}
+        block = _Block()
         s.skip_inline()
-        if s.peek() != "{":
-            return result
-        s.take()
+        if not s.eat("{"):
+            return block
         while True:
             self._skip_block_ws()
             if s.eat("}"):
-                break
+                return block
             if s.at_end():
-                s.error("unterminated annotation block")
-            save = s.pos
-            if s.peek() in "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz":
-                span = s.location()
-                word = s.take_name()
-                self._skip_block_ws()
-                if s.peek() in (";", "}"):
-                    if word in _HEADER_FLAGS:
-                        if not allow_flags:
-                            raise UnknownAnnotation(
-                                f"{word!r} is not valid here", *span)
-                        result[word] = True
-                    elif word in _SHAPE_WORDS:
-                        result["shape"] = _SHAPE_WORDS[word]
-                    else:
-                        raise UnknownAnnotation(f"unknown annotation {word!r}", *span)
-                    self._end_of_block_item()
-                    continue
-                s.pos = save
-            if not allow_exprs:
-                raise UnknownAnnotation(
-                    "only shape keywords are allowed on plain rules", *s.location())
-            result["exprs"].append(self._parse_expr())
-            self._end_of_block_item()
-        return result
+                s.error(f"unterminated {what}")
+            self._block_item(block, takes)
+            self._skip_block_ws()
+            if not s.eat(";") and s.peek() != "}":
+                s.error("expected ';' or '}' after annotation item")
 
-    def _end_of_block_item(self):
-        self._skip_block_ws()
-        if self.s.peek() == ";":
-            self.s.take()
-        elif self.s.peek() != "}":
-            self.s.error("expected ';' or '}' after annotation item")
+    def _block_item(self, block: _Block, takes: frozenset) -> None:
+        s = self.s
+        save = s.pos
+        if s.at_name():
+            span = s.location()
+            word = s.take_name()
+            if word == "mandatory" and _MANDATORY_HEADER in takes:
+                s.skip_inline()
+                block.mandatory.append((s.take_name("header name"), span))
+                return
+            self._skip_block_ws()
+            if s.peek() in (";", "}"):
+                if word in _SHAPE_WORDS and _SHAPE in takes:
+                    if block.shape is not None:
+                        raise ZebuSyntaxError(f"second shape {word!r}: a rule takes one", *span)
+                    block.shape = _SHAPE_WORDS[word]
+                elif word in takes:
+                    block.flags.add(word)
+                elif word in _KEYWORDS:
+                    raise UnknownAnnotation(f"{word!r} is not valid here", *span)
+                else:
+                    raise UnknownAnnotation(f"unknown annotation {word!r}", *span)
+                return
+            s.pos = save
+        if _CONSTRAINT not in takes:
+            raise UnknownAnnotation(
+                "only shape keywords are allowed on plain rules", *s.location())
+        block.exprs.append(self._parse_expr())
 
     def _skip_block_ws(self):
-        s = self.s
-        while not s.at_end() and s.peek() in (" ", "\t", "\r", "\n"):
-            s.take()
-
-    def _end_of_declaration(self):
-        s = self.s
-        s.skip_inline()
-        if not s.at_end() and not s.at_line_break():
-            s.error(f"unexpected {s.peek()!r} after declaration")
+        while self.s.peek() in (" ", "\t", "\r", "\n"):
+            self.s.pos += 1
 
     # constraint expressions --------------------------------------------------
 
-    def _parse_expr(self):
-        return self._parse_or()
-
-    def _parse_or(self):
-        items = [self._parse_and()]
+    def _parse_expr(self, level: int = 0):
+        """A `||` chain of `&&` chains of `!` and comparison terms."""
+        if level == len(_CHAINS):
+            return self._parse_not()
+        op, node = _CHAINS[level]
+        items = [self._parse_expr(level + 1)]
         while True:
             self._skip_block_ws()
-            if self.s.peek() == "|" and self.s.peek_at(1) == "|":
-                self.s.take(); self.s.take()
-                items.append(self._parse_and())
-            else:
+            if not self.s.eat(op):
                 break
-        return items[0] if len(items) == 1 else Or(tuple(items))
-
-    def _parse_and(self):
-        items = [self._parse_not()]
-        while True:
-            self._skip_block_ws()
-            if self.s.peek() == "&" and self.s.peek_at(1) == "&":
-                self.s.take(); self.s.take()
-                items.append(self._parse_not())
-            else:
-                break
-        return items[0] if len(items) == 1 else And(tuple(items))
+            items.append(self._parse_expr(level + 1))
+        return items[0] if len(items) == 1 else node(tuple(items))
 
     def _parse_not(self):
         self._skip_block_ws()
@@ -790,68 +763,34 @@ class _ZebuParser:
             return Not(self._parse_not())
         return self._parse_cmp()
 
-    _CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
-
     def _parse_cmp(self):
+        s = self.s
         self._skip_block_ws()
-        if self.s.peek() == "(":
-            self.s.take()
+        if s.eat("("):
             inner = self._parse_expr()
             self._skip_block_ws()
-            self.s.expect(")", "')'")
+            s.expect(")", "')'")
             return inner
         lhs = self._parse_operand()
         self._skip_block_ws()
-        op = self._take_cmp_op()
+        op = next((op for op in _CMP_OPS if s.eat(op)), None)
+        if op is None:
+            s.error("expected a comparison operator")
         rhs = self._parse_operand()
         return Cmp(op, lhs, rhs)
-
-    def _take_cmp_op(self) -> str:
-        s = self.s
-        two = s.peek() + s.peek_at(1)
-        if two in ("==", "!=", "<=", ">="):
-            s.take(); s.take()
-            return two
-        if s.peek() in ("<", ">"):
-            return s.take()
-        s.error("expected a comparison operator")
 
     def _parse_operand(self):
         s = self.s
         self._skip_block_ws()
-        ch = s.peek()
-        if ch.isdigit():
-            return IntLit(self._take_integer())
-        if ch == '"':
-            return StrLit(self._take_string())
+        if s.at_int():
+            return IntLit(s.take_int())
+        if s.peek() == '"':
+            return StrLit(s.take_quoted("string literal"))
         span = s.location()
         parts = [s.take_name("field reference")]
-        while s.peek() == ".":
-            s.take()
+        while s.eat("."):
             parts.append(s.take_name("field path component"))
         return FieldRef(tuple(parts), span)
-
-    def _take_integer(self) -> int:
-        s = self.s
-        start = s.pos
-        while s.peek().isdigit():
-            s.take()
-        if start == s.pos:
-            s.error("expected an integer")
-        return int(s.text[start:s.pos])
-
-    def _take_string(self) -> str:
-        s = self.s
-        start = s.pos
-        s.take()
-        chars = []
-        while True:
-            if s.at_end() or s.at_line_break():
-                s.error("unterminated string literal", start)
-            ch = s.take()
-            if ch == '"':
-                return "".join(chars)
-            chars.append(ch)
 
     # post-pass ---------------------------------------------------------------
 
@@ -880,17 +819,10 @@ def _merge_mandatory(current: Mandatory, kind: str) -> Mandatory:
 
 
 def _extract_keys(pattern: Element, span) -> tuple[str, ...]:
-    if isinstance(pattern, LiteralCI):
-        return (pattern.text,)
-    if isinstance(pattern, Alternation):
-        keys = []
-        for branch in pattern.branches:
-            if not isinstance(branch, LiteralCI):
-                raise ZebuSyntaxError(
-                    "header key variants must be quoted literals", *span)
-            keys.append(branch.text)
-        return tuple(keys)
-    raise ZebuSyntaxError("header key variants must be quoted literals", *span)
+    branches = pattern.branches if isinstance(pattern, Alternation) else (pattern,)
+    if not all(isinstance(b, LiteralCI) for b in branches):
+        raise ZebuSyntaxError("header key variants must be quoted literals", *span)
+    return tuple(b.text for b in branches)
 
 
 def parse_zebu(source: str) -> AnnotatedGrammar:

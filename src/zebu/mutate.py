@@ -865,7 +865,6 @@ class MutationReport:
     false_rejects: int = 0
     total: int = 0
     seed: object = None
-    positions: set = field(default_factory=set)
 
     def tally(self, rule: MutRule) -> RuleTally:
         return self.per_rule.setdefault(rule.value, RuleTally())
@@ -882,7 +881,6 @@ class MutationReport:
             mine.missed += tally.missed
         self.false_rejects += other.false_rejects
         self.total += other.total
-        self.positions |= other.positions
 
     def render(self) -> str:
         lines = [f"{'rule':<12} {'emitted':>8} {'detected':>9} {'missed':>7}"]
@@ -952,8 +950,6 @@ def run_campaign(ag: AnnotatedGrammar, target, n: int, seed, mix=None, sink=None
                 tally.detected += 1
         elif not accepted:
             report.false_rejects += 1
-        if mutant.rule is MutRule.CHARSET:
-            report.positions.add(mutant.provenance.split(" ", 1)[0])
         if sink is not None:
             sink(index, mutant)
     return report

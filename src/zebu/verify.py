@@ -85,39 +85,40 @@ def _iter_refs(elem: Element) -> Iterator[RuleRef]:
         yield from _iter_refs(elem.inner)
 
 
-def _root_elements(ag: AnnotatedGrammar) -> Iterator[tuple[str, Element]]:
-    for entry, body in ag.entry_points():
-        yield entry, body
-    for decl in ag.headers:
-        yield decl.name, decl.key_pattern
+def _references(ag: AnnotatedGrammar):
+    """Each rule's references, keyed by the rule's lowercased name in source
+    order (first definitions only), and the entry points' references: the
+    one walk of the bodies that the omission, cycle and reachability checks
+    share, kept on the grammar (`AnnotatedGrammar.memo`)."""
+    memo = ag.memo("references")
+    if not memo:
+        memo["rules"] = {rule.name.lower(): (rule, tuple(_iter_refs(rule.body)))
+                         for rule in ag.base}
+        memo["entries"] = tuple(ref for _, body in ag.entry_points()
+                                for ref in _iter_refs(body))
+    return memo["rules"], memo["entries"]
 
 
 # --- the four checks ---------------------------------------------------------
 
 def check_no_omission(ag: AnnotatedGrammar) -> list[Diagnostic]:
     """One UNDEFINED_RULE per distinct referenced-but-undefined name."""
+    rules, entries = _references(ag)
     out = []
     seen = set()
-
-    def visit(elem, span):
-        for ref in _iter_refs(elem):
+    sites = [(rule.span, refs) for rule, refs in rules.values()]
+    for span, refs in sites + [((0, 0), entries)]:
+        for ref in refs:
             low = ref.name.lower()
             if low in seen:
                 continue
+            seen.add(low)
             if abnf.resolve(ref.name, ag.base) is None:
-                seen.add(low)
                 out.append(_error(
                     Code.UNDEFINED_RULE,
                     f"rule {ref.name!r} is referenced but never defined",
                     span,
                 ))
-            else:
-                seen.add(low)
-
-    for rule in ag.base:
-        visit(rule.body, rule.span)
-    for name, body in _root_elements(ag):
-        visit(body, (0, 0))
     return out
 
 
@@ -156,29 +157,20 @@ def check_no_duplicates(ag: AnnotatedGrammar) -> list[Diagnostic]:
 def check_no_cycles(ag: AnnotatedGrammar) -> list[Diagnostic]:
     """One RULE_CYCLE per strongly connected component of size > 1 or
     self-loop in the rule-reference graph, with a witness path."""
-    graph: dict[str, list[str]] = {}
-    display: dict[str, str] = {}
-    for rule in ag.base:
-        low = rule.name.lower()
-        display[low] = rule.name
-        targets = []
-        for ref in _iter_refs(rule.body):
-            tlow = ref.name.lower()
-            if ag.base.get(tlow) is not None:
-                targets.append(tlow)
-        graph[low] = targets
+    rules, _ = _references(ag)
+    graph = {low: [t for t in (ref.name.lower() for ref in refs) if t in rules]
+             for low, (_, refs) in rules.items()}
 
     out = []
     for scc in [sorted(c) for c in strongly_connected(graph)]:
         members = set(scc)
         if len(scc) > 1 or scc[0] in graph.get(scc[0], ()):
             path = _witness_cycle(graph, scc[0], members)
-            names = tuple(display[n] for n in path)
-            rule = ag.base.get(scc[0])
+            names = tuple(rules[n][0].name for n in path)
             out.append(_error(
                 Code.RULE_CYCLE,
                 "rule cycle: " + " -> ".join(names),
-                rule.span if rule else (0, 0),
+                rules[scc[0]][0].span,
                 cycle=names,
             ))
     return out
@@ -386,18 +378,17 @@ def check_entry_points(ag: AnnotatedGrammar) -> list[Diagnostic]:
 
 
 def check_unreachable(ag: AnnotatedGrammar) -> list[Diagnostic]:
+    rules, entries = _references(ag)
     reachable: set[str] = set()
-    frontier: list[Element] = [body for _, body in _root_elements(ag)]
+    frontier = [entries]
     while frontier:
-        elem = frontier.pop()
-        for ref in _iter_refs(elem):
+        for ref in frontier.pop():
             low = ref.name.lower()
             if low in reachable:
                 continue
             reachable.add(low)
-            rule = ag.base.get(low)
-            if rule is not None:
-                frontier.append(rule.body)
+            if low in rules:
+                frontier.append(rules[low][1])
     out = []
     for rule in ag.base:
         if rule.name.lower() not in reachable:

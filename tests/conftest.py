@@ -13,8 +13,10 @@ REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus" / "sip"
 
 # `--hypothesis-profile agreement` runs the regex/interpreter agreement
-# property with 3 000 examples; CI does, on every Python it tests
+# property, and `--hypothesis-profile robustness` the front end's robustness
+# property, with 3 000 examples each; CI does, on every Python it tests
 settings.register_profile("agreement", max_examples=3000)
+settings.register_profile("robustness", max_examples=3000)
 
 
 def grammar_text(name: str) -> str:

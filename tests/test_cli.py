@@ -57,6 +57,28 @@ def test_check_parse_error_has_position(tmp_path, capsys):
     assert "error[SYNTAX]" in capsys.readouterr().err
 
 
+# `²` (superscript two) and `٣` (Arabic-Indic three) pass `str.isdigit`,
+# but the dialect's integers are ASCII digits only
+NON_ASCII_DIGIT_SITES = {
+    "count": ("Odd-Count = {}DIGIT\n", "expected an element, found '{}'"),
+    "range": ("range CSeq-Num = 0 <= x < {}\n", "expected an integer"),
+    "constraint": ("request {{ CSeq.number < {}; }}\n", "expected field reference"),
+}
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"], ids=["superscript", "arabic-indic"])
+@pytest.mark.parametrize("site", list(NON_ASCII_DIGIT_SITES))
+def test_non_ascii_digit_is_a_syntax_error(tmp_path, capsys, site, digit):
+    extra, message = (part.format(digit) for part in NON_ASCII_DIGIT_SITES[site])
+    text = SIP_SPEC.read_text() + extra
+    spec = tmp_path / "digit.zebu"
+    spec.write_text(text, encoding="utf-8")
+    assert main(["check", str(spec)]) == 1
+    err = capsys.readouterr().err
+    line, col = text.count("\n"), extra.index(digit) + 1
+    assert err == f"{spec}:{line}:{col}: error[SYNTAX]: {message}\n"
+
+
 TOY_COMMAND_LINES = ('protocol t\nrequestLine = 1*ALPHA:method SP "X"\n'
                      'statusLine = "X" SP 3DIGIT:code:uint16\n')
 
@@ -183,6 +205,18 @@ def _format_v1(doc):
     doc["formatVersion"] = 1
 
 
+def _non_ascii_count(doc):
+    doc["source"] += "\nOdd-Count = \u00b2DIGIT\n"
+
+
+def _non_ascii_range(doc):
+    doc["source"] += "\nrange CSeq-Num = 0 <= x < \u0663\n"
+
+
+def _non_ascii_constraint(doc):
+    doc["source"] += "\nrequest { CSeq.number < \u00b2; }\n"
+
+
 @pytest.mark.parametrize("damage, message", [
     (_drop_source, "keys"),
     (_int_source, "source is not a string"),
@@ -190,8 +224,12 @@ def _format_v1(doc):
     (_rule_cycle, "RULE_CYCLE"),
     (_other_protocol, "differs from its source's"),
     (_format_v1, "recompile"),
+    (_non_ascii_count, "does not parse"),
+    (_non_ascii_range, "does not parse"),
+    (_non_ascii_constraint, "does not parse"),
 ], ids=["_drop_source", "_int_source", "_syntax_error", "_rule_cycle",
-        "_other_protocol", "_format_v1"])
+        "_other_protocol", "_format_v1", "_non_ascii_count", "_non_ascii_range",
+        "_non_ascii_constraint"])
 def test_malformed_artifact_exits_2(compiled_artifact, tmp_path, capsys, damage, message):
     doc = json.loads(compiled_artifact.read_bytes())
     damage(doc)

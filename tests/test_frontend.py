@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import grammar_text
-from zebu.abnf import AbnfSyntaxError, Alternation, LiteralCI, parse_abnf
+from zebu.abnf import AbnfSyntaxError, parse_abnf
 from zebu.cli import main
+from zebu.engine import compile_grammar, validate
+from zebu.errors import ZebuError
 from zebu.frontend import (
     Annotated,
     DuplicateEntryPoint,
@@ -21,6 +25,7 @@ from zebu.frontend import (
     parse_zebu,
     resolve_constraint_refs,
 )
+from zebu.verify import has_errors, verify_all
 
 MINI = """\
 protocol toy
@@ -86,7 +91,6 @@ def test_key_variants():
     decl = ag.header("To")
     assert decl.keys == ("To", "t")
     assert decl.mandatory_in is Mandatory.BOTH
-    assert isinstance(decl.key_pattern, Alternation)
 
 
 def test_duplicate_entry_points_rejected():
@@ -103,6 +107,18 @@ def test_unknown_annotation_rejected():
         parse_zebu('header X = "a" { mandatory; readonly }\n')
     with pytest.raises(UnknownAnnotation):
         parse_zebu('A = "a":x:float32\n')
+    with pytest.raises(UnknownAnnotation):
+        parse_zebu('requestLine = "GO" { enum }\n')
+    with pytest.raises(UnknownAnnotation):
+        parse_zebu('header H = "x" { uint16; multiple }\n')
+    with pytest.raises(UnknownAnnotation):
+        parse_zebu('header H = "a" { constraint }\n')
+    with pytest.raises(UnknownAnnotation):
+        parse_zebu('requestLine = "GO" { constraint }\n')
+    with pytest.raises(UnknownAnnotation):
+        parse_zebu('requestLine = "GO"\nrequest { constraint; }\n')
+    with pytest.raises(UnknownAnnotation):
+        parse_zebu('A = "x" { shape }\n')
 
 
 def test_range_directive():
@@ -118,6 +134,31 @@ def test_plain_rule_annotations_only_shapes():
     assert ag.rule_shapes["m"] is Shape.ENUM
     with pytest.raises(UnknownAnnotation):
         parse_zebu('M = "a" { 1 <= x }\n')
+    with pytest.raises(ZebuSyntaxError, match="second shape 'uint16'"):
+        parse_zebu('A = "x" { enum; uint16 }\n')
+
+
+def test_constraint_string_is_printable_ascii():
+    with pytest.raises(AbnfSyntaxError) as exc:
+        parse_zebu('header H = 1*VCHAR:v { H.v == "\u00e9" }\n')
+    err = exc.value
+    assert (err.message, err.line, err.col) == (
+        "non-printable character in string literal", 1, 31)
+
+
+# `int()` refuses decimal strings of more than 4 300 digits
+@pytest.mark.parametrize("text", [
+    "A = {}DIGIT\n",
+    "A = %d{}\n",
+    'range A = 0 <= x < {}\nA = "1"\n',
+    "header H = 1*DIGIT:n:uint16 {{ H.n < {} }}\n",
+], ids=["count", "numval", "range", "constraint"])
+def test_overlong_integer_is_a_syntax_error(text):
+    with pytest.raises(AbnfSyntaxError) as exc:
+        parse_zebu(text.format("9" * 5000))
+    err = exc.value
+    assert (err.message, err.line, err.col) == (
+        "integer has too many digits", 1, text.format("#").index("#") + 1)
 
 
 def test_zero_annotation_file_round_trips_base_grammar():
@@ -338,3 +379,44 @@ def test_malformed_spec_error(text, cls, message, line, col):
         parse_zebu(text)
     err = exc.value
     assert (type(err), err.message, err.line, err.col) == (cls, message, line, col)
+
+
+# The dialect's tokens, some malformed on purpose: non-ASCII digits and
+# letters, lone quotes, every brace and operator, and line breaks.
+_TOKENS = (
+    "protocol", "requestLine", "statusLine", "header", "request", "response",
+    "range", "mandatory", "multiple", "enum", "uint16", "uint32", "struct",
+    "union", "lazy", "x", "A", "H", "DIGIT", "VCHAR", "SP", "H.v", "a.b",
+    "0", "1", "7", "70000", "9" * 4301, "\u00b2", "\u0663", "\u00e9", "\u00df",
+    '"', '"a"', '"\u00e9"', '""', "%x41", "%x30-39", "%d", "%b1", "<p>",
+    "{", "}", "(", ")", "[", "]", "/", "*", "=", "=/", ":", ";", ".",
+    "==", "!=", "<", "<=", ">", ">=", "&&", "||", "!",
+    " ", "\t", "\n", "\r\n", "\n ",
+)
+# Each line starts with one of these: nothing, a declaration's head, or a
+# whole declaration that the drawn tokens may extend or break
+_HEADS = ("", "A = ", "header K = ", 'header K { "k" } = ', "request { ", "range A = ",
+          'A = "a" / "b" { enum }', "header K = 1*DIGIT:n:uint16 { K.n < 9; multiple }",
+          'request { mandatory H; H.v != "a" }', "range A = 0 <= x < 9")
+_SKELETON = 'requestLine = "GO" SP 1*DIGIT:n\nstatusLine = "NO"\nheader H = 1*VCHAR:v\n'
+_spec_lines = st.tuples(
+    st.sampled_from(_HEADS),
+    st.one_of(st.just(""), st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join)),
+).map("".join)
+_spec_texts = st.tuples(
+    st.sampled_from(("", _SKELETON)),
+    st.lists(_spec_lines, max_size=4).map("\n".join),
+).map("".join)
+
+
+# `--hypothesis-profile robustness` runs 3 000 examples; CI does
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(_spec_texts)
+def test_front_end_raises_only_zebu_errors(text):
+    try:
+        ag = parse_zebu(text)
+    except ZebuError:
+        return
+    if has_errors(verify_all(ag)):
+        return
+    validate(compile_grammar(ag), b"GO 1\r\nH: x\r\n\r\n")
