@@ -470,7 +470,10 @@ def parse_abnf(source: str) -> Grammar:
             break
         span = s.location()
         name = s.take_name()
-        body = parser.parse_definition()
+        try:
+            body = parser.parse_definition()
+        except RecursionError:
+            raise AbnfSyntaxError("elements nested too deeply") from None
         s.skip_inline()
         if not s.at_end() and not s.at_line_break():
             s.error(f"unexpected {s.peek()!r} after rule body")

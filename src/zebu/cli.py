@@ -122,8 +122,11 @@ def _load_spec(path: Path) -> tuple[AnnotatedGrammar | None, int]:
     cannot be read (2) or fails to parse or verify (1)."""
     try:
         text = _read(path).decode("utf-8")
-    except (_Unreadable, UnicodeDecodeError) as exc:
+    except _Unreadable as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return None, 2
+    except UnicodeDecodeError as exc:
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None, 2
     try:
         ag = parse_zebu(text)
@@ -214,18 +217,14 @@ def cmd_parse(args) -> int:
     return 0 if verdict.accepted else 1
 
 
-def _load_for_mutation(path: Path) -> str:
-    """The verified .zebu text of a spec file or an artifact."""
-    data = _read(path)
+def _load_for_mutation(path: Path) -> str | None:
+    """The verified .zebu text of a spec file or an artifact. None when a
+    spec is unusable; its diagnostics are printed as `zebu check` prints
+    them."""
     if path.suffix != ".zebu":
-        return artifact.verified_source(data).source
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise _Unreadable(f"cannot read {path}: {exc}") from None
-    if has_errors(verify_all(parse_zebu(text))):
-        raise ZebuError(f"{path} fails verification")
-    return text
+        return artifact.verified_source(_read(path)).source
+    ag, _ = _load_spec(path)
+    return None if ag is None else ag.source
 
 
 def _mutate_worker(packed):
@@ -251,6 +250,8 @@ def _mutate_worker(packed):
 
 def cmd_mutate(args) -> int:
     source_text = _load_for_mutation(args.source)
+    if source_text is None:
+        return 2
     mix = mutate.parse_mix(args.mix) if args.mix else dict(mutate.DEFAULT_MIX)
     try:
         args.out.mkdir(parents=True, exist_ok=True)

@@ -207,9 +207,6 @@ class LazyPending:
 
 # --- line index ---------------------------------------------------------------
 
-Span = "tuple[int, int]"
-
-
 @dataclass(frozen=True)
 class HeaderLine:
     key: bytes                      # trailing SP/HTAB before the colon stripped
@@ -487,12 +484,14 @@ class ParsedHeader:
     _entry: CompiledEntry
 
     def get_subfield(self, name: str):
-        """Memoized typed value; LazyPending for an unforced lazy field;
-        ABSENT for an optional subfield the match did not exercise."""
+        """Memoized typed value of a top-level subfield; LazyPending for an
+        unforced lazy field; ABSENT for an optional subfield the match did
+        not exercise. A nested field is read with `ParsedMessage.select`."""
         if self.state is not HeaderState.PARSED_OK:
             raise HeaderNotParsed(f"header {self.name!r} is in state {self.state.value}")
-        if f"{name}" not in self._entry.table:
-            raise UnknownSubfield(f"header {self.name!r} has no subfield {name!r}")
+        if "." in name or name not in self._entry.table:
+            raise UnknownSubfield(f"header {self.name!r} has no top-level subfield "
+                                  f"{name!r}; ParsedMessage.select reads nested paths")
         return self.fields.get(name, ABSENT)
 
 

@@ -143,9 +143,6 @@ class Not:
     item: object
 
 
-ConstraintExpr = object  # Cmp | And | Or | Not
-
-
 def iter_field_refs(expr):
     if isinstance(expr, FieldRef):
         yield expr
@@ -257,8 +254,6 @@ class Subfield:
         several sites, each compiles from its own element instead."""
         return self.lazy and len(self.path) == 1 and not self.multi_site
 
-
-SubfieldTable = "dict[str, Subfield]"
 
 REQUEST_LINE = "requestLine"
 STATUS_LINE = "statusLine"
@@ -716,7 +711,7 @@ class _ZebuParser:
             span = s.location()
             word = s.take_name()
             if word == "mandatory" and _MANDATORY_HEADER in takes:
-                s.skip_inline()
+                self._skip_block_ws()
                 block.mandatory.append((s.take_name("header name"), span))
                 return
             self._skip_block_ws()

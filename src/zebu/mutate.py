@@ -16,9 +16,10 @@ Derivation runs compiled steps: one closure per grammar element, built
 once per grammar (`AnnotatedGrammar.memo`), holding that element's facts
 (a byte range's pool, an alternation's CRLF-free branches, a repetition's
 CRLF flag; a rule reference binds its body on first use). Each part records
-its annotation env while it is derived, so repair and the families read
-spans without walking the tree. Repair re-checks the ranges of re-drawn
-parts only, and assembles the message once every constraint holds.
+its annotation env and a flat pre-order list of its derived nodes while it
+is derived: repair reads the env, the families filter the list. Repair
+re-checks the ranges of re-drawn parts only, and assembles the message once
+every constraint holds.
 """
 
 from __future__ import annotations
@@ -83,31 +84,16 @@ class Mutant:
 # --- derivation --------------------------------------------------------------
 
 class DNode:
-    """One derived grammar element: its span in the part's value, its
-    children in source order (a repetition has one per iteration), and what
-    was drawn for it (an alternation's branch, an annotation's dotted path
-    and branch)."""
+    """One derived grammar element and its span in the part's value. A
+    part's nodes are listed in pre-order: each before its children, the
+    children in source order (a repetition has one per iteration)."""
 
-    __slots__ = ("elem", "start", "end", "children", "branch", "path")
+    __slots__ = ("elem", "start", "end")
 
-    def __init__(self, elem, start: int, end: int, children=(), branch: int | None = None,
-                 path: str | None = None):
+    def __init__(self, elem, start: int, end: int = -1):
         self.elem = elem
         self.start = start
         self.end = end
-        self.children = children
-        self.branch = branch
-        self.path = path
-
-    def walk(self):
-        """This node and its descendants, depth-first in source order."""
-        stack = [self]
-        pop, extend = stack.pop, stack.extend
-        while stack:
-            node = pop()
-            yield node
-            if node.children:
-                extend(reversed(node.children))
 
 
 @dataclass
@@ -115,7 +101,7 @@ class Part:
     kind: str                      # "command" | "header"
     decl: HeaderDecl | None
     key: bytes | None
-    node: DNode | None = None
+    nodes: list[DNode] = field(default_factory=list)
     value: bytes = b""
     env: dict | None = None        # annotation path -> (start, end, branch)
     clean: bool = False            # ranges checked clean since the last draw
@@ -123,9 +109,10 @@ class Part:
     value_offset: int = 0          # absolute offset of the value
 
     def draw(self, deriver: _Deriver, body) -> Part:
-        """Derive this part's value afresh, recording its env as it goes."""
+        """Derive this part's value afresh, recording its env and nodes as
+        it goes."""
         self.env = {}
-        self.value, self.node = deriver.derive_value(body, self.env)
+        self.value, self.nodes = deriver.derive_value(body, self.env)
         self.clean = False
         return self
 
@@ -173,19 +160,23 @@ class _Deriver:
         self.rng = rng
         self.size_budget = size_budget
 
-    def derive_value(self, body, env: dict | None = None) -> tuple[bytes, DNode]:
-        """One derivation of `body`. Each annotation's (start, end, branch)
-        is recorded in `env` as it is derived: its key in pre-order, its
-        value when it ends, so the last of a repeated path wins."""
+    def derive_value(self, body, env: dict | None = None) -> tuple[bytes, list[DNode]]:
+        """One derivation of `body` and its nodes. Each annotation's
+        (start, end, branch) is recorded in `env` as it is derived: its key
+        in pre-order, its value when it ends, so the last of a repeated path
+        wins."""
         out = bytearray()
-        node = _step(body, self.ag)(self, out, "", {} if env is None else env)
-        return bytes(out), node
+        nodes = []
+        _step(body, self.ag)(self, out, nodes, "", {} if env is None else env)
+        return bytes(out), nodes
 
 
 def _step(elem, ag: AnnotatedGrammar):
     """The derive step of `elem`, built once per grammar:
-    `step(deriver, out, prefix, env) -> DNode` appends one derivation to
-    `out`, drawing from `deriver.rng`."""
+    `step(deriver, out, nodes, prefix, env)` appends one derivation to `out`
+    and its nodes to `nodes`, drawing from `deriver.rng`. It returns the
+    branch an alternation drew, passed up through rule references, and None
+    for every other element; an annotation records that branch."""
     memo = ag.memo("mutate.step")
     hit = memo.get(id(elem))
     if hit is None:
@@ -201,66 +192,72 @@ def _build_step(elem, ag: AnnotatedGrammar):
     if isinstance(elem, (LiteralCI, CharCodes)):
         data = elem.text.encode("ascii") if isinstance(elem, LiteralCI) else elem.data
 
-        def step(d, out, prefix, env):
+        def step(d, out, nodes, prefix, env):
             start = len(out)
             out += data
-            return DNode(elem, start, len(out))
+            nodes.append(DNode(elem, start, len(out)))
     elif isinstance(elem, CharRange):
         pool = [b for b in range(elem.lo, elem.hi + 1) if b not in (0x0D, 0x0A)]
         lo = elem.lo
 
-        def step(d, out, prefix, env):
+        def step(d, out, nodes, prefix, env):
+            nodes.append(DNode(elem, len(out), len(out) + 1))
             out.append(d.rng.choice(pool) if pool else lo)
-            return DNode(elem, len(out) - 1, len(out))
     elif isinstance(elem, RuleRef):
         body = None
 
-        def step(d, out, prefix, env):
+        def step(d, out, nodes, prefix, env):
             nonlocal body
             if body is None:
                 rule = abnf.resolve(elem.name, d.ag.base)
                 if rule is None:
                     raise ZebuError(f"cannot derive undefined rule {elem.name!r}")
                 body = _step(rule.body, d.ag)
-            start = len(out)
-            child = body(d, out, prefix, env)
-            return DNode(elem, start, len(out), [child])
+            node = DNode(elem, len(out))
+            nodes.append(node)
+            branch = body(d, out, nodes, prefix, env)
+            node.end = len(out)
+            return branch
     elif isinstance(elem, Annotated):
         inner = _step(elem.inner, ag)
         name = elem.name
 
-        def step(d, out, prefix, env):
+        def step(d, out, nodes, prefix, env):
             path = f"{prefix}.{name}" if prefix else name
             env.setdefault(path, None)
-            start = len(out)
-            child = inner(d, out, path, env)
-            branch = _annotated_branch(child)
-            env[path] = (start, len(out), branch)
-            return DNode(elem, start, len(out), [child], branch, path)
+            node = DNode(elem, len(out))
+            nodes.append(node)
+            branch = inner(d, out, nodes, path, env)
+            node.end = len(out)
+            env[path] = (node.start, node.end, branch)
     elif isinstance(elem, Sequence):
         items = [_step(i, ag) for i in elem.items]
 
-        def step(d, out, prefix, env):
-            start = len(out)
-            children = [item(d, out, prefix, env) for item in items]
-            return DNode(elem, start, len(out), children)
+        def step(d, out, nodes, prefix, env):
+            node = DNode(elem, len(out))
+            nodes.append(node)
+            for item in items:
+                item(d, out, nodes, prefix, env)
+            node.end = len(out)
     elif isinstance(elem, Alternation):
         branches = [i for i, b in enumerate(elem.branches)
                     if not _may_contain_crlf(b, ag)] or list(range(len(elem.branches)))
         steps = [_step(b, ag) for b in elem.branches]
 
-        def step(d, out, prefix, env):
+        def step(d, out, nodes, prefix, env):
             i = d.rng.choice(branches)
-            start = len(out)
-            child = steps[i](d, out, prefix, env)
-            return DNode(elem, start, len(out), [child], i)
+            node = DNode(elem, len(out))
+            nodes.append(node)
+            steps[i](d, out, nodes, prefix, env)
+            node.end = len(out)
+            return i
     elif isinstance(elem, Repetition):
         inner = _step(elem.inner, ag)
         lo, hi = elem.min, elem.max
         # base messages stay fold-free; torture introduces folds later
         fixed = _may_contain_crlf(elem.inner, ag)
 
-        def step(d, out, prefix, env):
+        def step(d, out, nodes, prefix, env):
             if fixed:
                 count = lo
             elif hi is None:
@@ -269,25 +266,15 @@ def _build_step(elem, ag: AnnotatedGrammar):
                     count += 1
             else:
                 count = d.rng.randint(lo, min(hi, lo + d.size_budget))
-            start = len(out)
-            children = [inner(d, out, prefix, env) for _ in range(count)]
-            return DNode(elem, start, len(out), children)
+            node = DNode(elem, len(out))
+            nodes.append(node)
+            for _ in range(count):
+                inner(d, out, nodes, prefix, env)
+            node.end = len(out)
     else:
-        def step(d, out, prefix, env):
+        def step(d, out, nodes, prefix, env):
             raise TypeError(f"cannot derive {elem!r}")
     return step
-
-
-def _annotated_branch(node: DNode) -> int | None:
-    # branch index for enum/union fields: unwrap rule refs to the alternation
-    current = node
-    while True:
-        if isinstance(current.elem, Alternation):
-            return current.branch
-        if isinstance(current.elem, RuleRef) and current.children:
-            current = current.children[0]
-            continue
-        return None
 
 
 _WHITESPACE = frozenset(b" \t\r\n")
@@ -423,7 +410,7 @@ def _charset_targets(tree: DerivationTree) -> list[_CharTarget]:
             out.append(_CharTarget(colon_at, 1, lambda i: {0x3A}, "key colon"))
             out.append(_CharTarget(colon_at + 1, 1, lambda i: {0x20, 0x09},
                                    "key delimiter space"))
-        for node in part.node.walk():
+        for node in part.nodes:
             if not isinstance(node.elem, _TERMINALS) or node.end == node.start:
                 continue
             elem = node.elem
@@ -494,7 +481,7 @@ def mutate_charset(tree: DerivationTree, position: Position, seed) -> Mutant:
 def _repetition_nodes(tree: DerivationTree):
     out = []
     for part in tree.parts:
-        for node in part.node.walk():
+        for node in part.nodes:
             elem = node.elem
             if not isinstance(elem, Repetition):
                 continue
@@ -745,7 +732,7 @@ def _ws_points(tree: DerivationTree):
             colon_at = part.offset + len(part.key)
             out.append((part, colon_at, colon_at, False))  # before the colon
             out.append((part, part.value_offset - 1, part.value_offset - 1, False))
-        for node in part.node.walk():
+        for node in part.nodes:
             if isinstance(node.elem, (RuleRef, Repetition, Sequence, Alternation)):
                 if _whitespace_only(node.elem, tree.ag):
                     out.append((part,
@@ -760,7 +747,7 @@ def _literal_spans(tree: DerivationTree):
     for part in tree.parts:
         if part.kind == "header":
             out.append((part.offset, part.offset + len(part.key)))
-        for node in part.node.walk():
+        for node in part.nodes:
             if isinstance(node.elem, LiteralCI) and node.end > node.start:
                 out.append((part.value_offset + node.start,
                             part.value_offset + node.end))

@@ -76,15 +76,13 @@ LABEL_TABLE_SIZE = 256  # labels kept per grammar; the oldest goes first
 # (_REP, rep, count, start, prefix, up)  iteration `count` of rep, begun at start
 _SEQ, _ANN, _REP = range(3)
 
-# env entry: dotted path -> (start, end, branch or None)
-Env = "dict[str, tuple[int, int, int | None]]"
-
 
 def derive_env(body, ag: AnnotatedGrammar, subject: bytes, table):
     """First full derivation of `subject` from `body` under the
-    disambiguation contract; returns the annotation environment, or None
-    when the subject is not derivable. The result is kept in the grammar's
-    label table, so callers must not modify it."""
+    disambiguation contract; returns the annotation environment (dotted
+    path -> (start, end, branch or None)), or None when the subject is not
+    derivable. The result is kept in the grammar's label table, so callers
+    must not modify it."""
     labels = ag.memo("refcheck.labels")
     key = (id(body), id(table), subject)
     hit = labels.get(key)

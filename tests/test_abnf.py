@@ -125,6 +125,12 @@ def test_syntax_errors(src, fragment):
     assert fragment in str(exc.value)
 
 
+def test_deep_nesting_is_a_syntax_error():
+    # the recursive element parser ran out of stack: RecursionError escaped
+    with pytest.raises(AbnfSyntaxError, match="nested too deeply"):
+        parse_abnf("A = " + "(" * 5000 + '"a"' + ")" * 5000 + "\n")
+
+
 def test_error_carries_line_and_column():
     with pytest.raises(AbnfSyntaxError) as exc:
         parse_abnf('A = "x"\nB = <prose>\n')

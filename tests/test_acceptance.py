@@ -220,7 +220,7 @@ def test_criterion_7_folding_transparency(sip_ag, sip):
                 continue
             points = [
                 (part.value_offset + node.start, part.value_offset + node.end)
-                for node in part.node.walk()
+                for node in part.nodes
                 if node.end > node.start
                 and _whitespace_only(node.elem, sip_ag)
             ]

@@ -399,10 +399,17 @@ def test_mutate_unusable_spec_exits_2(tmp_path, capsys):
     undecodable.write_bytes(b"\xff\xfe")
     cyclic = write(tmp_path, "cyclic.zebu",
                    'requestLine = "GO"\nstatusLine = "NO"\nA = B\nB = A\n')
-    for spec in (undecodable, cyclic):
+    undefined = write(tmp_path, "bad.zebu",
+                      'requestLine = "GO"\nstatusLine = "NO"\nA = Missing\n')
+    for spec in (undecodable, cyclic, undefined):
         assert main(["mutate", str(spec), "--count", "1",
                      "--out", str(tmp_path / "m")]) == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"error: cannot read {undecodable}: " in err
+    # the spec's diagnostics, as `zebu check` prints them
+    assert (f"{undefined}:3:1: error[UNDEFINED_RULE]: "
+            "rule 'Missing' is referenced but never defined") in err.splitlines()
 
 
 def test_mutate_torture_only_mix(compiled_artifact, tmp_path, capsys):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import sip_request, sip_response
+from conftest import CORPUS, sip_request, sip_response
 from zebu import pattern
 from zebu.engine import (
     ABSENT,
@@ -236,6 +236,15 @@ def test_get_subfield_absent_and_unknown(sip):
         to.get_subfield("nope")
 
 
+def test_get_subfield_refuses_a_dotted_path(sip):
+    # a dotted path is in the subfield table but not among the header's
+    # top-level fields; it returned ABSENT where select finds the value
+    msg = ParsedMessage(sip, (CORPUS / "invite1.msg").read_bytes())
+    with pytest.raises(UnknownSubfield, match="ParsedMessage.select"):
+        msg.parse_header("From").get_subfield("uri.host")
+    assert msg.select("From.uri.host") == RawSlice(b"example.com", 0, 11)
+
+
 # --- laziness ------------------------------------------------------------------------
 
 def test_lazy_subfield_pending_until_forced(sip):
@@ -294,6 +303,21 @@ def test_request_uri_lazy_on_command_line(sip):
     assert isinstance(pending, LazyPending)
     uri = msg.force_lazy(pending)
     assert uri.get("host") == RawSlice(b"chicago.example", 0, 15)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a lazy hole takes the longest span the rest of the value "
+                   "allows, which its own grammar may not derive")
+@pytest.mark.parametrize("body, value", [
+    ('( 1*ALPHA ):x:lazy *( ";" 1*ALPHA )', b"ab;c"),
+    ('( "ab" ):x:lazy *"b"', b"abb"),
+], ids=["ab;c", "abb"])
+def test_lazy_hole_followed_by_what_it_may_match_agrees_with_oracle(body, value):
+    ag = parse_zebu(f'requestLine = "GO"\nstatusLine = "NO"\nheader H = {body}\n')
+    raw = b"GO\r\nH: " + value + b"\r\n\r\n"
+    expected, _ = reference_validate(ag, raw)
+    assert expected
+    assert validate(compile_grammar(ag), raw).accepted is expected
 
 
 # --- counters ---------------------------------------------------------------------------

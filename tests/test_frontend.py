@@ -302,6 +302,12 @@ def test_mandatory_names_unknown_header():
         parse_zebu('requestLine = "GO"\nstatusLine = "NO"\nrequest { mandatory Nope; }\n')
 
 
+def test_mandatory_header_name_may_start_the_next_line():
+    ag = parse_zebu('requestLine = "GO"\nstatusLine = "NO"\nheader Max-Forwards = 1*DIGIT\n'
+                    "request { mandatory\nMax-Forwards; }\n")
+    assert ag.header("Max-Forwards").mandatory_in is Mandatory.REQUEST
+
+
 def test_collect_subfields_skips_undefined_rules():
     ag = parse_zebu("header H = Missing:x\n")
     table = collect_subfields(ag.header("H").body, ag)
@@ -340,7 +346,7 @@ MALFORMED = [
     ('header To { "" } = "x"\n',
      AbnfSyntaxError, "empty quoted string (use %x codes for explicit bytes)", 1, 13),
     ("request {\n    mandatory;\n}\n",
-     AbnfSyntaxError, "expected header name", 2, 15),
+     AbnfSyntaxError, "expected header name", 2, 14),
     ('requestLine = "GO"\nresponse {\n    mandatory Nope;\n}\n',
      ZebuSyntaxError, "mandatory declaration names unknown header 'Nope'", 3, 5),
     ("request {\n    a.b == 1;\n",

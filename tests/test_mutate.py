@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import random
+from collections import Counter
 from importlib import resources
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from zebu.abnf import Repetition, RuleRef
 from zebu.cli import main
 from zebu.engine import MessageSyntaxError, index_message, validate
-from zebu.frontend import parse_zebu
+from zebu.frontend import REQUEST_LINE, STATUS_LINE, parse_zebu, resolve_to_alternation
 from zebu.mutate import (
     DEFAULT_MIX,
     Exhausted,
@@ -51,12 +52,25 @@ def test_derived_requests_contain_mandatory_headers(sip_ag):
             assert {"Via", "From", "To", "CSeq", "Call-ID"} <= keys
 
 
+def _expansions(part):
+    """(unbounded repetition, its node count, its inner element's node
+    count). The inner element has no parent but the repetition, so its
+    nodes number exactly the iterations the repetition drew."""
+    counts = Counter(id(n.elem) for n in part.nodes)
+    reps = {id(n.elem): n.elem for n in part.nodes
+            if isinstance(n.elem, Repetition) and n.elem.max is None}
+    return [(rep, counts[key], counts[id(rep.inner)]) for key, rep in reps.items()]
+
+
 def test_size_budget_zero_gives_minimum_expansions(sip_ag):
     tree = derive_valid(sip_ag, seed=3, size_budget=0)
     for part in tree.parts:
-        for node in part.node.walk():
-            if isinstance(node.elem, Repetition) and node.elem.max is None:
-                assert len(node.children) == node.elem.min
+        for rep, reps, iterations in _expansions(part):
+            assert iterations == rep.min * reps
+    # at the default budget some repetition draws more than its minimum
+    tree = derive_valid(sip_ag, seed=3)
+    assert any(iterations > rep.min * reps
+               for part in tree.parts for rep, reps, iterations in _expansions(part))
 
 
 def test_every_copy_of_a_multiple_header_is_repaired():
@@ -87,26 +101,46 @@ _REPEATED_CAPTURES = (
     "request { mandatory H; }\n")
 
 
-def _walked_env(node) -> dict:
-    """Each annotation path of a pre-order walk: its first visit fixes the
-    order, its last visit the value."""
-    env = {}
-    for n in node.walk():
-        if n.path is not None:
-            env[n.path] = (n.start, n.end, n.branch)
-    return env
+def _check_env(ag, tree) -> int:
+    """Each recorded span derives from its subfield's element, and a
+    recorded branch is a branch of the subfield's alternation that derives
+    the span. Returns the number of branches recorded."""
+    branches = 0
+    command = REQUEST_LINE if tree.kind == "request" else STATUS_LINE
+    for part in tree.parts:
+        table = ag.subfields.get(command if part.decl is None else part.decl.name)
+        for key, (start, end, branch) in part.env.items():
+            sf = table[key]
+            span = part.value[start:end]
+            assert reference_match(sf.element, ag, span), (key, span)
+            if branch is not None:
+                alt = resolve_to_alternation(sf.element, ag)
+                assert reference_match(alt.branches[branch], ag, span), (key, branch)
+                branches += 1
+    return branches
 
 
 @pytest.mark.parametrize("grammar", ["sip", "rtsp", "repeated-captures"])
 def test_recorded_env_equals_walk_of_the_tree(grammar, sip_ag, rtsp_ag):
     ag = {"sip": sip_ag, "rtsp": rtsp_ag}.get(grammar) or parse_zebu(_REPEATED_CAPTURES)
-    repeated = 0
+    repeated = branches = 0
     for seed in range(200):
         tree = derive_valid(ag, seed)
-        for part in tree.parts:
-            walked = _walked_env(part.node)
-            assert list(part.env.items()) == list(walked.items())
-            repeated += sum(n.path is not None for n in part.node.walk()) > len(walked)
+        branches += _check_env(ag, tree)
+        if grammar == "repeated-captures":
+            # the last iteration of `d` wins: only "," and the tail follow it
+            for part in tree.parts:
+                if "d" not in part.env:
+                    continue
+                start, end, _ = part.env["d"]
+                tail = part.value[end:]
+                if part.kind == "command":
+                    assert tail == b"," + part.value[-1:]
+                else:
+                    assert tail[:1] == b"," and b";" not in tail
+                n_start, n_end, _ = part.env["d.n"]
+                assert start <= n_start <= n_end <= end
+                repeated += part.value.count(b",") > 1
         if seed % 20:
             continue
         # sub-derivations inside the families write into no live part's env
@@ -121,7 +155,9 @@ def test_recorded_env_equals_walk_of_the_tree(grammar, sip_ag, rtsp_ag):
                 pass
         assert [list(part.env.items()) for part in tree.parts] == before
     if grammar == "repeated-captures":
-        assert repeated > 0  # the last visit of a path decided its value
+        assert repeated > 0  # some path was recorded more than once
+    else:
+        assert branches > 0
 
 
 # --- charset mutants ------------------------------------------------------------
