@@ -26,14 +26,14 @@ from dataclasses import dataclass, field as dc_field
 from . import frontend, pattern as pat
 from .errors import ZebuError
 from .frontend import (
-    REQUEST_LINE,
-    STATUS_LINE,
+    COMMAND_LINE,
     And,
     AnnotatedGrammar,
     Cmp,
     FieldRef,
     HeaderDecl,
     IntLit,
+    MessageKind,
     Not,
     Or,
     Shape,
@@ -43,11 +43,6 @@ from .frontend import (
     is_range_shaped,
 )
 from .pattern import MatchBudgetExceeded, Pattern, compile_pattern, compile_subfield_pattern, match_full
-
-
-class MessageKind(enum.Enum):
-    REQUEST = "request"
-    RESPONSE = "response"
 
 
 class ReasonCode(enum.Enum):
@@ -373,7 +368,7 @@ class CompiledGrammar:
 def compile_grammar(ag: AnnotatedGrammar) -> CompiledGrammar:
     """Compile a verified AnnotatedGrammar's patterns."""
     frontend.resolve_constraint_refs(ag)
-    if ag.request_line is None or ag.status_line is None:
+    if len(ag.command_lines) < len(MessageKind):
         raise ZebuError("grammar must define requestLine and statusLine")
     decls = {decl.name: decl for decl in ag.headers}
     entries = {}
@@ -555,10 +550,9 @@ class ParsedMessage:
             raise self._command_error
         s, e = self.index.command_line
         subject = self.raw[s:e]
-        entries = self.grammar.entries
         try:
-            for entry, kind in ((entries[REQUEST_LINE], MessageKind.REQUEST),
-                                (entries[STATUS_LINE], MessageKind.RESPONSE)):
+            for kind, name in COMMAND_LINE.items():
+                entry = self.grammar.entries[name]
                 res = self._run(entry.pattern, subject, "command line")
                 if res.matched:
                     failures: list[Reason] = []
@@ -705,7 +699,7 @@ class ParsedMessage:
         returns ABSENT when the path is valid but unexercised.
         """
         head, *rest = selector.split(".")
-        entry = (self.grammar.entries[head] if head in (REQUEST_LINE, STATUS_LINE)
+        entry = (self.grammar.entries[head] if head in COMMAND_LINE.values()
                  else self._header(head))
         if not rest or ".".join(rest) not in entry.table:
             raise UnknownSubfield(f"no subfield {selector!r}")
@@ -775,7 +769,7 @@ def validate(grammar: CompiledGrammar, raw: bytes,
         entry = grammar.entries[decl.name]
         count = len(msg._header_lines(entry))
         if count == 0:
-            if kind is not None and decl.mandatory_in.covers(kind.value):
+            if kind in decl.mandatory_in:
                 reasons.append(Reason(
                     ReasonCode.MANDATORY_MISSING, decl.name,
                     f"mandatory header {decl.name!r} is missing"))
@@ -797,12 +791,7 @@ def validate(grammar: CompiledGrammar, raw: bytes,
     def lookup(ref: FieldRef):
         return _lookup(ref, msg, kind, command, first_instances)
 
-    blocks = []
-    if kind is MessageKind.REQUEST:
-        blocks = grammar.ag.request_block
-    elif kind is MessageKind.RESPONSE:
-        blocks = grammar.ag.response_block
-    for expr in blocks:
+    for expr in grammar.ag.blocks.get(kind, ()):
         _check_constraint(expr, lookup, "block", reasons)
     for decl in grammar.ag.headers:
         if decl.name in first_instances:
@@ -828,7 +817,7 @@ def _lookup(ref: FieldRef, msg, kind, command, first_instances):
             return None
         name = kind.name.encode()
         return RawSlice(name, 0, len(name)), True
-    if ref.entry in (REQUEST_LINE, STATUS_LINE):
+    if ref.entry in COMMAND_LINE.values():
         if command is None or command.entry.name != ref.entry:
             return None
         entry, fields = command.entry, command.fields

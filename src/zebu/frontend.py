@@ -77,14 +77,17 @@ class Shape(enum.Enum):
     ENUM = "enum"
 
 
-class Mandatory(enum.Enum):
-    NONE = "none"
+class MessageKind(enum.Enum):
+    """A message is a request or a response; its kind picks its command
+    line (`COMMAND_LINE`), its constraint block (`AnnotatedGrammar.blocks`)
+    and the headers it requires (`HeaderDecl.mandatory_in`)."""
     REQUEST = "request"
     RESPONSE = "response"
-    BOTH = "both"
 
-    def covers(self, kind: str) -> bool:
-        return self is Mandatory.BOTH or self.value == kind
+
+# In MessageKind order, whatever order a spec declares them in: a command
+# line that both derive is a request.
+COMMAND_LINE = {MessageKind.REQUEST: "requestLine", MessageKind.RESPONSE: "statusLine"}
 
 
 _SHAPE_WORDS = {s.value: s for s in Shape if s is not Shape.RAW}
@@ -221,7 +224,7 @@ class HeaderDecl:
     name: str
     keys: tuple[str, ...]
     body: Element
-    mandatory_in: Mandatory = Mandatory.NONE
+    mandatory_in: frozenset[MessageKind] = frozenset()  # the kinds that require the header
     multiple: bool = False
     local_constraints: list = field(default_factory=list)
     span: tuple[int, int] = (0, 0)
@@ -255,19 +258,14 @@ class Subfield:
         return self.lazy and len(self.path) == 1 and not self.multi_site
 
 
-REQUEST_LINE = "requestLine"
-STATUS_LINE = "statusLine"
-
-
 @dataclass
 class AnnotatedGrammar:
     base: Grammar
     protocol: str = "zebu"
-    request_line: Rule | None = None
-    status_line: Rule | None = None
+    command_lines: dict[MessageKind, Rule] = field(default_factory=dict)
     headers: list[HeaderDecl] = field(default_factory=list)
-    request_block: list = field(default_factory=list)
-    response_block: list = field(default_factory=list)
+    blocks: dict[MessageKind, list] = field(
+        default_factory=lambda: {kind: [] for kind in MessageKind})
     range_constraints: dict[str, RangeBound] = field(default_factory=dict)
     rule_shapes: dict[str, Shape] = field(default_factory=dict)
     subfields: dict[str, dict[str, Subfield]] = field(default_factory=dict)
@@ -295,16 +293,15 @@ class AnnotatedGrammar:
         return None
 
     def entry_points(self):
-        if self.request_line is not None:
-            yield REQUEST_LINE, self.request_line.body
-        if self.status_line is not None:
-            yield STATUS_LINE, self.status_line.body
+        for kind, name in COMMAND_LINE.items():
+            if kind in self.command_lines:
+                yield name, self.command_lines[kind].body
         for decl in self.headers:
             yield decl.name, decl.body
 
     def all_constraints(self):
-        yield from self.request_block
-        yield from self.response_block
+        for kind in MessageKind:
+            yield from self.blocks[kind]
         for decl in self.headers:
             yield from decl.local_constraints
 
@@ -562,7 +559,7 @@ class _ZebuParser:
         self.elements = _ZebuElements(self.s)
         self.ag = AnnotatedGrammar(base=Grammar(), source=source)
         self._protocol_seen = False
-        self._mandatory_decls: list[tuple[str, str, tuple[int, int]]] = []
+        self._mandatory_decls: list[tuple[MessageKind, str, tuple[int, int]]] = []
 
     def parse(self) -> AnnotatedGrammar:
         s = self.s
@@ -575,12 +572,12 @@ class _ZebuParser:
             s.skip_inline()
             if name == "protocol":
                 self._parse_protocol(span)
-            elif name in (REQUEST_LINE, STATUS_LINE):
+            elif name in COMMAND_LINE.values():
                 self._parse_command_line(name, span)
             elif name == "header":
                 self._parse_header(span)
             elif name in ("request", "response") and s.peek() == "{":
-                self._parse_kind_block(name)
+                self._parse_kind_block(MessageKind(name))
             elif name == "range":
                 self._parse_range(span)
             else:
@@ -605,22 +602,16 @@ class _ZebuParser:
         s.skip_inline()
         body = self.elements.parse_alternation()
         block = self._block(_COMMAND_LINE_ITEMS)
-        rule = Rule(which, body, span)
-        if which == REQUEST_LINE:
-            if self.ag.request_line is not None:
-                raise DuplicateEntryPoint("second requestLine declaration", *span)
-            self.ag.request_line = rule
-            self.ag.request_block.extend(block.exprs)
-        else:
-            if self.ag.status_line is not None:
-                raise DuplicateEntryPoint("second statusLine declaration", *span)
-            self.ag.status_line = rule
-            self.ag.response_block.extend(block.exprs)
+        kind = next(k for k, line in COMMAND_LINE.items() if line == which)
+        if kind in self.ag.command_lines:
+            raise DuplicateEntryPoint(f"second {which} declaration", *span)
+        self.ag.command_lines[kind] = Rule(which, body, span)
+        self.ag.blocks[kind].extend(block.exprs)
 
     def _parse_header(self, span):
         s = self.s
         name = s.take_name("header name")
-        if name in (REQUEST_LINE, STATUS_LINE):
+        if name in COMMAND_LINE.values():
             raise DuplicateEntryPoint(f"header {name!r} takes a command line's name", *span)
         s.skip_inline()
         variants = None
@@ -640,7 +631,7 @@ class _ZebuParser:
             name=name,
             keys=(name,) if variants is None else _extract_keys(variants, span),
             body=body,
-            mandatory_in=Mandatory.BOTH if "mandatory" in block.flags else Mandatory.NONE,
+            mandatory_in=frozenset(MessageKind if "mandatory" in block.flags else ()),
             multiple="multiple" in block.flags,
             local_constraints=block.exprs,
             span=span,
@@ -649,10 +640,7 @@ class _ZebuParser:
     def _parse_kind_block(self, kind):
         block = self._block(_KIND_ITEMS, "block")
         self._mandatory_decls.extend((kind, target, span) for target, span in block.mandatory)
-        if kind == "request":
-            self.ag.request_block.extend(block.exprs)
-        else:
-            self.ag.response_block.extend(block.exprs)
+        self.ag.blocks[kind].extend(block.exprs)
 
     def _parse_range(self, span):
         s = self.s
@@ -796,21 +784,12 @@ class _ZebuParser:
             if decl is None:
                 raise ZebuSyntaxError(
                     f"mandatory declaration names unknown header {target!r}", *span)
-            decl.mandatory_in = _merge_mandatory(decl.mandatory_in, kind)
+            decl.mandatory_in |= {kind}
         for entry, body in ag.entry_points():
             ag.subfields[entry] = collect_subfields(body, ag)
         for expr in ag.all_constraints():
             for ref in iter_field_refs(expr):
                 _bind_ref(ref, ag)
-
-
-def _merge_mandatory(current: Mandatory, kind: str) -> Mandatory:
-    added = Mandatory.REQUEST if kind == "request" else Mandatory.RESPONSE
-    if current is Mandatory.NONE:
-        return added
-    if current is added or current is Mandatory.BOTH:
-        return current
-    return Mandatory.BOTH
 
 
 def _extract_keys(pattern: Element, span) -> tuple[str, ...]:
@@ -850,7 +829,7 @@ def _bind_ref(ref: FieldRef, ag: AnnotatedGrammar) -> None:
     if len(ref.path) < 2:
         return
     head = ref.path[0]
-    if head in (REQUEST_LINE, STATUS_LINE):
+    if head in COMMAND_LINE.values():
         entry = head
     else:
         decl = ag.header(head)

@@ -32,13 +32,13 @@ from . import abnf, frontend, refcheck
 from .abnf import Alternation, CharCodes, CharRange, LiteralCI, Repetition, RuleRef, Sequence
 from .errors import ZebuError
 from .frontend import (
-    REQUEST_LINE,
-    STATUS_LINE,
+    COMMAND_LINE,
     Annotated,
     AnnotatedGrammar,
     Cmp,
     FieldRef,
     HeaderDecl,
+    MessageKind,
     Shape,
     expr_to_text,
 )
@@ -120,7 +120,7 @@ class Part:
 @dataclass
 class DerivationTree:
     ag: AnnotatedGrammar
-    kind: str                      # "request" | "response"
+    kind: MessageKind
     parts: list[Part]
     message: bytes = b""
 
@@ -145,8 +145,7 @@ class DerivationTree:
         out = {}
         for part in self.parts:
             if part.kind == "command":
-                key = REQUEST_LINE if self.kind == "request" else STATUS_LINE
-                out.setdefault(key, part)
+                out.setdefault(COMMAND_LINE[self.kind], part)
             else:
                 out.setdefault(part.decl.name, part)
         return out
@@ -306,11 +305,10 @@ def _whitespace_only(elem, ag) -> bool:
 def _derive_message(ag: AnnotatedGrammar, rng: random.Random,
                     size_budget: int) -> DerivationTree:
     deriver = _Deriver(ag, rng, size_budget)
-    kind = rng.choice(("request", "response"))
-    entry_rule = ag.request_line if kind == "request" else ag.status_line
-    parts = [Part("command", None, None).draw(deriver, entry_rule.body)]
+    kind = rng.choice((MessageKind.REQUEST, MessageKind.RESPONSE))
+    parts = [Part("command", None, None).draw(deriver, ag.command_lines[kind].body)]
     for decl in ag.headers:
-        include = decl.mandatory_in.covers(kind) or rng.random() < 0.5
+        include = kind in decl.mandatory_in or rng.random() < 0.5
         if not include:
             continue
         copies = 2 if decl.multiple and rng.random() < 0.34 else 1
@@ -335,8 +333,7 @@ def _repair(tree: DerivationTree, deriver: _Deriver) -> None:
                 return
             raise BudgetExhausted(f"derived message unexpectedly invalid: {notes}")
         body = (bad_part.decl.body if bad_part.decl is not None
-                else (ag.request_line if tree.kind == "request"
-                      else ag.status_line).body)
+                else ag.command_lines[tree.kind].body)
         bad_part.draw(deriver, body)
     raise BudgetExhausted("constraint-aware resampling budget exhausted")
 
@@ -346,7 +343,7 @@ def _first_violation(tree: DerivationTree) -> Part | None:
     part's ranges are checked, each copy of a `multiple` header too, once
     per draw; cross-field constraints every time."""
     ag = tree.ag
-    command = REQUEST_LINE if tree.kind == "request" else STATUS_LINE
+    command = COMMAND_LINE[tree.kind]
     for part in tree.parts:
         if part.clean:
             continue
@@ -358,9 +355,8 @@ def _first_violation(tree: DerivationTree) -> Part | None:
     entry_parts = tree.entry_parts()
     lookup = refcheck.field_lookup(ag, tree.kind, {
         entry: (part.env, part.value) for entry, part in entry_parts.items()})
-    block = ag.request_block if tree.kind == "request" else ag.response_block
     local = [(decl, expr) for decl in ag.headers for expr in decl.local_constraints]
-    for expr in block:
+    for expr in ag.blocks[tree.kind]:
         if refcheck._eval_ref(expr, lookup) is False:
             return _part_for_expr(expr, tree, entry_parts)
     for decl, expr in local:
@@ -556,8 +552,7 @@ def _range_targets(tree: DerivationTree):
             strict = bound.hi_strict if bound is not None else True
             lo = bound.lo if bound is not None else 0
             out.append((part, entry, key, sf, lo, hi, strict))
-    block = ag.request_block if tree.kind == "request" else ag.response_block
-    for expr in block:
+    for expr in ag.blocks[tree.kind]:
         parsed = _range_shape_of(expr)
         if parsed is None:
             continue
@@ -620,12 +615,11 @@ def mutate_constraint(ag: AnnotatedGrammar, tree: DerivationTree, seed) -> Mutan
     for target in _range_targets(tree):
         strategies.append(("range", target))
     for decl in ag.headers:
-        if decl.mandatory_in.covers(tree.kind) and decl.name in entry_parts:
+        if tree.kind in decl.mandatory_in and decl.name in entry_parts:
             strategies.append(("delete", decl))
         if not decl.multiple and decl.name in entry_parts:
             strategies.append(("duplicate", decl))
-    block = ag.request_block if tree.kind == "request" else ag.response_block
-    for expr in block:
+    for expr in ag.blocks[tree.kind]:
         if (isinstance(expr, Cmp) and expr.op == "=="
                 and isinstance(expr.lhs, FieldRef) and isinstance(expr.rhs, FieldRef)):
             strategies.append(("equality", expr))

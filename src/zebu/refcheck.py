@@ -46,15 +46,14 @@ from . import abnf, frontend
 from .abnf import Alternation, CharCodes, CharRange, LiteralCI, Repetition, Rule, RuleRef, Sequence
 from .errors import ZebuError
 from .frontend import (
-    REQUEST_LINE,
-    STATUS_LINE,
+    COMMAND_LINE,
     And,
     Annotated,
     AnnotatedGrammar,
     Cmp,
     FieldRef,
     IntLit,
-    Mandatory,
+    MessageKind,
     Not,
     Or,
     Shape,
@@ -439,12 +438,12 @@ def _env_value(ag, entry, env, subject, key):
     return None
 
 
-def field_lookup(ag, kind: str, entries: dict):
-    """The constraint operand lookup for a message of `kind` ("request" or
-    "response") whose entries derived as `entries` (entry -> (env, subject),
-    each header's first instance): a bound field reference's typed value,
-    or None when the field is unavailable."""
-    kind_value = kind.upper().encode(), True
+def field_lookup(ag, kind: MessageKind, entries: dict):
+    """The constraint operand lookup for a message of `kind` whose entries
+    derived as `entries` (entry -> (env, subject), each header's first
+    instance): a bound field reference's typed value, or None when the
+    field is unavailable."""
+    kind_value = kind.name.encode(), True
 
     def lookup(ref: FieldRef):
         if ref.entry == frontend.BUILTIN_MESSAGE:
@@ -574,20 +573,13 @@ def reference_validate(ag: AnnotatedGrammar, raw: bytes) -> tuple[bool, list[str
         return False, notes
 
     problems: list[str] = []
-    kind = None
-    cmd_entry = None
-    cmd_env = None
-    for entry_name, rule, k in ((REQUEST_LINE, ag.request_line, Mandatory.REQUEST),
-                                (STATUS_LINE, ag.status_line, Mandatory.RESPONSE)):
-        if rule is None:
-            continue
-        env = derive_env(rule.body, ag, command, ag.subfields[entry_name])
-        if env is not None:
-            kind = k
-            cmd_entry = entry_name
-            cmd_env = env
-            break
-    if kind is None:
+    for kind, cmd_entry in COMMAND_LINE.items():
+        rule = ag.command_lines.get(kind)
+        if rule is not None:
+            cmd_env = derive_env(rule.body, ag, command, ag.subfields[cmd_entry])
+            if cmd_env is not None:
+                break
+    else:
         return False, ["command line derivable from neither entry point"]
     problems.extend(_range_violations(ag, cmd_entry, cmd_env, command))
 
@@ -602,7 +594,7 @@ def reference_validate(ag: AnnotatedGrammar, raw: bytes) -> tuple[bool, list[str
     for decl in ag.headers:
         lines = by_decl.get(decl.name, [])
         if not lines:
-            if decl.mandatory_in.covers(kind.value):
+            if kind in decl.mandatory_in:
                 problems.append(f"mandatory header {decl.name} missing")
             continue
         if len(lines) > 1 and not decl.multiple:
@@ -617,9 +609,8 @@ def reference_validate(ag: AnnotatedGrammar, raw: bytes) -> tuple[bool, list[str
             if i == 0:
                 envs[decl.name] = (env, line.value)
 
-    lookup = field_lookup(ag, kind.value, {**envs, cmd_entry: (cmd_env, command)})
-    block = ag.request_block if kind is Mandatory.REQUEST else ag.response_block
-    for expr in block:
+    lookup = field_lookup(ag, kind, {**envs, cmd_entry: (cmd_env, command)})
+    for expr in ag.blocks[kind]:
         if _eval_ref(expr, lookup) is False:
             problems.append(f"constraint failed: {frontend.expr_to_text(expr)}")
     for decl in ag.headers:

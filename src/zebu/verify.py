@@ -1,8 +1,9 @@
 """Static consistency checks run before a grammar is compiled.
 
 Checks: every referenced rule is defined, no rule is defined twice, the
-rule-reference graph is acyclic, and type annotations are consistent with
-what the annotated rules can derive. Compilation proceeds only when no
+rule-reference graph is acyclic, type annotations are consistent with
+what the annotated rules can derive, and every constraint operand names a
+subfield that compares. Compilation proceeds only when no
 ERROR-severity diagnostic is produced.
 """
 
@@ -15,11 +16,12 @@ from typing import Iterator
 from . import abnf
 from .abnf import Alternation, CharCodes, CharRange, Element, LiteralCI, Repetition, RuleRef, Sequence
 from .frontend import (
+    COMMAND_LINE,
     Annotated,
     AnnotatedGrammar,
     Shape,
     Subfield,
-    iter_unresolved,
+    iter_field_refs,
     reachable_leaves,
     resolve_to_alternation,
     strongly_connected,
@@ -369,12 +371,8 @@ def _warn_captures_under_unbounded(entry, body, ag) -> list[Diagnostic]:
 # --- driver -------------------------------------------------------------------
 
 def check_entry_points(ag: AnnotatedGrammar) -> list[Diagnostic]:
-    out = []
-    if ag.request_line is None:
-        out.append(_error(Code.UNDEFINED_RULE, "no requestLine entry point defined"))
-    if ag.status_line is None:
-        out.append(_error(Code.UNDEFINED_RULE, "no statusLine entry point defined"))
-    return out
+    return [_error(Code.UNDEFINED_RULE, f"no {name} entry point defined")
+            for kind, name in COMMAND_LINE.items() if kind not in ag.command_lines]
 
 
 def check_unreachable(ag: AnnotatedGrammar) -> list[Diagnostic]:
@@ -400,14 +398,23 @@ def check_unreachable(ag: AnnotatedGrammar) -> list[Diagnostic]:
     return out
 
 
-def check_unresolved_refs(ag: AnnotatedGrammar) -> list[Diagnostic]:
+def check_constraint_refs(ag: AnnotatedGrammar) -> list[Diagnostic]:
+    """Every constraint operand names a declared subfield that compares;
+    struct and union subfields do not."""
     out = []
-    for ref in iter_unresolved(ag):
-        out.append(_error(
-            Code.UNRESOLVED_REF,
-            f"constraint references unknown field {'.'.join(ref.path)!r}",
-            ref.span,
-        ))
+    for expr in ag.all_constraints():
+        for ref in iter_field_refs(expr):
+            path = ".".join(ref.path)
+            if ref.entry is None:
+                out.append(_error(Code.UNRESOLVED_REF,
+                                  f"constraint references unknown field {path!r}", ref.span))
+                continue
+            sf = ag.subfields.get(ref.entry, {}).get(".".join(ref.sub_path))
+            if sf is not None and sf.shape in (Shape.STRUCT, Shape.UNION):
+                out.append(_error(Code.TYPE_MISMATCH,
+                                  f"constraint operand {path!r} is a {sf.shape.value} "
+                                  f"subfield; struct and union subfields do not compare",
+                                  ref.span))
     return out
 
 
@@ -423,7 +430,7 @@ def verify_all(ag: AnnotatedGrammar) -> list[Diagnostic]:
     out.extend(check_no_duplicates(ag))
     out.extend(check_no_cycles(ag))
     out.extend(check_type_annotations(ag))
-    out.extend(check_unresolved_refs(ag))
+    out.extend(check_constraint_refs(ag))
     out.extend(check_unreachable(ag))
     return out
 

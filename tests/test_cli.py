@@ -175,8 +175,7 @@ def test_loaded_artifact_equals_a_fresh_compile(tmp_path, spec):
         assert (loaded.entries[name].table, loaded.entries[name].decl) == (entry.table, entry.decl)
     assert loaded.ag.headers == fresh.ag.headers
     assert loaded.ag.base.definitions == fresh.ag.base.definitions
-    assert (loaded.ag.request_block, loaded.ag.response_block) == (
-        fresh.ag.request_block, fresh.ag.response_block)
+    assert loaded.ag.blocks == fresh.ag.blocks
 
 
 # --- parse ------------------------------------------------------------------

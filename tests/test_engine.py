@@ -118,6 +118,18 @@ def test_message_type_garbage_rejects(sip):
     assert msg.exec_counter == count  # failure memoized too
 
 
+def test_request_line_is_tried_first_whatever_the_declaration_order():
+    ag = parse_zebu('statusLine = 1*ALPHA:w SP "X"\n'
+                    'requestLine = 1*ALPHA:method SP "X"\n'
+                    'request { message.kind == "REQUEST"; }\n')
+    grammar = compile_grammar(ag)
+    assert list(grammar.entries)[:2] == ["requestLine", "statusLine"]
+    raw = b"GO X\r\n\r\n"  # derivable from both command lines
+    assert ParsedMessage(grammar, raw).message_type() is MessageKind.REQUEST
+    assert validate(grammar, raw).accepted
+    assert reference_validate(ag, raw) == (True, [])
+
+
 # --- header parsing ----------------------------------------------------------------
 
 def test_parse_cseq_typed_subfields(sip):
@@ -442,6 +454,59 @@ def test_fold_transparency_single_message(sip):
     for name in ("number", "method"):
         assert (a.parse_header("CSeq").get_subfield(name)
                 == b.parse_header("CSeq").get_subfield(name))
+
+
+_KIND_BASE = 'requestLine = 1*ALPHA:method SP "X"\nstatusLine = "X" SP 3DIGIT:code:uint16\n'
+_H = 'header H = 1*DIGIT:a:uint16 "-" 1*ALPHA:w'
+_BLOCK_RANGE = (ReasonCode.RANGE, "block")
+_BLOCK_CONSTRAINT = (ReasonCode.CONSTRAINT, "block")
+
+
+@pytest.mark.parametrize("decls, command, value, failure", [
+    pytest.param(_H + '\nrequest { H.a == 1 || H.w == "ok"; }', b"GO X", b"2-ok", None,
+                 id="or"),
+    pytest.param(_H + '\nrequest { H.a == 1 || H.w == "ok"; }', b"GO X", b"2-OK",
+                 _BLOCK_CONSTRAINT, id="or-case-sensitive"),
+    pytest.param(_H + "\nrequest { H.a == 1 || H.a == 2; }", b"GO X", b"3-x",
+                 _BLOCK_RANGE, id="or-one-field"),
+    pytest.param(_H + "\nrequest { !(H.a == 1); }", b"GO X", b"1-x", _BLOCK_RANGE,
+                 id="not-range"),
+    pytest.param(_H + '\nrequest { !(H.w == "x"); }', b"GO X", b"1-x", _BLOCK_CONSTRAINT,
+                 id="not"),
+    pytest.param(_H + '\nrequest { !(H.w == "x"); }', b"GO X", b"1-y", None, id="not-holds"),
+    pytest.param(_H + "\nrequest { H.a > 5; }", b"GO X", b"5-x", _BLOCK_RANGE, id="gt"),
+    pytest.param(_H + "\nrequest { H.a > 5; }", b"GO X", b"6-x", None, id="gt-holds"),
+    pytest.param(_H + "\nrequest { H.a >= 5; }", b"GO X", b"5-x", None, id="ge-holds"),
+    pytest.param(_H + "\nrequest { H.a >= 5; }", b"GO X", b"4-x", _BLOCK_RANGE, id="ge"),
+    pytest.param(_H + '\nrequest { H.w > "m"; }', b"GO X", b"1-a", _BLOCK_CONSTRAINT,
+                 id="gt-bytes"),
+    pytest.param(_H + '\nrequest { H.w >= "m"; }', b"GO X", b"1-m", None,
+                 id="ge-bytes-holds"),
+    pytest.param('header H = ( "abc" / "def" ):w\nrequest { H.w == "ABC"; }',
+                 b"GO X", b"aBc", None, id="ci-equal"),
+    pytest.param('header H = ( "abc" / "def" ):w\nrequest { H.w != "ABC"; }',
+                 b"GO X", b"abc", _BLOCK_CONSTRAINT, id="ci-not-equal"),
+    pytest.param('header H = ( %x61.62.63 ):w\nrequest { H.w == "ABC"; }',
+                 b"GO X", b"abc", _BLOCK_CONSTRAINT, id="case-sensitive-codes"),
+    pytest.param(_H + " { H.a < 5 }", b"GO X", b"7-x", (ReasonCode.RANGE, "H"),
+                 id="local-range"),
+    pytest.param(_H + ' { H.w != "no" }', b"X 200", b"7-no", (ReasonCode.CONSTRAINT, "H"),
+                 id="local-constraint"),
+    pytest.param(_H + ' { H.w != "no" }', b"X 200", b"7-NO", None, id="local-holds"),
+    pytest.param(_H + '\nrequest { message.kind == "Request"; }', b"GO X", b"1-x", None,
+                 id="kind"),
+    pytest.param(_H + '\nresponse { message.kind == "REQUEST"; }', b"X 200", b"1-x",
+                 _BLOCK_CONSTRAINT, id="kind-fails"),
+    pytest.param(_H + '\nrequest { message.kind != "request" || H.a > 1; }', b"GO X",
+                 b"1-x", _BLOCK_CONSTRAINT, id="kind-or"),
+])
+def test_engine_and_oracle_agree_on_constraint_forms(decls, command, value, failure):
+    ag = parse_zebu(_KIND_BASE + decls + "\n")
+    raw = command + b"\r\nH: " + value + b"\r\n\r\n"
+    verdict = validate(compile_grammar(ag), raw)
+    assert verdict.accepted is reference_validate(ag, raw)[0] is (failure is None)
+    assert [(r.code, r.location) for r in verdict.reasons] == (
+        [] if failure is None else [failure])
 
 
 # --- misc -----------------------------------------------------------------------------------

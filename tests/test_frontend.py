@@ -13,7 +13,7 @@ from zebu.frontend import (
     Annotated,
     DuplicateEntryPoint,
     DuplicateSubfield,
-    Mandatory,
+    MessageKind,
     Shape,
     UnknownAnnotation,
     UnresolvedFieldRef,
@@ -51,8 +51,7 @@ response {
 def test_entry_points_lifted():
     ag = parse_zebu(MINI)
     assert ag.protocol == "toy"
-    assert ag.request_line is not None
-    assert ag.status_line is not None
+    assert set(ag.command_lines) == set(MessageKind)
     assert [h.name for h in ag.headers] == ["CSeq"]
     assert "Method" in ag.base
     assert "requestLine" not in ag.base
@@ -71,7 +70,7 @@ def test_cseq_header_example():
     assert table["number"].shape is Shape.UINT32
     assert table["method"].shape is Shape.ENUM  # inherited from the definition
     assert decl.keys == ("CSeq",)
-    assert decl.mandatory_in is Mandatory.REQUEST
+    assert decl.mandatory_in == {MessageKind.REQUEST}
 
 
 def test_empty_annotation_block_is_neutral():
@@ -79,7 +78,7 @@ def test_empty_annotation_block_is_neutral():
         "requestLine = \"GO\"\nstatusLine = \"NO\"\n"
         "header H = 1*DIGIT { }\n")
     decl = ag.header("H")
-    assert decl.mandatory_in is Mandatory.NONE
+    assert not decl.mandatory_in
     assert not decl.multiple
     assert not decl.local_constraints
 
@@ -90,7 +89,7 @@ def test_key_variants():
         'header To { "To" / "t" } = 1*DIGIT { mandatory }\n')
     decl = ag.header("To")
     assert decl.keys == ("To", "t")
-    assert decl.mandatory_in is Mandatory.BOTH
+    assert decl.mandatory_in == set(MessageKind)
 
 
 def test_duplicate_entry_points_rejected():
@@ -247,10 +246,10 @@ def test_unresolved_reference_stays_unbound(tmp_path, capsys):
 
 def test_resolve_constraint_refs_binds_paths():
     ag = resolve_constraint_refs(parse_zebu(MINI))
-    refs = [r for expr in ag.request_block for r in iter_field_refs(expr)]
+    refs = [r for expr in ag.blocks[MessageKind.REQUEST] for r in iter_field_refs(expr)]
     assert {(r.entry, r.sub_path) for r in refs} == {
         ("CSeq", ("method",)), ("requestLine", ("method",))}
-    code_refs = [r for expr in ag.response_block for r in iter_field_refs(expr)]
+    code_refs = [r for expr in ag.blocks[MessageKind.RESPONSE] for r in iter_field_refs(expr)]
     assert all(r.entry == "statusLine" and r.sub_path == ("code",) for r in code_refs)
 
 
@@ -264,7 +263,7 @@ def test_resolve_constraint_refs_is_idempotent():
 def test_second_request_block_extends_constraints():
     src = MINI + "request {\n    CSeq.number < 2000000000;\n}\n"
     ag = parse_zebu(src)
-    assert len(ag.request_block) == 2
+    assert len(ag.blocks[MessageKind.REQUEST]) == 2
 
 
 def test_unresolved_field_ref_simple():
@@ -282,14 +281,14 @@ def test_header_name_in_constraint_is_case_insensitive():
         "header CSeq = 1*DIGIT:number:uint32\n"
         "request { cseq.number < 10; }\n")
     ag = resolve_constraint_refs(parse_zebu(src))
-    ref = next(iter_field_refs(ag.request_block[0]))
+    ref = next(iter_field_refs(ag.blocks[MessageKind.REQUEST][0]))
     assert ref.entry == "CSeq"
 
 
 def test_is_range_shaped():
     ag = resolve_constraint_refs(parse_zebu(MINI))
-    assert is_range_shaped(ag.response_block[0])
-    assert not is_range_shaped(ag.request_block[0])  # two distinct fields
+    assert is_range_shaped(ag.blocks[MessageKind.RESPONSE][0])
+    assert not is_range_shaped(ag.blocks[MessageKind.REQUEST][0])  # two distinct fields
 
 
 def test_range_syntax_errors():
@@ -305,7 +304,7 @@ def test_mandatory_names_unknown_header():
 def test_mandatory_header_name_may_start_the_next_line():
     ag = parse_zebu('requestLine = "GO"\nstatusLine = "NO"\nheader Max-Forwards = 1*DIGIT\n'
                     "request { mandatory\nMax-Forwards; }\n")
-    assert ag.header("Max-Forwards").mandatory_in is Mandatory.REQUEST
+    assert ag.header("Max-Forwards").mandatory_in == {MessageKind.REQUEST}
 
 
 def test_collect_subfields_skips_undefined_rules():

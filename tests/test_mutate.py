@@ -12,7 +12,7 @@ import pytest
 from zebu.abnf import Repetition, RuleRef
 from zebu.cli import main
 from zebu.engine import MessageSyntaxError, index_message, validate
-from zebu.frontend import REQUEST_LINE, STATUS_LINE, parse_zebu, resolve_to_alternation
+from zebu.frontend import COMMAND_LINE, MessageKind, parse_zebu, resolve_to_alternation
 from zebu.mutate import (
     DEFAULT_MIX,
     Exhausted,
@@ -46,7 +46,7 @@ def test_derived_requests_contain_mandatory_headers(sip_ag):
     for seed in range(12):
         tree = derive_valid(sip_ag, seed)
         keys = {p.decl.name for p in tree.parts if p.kind == "header"}
-        if tree.kind == "request":
+        if tree.kind is MessageKind.REQUEST:
             assert {"Via", "Max-Forwards", "From", "To", "CSeq", "Call-ID"} <= keys
         else:
             assert {"Via", "From", "To", "CSeq", "Call-ID"} <= keys
@@ -106,7 +106,7 @@ def _check_env(ag, tree) -> int:
     recorded branch is a branch of the subfield's alternation that derives
     the span. Returns the number of branches recorded."""
     branches = 0
-    command = REQUEST_LINE if tree.kind == "request" else STATUS_LINE
+    command = COMMAND_LINE[tree.kind]
     for part in tree.parts:
         table = ag.subfields.get(command if part.decl is None else part.decl.name)
         for key, (start, end, branch) in part.env.items():
@@ -354,11 +354,9 @@ def test_label_fidelity_against_reference_match_validation(sip_ag, sip):
         except MessageSyntaxError:
             return False
         cmd = raw[slice(*idx.command_line)]
-        if reference_match(sip_ag.request_line.body, sip_ag, cmd):
-            kind = "request"
-        elif reference_match(sip_ag.status_line.body, sip_ag, cmd):
-            kind = "response"
-        else:
+        kind = next((kind for kind in MessageKind
+                     if reference_match(sip_ag.command_lines[kind].body, sip_ag, cmd)), None)
+        if kind is None:
             return False
         counts = {}
         for line in idx.headers:
@@ -371,7 +369,7 @@ def test_label_fidelity_against_reference_match_validation(sip_ag, sip):
                         return False
                     break
         for decl in sip_ag.headers:
-            if decl.mandatory_in.covers(kind) and decl.name not in counts:
+            if kind in decl.mandatory_in and decl.name not in counts:
                 return False
             if counts.get(decl.name, 0) > 1 and not decl.multiple:
                 return False

@@ -12,7 +12,7 @@ from conftest import sip_request, sip_response
 from zebu import engine, pattern, refcheck
 from zebu.abnf import Repetition
 from zebu.engine import compile_grammar, index_message, validate
-from zebu.frontend import REQUEST_LINE, STATUS_LINE, RangeBound, parse_zebu
+from zebu.frontend import COMMAND_LINE, RangeBound, parse_zebu
 from zebu.mutate import _Deriver, derive_valid, make_mutant, run_campaign
 from zebu.pattern import match_full
 from zebu.refcheck import (
@@ -350,7 +350,7 @@ def test_engine_captures_equal_the_oracle_env(request, grammar, count, seed):
     for raw in accepted:
         index = index_message(raw)
         command = raw[index.command_line[0]:index.command_line[1]]
-        checks = [(grammar.entries[name], command) for name in (REQUEST_LINE, STATUS_LINE)]
+        checks = [(grammar.entries[name], command) for name in COMMAND_LINE.values()]
         for line in index.headers:
             entry = grammar.by_key.get(line.key.lower())
             if entry is not None:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from zebu.cli import main
 from zebu.frontend import parse_zebu
 from zebu.verify import (
     Code,
@@ -208,6 +209,25 @@ def test_verify_all_unresolved_constraint_ref():
     ag = parse_zebu(ENTRY_STUB + "request { Foo.bar == 1; }\n")
     diags = verify_all(ag)
     assert Code.UNRESOLVED_REF in codes(diags)
+
+
+_KIND_BASE = 'requestLine = 1*ALPHA:method SP "X"\nstatusLine = "X" SP 3DIGIT:code:uint16\n'
+
+
+@pytest.mark.parametrize("decls, operand", [
+    ('header H = P:s:struct\nP = 1*DIGIT:a\nrequest { H.s == 1; }\n', "'H.s' is a struct"),
+    ('header H = U:u:union { mandatory }\nU = 1*DIGIT:a / 1*ALPHA:b\n'
+     'request { H.u == "x"; }\n', "'H.u' is a union"),
+], ids=["struct", "union"])
+def test_struct_or_union_constraint_operand_is_a_type_mismatch(tmp_path, capsys, decls, operand):
+    ag = parse_zebu(_KIND_BASE + decls)
+    errors = [d for d in verify_all(ag) if d.is_error]
+    assert [(d.code, d.span) for d in errors] == [(Code.TYPE_MISMATCH, (5, 11))]
+    assert operand in errors[0].message
+    spec = tmp_path / "spec.zebu"
+    spec.write_text(_KIND_BASE + decls)
+    assert main(["check", str(spec)]) == 1
+    assert "spec.zebu:5:11: error[TYPE_MISMATCH]" in capsys.readouterr().err
 
 
 def test_unreachable_rule_is_warning_only():
