@@ -96,6 +96,45 @@ def test_index_structural_rejects(raw, code, fragment):
     assert any(r.code is code and fragment in r.message for r in exc.value.reasons)
 
 
+SYNTAX, FOLDING = ReasonCode.SYNTAX, ReasonCode.FOLDING
+# Malformed messages and every reason `validate` gives, in order. A framing
+# fault (bare CR or LF, no CRLF, no blank line) is reported alone; the
+# line-level problems are reported together, in line order.
+MALFORMED_MESSAGES = [
+    (b"", [(SYNTAX, "message", "empty input")]),
+    (b"INVITE a b\nX: y\r\n\r\n", [(SYNTAX, "offset 10", "bare LF outside CRLF")]),
+    (b"INVITE a b\rX: y\r\n\r\n", [(SYNTAX, "offset 10", "bare CR outside CRLF")]),
+    (b"INVITE a b\r\nX: y\r", [(SYNTAX, "offset 16", "bare CR outside CRLF")]),
+    (b"INVITE a b\r\nX: y", [(SYNTAX, "line 2", "final line lacks a CRLF terminator")]),
+    (b"INVITE a b\r\nX: y\r\n",
+     [(SYNTAX, "message", "headers are not terminated by an empty line")]),
+    (b"\r\nbody", [(SYNTAX, "line 1", "no command line")]),
+    (b" INVITE a b\r\nX: y\r\n\r\n",
+     [(FOLDING, "line 1", "message starts with a continuation line")]),
+    (b"CMD a b\r\n folded\r\nX: y\r\n\r\n",
+     [(FOLDING, "line 2", "continuation line before any header")]),
+    (b"CMD a b\r\nnocolon\r\n\r\n", [(SYNTAX, "line 2", "header line has no colon")]),
+    (b"CMD a b\r\n: empty\r\n\r\n", [(SYNTAX, "line 2", "empty header key")]),
+    (b" CMD a b\r\n\tearly\r\nnocolon\r\n late\r\nX: y\r\n: v\r\n \r\n\r\n", [
+        (FOLDING, "line 1", "message starts with a continuation line"),
+        (FOLDING, "line 2", "continuation line before any header"),
+        (SYNTAX, "line 3", "header line has no colon"),
+        (FOLDING, "line 4", "continuation line before any header"),
+        (SYNTAX, "line 6", "empty header key"),
+    ]),
+    (b" CMD a b\r\nnocolon\r\nX: y\nZ: w\r\n\r\n",
+     [(SYNTAX, "offset 23", "bare LF outside CRLF")]),
+    (sip_request() + b"body\r bare \n and \r\r", []),
+]
+
+
+@pytest.mark.parametrize("raw, reasons", MALFORMED_MESSAGES,
+                         ids=[repr(raw)[2:-1][:40] for raw, _ in MALFORMED_MESSAGES])
+def test_malformed_message_reasons(sip, raw, reasons):
+    got = validate(sip, raw).reasons
+    assert [(r.code, r.location, r.message) for r in got] == reasons
+
+
 # --- message type ----------------------------------------------------------------
 
 def test_message_type_request_and_response(sip):
