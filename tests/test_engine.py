@@ -4,6 +4,7 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS, sip_request, sip_response
 from zebu import pattern
@@ -28,7 +29,7 @@ from zebu.engine import (
     validate,
 )
 from zebu.frontend import parse_zebu
-from zebu.refcheck import reference_validate
+from zebu.refcheck import _scan_structure, reference_validate
 
 
 # --- line index ---------------------------------------------------------------
@@ -133,6 +134,56 @@ MALFORMED_MESSAGES = [
 def test_malformed_message_reasons(sip, raw, reasons):
     got = validate(sip, raw).reasons
     assert [(r.code, r.location, r.message) for r in got] == reasons
+
+
+# Framing pieces spliced into the bundled SIP messages; the oracle's own line
+# scan (`refcheck._scan_structure`) judges the results independently
+_FRAMING = (b"\r", b"\n", b"\r\n", b"\r\n ", b"\r\n\t", b" ", b"\t", b":")
+_BASES = [path.read_bytes() for path in sorted(CORPUS.glob("*.msg"))]
+
+
+@st.composite
+def _key_variant(draw, keys):
+    """One of `keys` in drawn letter case, with drawn blanks before the colon."""
+    key = draw(st.sampled_from(keys))
+    upper = draw(st.lists(st.booleans(), min_size=len(key), max_size=len(key)))
+    blanks = draw(st.text(" \t", max_size=3))
+    cased = "".join(c.upper() if u else c.lower() for c, u in zip(key, upper))
+    return (cased + blanks + ":").encode()
+
+
+# `--hypothesis-profile framing` runs 3 000 examples; CI does
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(st.data())
+def test_engine_and_oracle_agree_on_framing_edits(sip, data):
+    keys = {k.lower().encode(): decl for decl in sip.ag.headers for k in decl.keys}
+    lines = data.draw(st.sampled_from(_BASES)).split(b"\r\n")
+    head = lines.index(b"")
+    # re-key some header lines with a variant of a key of their own header
+    for i in data.draw(st.lists(st.integers(1, head - 1), max_size=2)):
+        key, _, value = lines[i].partition(b":")
+        decl = keys.get(key.lower())
+        if decl is not None:
+            lines[i] = data.draw(_key_variant(decl.keys)) + value
+    raw = b"\r\n".join(lines)
+    pieces = st.one_of(st.sampled_from(_FRAMING), _key_variant(
+        [k for d in sip.ag.headers for k in d.keys]).map(b"\r\n".__add__))
+    splices = data.draw(st.lists(st.tuples(st.integers(0, len(raw)), pieces), max_size=3))
+    for at, piece in sorted(splices, key=lambda splice: splice[0], reverse=True):
+        raw = raw[:at] + piece + raw[at:]
+
+    assert validate(sip, raw).accepted == reference_validate(sip.ag, raw)[0]
+    _, ref_lines, framed, _ = _scan_structure(raw)
+    try:
+        msg = ParsedMessage(sip, raw)
+    except MessageSyntaxError:
+        msg = None
+    assert (msg is not None) == framed
+    for decl in sip.ag.headers if framed else ():
+        want = [line.value for line in ref_lines if keys.get(line.key.lower()) is decl]
+        assert msg.header_count(decl.name) == len(want)
+        assert [msg.parse_header_nth(decl.name, i).raw_value
+                for i in range(len(want))] == want
 
 
 # --- message type ----------------------------------------------------------------
