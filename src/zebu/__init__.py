@@ -14,7 +14,6 @@ from .engine import (
     ParsedMessage,
     Verdict,
     compile_grammar,
-    index_message,
     validate,
 )
 from .frontend import AnnotatedGrammar, parse_zebu, resolve_constraint_refs
@@ -40,7 +39,6 @@ __all__ = [
     "compile_pattern",
     "core_rules",
     "derive_valid",
-    "index_message",
     "match_full",
     "parse_abnf",
     "parse_zebu",

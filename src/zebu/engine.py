@@ -5,12 +5,15 @@ its patterns. A CompiledGrammar is that grammar plus one entry table, a
 CompiledEntry per command line and header holding its pattern, its lazy
 subfields' patterns and its declaration.
 
-`index_message` scans lines only (no pattern runs): it locates the command
-line, header lines with folded continuations, and the raw body. A session
-sorts those lines into their declared headers once, on first use.
-Dedicated patterns then run on demand per requested header; lazy subfields
-defer their own pattern until forced. A session counts pattern executions
-so the cost model (independent of total header count) is observable.
+`index_message` is level one: a single scan of the head's lines that runs
+no pattern. It finds the command line and the body, and sorts the value
+spans of declared headers by header as it goes. Per line it makes a few
+single-byte finds (memchr) and one dict lookup; an undeclared header costs
+nothing more and builds nothing. A value is unfolded from its span on first
+use. Dedicated patterns then run on demand per requested header; lazy
+subfields defer their own pattern until forced. A session counts pattern
+executions so the cost model (independent of total header count) is
+observable.
 
 `validate` is the full-validation driver used by the mutation campaigns:
 it parses every declared header present, forces lazy subfields, checks
@@ -200,116 +203,102 @@ class LazyPending:
         return f"LazyPending({self.entry_name}.{self.key} @ {self.span})"
 
 
-# --- line index ---------------------------------------------------------------
+# --- line scan ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HeaderLine:
-    key: bytes                      # trailing SP/HTAB before the colon stripped
-    value_spans: tuple[tuple[int, int], ...]  # physical segments of a folded value
+def index_message(raw: bytes, by_key: dict[bytes, str]) -> tuple[int, dict, int]:
+    """Scan the head's lines once, without running any pattern.
 
+    Returns (cmd_end, values, body): the command line is raw[:cmd_end] and
+    the body raw[body:]. `values` maps each declared header present, by
+    name, to its instances' value spans in source order, as [start, end]
+    lists running from after the colon to the end of the last continuation
+    line. `by_key` maps each lowercased key variant to its header's name.
 
-@dataclass
-class LineIndex:
-    raw: bytes
-    command_line: tuple[int, int]
-    headers: list[HeaderLine]
-    body: tuple[int, int]
-
-    def unfolded_value(self, header: HeaderLine) -> bytes:
-        raw = self.raw
-        spans = header.value_spans
-        start, end = spans[0]
-        # skip the leading blanks by offset, so a one-line value is sliced once
-        while start < end and raw[start] in b" \t":
-            start += 1
-        if len(spans) == 1:
-            return raw[start:end]
-        parts = [raw[start:end]]
-        for s, e in spans[1:]:
-            parts.append(b" ")
-            parts.append(raw[s:e].lstrip(b" \t"))
-        return b"".join(parts).lstrip(b" \t")
-
-
-def index_message(raw: bytes) -> LineIndex:
-    """Scan physical lines without running any pattern.
-
-    Raises MessageSyntaxError carrying every structural problem found:
-    missing CRLF terminators, bare CR or LF, a continuation line before any
-    header, a header line without a colon, or no command line.
+    Raises MessageSyntaxError with a framing fault (empty input, no CRLF
+    terminator, bare CR or LF, no empty line) alone, or else with every
+    line that begins the message or precedes any header with a blank, has
+    no colon or has an empty key, in line order.
     """
-    reasons: list[Reason] = []
-    if not raw:
-        raise MessageSyntaxError([Reason(ReasonCode.SYNTAX, "message", "empty input")])
-
-    lines: list[tuple[int, int]] = []
-    pos = 0
-    n = len(raw)
-    body_span = None
-    while pos < n:
-        i_cr = raw.find(b"\r", pos)
-        i_lf = raw.find(b"\n", pos)
-        if i_cr == -1 and i_lf == -1:
-            reasons.append(Reason(
-                ReasonCode.SYNTAX, f"line {len(lines) + 1}",
-                "final line lacks a CRLF terminator"))
-            raise MessageSyntaxError(reasons)
-        if i_cr == -1 or (i_lf != -1 and i_lf < i_cr):
-            reasons.append(Reason(
-                ReasonCode.SYNTAX, f"offset {i_lf}", "bare LF outside CRLF"))
-            raise MessageSyntaxError(reasons)
-        if i_cr + 1 >= n or raw[i_cr + 1] != 0x0A:
-            reasons.append(Reason(
-                ReasonCode.SYNTAX, f"offset {i_cr}", "bare CR outside CRLF"))
-            raise MessageSyntaxError(reasons)
-        if i_cr == pos:
-            body_span = (i_cr + 2, n)
+    find = raw.find
+    cmd_end = find(b"\r")
+    # with no CR at all, an LF at offset 0 would pass the first test
+    if find(b"\n") != cmd_end + 1 or cmd_end < 0:
+        raise MessageSyntaxError([_framing_fault(raw, 0)])
+    if cmd_end == 0:
+        raise MessageSyntaxError([Reason(ReasonCode.SYNTAX, "line 1", "no command line")])
+    faults = []  # (offset, code, message) of each faulty line
+    if raw[0] in b" \t":
+        faults.append((0, ReasonCode.FOLDING, "message starts with a continuation line"))
+    values: dict[str, list[list[int]]] = {}
+    last = None      # the span a continuation line extends
+    skipped = [0, 0]  # stands in for it after an undeclared header
+    pos = cmd_end + 2
+    while True:
+        cr = find(b"\r", pos)
+        if find(b"\n", pos) != cr + 1:
+            raise MessageSyntaxError([_framing_fault(raw, pos)])
+        if cr == pos:
             break
-        lines.append((pos, i_cr))
-        pos = i_cr + 2
-    if body_span is None:
-        reasons.append(Reason(
-            ReasonCode.SYNTAX, "message",
-            "headers are not terminated by an empty line"))
-        raise MessageSyntaxError(reasons)
+        if raw[pos] in b" \t":
+            if last is not None:
+                last[1] = cr
+            else:
+                faults.append((pos, ReasonCode.FOLDING, "continuation line before any header"))
+        else:
+            colon = find(b":", pos, cr)
+            if colon > pos:
+                name = by_key.get(raw[pos:colon].rstrip(b" \t").lower())
+                if name is None:
+                    last = skipped
+                else:
+                    last = [colon + 1, cr]
+                    values.setdefault(name, []).append(last)
+            else:
+                faults.append((pos, ReasonCode.SYNTAX, "empty header key" if colon == pos
+                               else "header line has no colon"))
+        pos = cr + 2
+    if faults:
+        raise MessageSyntaxError(_line_faults(raw, faults))
+    return cmd_end, values, cr + 2
 
-    if not lines:
-        reasons.append(Reason(ReasonCode.SYNTAX, "line 1", "no command line"))
-        raise MessageSyntaxError(reasons)
-    cmd = lines[0]
-    if raw[cmd[0]] in b" \t":
-        reasons.append(Reason(
-            ReasonCode.FOLDING, "line 1",
-            "message starts with a continuation line"))
 
-    headers: list[HeaderLine] = []
-    for line_no, (s, e) in enumerate(lines[1:], start=2):
-        if raw[s] in b" \t":
-            if not headers:
-                reasons.append(Reason(
-                    ReasonCode.FOLDING, f"line {line_no}",
-                    "continuation line before any header"))
-                continue
-            prev = headers[-1]
-            headers[-1] = HeaderLine(prev.key, prev.value_spans + ((s, e),))
-            continue
-        colon = raw.find(b":", s, e)
-        if colon == -1:
-            reasons.append(Reason(
-                ReasonCode.SYNTAX, f"line {line_no}", "header line has no colon"))
-            continue
-        key_end = colon
-        while key_end > s and raw[key_end - 1] in b" \t":
-            key_end -= 1
-        if key_end == s:
-            reasons.append(Reason(
-                ReasonCode.SYNTAX, f"line {line_no}", "empty header key"))
-            continue
-        headers.append(HeaderLine(raw[s:key_end], ((colon + 1, e),)))
+def _framing_fault(raw: bytes, pos: int) -> Reason:
+    """Why no CRLF ends the line at `pos`; every line before it is framed."""
+    if not raw:
+        return Reason(ReasonCode.SYNTAX, "message", "empty input")
+    if pos == len(raw):
+        return Reason(ReasonCode.SYNTAX, "message",
+                      "headers are not terminated by an empty line")
+    cr = raw.find(b"\r", pos)
+    lf = raw.find(b"\n", pos)
+    if cr == lf == -1:
+        line = raw.count(b"\n", 0, pos) + 1
+        return Reason(ReasonCode.SYNTAX, f"line {line}", "final line lacks a CRLF terminator")
+    if cr == -1 or -1 < lf < cr:
+        return Reason(ReasonCode.SYNTAX, f"offset {lf}", "bare LF outside CRLF")
+    return Reason(ReasonCode.SYNTAX, f"offset {cr}", "bare CR outside CRLF")
 
-    if reasons:
-        raise MessageSyntaxError(reasons)
-    return LineIndex(raw, cmd, headers, body_span)
+
+def _line_faults(raw: bytes, faults) -> list[Reason]:
+    """The faulty lines' reasons, located by line number in one pass."""
+    reasons, line, counted = [], 1, 0
+    for pos, code, message in faults:
+        line += raw.count(b"\n", counted, pos)
+        counted = pos
+        reasons.append(Reason(code, f"line {line}", message))
+    return reasons
+
+
+def unfolded_value(raw: bytes, start: int, end: int) -> bytes:
+    """The header value in raw[start:end]: each physical segment without its
+    leading blanks, the segments joined by one space."""
+    # skip the leading blanks by offset, so a one-line value is sliced once
+    while start < end and raw[start] in b" \t":
+        start += 1
+    value = raw[start:end]
+    if b"\r" not in value:
+        return value
+    return b" ".join([seg.lstrip(b" \t") for seg in value.split(b"\r\n")]).lstrip(b" \t")
 
 
 # --- compiled grammar -----------------------------------------------------------
@@ -337,18 +326,19 @@ class CompiledGrammar:
 
     `entries` holds one CompiledEntry per entry point, keyed by name in
     `ag.entry_points()` order: requestLine, statusLine, then each header.
-    `by_key` maps each lowercased header key variant to the header that
-    declares it, so every header line is assigned to one entry once."""
+    `by_key` maps each lowercased header key variant to the name of the
+    header that declares it, so the line scan assigns every header line to
+    one entry."""
 
     ag: AnnotatedGrammar
     entries: dict[str, CompiledEntry]
-    by_key: dict[bytes, CompiledEntry] = dc_field(init=False, repr=False, compare=False)
+    by_key: dict[bytes, str] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.by_key = {}
         for entry in self.entries.values():
             for key in entry.decl.keys if entry.decl is not None else ():
-                self.by_key.setdefault(key.lower().encode("ascii"), entry)
+                self.by_key.setdefault(key.lower().encode("ascii"), entry.name)
 
     def named_patterns(self):
         """(name, pattern) for every pattern: each command line's and
@@ -499,18 +489,17 @@ class ParsedCommandLine:
 
 
 class ParsedMessage:
-    """Single-owner session over one raw message: line index, memo tables,
-    and the pattern-execution counter."""
+    """Single-owner session over one raw message: its line scan, memo
+    tables, and the pattern-execution counter."""
 
     def __init__(self, grammar: CompiledGrammar, raw: bytes):
         self.grammar = grammar
         self.raw = raw
-        self.index = index_message(raw)
+        self._cmd_end, self._values, self._body = index_message(raw, grammar.by_key)
         self._exec = 0
         self._lazy_exec = 0
         self._command: ParsedCommandLine | None = None
         self._command_error: MessageTypeError | None = None
-        self._lines: dict[str, list[HeaderLine]] | None = None
         self._parsed: dict[tuple[str, int], ParsedHeader] = {}
 
     # counters ------------------------------------------------------------
@@ -548,8 +537,7 @@ class ParsedMessage:
             return self._command
         if self._command_error is not None:
             raise self._command_error
-        s, e = self.index.command_line
-        subject = self.raw[s:e]
+        subject = self.raw[:self._cmd_end]
         try:
             for kind, name in COMMAND_LINE.items():
                 entry = self.grammar.entries[name]
@@ -584,21 +572,6 @@ class ParsedMessage:
 
     # headers ------------------------------------------------------------------
 
-    def _header_lines(self, entry: CompiledEntry) -> list[HeaderLine]:
-        """The entry's header lines in source order. The first call sorts
-        every line of the message into its declared header's list."""
-        if self._lines is None:
-            by_key = self.grammar.by_key
-            lines = self._lines = {}
-            for line in self.index.headers:
-                owner = by_key.get(line.key.lower())
-                if owner is not None:
-                    if owner.name in lines:
-                        lines[owner.name].append(line)
-                    else:
-                        lines[owner.name] = [line]
-        return self._lines.get(entry.name, [])
-
     def _header(self, name: str) -> CompiledEntry:
         entry = self.grammar.header(name)
         if entry is None:
@@ -606,7 +579,7 @@ class ParsedMessage:
         return entry
 
     def header_count(self, name: str) -> int:
-        return len(self._header_lines(self._header(name)))
+        return len(self._values.get(self._header(name).name, ()))
 
     def parse_header(self, name: str) -> ParsedHeader | None:
         """Parse the first instance of a declared header; None when absent.
@@ -615,11 +588,11 @@ class ParsedMessage:
         is not declared `multiple`.
         """
         entry = self._header(name)
-        instances = self._header_lines(entry)
-        if not instances:
+        count = len(self._values.get(entry.name, ()))
+        if not count:
             return None
-        if len(instances) > 1 and not entry.decl.multiple:
-            raise DuplicateHeader(entry.name, len(instances))
+        if count > 1 and not entry.decl.multiple:
+            raise DuplicateHeader(entry.name, count)
         return self._parse_instance(entry, 0)
 
     def parse_header_nth(self, name: str, index: int) -> ParsedHeader | None:
@@ -630,10 +603,10 @@ class ParsedMessage:
         memo_key = (entry.name, index)
         if memo_key in self._parsed:
             return self._parsed[memo_key]
-        instances = self._header_lines(entry)
+        instances = self._values.get(entry.name, ())
         if index >= len(instances):
             return None
-        value = self.index.unfolded_value(instances[index])
+        value = unfolded_value(self.raw, *instances[index])
         location = f"{entry.name}[{index}]" if index else entry.name
         try:
             res = self._run(entry.pattern, value, location)
@@ -730,8 +703,7 @@ class ParsedMessage:
         return current
 
     def body(self) -> bytes:
-        s, e = self.index.body
-        return self.raw[s:e]
+        return self.raw[self._body:]
 
 
 class _Budget(Exception):
@@ -767,7 +739,7 @@ def validate(grammar: CompiledGrammar, raw: bytes,
     first_instances: dict[str, ParsedHeader] = {}
     for decl in grammar.ag.headers:
         entry = grammar.entries[decl.name]
-        count = len(msg._header_lines(entry))
+        count = len(msg._values.get(decl.name, ()))
         if count == 0:
             if kind in decl.mandatory_in:
                 reasons.append(Reason(

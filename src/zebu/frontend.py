@@ -613,6 +613,9 @@ class _ZebuParser:
         name = s.take_name("header name")
         if name in COMMAND_LINE.values():
             raise DuplicateEntryPoint(f"header {name!r} takes a command line's name", *span)
+        if name.lower() == BUILTIN_MESSAGE:
+            raise DuplicateEntryPoint(f"header {name!r} takes the built-in message's name",
+                                      *span)
         s.skip_inline()
         variants = None
         if s.eat("{"):

@@ -330,6 +330,8 @@ MALFORMED = [
      AbnfSyntaxError, "expected ';' or '}' after annotation item", 1, 31),
     ('header statusLine = "a"\n',
      DuplicateEntryPoint, "header 'statusLine' takes a command line's name", 1, 1),
+    ("header Message = 1*DIGIT:kind:uint16\n",
+     DuplicateEntryPoint, "header 'Message' takes the built-in message's name", 1, 1),
     ('header H = "a" { mandatory; mandatori }\n',
      UnknownAnnotation, "unknown annotation 'mandatori'", 1, 29),
     ('header H = "a" { multiple;\n',

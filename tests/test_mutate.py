@@ -11,7 +11,7 @@ import pytest
 
 from zebu.abnf import Repetition, RuleRef
 from zebu.cli import main
-from zebu.engine import MessageSyntaxError, index_message, validate
+from zebu.engine import MessageSyntaxError, index_message, unfolded_value, validate
 from zebu.frontend import COMMAND_LINE, MessageKind, parse_zebu, resolve_to_alternation
 from zebu.mutate import (
     DEFAULT_MIX,
@@ -242,9 +242,8 @@ def test_range_rewrite_stays_grammar_syntactic(sip_ag):
         tree = derive_valid(sip_ag, seed)
         mutant = mutate_constraint(sip_ag, tree, seed)
         if "rewritten to" in mutant.provenance and "CSeq.number" in mutant.provenance:
-            idx = index_message(mutant.data)
-            line = next(h for h in idx.headers if h.key.lower() == b"cseq")
-            value = idx.unfolded_value(line)
+            [span] = index_message(mutant.data, {b"cseq": "CSeq"})[1]["CSeq"]
+            value = unfolded_value(mutant.data, *span)
             assert reference_match(sip_ag.header("CSeq").body, sip_ag, value)
             return
     pytest.skip("seed sweep produced no CSeq range rewrite")
@@ -348,30 +347,30 @@ def test_label_fidelity_against_reference_match_validation(sip_ag, sip):
     set-based reference matcher (independent of both the engine and the
     harness's own derivation-based checker)."""
 
+    keys = {}
+    for decl in sip_ag.headers:
+        for k in decl.keys:
+            keys.setdefault(k.lower().encode(), decl.name)
+
     def ref_match_validate(raw: bytes) -> bool:
         try:
-            idx = index_message(raw)
+            cmd_end, values, _ = index_message(raw, keys)
         except MessageSyntaxError:
             return False
-        cmd = raw[slice(*idx.command_line)]
+        cmd = raw[:cmd_end]
         kind = next((kind for kind in MessageKind
                      if reference_match(sip_ag.command_lines[kind].body, sip_ag, cmd)), None)
         if kind is None:
             return False
-        counts = {}
-        for line in idx.headers:
-            low = line.key.lower()
-            for decl in sip_ag.headers:
-                if any(low == k.lower().encode() for k in decl.keys):
-                    counts[decl.name] = counts.get(decl.name, 0) + 1
-                    if not reference_match(decl.body, sip_ag,
-                                           idx.unfolded_value(line)):
-                        return False
-                    break
-        for decl in sip_ag.headers:
-            if kind in decl.mandatory_in and decl.name not in counts:
+        for name, spans in values.items():
+            body = sip_ag.header(name).body
+            if not all(reference_match(body, sip_ag, unfolded_value(raw, *span))
+                       for span in spans):
                 return False
-            if counts.get(decl.name, 0) > 1 and not decl.multiple:
+        for decl in sip_ag.headers:
+            if kind in decl.mandatory_in and decl.name not in values:
+                return False
+            if len(values.get(decl.name, ())) > 1 and not decl.multiple:
                 return False
         # grammar-level syntax, structure and multiplicity only: a mutant
         # labeled VALID must pass; constraint-only violations still pass

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import sip_request, sip_response
 from zebu import engine, pattern, refcheck
 from zebu.abnf import Repetition
-from zebu.engine import compile_grammar, index_message, validate
+from zebu.engine import compile_grammar, index_message, unfolded_value, validate
 from zebu.frontend import COMMAND_LINE, RangeBound, parse_zebu
 from zebu.mutate import _Deriver, derive_valid, make_mutant, run_campaign
 from zebu.pattern import match_full
@@ -348,13 +348,10 @@ def test_engine_captures_equal_the_oracle_env(request, grammar, count, seed):
     bodies = dict(ag.entry_points())
     lines = 0
     for raw in accepted:
-        index = index_message(raw)
-        command = raw[index.command_line[0]:index.command_line[1]]
-        checks = [(grammar.entries[name], command) for name in COMMAND_LINE.values()]
-        for line in index.headers:
-            entry = grammar.by_key.get(line.key.lower())
-            if entry is not None:
-                checks.append((entry, index.unfolded_value(line)))
+        cmd_end, values, _ = index_message(raw, grammar.by_key)
+        checks = [(grammar.entries[name], raw[:cmd_end]) for name in COMMAND_LINE.values()]
+        for name, spans in values.items():
+            checks.extend((grammar.entries[name], unfolded_value(raw, *span)) for span in spans)
         for entry, subject in checks:
             want = derive_env(bodies[entry.name], ag, subject, entry.table)
             got = _engine_env(entry, subject)
