@@ -21,7 +21,9 @@ from zebu.engine import (
     RawSlice,
     ReasonCode,
     StructVal,
+    U16,
     U32,
+    UnionVal,
     UnknownHeader,
     UnknownSubfield,
     compile_grammar,
@@ -262,6 +264,81 @@ def test_leading_zeros_beyond_int_limit_convert(sip):
     msg = ParsedMessage(sip, sip_request(cseq=b"0" * 5_000 + b"7"))
     assert msg.parse_header("CSeq").get_subfield("number") == U32(7)
     assert validate(sip, sip_request(cseq=b"0" * 5_000 + b"7")).accepted
+
+
+@pytest.fixture(scope="module")
+def typed():
+    """A `<=` range, a `multiple` header with a typed field, and a union
+    whose first branch has an optional child."""
+    return compile_grammar(parse_zebu(
+        'requestLine = "GO"\nstatusLine = "NO"\n'
+        "header H = 1*DIGIT:a:uint16 { multiple }\n"
+        "header R = Lim:n:uint16\n"
+        "range Lim = 0 <= x <= 10\n"
+        "Lim = 1*DIGIT\n"
+        "header U = Kind:k:union\n"
+        'Kind = ( "num" 1*DIGIT:n:uint16 [ "." 1*DIGIT:f ] ) / ( "word" 1*ALPHA:w )\n'))
+
+
+def _sip_with(old: bytes, new: bytes) -> bytes:
+    raw = sip_request()
+    assert old in raw
+    return raw.replace(old, new)
+
+
+RANGE = ReasonCode.RANGE
+# Messages whose typed conversions fail or read absent, with every reason
+# `validate` gives, in order, and the values some selectors read
+TYPED_CONVERSIONS = [
+    ("lazy-uint16-overflow", "sip",
+     _sip_with(b"<sip:alice@example.com>;tag=1928301774", b"<sip:a@b.com:99999>;tag=1"),
+     [(RANGE, "From.uri.port", "value 99999 overflows uint16")], {}),
+    ("command-line-uint16-overflow", "rtsp",
+     b"DESCRIBE rtsp://h:65536/x RTSP/1.0\r\nCSeq: 1\r\n\r\n",
+     [(RANGE, "requestLine.uri.port", "value 65536 overflows uint16")], {}),
+    ("uint32-overflow", "sip", _sip_with(b"Max-Forwards: 70", b"Max-Forwards: 4294967296"),
+     [(RANGE, "Max-Forwards.hops", "value 4294967296 overflows uint32")], {}),
+    ("uint32-overflow-zero-padded", "sip",
+     _sip_with(b"Max-Forwards: 70", b"Max-Forwards: 0004294967296"),
+     [(RANGE, "Max-Forwards.hops", "value 4294967296 overflows uint32")], {}),
+    ("uint32-zero-padded", "sip", _sip_with(b"Max-Forwards: 70", b"Max-Forwards: 0070"),
+     [], {"Max-Forwards.hops": U32(70)}),
+    ("range-lt", "sip", sip_request(cseq=b"2147483648"),
+     [(RANGE, "CSeq.number", "value 2147483648 outside 0 <= x < 2147483648")], {}),
+    ("range-le", "typed", b"GO\r\nR: 11\r\n\r\n",
+     [(RANGE, "R.n", "value 11 outside 0 <= x <= 10")], {}),
+    ("range-le-zero-padded", "typed", b"GO\r\nR: 010\r\n\r\n", [], {"R.n": U16(10)}),
+    ("multiple-second-instance", "typed", b"GO\r\nH: 1\r\nH: 70000\r\nH: 65536\r\n\r\n",
+     [(RANGE, "H.a", "value 70000 overflows uint16"),
+      (RANGE, "H.a", "value 65536 overflows uint16")], {"H.a": U16(1)}),
+    ("union-child-overflow", "typed", b"GO\r\nU: num99999.5\r\n\r\n",
+     [(RANGE, "U.k.n", "value 99999 overflows uint16")], {"U.k": ABSENT}),
+    ("enum-and-optional-struct-child", "sip",
+     _sip_with(b"<sip:alice@example.com>", b"<sip:example.com>"), [],
+     {"CSeq.method": EnumTag(0), "From.uri.user": ABSENT,
+      "From.uri.host": RawSlice(b"example.com", 0, 11)}),
+    ("enum-in-struct", "rtsp",
+     b"SETUP rtsp://h/x RTSP/1.0\r\nCSeq: 1\r\nTransport: RAW/AVP;unicast\r\n\r\n", [],
+     {"requestLine.method": EnumTag(1), "Transport.spec.proto": EnumTag(1),
+      "Transport.spec.lower": ABSENT}),
+    ("union-optional-child-absent", "typed", b"GO\r\nU: num7\r\n\r\n", [],
+     {"U.k": UnionVal(0, {"n": U16(7), "f": ABSENT}), "U.k.f": ABSENT, "U.k.w": ABSENT}),
+    ("union-optional-child", "typed", b"GO\r\nU: num7.25\r\n\r\n", [],
+     {"U.k.f": RawSlice(b"25", 0, 2), "U.k.w": ABSENT}),
+    ("union-second-branch", "typed", b"GO\r\nU: wordab\r\n\r\n", [],
+     {"U.k": UnionVal(1, {"w": RawSlice(b"ab", 0, 2)}), "U.k.n": ABSENT}),
+]
+
+
+@pytest.mark.parametrize("grammar, raw, reasons, values",
+                         [row[1:] for row in TYPED_CONVERSIONS],
+                         ids=[row[0] for row in TYPED_CONVERSIONS])
+def test_typed_conversion_reasons(request, grammar, raw, reasons, values):
+    compiled = request.getfixturevalue(grammar)
+    got = validate(compiled, raw).reasons
+    assert [(r.code, r.location, r.message) for r in got] == reasons
+    msg = ParsedMessage(compiled, raw)
+    assert {selector: msg.select(selector) for selector in values} == values
 
 
 def test_parse_header_is_memoized(sip):
