@@ -24,6 +24,7 @@ from pathlib import Path
 from . import artifact, mutate
 from .engine import (
     ABSENT,
+    DuplicateHeader,
     EnumTag,
     LazyPending,
     MessageSyntaxError,
@@ -208,7 +209,8 @@ def cmd_parse(args) -> int:
         except (UnknownSubfield, UnknownHeader) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        except MessageSyntaxError:
+        except (MessageSyntaxError, DuplicateHeader):
+            # the verdict below gives the reason
             value = ABSENT
         print(f"{selector} = {_render_value(value)}")
     verdict = validate(grammar, raw, session=session)

@@ -336,6 +336,19 @@ def test_parse_unknown_selector_exits_2(compiled_artifact, tmp_path):
                  "--field", "From.uri.bogus"]) == 2
 
 
+def test_parse_duplicated_single_header_prints_absent_and_rejects(
+        compiled_artifact, tmp_path, capsys):
+    msg = tmp_path / "dup.msg"
+    msg.write_bytes(sip_request(extra=(b"Max-Forwards: 69",)))
+    code = main(["parse", str(compiled_artifact), str(msg), "--field", "Max-Forwards.hops"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.splitlines()[:2] == [
+        "Max-Forwards.hops = ABSENT",
+        "REJECT DUPLICATE_HEADER Max-Forwards header 'Max-Forwards' appears 2 times"]
+    assert captured.err == ""
+
+
 def test_parse_no_selectors_verdict_only(compiled_artifact, tmp_path, capsys):
     msg = tmp_path / "m.msg"
     msg.write_bytes(sip_request())
