@@ -15,6 +15,13 @@ subfields defer their own pattern until forced. A session counts pattern
 executions so the cost model (independent of total header count) is
 observable.
 
+Typed fields are read straight from a match's spans. Both matcher backends
+give one span shape, `re`'s `Match.regs` (see `pattern.match_spans`), and
+each entry, like each lazy subfield's pattern, has a capture reader built
+once, on first use: one function per subfield that indexes the span tuple
+at its capture's slot, with its shape's checks, bounds and reason location
+worked out beforehand.
+
 `validate` is the full-validation driver used by the mutation campaigns:
 it parses every declared header present, forces lazy subfields, checks
 mandatory/multiplicity rules, and evaluates the request/response block
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from . import frontend, pattern as pat
 from .errors import ZebuError
@@ -45,7 +53,10 @@ from .frontend import (
     expr_to_text,
     is_range_shaped,
 )
-from .pattern import MatchBudgetExceeded, Pattern, compile_pattern, compile_subfield_pattern, match_full
+from .pattern import MatchBudgetExceeded, Pattern, compile_pattern, compile_subfield_pattern
+# every pattern run goes through this module-level name, so a tracer that
+# wraps `engine.match_full` (perfbench's does) sees each one
+from .pattern import match_spans as match_full
 
 
 class ReasonCode(enum.Enum):
@@ -314,10 +325,28 @@ class CompiledEntry:
     table: dict[str, Subfield]
     lazy_patterns: dict[str, Pattern]
     decl: HeaderDecl | None
-    top_fields: tuple[Subfield, ...] = dc_field(init=False, repr=False)
 
-    def __post_init__(self):
-        self.top_fields = tuple(sf for sf in self.table.values() if len(sf.path) == 1)
+    @cached_property
+    def reader(self) -> tuple:
+        """(name, read) per top-level subfield of a match of `pattern`; a
+        lazy one reads as a LazyPending over its hole."""
+        return tuple(
+            (sf.name, _pending_reader(self.pattern, self.name, sf.key)
+             if sf.name in self.lazy_patterns
+             else _reader(self.pattern, self.table, sf, f"{self.name}.{sf.key}"))
+            for sf in self.table.values() if len(sf.path) == 1)
+
+    @cached_property
+    def lazy_readers(self) -> dict:
+        """Per lazy subfield, the read of its value from a match of its own
+        pattern."""
+        return {key: _reader(p, self.table, self.table[key], f"{self.name}.{key}")
+                for key, p in self.lazy_patterns.items()}
+
+    def read(self, spans: tuple, source: bytes, errors: list[Reason]) -> dict:
+        """The top-level fields of a match of `pattern` over `source`;
+        conversion failures are appended to `errors`."""
+        return {name: get(spans, source, errors) for name, get in self.reader}
 
 
 @dataclass
@@ -372,83 +401,111 @@ def compile_grammar(ag: AnnotatedGrammar) -> CompiledGrammar:
     return CompiledGrammar(ag, entries)
 
 
-# --- typed conversion -----------------------------------------------------------
+# --- capture readers --------------------------------------------------------------
+#
+# A read function takes (spans, source, errors): the span tuple of a match
+# over `source`, and the list to which a failed conversion appends its
+# reason. It returns the subfield's typed value, or ABSENT.
 
 _UINT_DIGITS = {16: len(str(1 << 16)), 32: len(str(1 << 32))}
 
 
-def _convert(entry: CompiledEntry, pattern: Pattern, res, source: bytes,
-             sf: Subfield, location: str, errors: list[Reason]):
-    span = res.span(pattern, sf.key)
-    if span is None:
-        return ABSENT
-    start, end = span
+def _read_absent(spans, source, errors):
+    return ABSENT
+
+
+def _pending_reader(pattern: Pattern, entry_name: str, key: str):
+    """Read a lazy subfield's hole as a LazyPending over its span."""
+    cid = pattern.capture_index.get(key)
+    if cid is None:
+        return _read_absent
+    slot = cid + 1
+
+    def read(spans, source, errors):
+        span = spans[slot]
+        return ABSENT if span[0] < 0 else LazyPending(entry_name, key, source, span)
+    return read
+
+
+def _reader(pattern: Pattern, table: dict[str, Subfield], sf: Subfield, location: str):
+    """Read `sf` from a match of `pattern`; a failed conversion's reason
+    is located at `location`."""
+    cid = pattern.capture_index.get(sf.key)
+    if cid is None:
+        return _read_absent
+    slot = cid + 1
     shape = sf.shape
     if shape is Shape.RAW:
-        return RawSlice(source, start, end)
-    if shape in (Shape.UINT16, Shape.UINT32):
-        text = source[start:end]
-        if not text.isdigit():
-            errors.append(Reason(
-                ReasonCode.SYNTAX, location,
-                f"captured value {text!r} is not an unsigned decimal integer"))
-            return ABSENT
-        # overflow is decided on the digits first: int() refuses very long strings
-        digits = text.lstrip(b"0")
+        def read(spans, source, errors):
+            start, end = spans[slot]
+            return ABSENT if start < 0 else RawSlice(source, start, end)
+        return read
+
+    if shape is Shape.UINT16 or shape is Shape.UINT32:
         width = 16 if shape is Shape.UINT16 else 32
-        value = int(digits or b"0") if len(digits) <= _UINT_DIGITS[width] else None
-        if value is None or value >= (1 << width):
-            errors.append(Reason(
-                ReasonCode.RANGE, location,
-                f"value {digits.decode('ascii')} overflows uint{width}"))
-            return ABSENT
+        limit, most, typed = 1 << width, _UINT_DIGITS[width], U16 if width == 16 else U32
         bound = sf.range
-        if bound is not None and not bound.holds(value):
-            op = "<" if bound.hi_strict else "<="
-            errors.append(Reason(
-                ReasonCode.RANGE, location,
-                f"value {value} outside {bound.lo} <= x {op} {bound.hi}"))
-            return ABSENT
-        return U16(value) if width == 16 else U32(value)
-    if shape is Shape.ENUM:
-        branch = _matched_branch(pattern, res, sf.key)
-        if branch is None:
-            errors.append(Reason(
-                ReasonCode.SYNTAX, location, "no alternation branch recorded"))
-            return ABSENT
-        return EnumTag(branch)
+        outside = None if bound is None else (
+            f" outside {bound.lo} <= x {'<' if bound.hi_strict else '<='} {bound.hi}")
+
+        def read(spans, source, errors):
+            start, end = spans[slot]
+            if start < 0:
+                return ABSENT
+            text = source[start:end]
+            if not text.isdigit():
+                errors.append(Reason(
+                    ReasonCode.SYNTAX, location,
+                    f"captured value {text!r} is not an unsigned decimal integer"))
+                return ABSENT
+            # overflow is decided on the digits first: int() refuses very long strings
+            digits = text.lstrip(b"0")
+            if len(digits) > most or (value := int(digits or b"0")) >= limit:
+                errors.append(Reason(
+                    ReasonCode.RANGE, location,
+                    f"value {digits.decode('ascii')} overflows uint{width}"))
+                return ABSENT
+            if bound is not None and not bound.holds(value):
+                errors.append(Reason(ReasonCode.RANGE, location, f"value {value}{outside}"))
+                return ABSENT
+            return typed(value)
+        return read
+
+    def children(names):
+        return tuple((child, _reader(pattern, table, table[f"{sf.key}.{child}"],
+                                     f"{location}.{child}")) for child in names)
+
     if shape is Shape.STRUCT:
-        fields = {}
-        for child in sf.children:
-            child_sf = entry.table[f"{sf.key}.{child}"]
-            fields[child] = _convert(entry, pattern, res, source, child_sf,
-                                     f"{location}.{child}", errors)
-        return StructVal(fields)
-    if shape is Shape.UNION:
-        branch = _matched_branch(pattern, res, sf.key)
-        if branch is None:
-            errors.append(Reason(
-                ReasonCode.SYNTAX, location, "no alternation branch recorded"))
+        fields = children(sf.children)
+
+        def read(spans, source, errors):
+            if spans[slot][0] < 0:
+                return ABSENT
+            return StructVal({name: get(spans, source, errors) for name, get in fields})
+        return read
+
+    if shape is not Shape.ENUM and shape is not Shape.UNION:
+        raise ZebuError(f"unhandled shape {shape}")
+    # the slots of the branches' captures, in branch order
+    branches = []
+    while (branch_cid := pattern.capture_index.get(f"{sf.key}#{len(branches)}")) is not None:
+        branches.append(branch_cid + 1)
+    per_branch = tuple(map(children, sf.branch_children))
+
+    def read(spans, source, errors):
+        if spans[slot][0] < 0:
             return ABSENT
-        per_branch = sf.branch_children
-        fields = {}
-        for child in per_branch[branch] if branch < len(per_branch) else ():
-            child_sf = entry.table[f"{sf.key}.{child}"]
-            fields[child] = _convert(entry, pattern, res, source, child_sf,
-                                     f"{location}.{child}", errors)
-        return UnionVal(branch, fields)
-    raise ZebuError(f"unhandled shape {shape}")
-
-
-def _matched_branch(pattern: Pattern, res, key: str) -> int | None:
-    i = 0
-    while True:
-        cid = pattern.capture_index.get(f"{key}#{i}")
-        if cid is None:
-            return None
-        if cid in res.captures:
-            return i
-        i += 1
+        for branch, branch_slot in enumerate(branches):
+            if spans[branch_slot][0] >= 0:
+                break
+        else:
+            errors.append(Reason(ReasonCode.SYNTAX, location, "no alternation branch recorded"))
+            return ABSENT
+        if shape is Shape.ENUM:
+            return EnumTag(branch)
+        fields = per_branch[branch] if branch < len(per_branch) else ()
+        return UnionVal(branch, {name: get(spans, source, errors) for name, get in fields})
+    return read
 
 
 # --- parsed views ----------------------------------------------------------------
@@ -514,7 +571,8 @@ class ParsedMessage:
         return self._lazy_exec
 
     def _run(self, pattern: Pattern, subject: bytes, location: str,
-             lazy: bool = False):
+             lazy: bool = False) -> tuple | None:
+        """The span tuple of a full match of `subject`, or None."""
         self._exec += 1
         if lazy:
             self._lazy_exec += 1
@@ -541,11 +599,10 @@ class ParsedMessage:
         try:
             for kind, name in COMMAND_LINE.items():
                 entry = self.grammar.entries[name]
-                res = self._run(entry.pattern, subject, "command line")
-                if res.matched:
+                spans = self._run(entry.pattern, subject, "command line")
+                if spans is not None:
                     failures: list[Reason] = []
-                    fields = self._materialize(entry, entry.pattern, res,
-                                               subject, failures)
+                    fields = entry.read(spans, subject, failures)
                     self._command = ParsedCommandLine(kind, fields, failures, entry)
                     return self._command
         except _Budget as b:
@@ -555,20 +612,6 @@ class ParsedMessage:
             ReasonCode.SYNTAX, "command line",
             "matches neither the request line nor the status line")])
         raise self._command_error
-
-    def _materialize(self, entry: CompiledEntry, pattern: Pattern, res,
-                     subject: bytes, failures: list[Reason]) -> dict:
-        fields = {}
-        for sf in entry.top_fields:
-            if sf.lazy and sf.name in entry.lazy_patterns:
-                span = res.span(pattern, sf.key)
-                fields[sf.name] = (
-                    ABSENT if span is None
-                    else LazyPending(entry.name, sf.key, subject, span))
-            else:
-                fields[sf.name] = _convert(entry, pattern, res, subject, sf,
-                                           f"{entry.name}.{sf.key}", failures)
-        return fields
 
     # headers ------------------------------------------------------------------
 
@@ -609,13 +652,13 @@ class ParsedMessage:
         value = unfolded_value(self.raw, *instances[index])
         location = f"{entry.name}[{index}]" if index else entry.name
         try:
-            res = self._run(entry.pattern, value, location)
+            spans = self._run(entry.pattern, value, location)
         except _Budget as b:
             parsed = ParsedHeader(entry.name, index, value, HeaderState.PARSE_FAILED,
                                   [b.reason], {}, entry)
             self._parsed[memo_key] = parsed
             return parsed
-        if not res.matched:
+        if spans is None:
             parsed = ParsedHeader(
                 entry.name, index, value, HeaderState.PARSE_FAILED,
                 [Reason(ReasonCode.SYNTAX, location,
@@ -623,7 +666,7 @@ class ParsedMessage:
                 {}, entry)
         else:
             failures: list[Reason] = []
-            fields = self._materialize(entry, entry.pattern, res, value, failures)
+            fields = entry.read(spans, value, failures)
             state = HeaderState.PARSE_FAILED if failures else HeaderState.PARSED_OK
             parsed = ParsedHeader(entry.name, index, value, state, failures,
                                   fields, entry)
@@ -640,23 +683,21 @@ class ParsedMessage:
         if pending.failure is not None:
             raise pending.failure
         entry = self.grammar.entries[pending.entry_name]
-        sub_pattern = entry.lazy_patterns[pending.key]
         s, e = pending.span
         subject = pending.source[s:e]
         location = f"{pending.entry_name}.{pending.key}"
         try:
-            res = self._run(sub_pattern, subject, location, lazy=True)
+            spans = self._run(entry.lazy_patterns[pending.key], subject, location, lazy=True)
         except _Budget as b:
             pending.failure = ForceFailed([b.reason])
             raise pending.failure from None
-        if not res.matched:
+        if spans is None:
             pending.failure = ForceFailed([Reason(
                 ReasonCode.SYNTAX, location,
                 f"lazy value {subject!r} does not match its grammar")])
             raise pending.failure
         errors: list[Reason] = []
-        sf = entry.table[pending.key]
-        value = _convert(entry, sub_pattern, res, subject, sf, location, errors)
+        value = entry.lazy_readers[pending.key](spans, subject, errors)
         if errors:
             pending.failure = ForceFailed(errors)
             raise pending.failure

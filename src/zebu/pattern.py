@@ -8,6 +8,12 @@ repetition is greedy, and backtracking is complete, so a subject matches
 iff some derivation exists. Captures report the spans of the first
 successful derivation under that order.
 
+`match_spans` is the one matching path. It returns the match's spans in
+the shape of `re`'s `Match.regs`: index 0 holds `(0, n)`, index cid + 1
+the span of capture cid, and `(-1, -1)` a capture the derivation did not
+exercise. Both backends give that tuple, so what reads a match's spans
+never asks which backend ran. `match_full` wraps it in a MatchResult.
+
 `match_full` has two backends, chosen per `Pattern` by one rule, never by
 an option: a tree that passes the ambiguity guard below and whose regex
 `re` compiles runs on `re`. `_regex_backend` alone decides, and records
@@ -16,9 +22,11 @@ why any other pattern runs on the interpreter (`interpreter_reason`).
 * the stdlib `re` engine. On first use the tree is translated into a bytes
   regex (one group per capture, `(?i:...)` for case-insensitive literals,
   ordered `(?:a|b)`, greedy `{m,n}`), compiled, and kept on the Pattern.
-  A cid in two groups (same-named subfields in two branches) takes the
-  span of the participating one with the greatest `(start, end)`, which
-  the interpreter sets last.
+  Where group g holds cid g - 1, as in every bundled pattern, `m.regs` is
+  the span tuple as it stands. Otherwise a group map rebuilds it, and a
+  cid in two groups (same-named subfields in two branches) takes the span
+  of the participating one with the greatest `(start, end)`, which the
+  interpreter sets last.
   Three cuts stop backtracking where it cannot change a result:
   - a one-byte repetition is possessive (`*+`) when what follows can
     always do without a byte it would give back;
@@ -154,6 +162,11 @@ class Pattern:
     def backend(self) -> tuple:
         return _regex_backend(self.root)
 
+    @cached_property
+    def span_count(self) -> int:
+        """The length of the span tuple `match_spans` returns."""
+        return _span_count(self.root)
+
 
 @dataclass
 class MatchResult:
@@ -163,6 +176,9 @@ class MatchResult:
     def span(self, pattern: Pattern, key: str) -> tuple[int, int] | None:
         cid = pattern.capture_index.get(key)
         return self.captures.get(cid) if cid is not None else None
+
+
+UNSET = (-1, -1)  # the span of a capture the match did not exercise
 
 
 # --- compilation ------------------------------------------------------------
@@ -317,7 +333,18 @@ DEFAULT_MATCH_BUDGET = 1_000_000
 
 
 def match_full(pattern, subject: bytes, budget: int = DEFAULT_MATCH_BUDGET) -> MatchResult:
-    """Match the entire subject against the pattern.
+    """Match the entire subject against the pattern (see `match_spans`);
+    the captures map each exercised cid to its span."""
+    spans = match_spans(pattern, subject, budget)
+    if spans is None:
+        return MatchResult(False, {})
+    return MatchResult(True, {cid: span for cid, span in enumerate(spans[1:])
+                              if span[0] >= 0})
+
+
+def match_spans(pattern, subject: bytes, budget: int = DEFAULT_MATCH_BUDGET) -> tuple | None:
+    """The spans of a full match of `subject`, shaped as `re`'s `Match.regs`
+    (see the module docstring), or None when the subject does not match.
 
     A Pattern runs where `_regex_backend` decided on its first match: on
     `re` when its tree passes the guard and `re` compiles its regex, on the
@@ -326,20 +353,19 @@ def match_full(pattern, subject: bytes, budget: int = DEFAULT_MATCH_BUDGET) -> M
     limit) is hit, which callers must treat as distinct from a non-match.
     """
     if isinstance(pattern, Pattern):
-        rx, groups, shared, _ = pattern.backend
+        rx, groups, _ = pattern.backend
         if rx is not None:
             m = rx.fullmatch(subject)
             if m is None:
-                return MatchResult(False, {})
+                return None
+            if groups is None:
+                return m.regs
             regs = m.regs
-            caps = {cid: regs[g] for g, cid in groups if regs[g][0] >= 0}
-            for cid, gs in shared:
-                if (span := max(regs[g] for g in gs))[0] >= 0:
-                    caps[cid] = span
-            return MatchResult(True, caps)
-        root = pattern.root
+            return tuple(max([regs[g] for g in gs], default=UNSET) for gs in groups)
+        root, count = pattern.root, pattern.span_count
     else:
         root = pattern
+        count = _span_count(root)
     n = len(subject)
     caps: dict[int, tuple[int, int]] = {}
     steps = budget
@@ -413,10 +439,20 @@ def match_full(pattern, subject: bytes, budget: int = DEFAULT_MATCH_BUDGET) -> M
     try:
         for end in m(root, 0):
             if end == n:
-                return MatchResult(True, dict(caps))
+                return ((0, n),) + tuple(caps.get(cid, UNSET) for cid in range(count - 1))
     except RecursionError:
         raise MatchBudgetExceeded("recursion limit exhausted during match") from None
-    return MatchResult(False, {})
+    return None
+
+
+def _span_count(node) -> int:
+    """One more than the number of capture slots: the largest cid + 2."""
+    t = type(node)
+    if t is PCap:
+        return max(node.cid + 2, _span_count(node.inner))
+    if t is PSeq or t is PAlt:
+        return max(map(_span_count, node.items if t is PSeq else node.branches), default=1)
+    return _span_count(node.inner) if t is PRep else 1
 
 
 # --- regex backend ------------------------------------------------------------
@@ -1036,26 +1072,28 @@ def regex_text(node, groups: list) -> str:
 
 
 def _regex_backend(root) -> tuple:
-    """The one decision of where `root` runs: `(regex, ((group, cid), ...),
-    ((cid, (group, ...)), ...), None)` on `re`, the last tuple for cids that
-    several groups share; `(None, (), (), why)` on the interpreter."""
+    """The one decision of where `root` runs: `(regex, groups, None)` on
+    `re`, `(None, None, why)` on the interpreter. `groups` is None when
+    group g holds cid g - 1 for every g, so that `m.regs` is the span
+    tuple; otherwise it names, per index of the span tuple, the groups
+    whose greatest span goes there."""
     planner = _Planner()
     planned = planner.plan(root)
     rep = _flagged(planned, planner.facts)
     if rep is not None:
-        return None, (), (), f"ambiguous repetition {regex_text(rep, [])}"
+        return None, None, f"ambiguous repetition {regex_text(rep, [])}"
     cids: list[int] = []
     text = regex_text(planned, cids)
     try:
         rx = re.compile(text.encode("latin-1"))
     except (re.error, RecursionError, OverflowError) as exc:
-        return None, (), (), f"regex that re cannot compile ({exc})"
-    groups = tuple(enumerate(cids, 1))
-    shared = sorted({cid for cid in cids if cids.count(cid) > 1})
-    return (rx, tuple((g, cid) for g, cid in groups if cid not in shared),
-            tuple((cid, tuple(g for g, c in groups if c == cid)) for cid in shared), None)
+        return None, None, f"regex that re cannot compile ({exc})"
+    if cids == list(range(len(cids))):
+        return rx, None, None
+    return rx, ((0,),) + tuple(tuple(g for g, c in enumerate(cids, 1) if c == cid)
+                               for cid in range(_span_count(root) - 1)), None
 
 
 def interpreter_reason(pattern: Pattern) -> str | None:
     """Why `match_full` runs `pattern` on the budgeted interpreter, or None."""
-    return pattern.backend[3]
+    return pattern.backend[2]

@@ -14,11 +14,14 @@ CORPUS = REPO / "corpus" / "sip"
 
 # `--hypothesis-profile agreement` runs the regex/interpreter agreement
 # property, `--hypothesis-profile robustness` the front end's robustness
-# property, and `--hypothesis-profile framing` the engine/oracle framing
-# property, with 3 000 examples each; CI does, on every Python it tests
+# property, `--hypothesis-profile framing` the engine/oracle framing
+# property, and `--hypothesis-profile backends` the typed layer's
+# cross-backend property, with 3 000 examples each; CI does, on every
+# Python it tests
 settings.register_profile("agreement", max_examples=3000)
 settings.register_profile("robustness", max_examples=3000)
 settings.register_profile("framing", max_examples=3000)
+settings.register_profile("backends", max_examples=3000)
 
 
 def grammar_text(name: str) -> str:

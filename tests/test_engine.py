@@ -32,6 +32,7 @@ from zebu.engine import (
     validate,
 )
 from zebu.frontend import parse_zebu
+from zebu.mutate import make_mutant
 from zebu.refcheck import _scan_structure, reference_validate
 
 
@@ -339,6 +340,62 @@ def test_typed_conversion_reasons(request, grammar, raw, reasons, values):
     assert [(r.code, r.location, r.message) for r in got] == reasons
     msg = ParsedMessage(compiled, raw)
     assert {selector: msg.select(selector) for selector in values} == values
+
+
+@pytest.fixture(scope="module")
+def interpreted(sip_ag, rtsp_ag):
+    """SIP and RTSP compiled afresh, with every pattern forced onto the
+    interpreter by replacing its cached backend decision."""
+    grammars = {}
+    for name, ag in (("sip", sip_ag), ("rtsp", rtsp_ag)):
+        grammar = grammars[name] = compile_grammar(ag)
+        for _, p in grammar.named_patterns():
+            p.__dict__["backend"] = (None, None, "forced")
+    return grammars
+
+
+def _typed_view(msg: ParsedMessage, selector: str):
+    """What `select` gives, with each raw slice's offsets, or the error it
+    raises."""
+    def plain(value):
+        if isinstance(value, RawSlice):
+            return "raw", value.start, value.end, value.data
+        if isinstance(value, (StructVal, UnionVal)):
+            return (type(value).__name__, getattr(value, "branch", None),
+                    {name: plain(v) for name, v in value.fields.items()})
+        return value
+
+    try:
+        return plain(msg.select(selector))
+    except (MessageSyntaxError, DuplicateHeader) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _typed_layer(grammar, raw: bytes):
+    """The verdict, counters and every subfield's selected value."""
+    try:
+        session = ParsedMessage(grammar, raw)
+    except MessageSyntaxError:
+        return validate(grammar, raw).report()
+    report = validate(grammar, raw, session).report()
+    msg = ParsedMessage(grammar, raw)
+    return report, session.exec_counter, session.lazy_exec_counter, {
+        f"{name}.{path}": _typed_view(msg, f"{name}.{path}")
+        for name, entry in grammar.entries.items() for path in entry.table}
+
+
+# `--hypothesis-profile backends` runs 3 000 examples; CI does
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(st.data())
+def test_typed_layer_agrees_across_backends(request, interpreted, data):
+    name = data.draw(st.sampled_from(["sip", "rtsp"]))
+    grammar = request.getfixturevalue(name)
+    messages = st.integers(0, 9_999).map(
+        lambda i: make_mutant(grammar.ag, i, f"backends:{name}").data)
+    if name == "sip":
+        messages = st.one_of(st.sampled_from(_BASES), messages)
+    raw = data.draw(messages)
+    assert _typed_layer(interpreted[name], raw) == _typed_layer(grammar, raw)
 
 
 def test_parse_header_is_memoized(sip):
