@@ -416,10 +416,7 @@ def _read_absent(spans, source, errors):
 
 def _pending_reader(pattern: Pattern, entry_name: str, key: str):
     """Read a lazy subfield's hole as a LazyPending over its span."""
-    cid = pattern.capture_index.get(key)
-    if cid is None:
-        return _read_absent
-    slot = cid + 1
+    slot = pattern.capture_index[key] + 1
 
     def read(spans, source, errors):
         span = spans[slot]

@@ -162,11 +162,6 @@ class Pattern:
     def backend(self) -> tuple:
         return _regex_backend(self.root)
 
-    @cached_property
-    def span_count(self) -> int:
-        """The length of the span tuple `match_spans` returns."""
-        return _span_count(self.root)
-
 
 @dataclass
 class MatchResult:
@@ -178,7 +173,7 @@ class MatchResult:
         return self.captures.get(cid) if cid is not None else None
 
 
-UNSET = (-1, -1)  # the span of a capture the match did not exercise
+_UNSET = (-1, -1)  # the span of a capture the match did not exercise
 
 
 # --- compilation ------------------------------------------------------------
@@ -361,11 +356,10 @@ def match_spans(pattern, subject: bytes, budget: int = DEFAULT_MATCH_BUDGET) -> 
             if groups is None:
                 return m.regs
             regs = m.regs
-            return tuple(max([regs[g] for g in gs], default=UNSET) for gs in groups)
-        root, count = pattern.root, pattern.span_count
+            return tuple(max([regs[g] for g in gs], default=_UNSET) for gs in groups)
+        root = pattern.root
     else:
         root = pattern
-        count = _span_count(root)
     n = len(subject)
     caps: dict[int, tuple[int, int]] = {}
     steps = budget
@@ -439,14 +433,15 @@ def match_spans(pattern, subject: bytes, budget: int = DEFAULT_MATCH_BUDGET) -> 
     try:
         for end in m(root, 0):
             if end == n:
-                return ((0, n),) + tuple(caps.get(cid, UNSET) for cid in range(count - 1))
+                slots = range(_span_count(root) - 1)
+                return ((0, n),) + tuple(caps.get(cid, _UNSET) for cid in slots)
     except RecursionError:
         raise MatchBudgetExceeded("recursion limit exhausted during match") from None
     return None
 
 
 def _span_count(node) -> int:
-    """One more than the number of capture slots: the largest cid + 2."""
+    """The length of a span tuple of `node`: the largest cid + 2."""
     t = type(node)
     if t is PCap:
         return max(node.cid + 2, _span_count(node.inner))
