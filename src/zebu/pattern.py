@@ -14,7 +14,7 @@ the span of capture cid, and `(-1, -1)` a capture the derivation did not
 exercise. Both backends give that tuple, so what reads a match's spans
 never asks which backend ran. `match_full` wraps it in a MatchResult.
 
-`match_full` has two backends, chosen per `Pattern` by one rule, never by
+`match_spans` has two backends, chosen per `Pattern` by one rule, never by
 an option: a tree that passes the ambiguity guard below and whose regex
 `re` compiles runs on `re`. `_regex_backend` alone decides, and records
 why any other pattern runs on the interpreter (`interpreter_reason`).
