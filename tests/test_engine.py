@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import time
 import tracemalloc
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS, sip_request, sip_response
-from zebu import pattern
+from zebu import cli, pattern
 from zebu.engine import (
     ABSENT,
     DuplicateHeader,
@@ -31,6 +32,7 @@ from zebu.engine import (
     unfolded_value,
     validate,
 )
+from zebu.errors import ZebuError
 from zebu.frontend import parse_zebu
 from zebu.mutate import make_mutant
 from zebu.refcheck import _scan_structure, reference_validate
@@ -896,3 +898,52 @@ def test_long_tail_memory_is_bounded(request, grammar, raw):
         tracemalloc.stop()
     assert verdict.accepted
     assert peak <= 1_000_000
+
+
+# --- pinned outputs ---------------------------------------------------------------
+
+def _selectors(cg):
+    """Every top-level selector, in entry and declaration order."""
+    return [f"{entry.name}.{sf.name}" for entry in cg.entries.values()
+            for sf in entry.table.values() if len(sf.path) == 1]
+
+
+def _observed(cg, raw) -> list[str]:
+    """What the engine shows of `raw`: the verdict, both counters and every
+    top-level select, once with validate first and once with the selects
+    first, so both memo orders are covered."""
+    lines = []
+    for validate_first in (True, False):
+        try:
+            msg = ParsedMessage(cg, raw)
+        except MessageSyntaxError as exc:
+            lines.append(type(exc).__name__)
+            lines.append(validate(cg, raw).report())
+            continue
+        steps = ["validate", "select"] if validate_first else ["select", "validate"]
+        for step in steps:
+            if step == "validate":
+                lines.append(validate(cg, raw, msg).report())
+            else:
+                for selector in _selectors(cg):
+                    try:
+                        shown = cli._render_value(msg.select(selector))
+                    except ZebuError as exc:
+                        shown = type(exc).__name__
+                    lines.append(f"{selector} = {shown}")
+            lines.append(f"exec {msg.exec_counter} lazy {msg.lazy_exec_counter}")
+    return lines
+
+
+def test_engine_outputs_are_pinned(sip, rtsp, sip_ag, rtsp_ag):
+    # the corpus plus fixed-seed mutants of both grammars; any change to a
+    # verdict, reason, counter or selected value changes the digest
+    h = hashlib.sha256()
+    runs = [(sip, (CORPUS / name).read_bytes()) for name in sorted(cli.BENCH_SHAPES)]
+    runs += [(sip, make_mutant(sip_ag, i, "pin").data) for i in range(300)]
+    runs += [(rtsp, make_mutant(rtsp_ag, i, "pin").data) for i in range(100)]
+    for cg, raw in runs:
+        h.update(repr(raw).encode())
+        for line in _observed(cg, raw):
+            h.update(line.encode("latin-1") + b"\n")
+    assert h.hexdigest() == "c722265d99ab2f95c5d681aa5ae21a58cc5c2318c7cb5f8acdf63cbc8e58dac5"
