@@ -18,7 +18,7 @@ from .engine import (
 )
 from .frontend import AnnotatedGrammar, parse_zebu, resolve_constraint_refs
 from .mutate import MutationReport, derive_valid, run_campaign
-from .pattern import Pattern, compile_pattern, match_full
+from .pattern import Pattern, compile_pattern
 from .refcheck import reference_match
 from .verify import Diagnostic, verify_all
 
@@ -39,7 +39,6 @@ __all__ = [
     "compile_pattern",
     "core_rules",
     "derive_valid",
-    "match_full",
     "parse_abnf",
     "parse_zebu",
     "reference_match",

@@ -164,7 +164,7 @@ def cmd_compile(args) -> int:
 
 
 def _interpreter_warnings(compiled) -> list[str]:
-    """One line per pattern that `match_full` runs on the budgeted
+    """One line per pattern that `match_spans` runs on the budgeted
     interpreter, giving the reason its backend decision recorded: the
     repetition the ambiguity guard flags, or the `re.compile` error."""
     return [f"warning: {where}: {why} runs on the budgeted interpreter"
@@ -296,6 +296,9 @@ def cmd_mutate(args) -> int:
 def cmd_bench(args) -> int:
     grammar = artifact.deserialize(_read(args.artifact))
     headers = [h for h in args.headers.split(",") if h]
+    for header in headers:
+        if grammar.header(header) is None:
+            raise UnknownHeader(f"header {header!r} is not declared in the grammar")
     corpus = {}
     for name in BENCH_SHAPES:
         path = args.corpus / name
@@ -320,7 +323,7 @@ def cmd_bench(args) -> int:
             for header in headers:
                 try:
                     session.parse_header(header)
-                except ZebuError:
+                except DuplicateHeader:
                     pass
             elapsed = time.perf_counter_ns() - t0
             if i >= warmup:

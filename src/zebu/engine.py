@@ -22,6 +22,12 @@ once, on first use: one function per subfield that indexes the span tuple
 at its capture's slot, with its shape's checks, bounds and reason location
 worked out beforehand.
 
+Every pattern run, of a command line, a header instance or a lazy force,
+goes through one outcome path, `ParsedMessage._outcome`: a BUDGET reason,
+a SYNTAX reason, or the reader's value plus its conversion failures. A
+command line and a header instance both parse into one record, a
+ParsedEntry; a header parsed exactly when its record has no failures.
+
 `validate` is the full-validation driver used by the mutation campaigns:
 it parses every declared header present, forces lazy subfields, checks
 mandatory/multiplicity rules, and evaluates the request/response block
@@ -198,17 +204,18 @@ class UnionVal:
 
 
 class LazyPending:
-    """Handle for a declared-lazy subfield; forcing it runs its own pattern."""
+    """Handle for a declared-lazy subfield; forcing it runs its own pattern.
+    `outcome` is None until then, and after it the typed value or the
+    ForceFailed that forcing raises."""
 
-    __slots__ = ("entry_name", "key", "source", "span", "value", "failure")
+    __slots__ = ("entry_name", "key", "source", "span", "outcome")
 
     def __init__(self, entry_name: str, key: str, source: bytes, span: tuple[int, int]):
         self.entry_name = entry_name
         self.key = key
         self.source = source
         self.span = span
-        self.value = None
-        self.failure = None
+        self.outcome = None
 
     def __repr__(self):
         return f"LazyPending({self.entry_name}.{self.key} @ {self.span})"
@@ -507,39 +514,32 @@ def _reader(pattern: Pattern, table: dict[str, Subfield], sf: Subfield, location
 
 # --- parsed views ----------------------------------------------------------------
 
-class HeaderState(enum.Enum):
-    PARSED_OK = "ok"
-    PARSE_FAILED = "failed"
-
-
 @dataclass
-class ParsedHeader:
-    name: str
-    instance: int
-    raw_value: bytes
-    state: HeaderState
-    failures: list[Reason]
+class ParsedEntry:
+    """A command line or header instance after its pattern ran: its entry,
+    the value the pattern ran over, the top-level fields read from the
+    match, and the reasons it failed. A header parsed when `failures` is
+    empty; a command line with a failed conversion still gives its other
+    fields."""
+
+    entry: CompiledEntry
+    value: bytes
     fields: dict
-    _entry: CompiledEntry
+    failures: list[Reason]
 
     def get_subfield(self, name: str):
         """Memoized typed value of a top-level subfield; LazyPending for an
         unforced lazy field; ABSENT for an optional subfield the match did
         not exercise. A nested field is read with `ParsedMessage.select`."""
-        if self.state is not HeaderState.PARSED_OK:
-            raise HeaderNotParsed(f"header {self.name!r} is in state {self.state.value}")
-        if "." in name or name not in self._entry.table:
-            raise UnknownSubfield(f"header {self.name!r} has no top-level subfield "
+        if self.failures:
+            raise HeaderNotParsed(f"header {self.entry.name!r} failed to parse")
+        if "." in name or name not in self.entry.table:
+            raise UnknownSubfield(f"header {self.entry.name!r} has no top-level subfield "
                                   f"{name!r}; ParsedMessage.select reads nested paths")
         return self.fields.get(name, ABSENT)
 
 
-@dataclass
-class ParsedCommandLine:
-    kind: MessageKind
-    fields: dict
-    failures: list[Reason]
-    entry: CompiledEntry
+_KIND_OF_LINE = {name: kind for kind, name in COMMAND_LINE.items()}
 
 
 class ParsedMessage:
@@ -552,9 +552,9 @@ class ParsedMessage:
         self._cmd_end, self._values, self._body = index_message(raw, grammar.by_key)
         self._exec = 0
         self._lazy_exec = 0
-        self._command: ParsedCommandLine | None = None
-        self._command_error: MessageTypeError | None = None
-        self._parsed: dict[tuple[str, int], ParsedHeader] = {}
+        # the command line's record, or the MessageTypeError that typing it raised
+        self._command: ParsedEntry | MessageTypeError | None = None
+        self._parsed: dict[tuple[str, int], ParsedEntry] = {}
 
     # counters ------------------------------------------------------------
 
@@ -567,48 +567,46 @@ class ParsedMessage:
     def lazy_exec_counter(self) -> int:
         return self._lazy_exec
 
-    def _run(self, pattern: Pattern, subject: bytes, location: str,
-             lazy: bool = False) -> tuple | None:
-        """The span tuple of a full match of `subject`, or None."""
+    def _outcome(self, pattern: Pattern, subject: bytes, location: str, read,
+                 mismatch: str) -> tuple:
+        """Run `pattern` over `subject`. Returns (value, failures): None and
+        a BUDGET reason when the step budget runs out, None and a SYNTAX
+        reason worded by `mismatch` (formatted with the subject) when it
+        does not match, or else `read`'s value and its conversion failures."""
         self._exec += 1
-        if lazy:
-            self._lazy_exec += 1
         try:
-            return match_full(pattern, subject, pat.DEFAULT_MATCH_BUDGET)
+            spans = match_full(pattern, subject, pat.DEFAULT_MATCH_BUDGET)
         except MatchBudgetExceeded as exc:
-            raise _Budget(Reason(ReasonCode.BUDGET, location, str(exc))) from None
+            return None, [Reason(ReasonCode.BUDGET, location, str(exc))]
+        if spans is None:
+            return None, [Reason(ReasonCode.SYNTAX, location, mismatch.format(subject))]
+        failures: list[Reason] = []
+        return read(spans, subject, failures), failures
 
     # command line ----------------------------------------------------------
 
     def message_type(self) -> MessageKind:
         """REQUEST or RESPONSE, deciding with at most two pattern runs."""
-        return self._parse_command().kind
+        return _KIND_OF_LINE[self.command_fields().entry.name]
 
-    def command_fields(self) -> ParsedCommandLine:
-        return self._parse_command()
-
-    def _parse_command(self) -> ParsedCommandLine:
-        if self._command is not None:
-            return self._command
-        if self._command_error is not None:
-            raise self._command_error
-        subject = self.raw[:self._cmd_end]
-        try:
-            for kind, name in COMMAND_LINE.items():
+    def command_fields(self) -> ParsedEntry:
+        """The command line's record; raises MessageTypeError when it
+        matches neither command line."""
+        if self._command is None:
+            subject = self.raw[:self._cmd_end]
+            # the request line first; a budget reason ends the search
+            for name in COMMAND_LINE.values():
                 entry = self.grammar.entries[name]
-                spans = self._run(entry.pattern, subject, "command line")
-                if spans is not None:
-                    failures: list[Reason] = []
-                    fields = entry.read(spans, subject, failures)
-                    self._command = ParsedCommandLine(kind, fields, failures, entry)
-                    return self._command
-        except _Budget as b:
-            self._command_error = MessageTypeError([b.reason])
-            raise self._command_error from None
-        self._command_error = MessageTypeError([Reason(
-            ReasonCode.SYNTAX, "command line",
-            "matches neither the request line nor the status line")])
-        raise self._command_error
+                fields, failures = self._outcome(
+                    entry.pattern, subject, "command line", entry.read,
+                    "matches neither the request line nor the status line")
+                if fields is not None or failures[0].code is ReasonCode.BUDGET:
+                    break
+            self._command = (MessageTypeError(failures) if fields is None
+                             else ParsedEntry(entry, subject, fields, failures))
+        if isinstance(self._command, MessageTypeError):
+            raise self._command
+        return self._command
 
     # headers ------------------------------------------------------------------
 
@@ -621,7 +619,7 @@ class ParsedMessage:
     def header_count(self, name: str) -> int:
         return len(self._values.get(self._header(name).name, ()))
 
-    def parse_header(self, name: str) -> ParsedHeader | None:
+    def parse_header(self, name: str) -> ParsedEntry | None:
         """Parse the first instance of a declared header; None when absent.
 
         Raises DuplicateHeader when the header appears more than once and
@@ -635,39 +633,23 @@ class ParsedMessage:
             raise DuplicateHeader(entry.name, count)
         return self._parse_instance(entry, 0)
 
-    def parse_header_nth(self, name: str, index: int) -> ParsedHeader | None:
+    def parse_header_nth(self, name: str, index: int) -> ParsedEntry | None:
         """Indexed access for `multiple` headers, in source order."""
         return self._parse_instance(self._header(name), index)
 
-    def _parse_instance(self, entry: CompiledEntry, index: int) -> ParsedHeader | None:
+    def _parse_instance(self, entry: CompiledEntry, index: int) -> ParsedEntry | None:
         memo_key = (entry.name, index)
-        if memo_key in self._parsed:
-            return self._parsed[memo_key]
-        instances = self._values.get(entry.name, ())
-        if index >= len(instances):
-            return None
-        value = unfolded_value(self.raw, *instances[index])
-        location = f"{entry.name}[{index}]" if index else entry.name
-        try:
-            spans = self._run(entry.pattern, value, location)
-        except _Budget as b:
-            parsed = ParsedHeader(entry.name, index, value, HeaderState.PARSE_FAILED,
-                                  [b.reason], {}, entry)
+        parsed = self._parsed.get(memo_key)
+        if parsed is None:
+            instances = self._values.get(entry.name, ())
+            if index >= len(instances):
+                return None
+            value = unfolded_value(self.raw, *instances[index])
+            fields, failures = self._outcome(
+                entry.pattern, value, f"{entry.name}[{index}]" if index else entry.name,
+                entry.read, "value {!r} does not match the header grammar")
+            parsed = ParsedEntry(entry, value, fields or {}, failures)
             self._parsed[memo_key] = parsed
-            return parsed
-        if spans is None:
-            parsed = ParsedHeader(
-                entry.name, index, value, HeaderState.PARSE_FAILED,
-                [Reason(ReasonCode.SYNTAX, location,
-                        f"value {value!r} does not match the header grammar")],
-                {}, entry)
-        else:
-            failures: list[Reason] = []
-            fields = entry.read(spans, value, failures)
-            state = HeaderState.PARSE_FAILED if failures else HeaderState.PARSED_OK
-            parsed = ParsedHeader(entry.name, index, value, state, failures,
-                                  fields, entry)
-        self._parsed[memo_key] = parsed
         return parsed
 
     # lazy forcing -----------------------------------------------------------------
@@ -675,31 +657,18 @@ class ParsedMessage:
     def force_lazy(self, pending: LazyPending):
         """Run the subfield's own pattern over its raw span exactly once;
         later calls return the memoized value without a pattern run."""
-        if pending.value is not None:
-            return pending.value
-        if pending.failure is not None:
-            raise pending.failure
-        entry = self.grammar.entries[pending.entry_name]
-        s, e = pending.span
-        subject = pending.source[s:e]
-        location = f"{pending.entry_name}.{pending.key}"
-        try:
-            spans = self._run(entry.lazy_patterns[pending.key], subject, location, lazy=True)
-        except _Budget as b:
-            pending.failure = ForceFailed([b.reason])
-            raise pending.failure from None
-        if spans is None:
-            pending.failure = ForceFailed([Reason(
-                ReasonCode.SYNTAX, location,
-                f"lazy value {subject!r} does not match its grammar")])
-            raise pending.failure
-        errors: list[Reason] = []
-        value = entry.lazy_readers[pending.key](spans, subject, errors)
-        if errors:
-            pending.failure = ForceFailed(errors)
-            raise pending.failure
-        pending.value = value
-        return value
+        if pending.outcome is None:
+            entry = self.grammar.entries[pending.entry_name]
+            s, e = pending.span
+            self._lazy_exec += 1
+            value, failures = self._outcome(
+                entry.lazy_patterns[pending.key], pending.source[s:e],
+                f"{pending.entry_name}.{pending.key}", entry.lazy_readers[pending.key],
+                "lazy value {!r} does not match its grammar")
+            pending.outcome = ForceFailed(failures) if failures else value
+        if isinstance(pending.outcome, ForceFailed):
+            raise pending.outcome
+        return pending.outcome
 
     # selectors ----------------------------------------------------------------------
 
@@ -716,15 +685,15 @@ class ParsedMessage:
             raise UnknownSubfield(f"no subfield {selector!r}")
         if entry.decl is None:
             try:
-                cmd = self._parse_command()
+                parsed = self.command_fields()
             except MessageTypeError:
                 return ABSENT
-            if cmd.entry is not entry:
+            if parsed.entry is not entry:
                 return ABSENT
-            return self._walk(cmd.fields, rest)
-        parsed = self.parse_header(head)
-        if parsed is None or parsed.state is not HeaderState.PARSED_OK:
-            return ABSENT
+        else:
+            parsed = self.parse_header(head)
+            if parsed is None or parsed.failures:
+                return ABSENT
         return self._walk(parsed.fields, rest)
 
     def _walk(self, fields: dict, path: list[str]):
@@ -742,11 +711,6 @@ class ParsedMessage:
 
     def body(self) -> bytes:
         return self.raw[self._body:]
-
-
-class _Budget(Exception):
-    def __init__(self, reason: Reason):
-        self.reason = reason
 
 
 # --- full validation ---------------------------------------------------------------
@@ -768,13 +732,13 @@ def validate(grammar: CompiledGrammar, raw: bytes,
     command = None
     try:
         command = msg.command_fields()
-        kind = command.kind
+        kind = msg.message_type()
         reasons.extend(command.failures)
-        _force_all(msg, command.fields, reasons)
+        _force_all(msg, command, reasons)
     except MessageTypeError as exc:
         reasons.extend(exc.reasons)
 
-    first_instances: dict[str, ParsedHeader] = {}
+    first_instances: dict[str, ParsedEntry] = {}
     for decl in grammar.ag.headers:
         entry = grammar.entries[decl.name]
         count = len(msg._values.get(decl.name, ()))
@@ -791,10 +755,10 @@ def validate(grammar: CompiledGrammar, raw: bytes,
             count = 1  # constraints still use the first instance
         for i in range(count):
             parsed = msg._parse_instance(entry, i)
-            if parsed.state is not HeaderState.PARSED_OK:
+            if parsed.failures:
                 reasons.extend(parsed.failures)
                 continue
-            _force_all(msg, parsed.fields, reasons)
+            _force_all(msg, parsed, reasons)
             if i == 0:
                 first_instances[decl.name] = parsed
 
@@ -811,8 +775,10 @@ def validate(grammar: CompiledGrammar, raw: bytes,
     return Verdict(not reasons, reasons)
 
 
-def _force_all(msg: ParsedMessage, fields: dict, reasons: list[Reason]) -> None:
-    for value in fields.values():
+def _force_all(msg: ParsedMessage, parsed: ParsedEntry, reasons: list[Reason]) -> None:
+    """Force the record's lazy fields, in field order."""
+    for key in parsed.entry.lazy_patterns:
+        value = parsed.fields.get(key)
         if isinstance(value, LazyPending):
             try:
                 msg.force_lazy(value)
@@ -828,21 +794,18 @@ def _lookup(ref: FieldRef, msg, kind, command, first_instances):
         name = kind.name.encode()
         return RawSlice(name, 0, len(name)), True
     if ref.entry in COMMAND_LINE.values():
-        if command is None or command.entry.name != ref.entry:
-            return None
-        entry, fields = command.entry, command.fields
+        parsed = command if command is not None and command.entry.name == ref.entry else None
     else:
         parsed = first_instances.get(ref.entry)
-        if parsed is None:
-            return None
-        entry, fields = parsed._entry, parsed.fields
+    if parsed is None:
+        return None
     try:
-        value = msg._walk(fields, ref.sub_path)
+        value = msg._walk(parsed.fields, ref.sub_path)
     except ForceFailed:
         return None
     if value is ABSENT:
         return None
-    return value, entry.table[".".join(ref.sub_path)].ci
+    return value, parsed.entry.table[".".join(ref.sub_path)].ci
 
 
 def _check_constraint(expr, lookup, location, reasons):

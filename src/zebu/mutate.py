@@ -25,6 +25,7 @@ every constraint holds.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -937,7 +938,8 @@ def run_campaign(ag: AnnotatedGrammar, target, n: int, seed, mix=None, sink=None
 
 
 def parse_mix(text: str) -> dict:
-    """Parse `charset=1,repetition=2,...`; unnamed rules get weight 0."""
+    """Parse `charset=1,repetition=2,...`; unnamed rules get weight 0.
+    Raises ZebuError for a weight that is not a finite number >= 0."""
     mix = {r: 0.0 for r in MutRule}
     for item in text.split(","):
         item = item.strip()
@@ -948,7 +950,14 @@ def parse_mix(text: str) -> dict:
             rule = MutRule(name.strip())
         except ValueError:
             raise ZebuError(f"unknown mutation rule {name.strip()!r}") from None
-        mix[rule] = float(value) if value else 1.0
+        try:
+            weight = float(value) if value else 1.0
+        except ValueError:
+            weight = math.nan
+        if not 0 <= weight < math.inf:  # NaN fails both comparisons
+            raise ZebuError(f"weight {value.strip()!r} of mutation rule {rule.value!r} "
+                            "is not a finite number >= 0")
+        mix[rule] = weight
     if not any(mix.values()):
         raise ZebuError("mutation mix selects no rules")
     return mix

@@ -1,7 +1,7 @@
 """Executable match patterns compiled from entry-point grammar bodies.
 
 `compile_pattern` fully inlines rule references (the verifier guarantees
-acyclicity) and attaches capture nodes for named subfields. `match_full`
+acyclicity) and attaches capture nodes for named subfields. `match_spans`
 decides whether the whole subject derives from the inlined tree under one
 disambiguation contract: alternation branches are tried in source order,
 repetition is greedy, and backtracking is complete, so a subject matches
@@ -12,7 +12,7 @@ successful derivation under that order.
 the shape of `re`'s `Match.regs`: index 0 holds `(0, n)`, index cid + 1
 the span of capture cid, and `(-1, -1)` a capture the derivation did not
 exercise. Both backends give that tuple, so what reads a match's spans
-never asks which backend ran. `match_full` wraps it in a MatchResult.
+never asks which backend ran.
 
 `match_spans` has two backends, chosen per `Pattern` by one rule, never by
 an option: a tree that passes the ambiguity guard below and whose regex
@@ -161,16 +161,6 @@ class Pattern:
     @cached_property
     def backend(self) -> tuple:
         return _regex_backend(self.root)
-
-
-@dataclass
-class MatchResult:
-    matched: bool
-    captures: dict[int, tuple[int, int]]  # capture id -> (start, end); absent ids were unexercised
-
-    def span(self, pattern: Pattern, key: str) -> tuple[int, int] | None:
-        cid = pattern.capture_index.get(key)
-        return self.captures.get(cid) if cid is not None else None
 
 
 _UNSET = (-1, -1)  # the span of a capture the match did not exercise
@@ -325,16 +315,6 @@ def _simplify(node):
 # --- matching ---------------------------------------------------------------
 
 DEFAULT_MATCH_BUDGET = 1_000_000
-
-
-def match_full(pattern, subject: bytes, budget: int = DEFAULT_MATCH_BUDGET) -> MatchResult:
-    """Match the entire subject against the pattern (see `match_spans`);
-    the captures map each exercised cid to its span."""
-    spans = match_spans(pattern, subject, budget)
-    if spans is None:
-        return MatchResult(False, {})
-    return MatchResult(True, {cid: span for cid, span in enumerate(spans[1:])
-                              if span[0] >= 0})
 
 
 def match_spans(pattern, subject: bytes, budget: int = DEFAULT_MATCH_BUDGET) -> tuple | None:
@@ -1090,5 +1070,5 @@ def _regex_backend(root) -> tuple:
 
 
 def interpreter_reason(pattern: Pattern) -> str | None:
-    """Why `match_full` runs `pattern` on the budgeted interpreter, or None."""
+    """Why `match_spans` runs `pattern` on the budgeted interpreter, or None."""
     return pattern.backend[2]

@@ -34,7 +34,7 @@ grammar maps (entry body, subfield table, subject) to the env, or None,
 for the latest `LABEL_TABLE_SIZE` (256) derivations: a mutant shares every
 unchanged line with the base message labelled just before it.
 
-`reference_match`, the oracle of `pattern.match_full`, decides
+`reference_match`, the oracle of `pattern.match_spans`, decides
 derivability alone from memoised end-position sets, with its own budget.
 """
 
@@ -266,7 +266,7 @@ def reference_match(entry, g, subject: bytes,
     grammar AST: explicit end-position sets, exhaustive over repetition
     counts and alternation branches, no inlining, no captures.
 
-    The testing oracle for `pattern.compile_pattern` + `match_full`.
+    The testing oracle for `pattern.compile_pattern` + `match_spans`.
     Subfield annotations are transparent (lazy regions are fully checked).
     """
     ag = g if isinstance(g, AnnotatedGrammar) else AnnotatedGrammar(base=g)

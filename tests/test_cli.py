@@ -436,6 +436,23 @@ def test_mutate_torture_only_mix(compiled_artifact, tmp_path, capsys):
     assert all(" torture " in ln for ln in manifest.splitlines())
 
 
+@pytest.mark.parametrize("mix, weight", [
+    ("charset=x", "x"),
+    ("charset=-1", "-1"),
+    ("charset=nan", "nan"),
+    ("charset=inf,torture=1", "inf"),
+    ("charset=-1,torture=1", "-1"),
+])
+def test_mutate_bad_mix_weight_exits_2(compiled_artifact, tmp_path, capsys, mix, weight):
+    code = main(["mutate", str(compiled_artifact), "--count", "3",
+                 "--seed", "1", "--mix", mix, "--out", str(tmp_path / "m")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (f"error: weight {weight!r} of mutation rule 'charset' "
+                   "is not a finite number >= 0\n")
+    assert not (tmp_path / "m").exists()
+
+
 def test_mutate_count_zero_is_usage_error(compiled_artifact, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["mutate", str(compiled_artifact), "--count", "0",
@@ -469,6 +486,15 @@ def test_bench_empty_header_list(compiled_artifact, capsys):
     for ln in out.splitlines():
         if ln.startswith(("invite", "bye")):
             assert int(ln.split()[2]) <= 2
+
+
+def test_bench_unknown_header_exits_2(compiled_artifact, capsys):
+    code = main(["bench", str(compiled_artifact), str(CORPUS),
+                 "--headers", "From,Frm", "--iters", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: header 'Frm' is not declared in the grammar\n"
+    assert captured.out == ""  # nothing was timed
 
 
 def test_bench_missing_corpus_shape(compiled_artifact, tmp_path):

@@ -21,7 +21,6 @@ from zebu.pattern import (
     PSeq,
     compile_pattern,
     interpreter_reason,
-    match_full,
     match_spans,
     regex_text,
 )
@@ -55,27 +54,33 @@ def compiled(fig, name):
     return compile_pattern(fig.get(name), fig)
 
 
+def span_of(p, spans, key):
+    """The span of `key`'s capture in a match's spans; (-1, -1) when the
+    match did not exercise it."""
+    return spans[p.capture_index[key] + 1]
+
+
 def test_sip_version_accepts_and_rejects(fig):
     p = compiled(fig, "SIP-Version")
-    assert match_full(p, b"SIP/2.0").matched
-    assert match_full(p, b"sip/10.4").matched
-    assert not match_full(p, b"SIP/.0").matched
-    assert not match_full(p, b"SIP/2.").matched
-    assert not match_full(p, b"SIP/2.0 ").matched
+    assert match_spans(p, b"SIP/2.0") is not None
+    assert match_spans(p, b"sip/10.4") is not None
+    assert match_spans(p, b"SIP/.0") is None
+    assert match_spans(p, b"SIP/2.") is None
+    assert match_spans(p, b"SIP/2.0 ") is None
 
 
 def test_char_codes_are_case_sensitive(fig):
     p = compiled(fig, "INVITEm")
-    assert match_full(p, b"INVITE").matched
-    assert not match_full(p, b"invite").matched
+    assert match_spans(p, b"INVITE") is not None
+    assert match_spans(p, b"invite") is None
 
 
 def test_digit_run_capture_span():
     g = parse_zebu("num = 1*DIGIT:value\n")
     p = compile_pattern(g.base.get("num"), g)
-    res = match_full(p, b"4711")
-    assert res.matched
-    assert res.span(p, "value") == (0, 4)
+    spans = match_spans(p, b"4711")
+    assert spans is not None
+    assert span_of(p, spans, "value") == (0, 4)
 
 
 def test_cseq_header_body_captures():
@@ -89,48 +94,48 @@ def test_cseq_header_body_captures():
     )
     decl = g.header("CSeq")
     p = compile_pattern(decl.body, g, table=g.subfields["CSeq"])
-    res = match_full(p, b"1 INVITE")
-    assert res.matched
-    assert res.span(p, "number") == (0, 1)
-    assert res.span(p, "method#0") == (2, 8)  # INVITEm branch
-    assert res.span(p, "method#1") is None
-    assert not match_full(p, b"x INVITE").matched
+    spans = match_spans(p, b"1 INVITE")
+    assert spans is not None
+    assert span_of(p, spans, "number") == (0, 1)
+    assert span_of(p, spans, "method#0") == (2, 8)  # INVITEm branch
+    assert span_of(p, spans, "method#1") == (-1, -1)  # not exercised
+    assert match_spans(p, b"x INVITE") is None
 
 
 def test_empty_repetition_matches_empty():
     g = parse_abnf("R = *DIGIT")
     p = compiled(g, "R")
-    assert match_full(p, b"").matched
+    assert match_spans(p, b"") is not None
 
 
 def test_alternation_prefers_source_order_for_captures():
     g = parse_zebu('pick = ( "ab" / "a" ):x "b"\n')
     p = compile_pattern(g.base.get("pick"), g)
-    res = match_full(p, b"ab")
+    spans = match_spans(p, b"ab")
     # greedy first branch "ab" leaves no "b"; backtracking lands on "a"
-    assert res.matched
-    assert res.span(p, "x") == (0, 1)
+    assert spans is not None
+    assert span_of(p, spans, "x") == (0, 1)
 
 
 def test_greedy_repetition_backtracks_to_match():
     g = parse_abnf('R = 1*DIGIT "1"')
     p = compiled(g, "R")
-    assert match_full(p, b"111").matched
-    assert not match_full(p, b"2").matched
+    assert match_spans(p, b"111") is not None
+    assert match_spans(p, b"2") is None
 
 
 def test_capture_under_repetition_reports_last_iteration():
     g = parse_zebu('R = 1*( DIGIT:d "," )\n')
     p = compile_pattern(g.base.get("R"), g)
-    res = match_full(p, b"1,2,3,")
-    assert res.span(p, "d") == (4, 5)
+    spans = match_spans(p, b"1,2,3,")
+    assert span_of(p, spans, "d") == (4, 5)
 
 
 def test_match_budget_is_enforced():
     g = parse_abnf('R = 1*( 1*"a" ) "b"')
     p = compiled(g, "R")
     with pytest.raises(MatchBudgetExceeded):
-        match_full(p, b"a" * 26, budget=2_000)
+        match_spans(p, b"a" * 26, budget=2_000)
 
 
 def test_single_byte_alternation_folds_to_class(fig):
@@ -166,7 +171,7 @@ def test_reference_match_examples(fig):
 def test_cseq_full_rule_agreement(fig, subject, expected):
     p = compiled(fig, "CSeq")
     rule = fig.get("CSeq")
-    assert match_full(p, subject).matched is expected
+    assert (match_spans(p, subject) is not None) is expected
     assert reference_match(rule, fig, subject) is expected
 
 
@@ -177,7 +182,7 @@ def exhaustive_agreement(fig, rule_name, alphabet, max_len):
     for length in range(max_len + 1):
         for combo in itertools.product(alphabet, repeat=length):
             subject = bytes(combo)
-            got = match_full(p, subject).matched
+            got = match_spans(p, subject) is not None
             want = reference_match(rule, fig, subject)
             if got is not want:
                 disagreements.append(subject)
@@ -203,7 +208,7 @@ def test_repetition_exactness(n, extra, k):
     g = parse_abnf('Unused = "x"')
     p = compile_pattern(node, g)
     subject = b"7" * k
-    assert match_full(p, subject).matched is (n <= k <= m)
+    assert (match_spans(p, subject) is not None) is (n <= k <= m)
     assert reference_match(node, g, subject) is (n <= k <= m)
 
 
@@ -218,15 +223,14 @@ def test_case_insensitivity_of_literal_positions(flips):
     subject = "".join(
         c.upper() if flip else c for c, flip in zip(_CASEABLE, flips)
     ).encode()
-    assert match_full(p, subject).matched
+    assert match_spans(p, subject) is not None
 
 
 def test_matched_false_means_no_captures():
     g = parse_zebu("R = 1*DIGIT:d \"!\"\n")
     p = compile_pattern(g.base.get("R"), g)
-    res = match_full(p, b"123")
-    assert not res.matched
-    assert res.captures == {}
+    # a failed match is None: it carries no span, and so no capture
+    assert match_spans(p, b"123") is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -238,8 +242,8 @@ def test_matched_is_independent_of_branch_order(order, subject):
         return parse_abnf(f"R = 1*( {alts} )")
     base = grammar_for(range(4))
     shuffled = grammar_for(order)
-    got = match_full(compile_pattern(base.get("R"), base), subject).matched
-    other = match_full(compile_pattern(shuffled.get("R"), shuffled), subject).matched
+    got = match_spans(compile_pattern(base.get("R"), base), subject) is not None
+    other = match_spans(compile_pattern(shuffled.get("R"), shuffled), subject) is not None
     assert got == other
 
 
@@ -291,7 +295,7 @@ def test_ambiguous_repetition_stays_on_budgeted_interpreter(rule, subject):
     assert backend_of(p) == "interpreter"
     assert interpreter_reason(p).startswith("ambiguous repetition (?")
     with pytest.raises(MatchBudgetExceeded):
-        match_full(p, subject, budget=2_000)
+        match_spans(p, subject, budget=2_000)
 
 
 def test_optional_nullable_inner_stays_on_interpreter():
@@ -300,7 +304,7 @@ def test_optional_nullable_inner_stays_on_interpreter():
     root = PSeq((PRep(0, 1, PCap(0, PAlt((PBytes(b""), PBytes(b"a"))))),
                  PCap(1, PRep(0, None, PBytes(b"a")))))
     assert flagged_repetition(root) is not None
-    assert match_full(Pattern(root), b"aa").captures == {0: (0, 1), 1: (1, 2)}
+    assert match_spans(Pattern(root), b"aa") == ((0, 2), (0, 1), (1, 2))
 
 
 def test_capture_id_in_two_branches_runs_on_regex():
@@ -310,20 +314,20 @@ def test_capture_id_in_two_branches_runs_on_regex():
     assert flagged_repetition(root) is None
     p = Pattern(root)
     assert backend_of(p) == "regex"
-    assert match_full(p, b"b").captures == match_full(root, b"b").captures == {0: (0, 1)}
+    assert match_spans(p, b"b") == match_spans(root, b"b") == ((0, 1), (0, 1))
     # in a repetition both groups take part; the later iteration's span wins
     looped = Pattern(PRep(1, None, root))
     assert backend_of(looped) == "regex"
     for subject in (b"ab", b"ba", b"aab"):
-        last = {0: (len(subject) - 1, len(subject))}
-        assert match_full(looped, subject).captures == match_full(looped.root, subject).captures == last
+        last = ((0, len(subject)), (len(subject) - 1, len(subject)))
+        assert match_spans(looped, subject) == match_spans(looped.root, subject) == last
 
 
 def test_single_byte_repetition_uses_regex():
     g = parse_abnf('R = 1*"a"')
     p = compile_pattern(g.get("R"), g)
     assert backend_of(p) == "regex"
-    assert match_full(p, b"aA" * 5000).matched
+    assert match_spans(p, b"aA" * 5000) is not None
 
 
 def test_oracle_rules_use_regex(fig):
@@ -353,9 +357,9 @@ def test_unambiguous_repetition_runs_in_linear_time(rule, body, good):
     p = compile_pattern(g.get("R"), g)
     assert backend_of(p) == "regex"
     start = time.perf_counter()
-    assert not match_full(p, body + b"!").matched
+    assert match_spans(p, body + b"!") is None
     assert time.perf_counter() - start < 2  # milliseconds when linear
-    assert match_full(p, body + good).matched
+    assert match_spans(p, body + good) is not None
 
 
 def planned_items(root) -> tuple:
@@ -395,8 +399,9 @@ def test_exact_cuts(rule, cut, subjects):
     assert backend_of(p) == "regex"
     for subject in subjects:
         want = reference_match(g.get("R"), g, subject)
-        assert match_full(p, subject).matched is want is match_full(p.root, subject).matched
-        assert match_full(p, subject).captures == match_full(p.root, subject).captures
+        got = match_spans(p, subject)
+        assert (got is not None) is want
+        assert got == match_spans(p.root, subject)
 
 
 @pytest.mark.parametrize("grammar,entry", [
@@ -425,7 +430,7 @@ def test_capture_kept_from_earlier_iteration():
     (tail,) = planned_items(root)
     assert type(tail) is _Atomic and not tail.possessive
     for p in (Pattern(root), root):
-        assert match_full(p, b"1,2,,").captures == {0: (2, 3)}
+        assert match_spans(p, b"1,2,,") == ((0, 5), (2, 3))
 
 
 @pytest.mark.parametrize("grammar,seed", [("sip", "diff:101"), ("rtsp", "diff:7")])
@@ -554,8 +559,7 @@ def test_regex_backend_agrees_with_interpreter(root, data):
         min_size=1, max_size=6))
     p = Pattern(root)
     for subject in subjects:
-        want = match_full(root, subject)
-        got = match_full(p, subject)
-        assert (got.matched, got.captures) == (want.matched, want.captures), (
-            regex_text(root, []), subject)
+        want = match_spans(root, subject)
+        got = match_spans(p, subject)
+        assert got == want, (regex_text(root, []), subject)
     assert p.backend[0] is not None

@@ -14,7 +14,7 @@ from zebu.abnf import Repetition
 from zebu.engine import compile_grammar, index_message, unfolded_value, validate
 from zebu.frontend import COMMAND_LINE, RangeBound, parse_zebu
 from zebu.mutate import _Deriver, derive_valid, make_mutant, run_campaign
-from zebu.pattern import match_full
+from zebu.pattern import match_spans
 from zebu.refcheck import (
     LABEL_TABLE_SIZE,
     ReferenceBudgetExceeded,
@@ -308,24 +308,24 @@ def _engine_env(entry, subject: bytes):
     """The engine's captures over one line as an env: the entry pattern's
     spans, each lazy pattern's offset by its hole, and the matched branch
     of each enum or union subfield; None when the entry does not match."""
-    res = match_full(entry.pattern, subject)
-    if not res.matched:
+    spans = match_spans(entry.pattern, subject)
+    if spans is None:
         return None
     env = {}
-    runs = [(entry.pattern, res, 0)]
+    runs = [(entry.pattern, spans, 0)]
     for name, lazy in entry.lazy_patterns.items():
-        span = res.span(entry.pattern, name)
-        if span is not None:
-            sub = match_full(lazy, subject[span[0]:span[1]])
-            assert sub.matched, (entry.name, name, subject)
-            runs.append((lazy, sub, span[0]))
+        start, end = spans[entry.pattern.capture_index[name] + 1]
+        if start >= 0:
+            sub = match_spans(lazy, subject[start:end])
+            assert sub is not None, (entry.name, name, subject)
+            runs.append((lazy, sub, start))
     for pat, result, offset in runs:
         for key, cid in pat.capture_index.items():
-            if cid in result.captures and "#" not in key:
-                start, end = result.captures[cid]
+            if result[cid + 1][0] >= 0 and "#" not in key:
+                start, end = result[cid + 1]
                 env[key] = (start + offset, end + offset, None)
         for key, cid in pat.capture_index.items():
-            if cid in result.captures and "#" in key:
+            if result[cid + 1][0] >= 0 and "#" in key:
                 name, _, branch = key.partition("#")
                 env[name] = env[name][:2] + (int(branch),)
     return env
