@@ -356,13 +356,14 @@ def _first_violation(tree: DerivationTree) -> Part | None:
     entry_parts = tree.entry_parts()
     lookup = refcheck.field_lookup(ag, tree.kind, {
         entry: (part.env, part.value) for entry, part in entry_parts.items()})
-    local = [(decl, expr) for decl in ag.headers for expr in decl.local_constraints]
     for expr in ag.blocks[tree.kind]:
         if refcheck._eval_ref(expr, lookup) is False:
             return _part_for_expr(expr, tree, entry_parts)
-    for decl, expr in local:
-        if decl.name in entry_parts and refcheck._eval_ref(expr, lookup) is False:
-            return entry_parts[decl.name]
+    for decl in ag.headers:
+        if decl.name in entry_parts:
+            for expr in decl.local_constraints:
+                if refcheck._eval_ref(expr, lookup) is False:
+                    return entry_parts[decl.name]
     return None
 
 
@@ -386,49 +387,42 @@ def derive_valid(ag: AnnotatedGrammar, seed,
 _TERMINALS = (LiteralCI, CharCodes, CharRange)
 
 
-@dataclass
-class _CharTarget:
-    abs_start: int
-    length: int
-    valid_at: object  # callable(index) -> set[int]
-    describe: str
+# the two bytes after a header key, as charset target sources: (valid, description)
+_KEY_COLON = (frozenset({0x3A}), "key colon")
+_KEY_SPACE = (frozenset({0x20, 0x09}), "key delimiter space")
 
 
-def _charset_targets(tree: DerivationTree) -> list[_CharTarget]:
+def _charset_targets(tree: DerivationTree) -> list[tuple]:
+    """`(abs_start, length, source)` of every byte run a charset mutant may
+    hit: a header key (its bytes), the colon and space after it, and each
+    derived terminal (its element); see `_target_facts`."""
     out = []
     for part in tree.parts:
         if part.kind == "header":
             key = part.key
-            out.append(_CharTarget(
-                part.offset, len(key),
-                lambda i, k=key: _case_pair(k[i]),
-                f"key {key.decode('ascii')}"))
             colon_at = part.offset + len(key)
-            out.append(_CharTarget(colon_at, 1, lambda i: {0x3A}, "key colon"))
-            out.append(_CharTarget(colon_at + 1, 1, lambda i: {0x20, 0x09},
-                                   "key delimiter space"))
+            out.append((part.offset, len(key), key))
+            out.append((colon_at, 1, _KEY_COLON))
+            out.append((colon_at + 1, 1, _KEY_SPACE))
+        base = part.value_offset
         for node in part.nodes:
-            if not isinstance(node.elem, _TERMINALS) or node.end == node.start:
-                continue
             elem = node.elem
-            base = part.value_offset
-            if isinstance(elem, LiteralCI):
-                text = elem.text.encode("ascii")
-                out.append(_CharTarget(
-                    base + node.start, node.end - node.start,
-                    lambda i, t=text: _case_pair(t[i]),
-                    f"literal {elem.text!r}"))
-            elif isinstance(elem, CharCodes):
-                out.append(_CharTarget(
-                    base + node.start, node.end - node.start,
-                    lambda i, d=elem.data: {d[i]},
-                    f"char codes {elem.data!r}"))
-            else:
-                out.append(_CharTarget(
-                    base + node.start, 1,
-                    lambda i, lo=elem.lo, hi=elem.hi: set(range(lo, hi + 1)),
-                    f"char range {elem.lo:#04x}-{elem.hi:#04x}"))
+            if isinstance(elem, _TERMINALS) and node.end != node.start:
+                out.append((base + node.start, node.end - node.start, elem))
     return out
+
+
+def _target_facts(source, i: int) -> tuple[set[int] | frozenset[int], str]:
+    """The valid bytes at offset `i` of a charset target, and its description."""
+    if isinstance(source, tuple):
+        return source
+    if isinstance(source, bytes):
+        return _case_pair(source[i]), f"key {source.decode('ascii')}"
+    if isinstance(source, LiteralCI):
+        return _case_pair(ord(source.text[i])), f"literal {source.text!r}"
+    if isinstance(source, CharCodes):
+        return {source.data[i]}, f"char codes {source.data!r}"
+    return set(range(source.lo, source.hi + 1)), f"char range {source.lo:#04x}-{source.hi:#04x}"
 
 
 def _case_pair(b: int) -> set[int]:
@@ -452,25 +446,25 @@ def mutate_charset(tree: DerivationTree, position: Position, seed) -> Mutant:
     if not targets:
         raise Exhausted("derivation has no terminals")
     for _ in range(_FAMILY_TRIES):
-        t = rng.choice(targets)
+        abs_start, length, source = rng.choice(targets)
         if position is Position.FIRST:
             idx = 0
         elif position is Position.LAST:
-            idx = t.length - 1
+            idx = length - 1
         else:
-            idx = t.length // 2
-        valid = t.valid_at(idx)
+            idx = length // 2
+        valid, describe = _target_facts(source, idx)
         pool = [b for b in range(256) if b not in valid and b not in (0x0D, 0x0A)]
         if not pool:
             continue
         replacement = rng.choice(pool)
-        at = t.abs_start + idx
+        at = abs_start + idx
         data = _splice(tree.message, at, at + 1, bytes((replacement,)))
         ok, _ = refcheck.reference_validate(tree.ag, data)
         if not ok:
             return Mutant(
                 data, MutRule.CHARSET, "INVALID",
-                f"{position.value} byte of {t.describe} -> {replacement:#04x}",
+                f"{position.value} byte of {describe} -> {replacement:#04x}",
                 str(seed))
     raise Exhausted("no invalidating charset replacement found")
 

@@ -22,17 +22,35 @@ failure pops the latest choice point. Each element visit costs one step of
 `DEFAULT_BUDGET`, and no Python frame is held per iteration, so a subject
 of any length gets a label or `ReferenceBudgetExceeded`.
 
+A choice point is pushed only if the next byte (or the end of the subject)
+could begin it, one byte of look-ahead in the manner of FIRST/FOLLOW
+filtering (Redziejowski, Fundamenta Informaticae 93, 2009): a branch, an
+enum or union branch, or another iteration only if its FIRST set holds the
+byte or it can derive the empty string; a repetition's stop point and each
+end of a byte run only if the continuation may begin with the byte, or may
+be empty at the end of the subject. Every pruned choice point would have
+failed, and it costs no step. The survivors are tried in the same order,
+so the env is the same and the visits are a subsequence of those without
+look-ahead; the stack holds only choice points that may succeed. FIRST
+sets and nullability are learnt once per grammar (the least fixed point
+over rule references). FOLLOW stays bounded: each frame carries the
+follow mask of the frame above it, taken when the frame is built, so a
+frame's own follow mask is read from that frame alone, and a chain of
+optional tails (`R = "a" [ R ]`) costs no walk.
+
 The env is a linked chain of `(parent, key, value)` links, one per
 annotation; only the first full derivation becomes a dict, later links
 overriding earlier ones. A repetition whose inner always matches exactly
 one byte from a fixed set (byte ranges, one-byte codes, one-character
 literals and alternations of them, through rule references, with no
-annotation) scans its run at once and pushes each end. Rule bodies,
-lowercased literals, enum branches, byte-run sets and the header key map
-are learnt once per grammar (`AnnotatedGrammar.memo`). A label table per
-grammar maps (entry body, subfield table, subject) to the env, or None,
-for the latest `LABEL_TABLE_SIZE` (256) derivations: a mutant shares every
-unchanged line with the base message labelled just before it.
+annotation) scans its run at once and pushes each end that the
+continuation may begin at. Rule bodies, lowercased literals, the look-ahead
+masks of branches and sequence suffixes, byte-run sets, each entry's uint
+subfields and the header key map are learnt once per grammar
+(`AnnotatedGrammar.memo`). A label table per grammar maps (entry body,
+subfield table, subject) to the env, or None, for the latest
+`LABEL_TABLE_SIZE` (256) derivations: a mutant shares every unchanged line
+with the base message labelled just before it.
 
 `reference_match`, the oracle of `pattern.match_spans`, decides
 derivability alone from memoised end-position sets, with its own budget.
@@ -69,11 +87,20 @@ DEFAULT_BUDGET = 4_000_000  # element visits per derive_env
 DEFAULT_REFERENCE_BUDGET = 2_000_000  # (element, position) pairs per reference_match
 LABEL_TABLE_SIZE = 256  # labels kept per grammar; the oldest goes first
 
-# continuation frames of `_derive_env`, linked through their last item:
-# (_SEQ, items, i, prefix, up)       items[i:] of a sequence come next
-# (_ANN, key, start, branch, up)     an annotation begun at start ends here
-# (_REP, rep, count, start, prefix, up)  iteration `count` of rep, begun at start
+# continuation frames of `_derive_env`, linked through `up`; `uf` is the
+# follow mask of `up` (see `_follow`):
+# (_SEQ, items, i, prefix, up, uf, suffixes)
+#     items[i:] of a sequence come next; suffixes[i] is their (first, nullable)
+# (_ANN, key, start, branch, up, uf)
+#     an annotation begun at start ends here
+# (_REP, rep, count, start, prefix, up, uf, inner)
+#     iteration `count` of rep, begun at start; inner is rep.inner's (first, nullable)
 _SEQ, _ANN, _REP = range(3)
+
+# look-ahead masks: bit b for byte b, bit _EOS for the end of the subject
+_EOS = 256
+_END = 1 << _EOS
+_ANY = (_END << 1) - 1
 
 
 def derive_env(body, ag: AnnotatedGrammar, subject: bytes, table):
@@ -99,6 +126,7 @@ def _derive_env(body, ag: AnnotatedGrammar, subject: bytes, table):
     n = len(subject)
     steps = DEFAULT_BUDGET
     facts = ag.memo("refcheck")
+    firsts = ag.memo("refcheck.first")
     stack = []  # choice points (elem, pos, env, prefix, cont); elem None resumes cont at pos
     elem, pos, env, prefix, cont = body, 0, None, (), None
     while True:
@@ -114,21 +142,33 @@ def _derive_env(body, ag: AnnotatedGrammar, subject: bytes, table):
             elif t is RuleRef:
                 elem = (facts.get(id(elem)) or _learn(facts, elem, ag))[1]
                 continue
-            elif t is Sequence:
-                cont = (_SEQ, elem.items, 0, prefix, cont)
+            elif t is Sequence:  # a parsed sequence has two or more items
+                items = elem.items
+                elem, cont = items[0], (_SEQ, items, 1, prefix, cont, _follow(cont),
+                                        (facts.get(id(elem)) or _learn(facts, elem, ag))[1])
+                continue
             elif t is Alternation:
-                stack.extend([(b, pos, env, prefix, cont) for b in reversed(elem.branches)])
+                c = subject[pos] if pos < n else _EOS
+                stack.extend([(b, pos, env, prefix, cont)
+                              for b, starts in (facts.get(id(elem)) or _learn(facts, elem, ag))[1]
+                              if starts >> c & 1])
                 matched = False
             elif t is Repetition:
                 members = (facts.get(id(elem)) or _learn(facts, elem, ag))[1]
                 if members is None:
                     # entered as if its zeroth iteration had just ended
-                    cont = (_REP, elem, 0, -1, prefix, cont)
+                    cont = (_REP, elem, 0, -1, prefix, cont, _follow(cont),
+                            (firsts.get(id(elem.inner)) or _learn_first(firsts, elem.inner, ag))[1])
                 else:
                     limit = n - pos if elem.max is None else min(elem.max, n - pos)
                     k = _run_length(subject, pos, limit, members)
-                    stack.extend([(None, end, env, None, cont)
-                                  for end in range(pos + elem.min, pos + k + 1)])
+                    follow = _follow(cont)
+                    ends = range(pos + elem.min, pos + k + 1)
+                    if not follow & (firsts.get(id(elem.inner))
+                                     or _learn_first(firsts, elem.inner, ag))[1][0]:
+                        ends = ends[-1:]  # a shorter end is followed by a member byte
+                    stack.extend([(None, end, env, None, cont) for end in ends
+                                  if follow >> (subject[end] if end < n else _EOS) & 1])
                     matched = False
             elif t is LiteralCI:
                 lit = (facts.get(id(elem)) or _learn(facts, elem, ag))[1]
@@ -144,12 +184,15 @@ def _derive_env(body, ag: AnnotatedGrammar, subject: bytes, table):
                 key = ".".join(path)
                 sf = table.get(key)
                 if sf is not None and sf.shape in (Shape.ENUM, Shape.UNION):
-                    branches = (facts.get(id(elem)) or _learn(facts, elem, ag))[1]
-                    stack.extend([(b, pos, env, path, (_ANN, key, pos, i, cont))
-                                  for i, b in reversed(list(enumerate(branches)))])
+                    c = subject[pos] if pos < n else _EOS
+                    uf = _follow(cont)
+                    stack.extend([(b, pos, env, path, (_ANN, key, pos, i, cont, uf))
+                                  for i, b, starts in (facts.get(id(elem)) or _learn(facts, elem, ag))[1]
+                                  if starts >> c & 1])
                     matched = False
                 else:
-                    elem, prefix, cont = elem.inner, path, (_ANN, key, pos, None, cont)
+                    elem, prefix, cont = elem.inner, path, (_ANN, key, pos, None, cont,
+                                                            _follow(cont))
                     continue
             else:
                 raise TypeError(f"not a grammar element: {elem!r}")
@@ -159,22 +202,27 @@ def _derive_env(body, ag: AnnotatedGrammar, subject: bytes, table):
                     return _materialise(env)
                 matched = False
             elif cont[0] == _SEQ:
-                _, items, i, prefix, up = cont
+                _, items, i, prefix, up, uf, suffixes = cont
                 if i < len(items):
-                    elem, cont = items[i], (_SEQ, items, i + 1, prefix, up)
+                    elem, cont = items[i], (_SEQ, items, i + 1, prefix, up, uf, suffixes)
                     break
                 cont = up
             elif cont[0] == _ANN:
-                _, key, start, branch, up = cont
+                _, key, start, branch, up, _ = cont
                 env, cont = (env, key, (start, pos, branch)), up
             else:  # _REP: iteration `count` of `rep`, begun at `start`, ended at pos
-                _, rep, count, start, prefix, up = cont
+                _, rep, count, start, prefix, up, uf, inner = cont
                 if pos != start or count <= rep.min:  # an empty iteration counts only up to min
-                    if count >= rep.min:
-                        stack.append((None, pos, env, None, up))  # stopping here comes last
-                    if rep.max is None or count < rep.max:
-                        elem, cont = rep.inner, (_REP, rep, count + 1, pos, prefix, up)
+                    c = subject[pos] if pos < n else _EOS
+                    stop = count >= rep.min and uf >> c & 1
+                    if (rep.max is None or count < rep.max) and (inner[1] or inner[0] >> c & 1):
+                        if stop:
+                            stack.append((None, pos, env, None, up))  # stopping here comes last
+                        elem, cont = rep.inner, (_REP, rep, count + 1, pos, prefix, up, uf, inner)
                         break
+                    if stop:
+                        cont = up
+                        continue
                 matched = False
         if not matched:
             if not stack:
@@ -197,8 +245,10 @@ def _materialise(env) -> dict:
 
 def _learn(facts: dict, elem, ag: AnnotatedGrammar) -> tuple:
     """Record and return `(elem, fact)` for one element, once per grammar:
-    a rule reference's body, a literal's lowercased bytes, an enum or union
-    annotation's branches, a repetition's byte-run members (or None)."""
+    a rule reference's body, a literal's lowercased bytes, an alternation's
+    `(branch, starts)` pairs, an enum or union annotation's
+    `(index, branch, starts)` triples (both last branch first, the order
+    they are pushed in), a repetition's byte-run members (or None)."""
     if isinstance(elem, RuleRef):
         rule = abnf.resolve(elem.name, ag.base)
         if rule is None:
@@ -206,14 +256,121 @@ def _learn(facts: dict, elem, ag: AnnotatedGrammar) -> tuple:
         fact = rule.body
     elif isinstance(elem, LiteralCI):
         fact = elem.text.lower().encode("ascii")
+    elif isinstance(elem, Sequence):
+        fact = [(0, True)]  # (first, nullable) of items[i:], built from the last i
+        for item in reversed(elem.items):
+            first, nullable = _first(item, ag)
+            rest, rest_nullable = fact[-1]
+            fact.append((first | rest, rest_nullable) if nullable else (first, False))
+        fact.reverse()
+    elif isinstance(elem, Alternation):
+        fact = tuple((b, _starts(b, ag)) for b in reversed(elem.branches))
     elif isinstance(elem, Annotated):
         alt = frontend.resolve_to_alternation(elem.inner, ag)
-        fact = alt.branches if alt is not None else (elem.inner,)
+        branches = alt.branches if alt is not None else (elem.inner,)
+        fact = tuple((i, b, _starts(b, ag)) for i, b in reversed(list(enumerate(branches))))
     else:
         members = _byte_set(elem.inner, ag, set())
         fact = bytes(sorted(members)) if members is not None else None
     hit = facts[id(elem)] = (elem, fact)
     return hit
+
+
+# --- one byte of look-ahead ---------------------------------------------------------
+
+def _first(elem, ag: AnnotatedGrammar) -> tuple[int, bool]:
+    """`(first, nullable)`, once per grammar: the mask of the bytes a
+    non-empty derivation of `elem` can begin with, and whether `elem`
+    derives the empty string."""
+    firsts = ag.memo("refcheck.first")
+    return (firsts.get(id(elem)) or _learn_first(firsts, elem, ag))[1]
+
+
+def _learn_first(firsts: dict, elem, ag: AnnotatedGrammar) -> tuple:
+    """Record and return `(elem, (first, nullable))`, learning every
+    rule's facts on first use."""
+    rules = ag.memo("refcheck.rules")
+    if not rules:
+        _learn_rules(ag, rules)
+    hit = firsts[id(elem)] = (elem, _first_of(elem, rules))
+    return hit
+
+
+def _starts(elem, ag: AnnotatedGrammar) -> int:
+    """The mask of the codes (a byte, or `_EOS`) at which `elem` may begin:
+    its FIRST set, or every code when it derives the empty string."""
+    first, nullable = _first(elem, ag)
+    return _ANY if nullable else first
+
+
+def _learn_rules(ag: AnnotatedGrammar, rules: dict) -> None:
+    """Fill `rules` with lowercased rule name -> `(first, nullable)` for
+    every rule, the least fixed point over rule references."""
+    bodies = {rule.name.lower(): rule.body for rule in abnf.core_rules()}
+    bodies.update((rule.name.lower(), rule.body) for rule in ag.base)
+    rules.update((name, (0, False)) for name in bodies)
+    changed = True
+    while changed:
+        changed = False
+        for name, body in bodies.items():
+            fact = _first_of(body, rules)
+            if fact != rules[name]:
+                rules[name], changed = fact, True
+
+
+def _first_of(elem, rules: dict) -> tuple[int, bool]:
+    """`(first, nullable)` of `elem`, reading rule references from `rules`;
+    an undefined rule may begin with anything and may be empty."""
+    t = type(elem)
+    if t is CharRange:
+        return ((2 << elem.hi) - (1 << elem.lo)), False
+    if t is CharCodes or t is LiteralCI:
+        data = elem.data if t is CharCodes else elem.text.lower().encode("ascii")
+        if not data:
+            return 0, True
+        b = data[0]
+        return (1 << b | 1 << (b - 32) if t is LiteralCI and 0x61 <= b <= 0x7A else 1 << b), False
+    if t is RuleRef:
+        return rules.get(elem.name.lower(), (_ANY, True))
+    if t is Annotated:
+        return _first_of(elem.inner, rules)
+    if t is Repetition:
+        if elem.max == 0:
+            return 0, True
+        first, nullable = _first_of(elem.inner, rules)
+        return first, nullable or elem.min == 0
+    if t is Sequence:
+        first = 0
+        for item in elem.items:
+            f, nullable = _first_of(item, rules)
+            first |= f
+            if not nullable:
+                return first, False
+        return first, True
+    if t is Alternation:
+        first, nullable = 0, False
+        for branch in elem.branches:
+            f, nul = _first_of(branch, rules)
+            first, nullable = first | f, nullable or nul
+        return first, nullable
+    raise TypeError(f"not a grammar element: {elem!r}")
+
+
+def _follow(cont) -> int:
+    """The mask of the codes at which continuation `cont` may begin: the
+    FIRST set of what it still has to derive, and the follow mask `uf` of
+    the frame above it when all of that may be empty. One frame is read."""
+    if cont is None:
+        return _END
+    kind = cont[0]
+    if kind == _SEQ:
+        first, nullable = cont[6][cont[2]]
+        return first | cont[5] if nullable else first
+    if kind == _ANN:
+        return cont[5]
+    _, rep, count, _, _, _, uf, (first, nullable) = cont  # another iteration, or stop
+    follow = first if rep.max is None or count < rep.max else 0
+    return follow | uf if count >= rep.min or nullable else follow
 
 
 def _byte_set(elem, ag: AnnotatedGrammar, entered: set) -> set | None:
@@ -528,10 +685,7 @@ def _ref_operand(node, lookup):
 
 def _range_violations(ag, entry, env, subject) -> list[str]:
     out = []
-    table = ag.subfields.get(entry) or {}
-    for key, sf in table.items():
-        if sf.shape not in (Shape.UINT16, Shape.UINT32):
-            continue
+    for key, sf, width in _uint_fields(ag, entry):
         hit = env.get(key)
         if hit is None:
             continue
@@ -540,7 +694,6 @@ def _range_violations(ag, entry, env, subject) -> list[str]:
         if not text.isdigit():
             out.append(f"{entry}.{key}: non-numeric {text!r}")
             continue
-        width = 16 if sf.shape is Shape.UINT16 else 32
         value = _uint_value(text, width)
         if value is None:
             out.append(f"{entry}.{key}: {text.lstrip(b'0').decode('ascii')} "
@@ -549,6 +702,19 @@ def _range_violations(ag, entry, env, subject) -> list[str]:
         if sf.range is not None and not sf.range.holds(value):
             out.append(f"{entry}.{key}: {value} outside declared range")
     return out
+
+
+def _uint_fields(ag: AnnotatedGrammar, entry: str) -> tuple:
+    """`(key, subfield, width)` of each uint subfield of `entry`, in table
+    order, once per grammar."""
+    memo = ag.memo("refcheck.uints")
+    fields = memo.get(entry)
+    if fields is None:
+        fields = memo[entry] = tuple(
+            (key, sf, 16 if sf.shape is Shape.UINT16 else 32)
+            for key, sf in (ag.subfields.get(entry) or {}).items()
+            if sf.shape in (Shape.UINT16, Shape.UINT32))
+    return fields
 
 
 def _declared_keys(ag: AnnotatedGrammar) -> dict:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import ast
 import random
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from zebu.frontend import COMMAND_LINE, RangeBound, parse_zebu
 from zebu.mutate import _Deriver, derive_valid, make_mutant, run_campaign
 from zebu.pattern import match_spans
 from zebu.refcheck import (
+    _ANY,
     LABEL_TABLE_SIZE,
     ReferenceBudgetExceeded,
     _derive_env,
@@ -294,12 +297,156 @@ def test_exponentially_ambiguous_header_exhausts_the_budget(monkeypatch):
 def test_budget_counts_one_step_per_element_visit(monkeypatch):
     ag = parse_zebu('requestLine = "GO"\nstatusLine = "NO"\nheader H = 1*( "ab" ) "c"\n')
     body, table = ag.header("H").body, ag.subfields["H"]
-    # the sequence, the repetition, "ab" at 0, 2 and 4 (no match), "c" at 4
-    monkeypatch.setattr(refcheck, "DEFAULT_BUDGET", 6)
-    assert _derive_env(body, ag, b"ababc", table) == {}
-    monkeypatch.setattr(refcheck, "DEFAULT_BUDGET", 5)
-    with pytest.raises(ReferenceBudgetExceeded):
-        _derive_env(body, ag, b"ababc", table)
+    for subject, visits, env in (
+        # the sequence, the repetition, "ab" at 0 and 2, "c" at 4; "ab" is
+        # not tried at 4, where "c" cannot begin it
+        (b"ababc", 5, {}),
+        # the sequence, the repetition, "ab" at 0, 2 and 4: "a" may begin
+        # "ab", so it is tried at 4 and fails; no stop point is pushed,
+        # because only "c" may follow the repetition
+        (b"ababac", 5, None),
+    ):
+        monkeypatch.setattr(refcheck, "DEFAULT_BUDGET", visits)
+        assert _derive_env(body, ag, subject, table) == env
+        monkeypatch.setattr(refcheck, "DEFAULT_BUDGET", visits - 1)
+        with pytest.raises(ReferenceBudgetExceeded):
+            _derive_env(body, ag, subject, table)
+
+
+# --- one byte of look-ahead -------------------------------------------------------------
+
+_PLAIN_ATOMS = st.sampled_from(['"a"', '"ab"', '"b"', '";"', '"a;"', '"A"', "%x61-62", "%x3B"])
+
+
+def _composites(inner, annotate: bool):
+    """Sequences, alternations, options and repetitions of `inner`; with
+    `annotate`, also captures (`@` marks a name) and enum and union
+    alternations."""
+    parts = st.lists(inner, min_size=2, max_size=3)
+    out = [
+        parts.map(lambda items: f"( {' '.join(items)} )"),
+        parts.map(lambda items: f"( {' / '.join(items)} )"),
+        inner.map(lambda item: f"[ {item} ]"),
+        st.tuples(st.sampled_from(["*", "1*", "*1", "2*3"]), inner).map(
+            lambda t: f"{t[0]}( {t[1]} )"),
+    ]
+    if annotate:
+        out += [
+            inner.map(lambda item: f"( {item} ):@"),
+            st.tuples(parts, st.sampled_from(["enum", "union"])).map(
+                lambda t: f"( {' / '.join(t[0])} ):@:{t[1]}"),
+        ]
+    return st.one_of(out)
+
+
+# shared first bytes, nullable items, options, enum and union annotations,
+# and the right-recursive rule R
+_PLAIN = st.recursive(_PLAIN_ATOMS, lambda inner: _composites(inner, False), max_leaves=4)
+_HEADER = st.recursive(st.one_of(_PLAIN_ATOMS, st.sampled_from(["R", "S"])),
+                       lambda inner: _composites(inner, True), max_leaves=6)
+
+
+def _look_spec(header: str, head: str, nullable: str) -> str:
+    header = "".join(f"c{i}{part}" if i else part for i, part in enumerate(header.split("@")))
+    return ('protocol t\nrequestLine = "GO"\nstatusLine = "NO"\n'
+            f"header H = {header}\nR = {head} [ R ]\nS = *( {nullable} )\n")
+
+
+def _label(ag, subject: bytes, budget: int, forced: bool = False):
+    """H's env over `subject` as a list of items, None, or "BUDGET" when
+    `budget` steps run out. `forced` learns every FIRST and follow fact of
+    `ag` as "any byte, or the end", so no choice point is pruned."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refcheck, "DEFAULT_BUDGET", budget)
+        if forced:
+            mp.setattr(refcheck, "_first_of", lambda elem, rules: (_ANY, True))
+            mp.setattr(refcheck, "_follow", lambda cont: _ANY)
+        try:
+            env = _derive_env(ag.header("H").body, ag, subject, ag.subfields["H"])
+        except ReferenceBudgetExceeded:
+            return "BUDGET"
+    return None if env is None else list(env.items())
+
+
+def _steps(ag, subject: bytes, cap: int) -> int:
+    """The steps labelling `subject` takes: the least budget that does not
+    run out, or cap + 1."""
+    lo, hi = 0, 8
+    while hi <= cap and _label(ag, subject, hi) == "BUDGET":
+        lo, hi = hi + 1, 2 * hi
+    hi = min(hi, cap + 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _label(ag, subject, mid) == "BUDGET":
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+# `--hypothesis-profile oracle` runs 3 000 examples; CI does
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(_HEADER, _PLAIN, _PLAIN,
+       st.lists(st.tuples(st.integers(0, 2**32), st.integers(0, 12), st.booleans()),
+                min_size=1, max_size=3))
+def test_look_ahead_prunes_only_choice_points_that_fail(header, head, nullable, draws):
+    spec = _look_spec(header, head, nullable)
+    fast, forced = parse_zebu(spec), parse_zebu(spec)
+    cap = 2_000
+    for seed, cut, drop in draws:
+        # a derivable value, or one with a byte dropped or doubled
+        subject, _ = _Deriver(fast, random.Random(seed), size_budget=3).derive_value(
+            fast.header("H").body)
+        if subject and cut < len(subject):
+            subject = subject[:cut] + subject[cut + 1:] if drop else (
+                subject[:cut] + subject[cut:cut + 1] + subject[cut:])
+        want = _label(forced, subject, cap, forced=True)
+        steps = _steps(fast, subject, cap)
+        if want != "BUDGET":  # a label may only move from BUDGET to a real label
+            assert steps <= cap and _label(fast, subject, cap) == want, (spec, subject)
+        if 0 < steps <= cap:  # no more steps than with nothing pruned
+            assert _label(forced, subject, steps - 1, forced=True) == "BUDGET", (spec, subject)
+
+
+def _long_request(site: str, count: int) -> bytes:
+    """A valid request whose Via or From carries `count` `;name=value`
+    params of one to three bytes each, as perfbench's validate-long builds."""
+    rng = random.Random(count)
+    params = "".join(
+        f";{''.join(rng.choices('abcxyz019', k=rng.randint(1, 3)))}"
+        f"={''.join(rng.choices('abcxyz019', k=rng.randint(1, 3)))}" for _ in range(count))
+    line = {"via": "Via: SIP/2.0/UDP pc33.example.com" + params,
+            "from": "From: <sip:alice@atlanta.example.org>;tag=88a7s" + params}[site]
+    return sip_request(drop=(site.title(),), extra=(line.encode("ascii"),))
+
+
+@pytest.mark.parametrize("site", ["via", "from"])
+def test_labelling_a_long_header_keeps_little_memory(sip_source, site):
+    # a choice point is pushed only where the next byte may begin it, so the
+    # stack no longer holds one stop point per param (9 MB for these 40 KB)
+    ag = parse_zebu(sip_source)
+    assert reference_validate(ag, sip_request()) == (True, [])  # learns the facts
+    raw = _long_request(site, 10_000)
+    assert len(raw) > 40_000
+    tracemalloc.start()
+    try:
+        label = reference_validate(ag, raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert label == (True, [])
+    assert peak < 1_000_000
+
+
+def test_right_recursive_chain_labels_in_linear_time():
+    # each frame carries the follow mask of the frame above it; a look-ahead
+    # that walked the chain of optional tails would be quadratic here
+    ag = parse_zebu('requestLine = "GO"\nstatusLine = "NO"\nheader H = R\nR = "a" [ R ]\n')
+    body, table = ag.header("H").body, ag.subfields["H"]
+    start = time.perf_counter()
+    assert derive_env(body, ag, b"a" * 20_000, table) == {}
+    assert derive_env(body, ag, b"a" * 20_000 + b"b", table) is None
+    assert time.perf_counter() - start < 5  # about 0.1 s when linear
 
 
 # --- capture differential -----------------------------------------------------------------
