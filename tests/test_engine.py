@@ -657,6 +657,87 @@ def test_validate_reasons_are_exhaustive(sip):
             ReasonCode.DUPLICATE_HEADER} <= found
 
 
+def _message(*lines: bytes) -> bytes:
+    return b"\r\n".join(lines) + b"\r\n\r\n"
+
+
+# The SIP headers in declaration order: CSeq, From, To, Via, Max-Forwards,
+# Call-ID, Content-Length. Each message lists them out of that order, so a
+# walk in message order would report otherwise.
+_ORDERED_REPORTS = {
+    "request": (_message(
+        b"INVITE sip:bob@example.com:70000 SIP/2.0",
+        b"Content-Length: x",
+        b"Call-ID: a@b",
+        b"Max-Forwards: 4294967296",
+        b"Via: SIP/2.0/UDP a.example.com",
+        b"Via: SIP/2.0/XYZ b.example.com",
+        b"From: <sip:alice@example.com:99999>;tag=1",
+        b"Call-ID: c@d",
+        b"CSeq: 47x1 INVITE"),
+        "REJECT RANGE requestLine.uri.port value 70000 overflows uint16\n"
+        "REJECT SYNTAX CSeq value b'47x1 INVITE' does not match the header grammar\n"
+        "REJECT RANGE From.uri.port value 99999 overflows uint16\n"
+        "REJECT MANDATORY_MISSING To mandatory header 'To' is missing\n"
+        "REJECT SYNTAX Via[1] value b'SIP/2.0/XYZ b.example.com' does not match the "
+        "header grammar\n"
+        "REJECT RANGE Max-Forwards.hops value 4294967296 overflows uint32\n"
+        "REJECT DUPLICATE_HEADER Call-ID header 'Call-ID' appears 2 times\n"
+        "REJECT SYNTAX Content-Length value b'x' does not match the header grammar\n"),
+    "block": (_message(
+        b"INVITE sip:bob@example.com SIP/2.0",
+        b"Content-Length: 1x",
+        b"Call-ID: a@b",
+        b"Call-ID: c@d",
+        b"CSeq: 1 BYE",
+        b"To: <sip:bob@example.com>",
+        b"From: <sip:alice@example.com>;tag=1",
+        b"Via: SIP/2.0/UDP a.example.com"),
+        "REJECT MANDATORY_MISSING Max-Forwards mandatory header 'Max-Forwards' is missing\n"
+        "REJECT DUPLICATE_HEADER Call-ID header 'Call-ID' appears 2 times\n"
+        "REJECT SYNTAX Content-Length value b'1x' does not match the header grammar\n"
+        "REJECT CONSTRAINT block constraint failed: CSeq.method == requestLine.method\n"),
+    "response": (_message(
+        b"SIP/2.0 700 Weird",
+        b"Content-Length: 99999999999",
+        b"Via: SIP/2.0/UDP a.example.com",
+        b"CSeq: 1 INVITE",
+        b"Via: SIP/2.0/UDP a.example.com;;",
+        b"To: <sip:bob@example.com:99999>",
+        b"CSeq: 2 INVITE"),
+        "REJECT DUPLICATE_HEADER CSeq header 'CSeq' appears 2 times\n"
+        "REJECT MANDATORY_MISSING From mandatory header 'From' is missing\n"
+        "REJECT RANGE To.uri.port value 99999 overflows uint16\n"
+        "REJECT SYNTAX Via[1] value b'SIP/2.0/UDP a.example.com;;' does not match the "
+        "header grammar\n"
+        "REJECT MANDATORY_MISSING Call-ID mandatory header 'Call-ID' is missing\n"
+        "REJECT RANGE Content-Length.length value 99999999999 overflows uint32\n"
+        "REJECT RANGE block constraint failed: 100 <= statusLine.code && "
+        "statusLine.code < 699\n"),
+}
+
+
+@pytest.mark.parametrize("raw, report", _ORDERED_REPORTS.values(), ids=_ORDERED_REPORTS)
+def test_validate_reports_reasons_in_declaration_order(sip, raw, report):
+    # the command line's reasons, then each declared header's in declaration
+    # order (a missing mandatory one in its place), then the block constraints
+    assert validate(sip, raw).report() == report
+    assert reference_validate(sip.ag, raw)[0] is False
+
+
+def test_validate_reports_block_then_local_constraints_in_declaration_order():
+    ag = parse_zebu(_KIND_BASE + "header A = 1*DIGIT:n:uint16 { A.n < 5 }\n"
+                    "header B = 1*DIGIT:n:uint16 { B.n != 3 }\n"
+                    'header C = 1*ALPHA:w { C.w != "no" }\n'
+                    "request { A.n < B.n; }\n")
+    raw = b"GO X\r\nC: no\r\nB: 3\r\nA: 7\r\n\r\n"
+    assert validate(compile_grammar(ag), raw).report() == (
+        "REJECT CONSTRAINT block constraint failed: A.n < B.n\n"
+        "REJECT RANGE A constraint failed: A.n < 5\n"
+        "REJECT RANGE B constraint failed: B.n != 3\n"
+        'REJECT CONSTRAINT C constraint failed: C.w != "no"\n')
+
+
 def test_validate_undeclared_headers_skipped(sip):
     verdict = validate(sip, sip_request(extra=(b"X-Custom: anything at all!",)))
     assert verdict.accepted
