@@ -28,17 +28,21 @@ a SYNTAX reason, or the reader's value plus its conversion failures. A
 command line and a header instance both parse into one record, a
 ParsedEntry; a header parsed exactly when its record has no failures.
 
-`validate` is the full-validation driver used by the mutation campaigns:
-it parses every declared header present, forces lazy subfields, checks
-mandatory/multiplicity rules, and evaluates the request/response block
-constraints, accumulating every reason rather than stopping at the first.
+`validate` is the full-validation driver used by the mutation campaigns.
+What it needs of a grammar is built once, at compile time, as a ValidationPlan:
+header ranks, each kind's mandatory headers and every constraint, with
+their reasons and field references resolved. Per message it visits only the
+headers the line scan found, in declaration order with each missing
+mandatory one in its place: it parses them, forces their lazy subfields and
+checks the constraints, accumulating every reason, not stopping at the first.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import frontend, pattern as pat
 from .errors import ZebuError
@@ -145,12 +149,14 @@ class _AbsentType:
 ABSENT = _AbsentType()
 
 
-@dataclass(frozen=True)
+# not frozen, as a frozen dataclass pays a slow __setattr__ per instance and
+# every uint read makes one; like the other typed values, read-only by contract
+@dataclass(slots=True, unsafe_hash=True)
 class U16:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class U32:
     value: int
 
@@ -186,7 +192,7 @@ class RawSlice:
         return f"RawSlice({self.data!r})"
 
 
-@dataclass
+@dataclass(slots=True)
 class StructVal:
     fields: dict
 
@@ -194,7 +200,7 @@ class StructVal:
         return self.fields.get(name, ABSENT)
 
 
-@dataclass
+@dataclass(slots=True)
 class UnionVal:
     branch: int
     fields: dict
@@ -205,20 +211,19 @@ class UnionVal:
 
 class LazyPending:
     """Handle for a declared-lazy subfield; forcing it runs its own pattern.
-    `outcome` is None until then, and after it the typed value or the
-    ForceFailed that forcing raises."""
+    `field` is its entry's `lazy_fields` item. `outcome` is None until then,
+    and after it the typed value or the ForceFailed that forcing raises."""
 
-    __slots__ = ("entry_name", "key", "source", "span", "outcome")
+    __slots__ = ("field", "source", "span", "outcome")
 
-    def __init__(self, entry_name: str, key: str, source: bytes, span: tuple[int, int]):
-        self.entry_name = entry_name
-        self.key = key
+    def __init__(self, field: tuple, source: bytes, span: tuple[int, int]):
+        self.field = field
         self.source = source
         self.span = span
         self.outcome = None
 
     def __repr__(self):
-        return f"LazyPending({self.entry_name}.{self.key} @ {self.span})"
+        return f"LazyPending({self.field[1]} @ {self.span})"
 
 
 # --- line scan ------------------------------------------------------------------
@@ -334,26 +339,24 @@ class CompiledEntry:
     decl: HeaderDecl | None
 
     @cached_property
-    def reader(self) -> tuple:
-        """(name, read) per top-level subfield of a match of `pattern`; a
-        lazy one reads as a LazyPending over its hole."""
-        return tuple(
-            (sf.name, _pending_reader(self.pattern, self.name, sf.key)
-             if sf.name in self.lazy_patterns
-             else _reader(self.pattern, self.table, sf, f"{self.name}.{sf.key}"))
-            for sf in self.table.values() if len(sf.path) == 1)
-
-    @cached_property
-    def lazy_readers(self) -> dict:
-        """Per lazy subfield, the read of its value from a match of its own
-        pattern."""
-        return {key: _reader(p, self.table, self.table[key], f"{self.name}.{key}")
+    def lazy_fields(self) -> dict[str, tuple]:
+        """Per lazy subfield, what forcing it runs: (its own pattern, the
+        location of its reasons, the read of its value from a match)."""
+        return {key: (p, f"{self.name}.{key}",
+                      _reader(p, self.table, self.table[key], f"{self.name}.{key}"))
                 for key, p in self.lazy_patterns.items()}
 
-    def read(self, spans: tuple, source: bytes, errors: list[Reason]) -> dict:
-        """The top-level fields of a match of `pattern` over `source`;
-        conversion failures are appended to `errors`."""
-        return {name: get(spans, source, errors) for name, get in self.reader}
+    @cached_property
+    def read(self):
+        """The top-level fields of a match of `pattern`, as a function of
+        (spans, source, errors) that appends conversion failures to
+        `errors`; a lazy field reads as a LazyPending over its hole."""
+        fields = tuple(
+            (sf.name, _pending_reader(self.pattern, sf.key, self.lazy_fields[sf.key])
+             if sf.key in self.lazy_patterns
+             else _reader(self.pattern, self.table, sf, f"{self.name}.{sf.key}"))
+            for sf in self.table.values() if len(sf.path) == 1)
+        return partial(_read_fields, fields)
 
 
 @dataclass
@@ -364,17 +367,19 @@ class CompiledGrammar:
     `ag.entry_points()` order: requestLine, statusLine, then each header.
     `by_key` maps each lowercased header key variant to the name of the
     header that declares it, so the line scan assigns every header line to
-    one entry."""
+    one entry. `plan` is what `validate` needs of the grammar."""
 
     ag: AnnotatedGrammar
     entries: dict[str, CompiledEntry]
     by_key: dict[bytes, str] = dc_field(init=False, repr=False, compare=False)
+    plan: ValidationPlan = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.by_key = {}
         for entry in self.entries.values():
             for key in entry.decl.keys if entry.decl is not None else ():
                 self.by_key.setdefault(key.lower().encode("ascii"), entry.name)
+        self.plan = ValidationPlan(self)
 
     def named_patterns(self):
         """(name, pattern) for every pattern: each command line's and
@@ -389,6 +394,36 @@ class CompiledGrammar:
         """The declared header called `name`, in any case."""
         decl = self.ag.header(name)
         return None if decl is None else self.entries[decl.name]
+
+
+class ValidationPlan:
+    """What `validate` needs of a grammar beyond its entries: `rank`, each
+    header's place in declaration order; per command line (None when none
+    matched), `mandatory`, each header its kind requires with the reason its
+    absence gives, and `constraints`, its kind's block constraints and then
+    the local ones in declaration order, as (owner, holds, reason). `owner`
+    is None in a block, and a local constraint applies only when its header's
+    first instance parsed. `holds(msg, kind, found)` is None when a field it
+    reads is unavailable (absent, unparsed, or of the other kind)."""
+
+    def __init__(self, grammar: CompiledGrammar):
+        headers = grammar.ag.headers
+        self.rank = {decl.name: i for i, decl in enumerate(headers)}
+        # keyed by name, as a str hashes in C and a MessageKind in Python
+        lines = {**_KIND_OF_LINE, None: None}
+        self.mandatory = {line: {d.name: Reason(ReasonCode.MANDATORY_MISSING, d.name,
+                                                f"mandatory header {d.name!r} is missing")
+                                 for d in headers if kind in d.mandatory_in}
+                          for line, kind in lines.items()}
+
+        def planned(owner, expr):
+            code = ReasonCode.RANGE if is_range_shaped(expr) else ReasonCode.CONSTRAINT
+            return owner, _holds(expr, grammar), Reason(
+                code, owner or "block", f"constraint failed: {expr_to_text(expr)}")
+        local = [planned(d.name, expr) for d in headers for expr in d.local_constraints]
+        self.constraints = {
+            line: [planned(None, expr) for expr in grammar.ag.blocks.get(kind, ())] + local
+            for line, kind in lines.items()}
 
 
 def compile_grammar(ag: AnnotatedGrammar) -> CompiledGrammar:
@@ -414,20 +449,22 @@ def compile_grammar(ag: AnnotatedGrammar) -> CompiledGrammar:
 # over `source`, and the list to which a failed conversion appends its
 # reason. It returns the subfield's typed value, or ABSENT.
 
-_UINT_DIGITS = {16: len(str(1 << 16)), 32: len(str(1 << 32))}
+def _read_fields(fields: tuple, spans, source, errors) -> dict:
+    """The value of each (name, read) in `fields`, by name; a loop, as a
+    comprehension would make a function and a frame per match."""
+    values = {}
+    for name, read in fields:
+        values[name] = read(spans, source, errors)
+    return values
 
 
-def _read_absent(spans, source, errors):
-    return ABSENT
-
-
-def _pending_reader(pattern: Pattern, entry_name: str, key: str):
+def _pending_reader(pattern: Pattern, key: str, lazy: tuple):
     """Read a lazy subfield's hole as a LazyPending over its span."""
     slot = pattern.capture_index[key] + 1
 
     def read(spans, source, errors):
         span = spans[slot]
-        return ABSENT if span[0] < 0 else LazyPending(entry_name, key, source, span)
+        return ABSENT if span[0] < 0 else LazyPending(lazy, source, span)
     return read
 
 
@@ -436,7 +473,7 @@ def _reader(pattern: Pattern, table: dict[str, Subfield], sf: Subfield, location
     is located at `location`."""
     cid = pattern.capture_index.get(sf.key)
     if cid is None:
-        return _read_absent
+        return lambda spans, source, errors: ABSENT
     slot = cid + 1
     shape = sf.shape
     if shape is Shape.RAW:
@@ -447,32 +484,36 @@ def _reader(pattern: Pattern, table: dict[str, Subfield], sf: Subfield, location
 
     if shape is Shape.UINT16 or shape is Shape.UINT32:
         width = 16 if shape is Shape.UINT16 else 32
-        limit, most, typed = 1 << width, _UINT_DIGITS[width], U16 if width == 16 else U32
+        limit, typed = 1 << width, U16 if width == 16 else U32
+        most = len(str(limit))  # digits
         bound = sf.range
         outside = None if bound is None else (
             f" outside {bound.lo} <= x {'<' if bound.hi_strict else '<='} {bound.hi}")
+        # the values that read: lo <= x < hi
+        lo, hi = (0, limit) if bound is None else (
+            bound.lo, min(limit, bound.hi + (not bound.hi_strict)))
 
         def read(spans, source, errors):
             start, end = spans[slot]
             if start < 0:
                 return ABSENT
             text = source[start:end]
-            if not text.isdigit():
-                errors.append(Reason(
-                    ReasonCode.SYNTAX, location,
-                    f"captured value {text!r} is not an unsigned decimal integer"))
-                return ABSENT
+            if end - start <= most and text.isdigit() and lo <= (value := int(text)) < hi:
+                return typed(value)
             # overflow is decided on the digits first: int() refuses very long strings
             digits = text.lstrip(b"0")
-            if len(digits) > most or (value := int(digits or b"0")) >= limit:
-                errors.append(Reason(
-                    ReasonCode.RANGE, location,
-                    f"value {digits.decode('ascii')} overflows uint{width}"))
-                return ABSENT
-            if bound is not None and not bound.holds(value):
-                errors.append(Reason(ReasonCode.RANGE, location, f"value {value}{outside}"))
-                return ABSENT
-            return typed(value)
+            if not text.isdigit():
+                failure = Reason(ReasonCode.SYNTAX, location,
+                                 f"captured value {text!r} is not an unsigned decimal integer")
+            elif len(digits) > most or (value := int(digits or b"0")) >= limit:
+                failure = Reason(ReasonCode.RANGE, location,
+                                 f"value {digits.decode('ascii')} overflows uint{width}")
+            elif lo <= value < hi:
+                return typed(value)
+            else:
+                failure = Reason(ReasonCode.RANGE, location, f"value {value}{outside}")
+            errors.append(failure)
+            return ABSENT
         return read
 
     def children(names):
@@ -485,7 +526,7 @@ def _reader(pattern: Pattern, table: dict[str, Subfield], sf: Subfield, location
         def read(spans, source, errors):
             if spans[slot][0] < 0:
                 return ABSENT
-            return StructVal({name: get(spans, source, errors) for name, get in fields})
+            return StructVal(_read_fields(fields, spans, source, errors))
         return read
 
     if shape is not Shape.ENUM and shape is not Shape.UNION:
@@ -495,6 +536,7 @@ def _reader(pattern: Pattern, table: dict[str, Subfield], sf: Subfield, location
     while (branch_cid := pattern.capture_index.get(f"{sf.key}#{len(branches)}")) is not None:
         branches.append(branch_cid + 1)
     per_branch = tuple(map(children, sf.branch_children))
+    tags = [EnumTag(branch) for branch in range(len(branches))]  # shared: they are frozen
 
     def read(spans, source, errors):
         if spans[slot][0] < 0:
@@ -506,15 +548,15 @@ def _reader(pattern: Pattern, table: dict[str, Subfield], sf: Subfield, location
             errors.append(Reason(ReasonCode.SYNTAX, location, "no alternation branch recorded"))
             return ABSENT
         if shape is Shape.ENUM:
-            return EnumTag(branch)
+            return tags[branch]
         fields = per_branch[branch] if branch < len(per_branch) else ()
-        return UnionVal(branch, {name: get(spans, source, errors) for name, get in fields})
+        return UnionVal(branch, _read_fields(fields, spans, source, errors))
     return read
 
 
 # --- parsed views ----------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class ParsedEntry:
     """A command line or header instance after its pattern ran: its entry,
     the value the pattern ran over, the top-level fields read from the
@@ -554,7 +596,8 @@ class ParsedMessage:
         self._lazy_exec = 0
         # the command line's record, or the MessageTypeError that typing it raised
         self._command: ParsedEntry | MessageTypeError | None = None
-        self._parsed: dict[tuple[str, int], ParsedEntry] = {}
+        # each header instance parsed, by the offset of its value
+        self._parsed: dict[int, ParsedEntry] = {}
 
     # counters ------------------------------------------------------------
 
@@ -627,29 +670,27 @@ class ParsedMessage:
         """
         entry = self._header(name)
         count = len(self._values.get(entry.name, ()))
-        if not count:
-            return None
         if count > 1 and not entry.decl.multiple:
             raise DuplicateHeader(entry.name, count)
         return self._parse_instance(entry, 0)
 
     def parse_header_nth(self, name: str, index: int) -> ParsedEntry | None:
-        """Indexed access for `multiple` headers, in source order."""
+        """Indexed access for `multiple` headers, in source order; None for
+        an index outside 0..count-1."""
         return self._parse_instance(self._header(name), index)
 
     def _parse_instance(self, entry: CompiledEntry, index: int) -> ParsedEntry | None:
-        memo_key = (entry.name, index)
-        parsed = self._parsed.get(memo_key)
+        instances = self._values.get(entry.name, ())
+        if not 0 <= index < len(instances):
+            return None
+        start, end = instances[index]
+        parsed = self._parsed.get(start)
         if parsed is None:
-            instances = self._values.get(entry.name, ())
-            if index >= len(instances):
-                return None
-            value = unfolded_value(self.raw, *instances[index])
+            value = unfolded_value(self.raw, start, end)
             fields, failures = self._outcome(
                 entry.pattern, value, f"{entry.name}[{index}]" if index else entry.name,
                 entry.read, "value {!r} does not match the header grammar")
-            parsed = ParsedEntry(entry, value, fields or {}, failures)
-            self._parsed[memo_key] = parsed
+            parsed = self._parsed[start] = ParsedEntry(entry, value, fields or {}, failures)
         return parsed
 
     # lazy forcing -----------------------------------------------------------------
@@ -658,13 +699,11 @@ class ParsedMessage:
         """Run the subfield's own pattern over its raw span exactly once;
         later calls return the memoized value without a pattern run."""
         if pending.outcome is None:
-            entry = self.grammar.entries[pending.entry_name]
-            s, e = pending.span
+            pattern, location, read = pending.field
+            start, end = pending.span
             self._lazy_exec += 1
-            value, failures = self._outcome(
-                entry.lazy_patterns[pending.key], pending.source[s:e],
-                f"{pending.entry_name}.{pending.key}", entry.lazy_readers[pending.key],
-                "lazy value {!r} does not match its grammar")
+            value, failures = self._outcome(pattern, pending.source[start:end], location, read,
+                                            "lazy value {!r} does not match its grammar")
             pending.outcome = ForceFailed(failures) if failures else value
         if isinstance(pending.outcome, ForceFailed):
             raise pending.outcome
@@ -675,8 +714,11 @@ class ParsedMessage:
     def select(self, selector: str):
         """Resolve a dotted `Entry.sub.sub` selector, forcing lazy fields.
 
-        Raises UnknownSubfield for a path not present in the grammar;
-        returns ABSENT when the path is valid but unexercised.
+        Returns ABSENT when the path is valid but unexercised. Raises
+        UnknownSubfield for a path not present in the grammar, UnknownHeader
+        for an undeclared header, DuplicateHeader when a header not declared
+        `multiple` appears more than once, and ForceFailed when a lazy field
+        on the path does not match its own pattern.
         """
         head, *rest = selector.split(".")
         entry = (self.grammar.entries[head] if head in COMMAND_LINE.values()
@@ -719,59 +761,61 @@ def validate(grammar: CompiledGrammar, raw: bytes,
              session: ParsedMessage | None = None) -> Verdict:
     """Index, type the command line, parse every declared header present,
     force lazy subfields, check mandatory/multiplicity rules, and evaluate
-    block constraints. Reasons are exhaustive, not first-failure.
+    block constraints. Reasons are exhaustive, not first-failure: the
+    command line's, then each header's in declaration order (a missing
+    mandatory one in its place), then the constraints'.
 
     Passing an existing session reuses its memo tables and counter."""
-    reasons: list[Reason] = []
     try:
         msg = session if session is not None else ParsedMessage(grammar, raw)
     except MessageSyntaxError as exc:
         return Verdict(False, exc.reasons)
-
-    kind = None
-    command = None
+    plan = grammar.plan
+    reasons: list[Reason] = []
+    # by entry name, what constraints read: the command line, and each
+    # header's first instance if it parsed
+    found: dict[str, ParsedEntry] = {}
+    kind = line = None
     try:
         command = msg.command_fields()
-        kind = msg.message_type()
-        reasons.extend(command.failures)
-        _force_all(msg, command, reasons)
     except MessageTypeError as exc:
         reasons.extend(exc.reasons)
+    else:
+        line = command.entry.name
+        kind = _KIND_OF_LINE[line]
+        found[line] = command
+        reasons += command.failures
+        _force_all(msg, command, reasons)
 
-    first_instances: dict[str, ParsedEntry] = {}
-    for decl in grammar.ag.headers:
-        entry = grammar.entries[decl.name]
-        count = len(msg._values.get(decl.name, ()))
-        if count == 0:
-            if kind in decl.mandatory_in:
-                reasons.append(Reason(
-                    ReasonCode.MANDATORY_MISSING, decl.name,
-                    f"mandatory header {decl.name!r} is missing"))
+    values, entries, parse = msg._values, grammar.entries, msg._parse_instance
+    mandatory = plan.mandatory[line]
+    missing = mandatory.keys() - values.keys()
+    for name in sorted(values.keys() | missing if missing else values,
+                       key=plan.rank.__getitem__):
+        instances = values.get(name)
+        if instances is None:
+            reasons.append(mandatory[name])
             continue
-        if count > 1 and not decl.multiple:
-            reasons.append(Reason(
-                ReasonCode.DUPLICATE_HEADER, decl.name,
-                f"header {decl.name!r} appears {count} times"))
+        entry = entries[name]
+        count = len(instances)
+        if count > 1 and not entry.decl.multiple:
+            reasons.append(Reason(ReasonCode.DUPLICATE_HEADER, name,
+                                  f"header {name!r} appears {count} times"))
             count = 1  # constraints still use the first instance
-        for i in range(count):
-            parsed = msg._parse_instance(entry, i)
+        # most headers appear once; a constant tuple saves building a range
+        for i in range(count) if count > 1 else (0,):
+            parsed = parse(entry, i)
             if parsed.failures:
-                reasons.extend(parsed.failures)
+                reasons += parsed.failures
                 continue
-            _force_all(msg, parsed, reasons)
+            if entry.lazy_patterns:
+                _force_all(msg, parsed, reasons)
             if i == 0:
-                first_instances[decl.name] = parsed
+                found[name] = parsed
 
-    def lookup(ref: FieldRef):
-        return _lookup(ref, msg, kind, command, first_instances)
-
-    for expr in grammar.ag.blocks.get(kind, ()):
-        _check_constraint(expr, lookup, "block", reasons)
-    for decl in grammar.ag.headers:
-        if decl.name in first_instances:
-            for expr in decl.local_constraints:
-                _check_constraint(expr, lookup, decl.name, reasons)
-
+    for owner, holds, reason in plan.constraints[line]:
+        if (owner is None or owner in found) and holds(msg, kind, found) is False:
+            reasons.append(reason)
     return Verdict(not reasons, reasons)
 
 
@@ -786,119 +830,73 @@ def _force_all(msg: ParsedMessage, parsed: ParsedEntry, reasons: list[Reason]) -
                 reasons.extend(exc.reasons)
 
 
-def _lookup(ref: FieldRef, msg, kind, command, first_instances):
-    """Returns (typed value, ci_flag) or None when unavailable."""
-    if ref.entry == frontend.BUILTIN_MESSAGE:
-        if kind is None:
-            return None
-        name = kind.name.encode()
-        return RawSlice(name, 0, len(name)), True
-    if ref.entry in COMMAND_LINE.values():
-        parsed = command if command is not None and command.entry.name == ref.entry else None
-    else:
-        parsed = first_instances.get(ref.entry)
-    if parsed is None:
-        return None
-    try:
-        value = msg._walk(parsed.fields, ref.sub_path)
-    except ForceFailed:
-        return None
-    if value is ABSENT:
-        return None
-    return value, parsed.entry.table[".".join(ref.sub_path)].ci
+# --- constraints -------------------------------------------------------------------
+
+_OPS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def _check_constraint(expr, lookup, location, reasons):
-    verdict = _eval(expr, lookup)
-    if verdict is False:
-        code = ReasonCode.RANGE if is_range_shaped(expr) else ReasonCode.CONSTRAINT
-        reasons.append(Reason(code, location, f"constraint failed: {expr_to_text(expr)}"))
+def _holds(expr, grammar: CompiledGrammar):
+    """`expr` as a function of (msg, kind, found), three-valued. Every item
+    of an And or Or is evaluated: a field read forces nothing new."""
+    if isinstance(expr, (And, Or)):
+        items = [_holds(item, grammar) for item in expr.items]
+        combine = all if isinstance(expr, And) else any
 
-
-def _eval(expr, lookup):
-    """Three-valued evaluation: None when a referenced field is unavailable
-    (absent, unparsed, or the wrong message kind), in which case the
-    constraint does not apply."""
-    if isinstance(expr, And):
-        out = True
-        for item in expr.items:
-            v = _eval(item, lookup)
-            if v is None:
-                return None
-            out = out and v
-        return out
-    if isinstance(expr, Or):
-        out = False
-        for item in expr.items:
-            v = _eval(item, lookup)
-            if v is None:
-                return None
-            out = out or v
-        return out
+        def holds(msg, kind, found):
+            verdicts = [item(msg, kind, found) for item in items]
+            return None if None in verdicts else combine(verdicts)
+        return holds
     if isinstance(expr, Not):
-        v = _eval(expr.item, lookup)
-        return None if v is None else not v
-    if isinstance(expr, Cmp):
-        lhs = _operand(expr.lhs, lookup)
-        rhs = _operand(expr.rhs, lookup)
-        if lhs is None or rhs is None:
+        inner = _holds(expr.item, grammar)
+        return lambda msg, kind, found: (
+            None if (verdict := inner(msg, kind, found)) is None else not verdict)
+    if not isinstance(expr, Cmp):
+        raise ZebuError(f"not a constraint expression: {expr!r}")
+    lhs, rhs = _operand(expr.lhs, grammar), _operand(expr.rhs, grammar)
+    op, mismatch = _OPS[expr.op], expr.op == "!="
+
+    def holds(msg, kind, found):
+        left, right = lhs(msg, kind, found), rhs(msg, kind, found)
+        if left is None or right is None:
             return None
-        return _compare(expr.op, lhs, rhs)
-    raise ZebuError(f"not a constraint expression: {expr!r}")
+        (a, a_ci), (b, b_ci) = left, right
+        if a is None or type(a) is not type(b):
+            return mismatch  # a number, bytes and a structure are never equal
+        return op(a.lower(), b.lower()) if a_ci and b_ci else op(a, b)
+    return holds
 
 
-def _operand(node, lookup):
+def _operand(node, grammar: CompiledGrammar):
+    """`node` as a function of (msg, kind, found) giving (value, ci), the
+    value a number, bytes or None (neither) and `ci` true when bytes compare
+    in any case; or None when the field is unavailable."""
     if isinstance(node, IntLit):
-        return node.value
-    if isinstance(node, StrLit):
-        return node
-    if isinstance(node, FieldRef):
-        hit = lookup(node)
-        if hit is None:
-            return None
-        return hit  # (typed value, ci flag)
-    raise ZebuError(f"not a constraint operand: {node!r}")
+        value = (node.value, False)
+    elif isinstance(node, StrLit):
+        value = (node.value.encode("ascii", "replace"), True)
+    elif not isinstance(node, FieldRef):
+        raise ZebuError(f"not a constraint operand: {node!r}")
+    elif node.entry == frontend.BUILTIN_MESSAGE:
+        return lambda msg, kind, found: None if kind is None else (kind.name.encode(), True)
+    else:
+        name, path = node.entry, list(node.sub_path)
+        ci = grammar.entries[name].table[".".join(path)].ci
 
-
-def _compare(op, lhs, rhs):
-    lnum, lbytes, lci = _comparable(lhs)
-    rnum, rbytes, rci = _comparable(rhs)
-    if lnum is not None and rnum is not None:
-        return _apply(op, lnum, rnum)
-    if lbytes is not None and rbytes is not None:
-        if lci and rci:
-            lbytes = lbytes.lower()
-            rbytes = rbytes.lower()
-        return _apply(op, lbytes, rbytes)
-    # type mismatch: never equal
-    return op == "!="
-
-
-def _comparable(side):
-    """Returns (numeric, bytes, case_insensitive)."""
-    if isinstance(side, int):
-        return side, None, False
-    if isinstance(side, StrLit):
-        return None, side.value.encode("ascii", "replace"), True
-    value, ci = side
-    if isinstance(value, (U16, U32)):
-        return value.value, None, False
-    if isinstance(value, EnumTag):
-        return value.branch, None, False
-    if isinstance(value, RawSlice):
-        return None, value.data, ci
-    return None, None, False
-
-
-def _apply(op, a, b):
-    if op == "==":
-        return a == b
-    if op == "!=":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    return a >= b
+        def get(msg, kind, found):
+            parsed = found.get(name)
+            if parsed is None:
+                return None
+            try:
+                value = msg._walk(parsed.fields, path)
+            except ForceFailed:
+                return None
+            if isinstance(value, (U16, U32)):
+                return value.value, False
+            if isinstance(value, EnumTag):
+                return value.branch, False
+            if isinstance(value, RawSlice):
+                return value.data, ci
+            return None if value is ABSENT else (None, False)
+        return get
+    return lambda msg, kind, found: value

@@ -340,6 +340,13 @@ def match_spans(pattern, subject: bytes, budget: int = DEFAULT_MATCH_BUDGET) -> 
         root = pattern.root
     else:
         root = pattern
+    return _interpret(root, subject, budget)
+
+
+def _interpret(root, subject: bytes, budget: int) -> tuple | None:
+    """The interpreter's run of `match_spans`. Apart from it, because its
+    nested matchers make closure cells on every call, and the `re` path of
+    `match_spans` would pay for them too."""
     n = len(subject)
     caps: dict[int, tuple[int, int]] = {}
     steps = budget

@@ -16,14 +16,16 @@ CORPUS = REPO / "corpus" / "sip"
 # property, `--hypothesis-profile robustness` the front end's robustness
 # property, `--hypothesis-profile framing` the engine/oracle framing
 # property, `--hypothesis-profile backends` the typed layer's
-# cross-backend property, and `--hypothesis-profile oracle` the oracle's
-# look-ahead property, with 3 000 examples each; CI does, on every Python
-# it tests
+# cross-backend property, `--hypothesis-profile oracle` the oracle's
+# look-ahead property, and `--hypothesis-profile plan` the property that
+# validate's verdict and counters do not depend on what a session parsed
+# first, with 3 000 examples each; CI does, on every Python it tests
 settings.register_profile("agreement", max_examples=3000)
 settings.register_profile("robustness", max_examples=3000)
 settings.register_profile("framing", max_examples=3000)
 settings.register_profile("backends", max_examples=3000)
 settings.register_profile("oracle", max_examples=3000)
+settings.register_profile("plan", max_examples=3000)
 
 
 def grammar_text(name: str) -> str:

@@ -438,6 +438,19 @@ def test_multiple_header_nth_access(sip):
     assert msg.parse_header_nth("Via", 2) is None
 
 
+@pytest.mark.parametrize("name, index", [
+    ("Via", -1), ("Via", -5), ("Via", 1), ("Via", 7),
+    ("Content-Length", -1), ("Content-Length", 0)])
+def test_header_index_outside_the_instances_is_none(sip, name, index):
+    raw = (CORPUS / "invite1.msg").read_bytes().replace(b"Content-Length: 0\r\n", b"")
+    msg = ParsedMessage(sip, raw)
+    via = msg.parse_header_nth("Via", 0)
+    assert msg.parse_header_nth(name, index) is None
+    assert msg.exec_counter == 1
+    assert msg.parse_header_nth("Via", 0) is via
+    assert msg.exec_counter == 1
+
+
 def test_variant_keys_match_case_insensitively(sip):
     raw = sip_request().replace(b"From:", b"f:")
     msg = ParsedMessage(sip, raw)
@@ -1016,6 +1029,32 @@ def _observed(cg, raw) -> list[str]:
                     lines.append(f"{selector} = {shown}")
             lines.append(f"exec {msg.exec_counter} lazy {msg.lazy_exec_counter}")
     return lines
+
+
+# `--hypothesis-profile plan` runs 3 000 examples; CI does
+@settings(deadline=None)
+@given(st.data())
+def test_validate_agrees_whatever_the_session_parsed_first(request, data):
+    name = data.draw(st.sampled_from(["sip", "rtsp"]))
+    grammar = request.getfixturevalue(name)
+    mutant = make_mutant(grammar.ag, data.draw(st.integers(0, 9_999)),
+                         data.draw(st.integers(0, 2**32)))
+    raw = mutant.data
+    verdict = validate(grammar, raw)
+    assert verdict.accepted is (mutant.ground_truth == "VALID")
+    try:
+        fresh, selected = ParsedMessage(grammar, raw), ParsedMessage(grammar, raw)
+    except MessageSyntaxError:
+        return
+    for selector in _selectors(grammar):
+        try:
+            selected.select(selector)
+        except ZebuError:
+            pass
+    assert validate(grammar, raw, fresh).report() == verdict.report()
+    assert validate(grammar, raw, selected).report() == verdict.report()
+    assert (selected.exec_counter, selected.lazy_exec_counter) == (
+        fresh.exec_counter, fresh.lazy_exec_counter)
 
 
 def test_engine_outputs_are_pinned(sip, rtsp, sip_ag, rtsp_ag):
