@@ -18,7 +18,7 @@ observable.
 Typed fields are read straight from a match's spans. Both matcher backends
 give one span shape, `re`'s `Match.regs` (see `pattern.match_spans`), and
 each entry, like each lazy subfield's pattern, has a capture reader built
-once, on first use: one function per subfield that indexes the span tuple
+once, with the entry: one function per subfield that indexes the span tuple
 at its capture's slot, with its shape's checks, bounds and reason location
 worked out beforehand.
 
@@ -42,7 +42,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, partial
+from functools import partial
 
 from . import frontend, pattern as pat
 from .errors import ZebuError
@@ -330,33 +330,33 @@ def unfolded_value(raw: bytes, start: int, end: int) -> bytes:
 class CompiledEntry:
     """One entry point's patterns: the entry's own and one per lazy
     subfield forced on demand. `decl` is the header declaration, or None
-    for a command line."""
+    for a command line.
+
+    `read` gives the top-level fields of a match of `pattern` from (spans,
+    source, errors), appending conversion failures to `errors`; a lazy
+    field reads as a LazyPending over its hole. `lazy_fields` holds, per
+    lazy subfield, what forcing it runs: (its own pattern, the location of
+    its reasons, the read of its value from a match). Both are plain
+    attributes, as every pattern run reads one and a cached_property is
+    read on a slower path."""
 
     name: str
     pattern: Pattern
     table: dict[str, Subfield]
     lazy_patterns: dict[str, Pattern]
     decl: HeaderDecl | None
+    lazy_fields: dict[str, tuple] = dc_field(init=False, repr=False, compare=False)
+    read: object = dc_field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def lazy_fields(self) -> dict[str, tuple]:
-        """Per lazy subfield, what forcing it runs: (its own pattern, the
-        location of its reasons, the read of its value from a match)."""
-        return {key: (p, f"{self.name}.{key}",
-                      _reader(p, self.table, self.table[key], f"{self.name}.{key}"))
-                for key, p in self.lazy_patterns.items()}
-
-    @cached_property
-    def read(self):
-        """The top-level fields of a match of `pattern`, as a function of
-        (spans, source, errors) that appends conversion failures to
-        `errors`; a lazy field reads as a LazyPending over its hole."""
-        fields = tuple(
+    def __post_init__(self):
+        self.lazy_fields = {key: (p, f"{self.name}.{key}",
+                                  _reader(p, self.table, self.table[key], f"{self.name}.{key}"))
+                            for key, p in self.lazy_patterns.items()}
+        self.read = partial(_read_fields, tuple(
             (sf.name, _pending_reader(self.pattern, sf.key, self.lazy_fields[sf.key])
              if sf.key in self.lazy_patterns
              else _reader(self.pattern, self.table, sf, f"{self.name}.{sf.key}"))
-            for sf in self.table.values() if len(sf.path) == 1)
-        return partial(_read_fields, fields)
+            for sf in self.table.values() if len(sf.path) == 1))
 
 
 @dataclass
