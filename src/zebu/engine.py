@@ -28,7 +28,7 @@ a SYNTAX reason, or the reader's value plus its conversion failures. A
 command line and a header instance both parse into one record, a
 ParsedEntry; a header parsed exactly when its record has no failures.
 
-`validate` is the full-validation driver used by the mutation campaigns.
+`validate` is the full validation that the mutation campaigns run.
 What it needs of a grammar is built once, at compile time, as a ValidationPlan:
 header ranks, each kind's mandatory headers and every constraint, with
 their reasons and field references resolved. Per message it visits only the
