@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from . import abnf
 from .abnf import (
@@ -102,6 +103,7 @@ class Annotated:
     name: str
     shape: Shape | None
     lazy: bool
+    span: tuple[int, int] = field(default=(0, 0), compare=False)  # line, column of its `:`
 
 
 # --- constraint expressions -------------------------------------------------
@@ -232,17 +234,17 @@ class HeaderDecl:
 
 @dataclass
 class Subfield:
+    """A subfield's one record: every site that declares its name, and
+    the facts merged over all of them."""
     name: str
     path: tuple[str, ...]
     shape: Shape
     lazy: bool
-    element: Element
-    declared_shape: Shape | None = None
-    def_shape: Shape | None = None
+    sites: tuple[Annotated, ...]  # each declaring node once, in source order
     children: tuple[str, ...] = ()
-    multi_site: bool = False  # declared in more than one alternation branch
     range: RangeBound | None = None  # uint shapes: the declared range directive
-    ci: bool = False  # every reachable terminal is a case-insensitive literal
+    ci: bool = False  # every site derives from case-insensitive literals only
+    repeated: bool = False  # some site sits under an unbounded repetition
     # union shape: the direct child names each alternation branch declares
     branch_children: tuple[tuple[str, ...], ...] = ()
 
@@ -255,7 +257,7 @@ class Subfield:
         """A lazy top-level subfield declared at one site: a hole in its
         entry's pattern, with its own pattern run only when forced. At
         several sites, each compiles from its own element instead."""
-        return self.lazy and len(self.path) == 1 and not self.multi_site
+        return self.lazy and len(self.path) == 1 and len(self.sites) == 1
 
 
 @dataclass
@@ -321,39 +323,35 @@ def collect_subfields(body: Element, ag: AnnotatedGrammar) -> dict[str, Subfield
 
     Duplicate names are rejected at the second declaration unless the two
     sites lie in disjoint branches of one alternation (in which case they
-    merge and must agree on shape, laziness and declared range).
+    merge into one record and must agree on shape, laziness and declared
+    range).
     """
-    return _collect(body, (), ag, frozenset())
+    return _collect(body, (), ag, frozenset(), False)
 
 
-def _collect(elem, prefix, ag, stack):
+def _collect(elem, prefix, ag, stack, repeated):
     if isinstance(elem, Annotated):
         path = prefix + (elem.name,)
-        ci = terminals_all_ci(elem.inner, ag)
-        inner = _collect(elem.inner, path, ag, stack)
-        def_shape = rule_def_shape(elem.inner, ag)
-        if elem.shape is not None and def_shape is not None and elem.shape is not def_shape:
-            shape = elem.shape  # conflicting declaration; the verifier reports it
-        else:
-            shape = elem.shape or def_shape or Shape.RAW
+        inner = _collect(elem.inner, path, ag, stack, repeated)
+        shape = elem.shape or rule_def_shape(elem.inner, ag) or Shape.RAW
         branch_children = ()
         if shape is Shape.UNION:
             alt = resolve_to_alternation(elem.inner, ag)
             if alt is not None:
-                branch_children = tuple(_child_names(_collect(b, path, ag, stack), path)
-                                        for b in alt.branches)
+                branch_children = tuple(
+                    _child_names(_collect(b, path, ag, stack, repeated), path)
+                    for b in alt.branches)
         sf = Subfield(
             name=elem.name,
             path=path,
             shape=shape,
             lazy=elem.lazy,
-            element=elem.inner,
-            declared_shape=elem.shape,
-            def_shape=def_shape,
+            sites=(elem,),
             children=_child_names(inner, path),
             range=(declared_range(elem.inner, ag)
                    if shape in (Shape.UINT16, Shape.UINT32) else None),
-            ci=ci,
+            ci=terminals_all_ci(elem.inner, ag),
+            repeated=repeated,
             branch_children=branch_children,
         )
         out = {sf.key: sf}
@@ -362,15 +360,15 @@ def _collect(elem, prefix, ag, stack):
     if isinstance(elem, Sequence):
         out = {}
         for item in elem.items:
-            _merge_strict(out, _collect(item, prefix, ag, stack))
+            _merge_strict(out, _collect(item, prefix, ag, stack, repeated))
         return out
     if isinstance(elem, Alternation):
         out = {}
         for branch in elem.branches:
-            _merge_branches(out, _collect(branch, prefix, ag, stack))
+            _merge_branches(out, _collect(branch, prefix, ag, stack, repeated))
         return out
     if isinstance(elem, Repetition):
-        return _collect(elem.inner, prefix, ag, stack)
+        return _collect(elem.inner, prefix, ag, stack, repeated or elem.max is None)
     if isinstance(elem, RuleRef):
         low = elem.name.lower()
         if low in stack:
@@ -378,12 +376,16 @@ def _collect(elem, prefix, ag, stack):
         rule = abnf.resolve(elem.name, ag.base)
         if rule is None:
             return {}
-        return _collect(rule.body, prefix, ag, stack | {low})
+        return _collect(rule.body, prefix, ag, stack | {low}, repeated)
     return {}
 
 
 def _child_names(table, path) -> tuple[str, ...]:
     return tuple(s.name for s in table.values() if len(s.path) == len(path) + 1)
+
+
+def _union(old: tuple, new: tuple) -> tuple:
+    return old + tuple(x for x in new if x not in old)
 
 
 def _merge_strict(out, new):
@@ -404,9 +406,13 @@ def _merge_branches(out, new):
                 f"subfield {key!r} redeclared across alternation branches "
                 f"with a different shape, laziness or declared range"
             )
-        merged_children = old.children + tuple(c for c in sf.children if c not in old.children)
-        old.children = merged_children
-        old.multi_site = old.multi_site or sf.multi_site or sf.element is not old.element
+        old.sites += tuple(s for s in sf.sites if all(s is not o for o in old.sites))
+        old.children = _union(old.children, sf.children)
+        old.ci = old.ci and sf.ci
+        old.repeated = old.repeated or sf.repeated
+        old.branch_children = tuple(
+            _union(a, b) for a, b in zip_longest(old.branch_children, sf.branch_children,
+                                                 fillvalue=()))
 
 
 def reachable_leaves(elem: Element, ag: AnnotatedGrammar) -> tuple:
@@ -509,6 +515,7 @@ class _ZebuElements(ElementParser):
         s = self.s
         if s.peek() != ":":
             return elem
+        span = s.location()
         s.take()
         name = s.take_name("subfield name")
         shape = None
@@ -524,7 +531,7 @@ class _ZebuElements(ElementParser):
                 lazy = True
             else:
                 raise UnknownAnnotation(f"unknown subfield tag {word!r}", *s.location())
-        return Annotated(elem, name, shape, lazy)
+        return Annotated(elem, name, shape, lazy, span)
 
 
 # The items each declaration's block takes, as docs/dialect.md lists them:

@@ -667,7 +667,9 @@ def mutate_constraint(ag: AnnotatedGrammar, tree: DerivationTree, seed) -> Mutan
             if hit is None or sf is None:
                 continue
             start, end, branch = hit
-            alt = frontend.resolve_to_alternation(sf.element, ag)
+            # the first site's branches; refcheck labels the mutant whichever
+            # site it derives from
+            alt = frontend.resolve_to_alternation(sf.sites[0].inner, ag)
             if alt is None or branch is None or len(alt.branches) < 2:
                 continue
             choices = [i for i in range(len(alt.branches)) if i != branch]
@@ -686,7 +688,7 @@ def mutate_constraint(ag: AnnotatedGrammar, tree: DerivationTree, seed) -> Mutan
 
 
 def _out_of_range_text(rng, ag, sf: frontend.Subfield, lo, hi, strict) -> bytes | None:
-    exact = _exact_digit_count(sf.element, ag)
+    exact = _exact_digit_count(sf.sites[0].inner, ag)
     candidates = []
     top = hi if strict else hi + 1
     if exact is not None:

@@ -82,6 +82,7 @@ from .abnf import (
     Alternation,
     CharCodes,
     CharRange,
+    Element,
     LiteralCI,
     Repetition,
     Rule,
@@ -214,10 +215,9 @@ class _Compiler:
                 self._depth -= 1
         raise CompileError(f"cannot compile {elem!r}")
 
-    def compile_subfield(self, sf: Subfield, element=None):
-        """Compile the annotated `element` (default: `sf.element`) as the
+    def compile_subfield(self, sf: Subfield, element: Element):
+        """Compile the annotated `element`, one of `sf`'s sites, as the
         subfield `sf` describes."""
-        element = sf.element if element is None else element
         key = sf.key
         cid = self.cap_id(key)
         if sf.forced_lazily and self.lazy_holes:
@@ -255,9 +255,10 @@ def compile_pattern(entry, g, *, table: dict[str, Subfield] | None = None) -> Pa
 
 def compile_subfield_pattern(sf: Subfield, ag: AnnotatedGrammar,
                              table: dict[str, Subfield]) -> Pattern:
-    """Compile a lazy subfield's own pattern (captures keyed by full path)."""
+    """Compile a lazy subfield's own pattern (captures keyed by full path)
+    from its one site."""
     comp = _Compiler(ag, table, lazy_holes=False)
-    root = _simplify(comp.compile_subfield(sf))
+    root = _simplify(comp.compile_subfield(sf, sf.sites[0].inner))
     return Pattern(root, comp.capture_index)
 
 

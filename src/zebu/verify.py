@@ -24,6 +24,7 @@ from .frontend import (
     iter_field_refs,
     reachable_leaves,
     resolve_to_alternation,
+    rule_def_shape,
     strongly_connected,
     terminal_bytes,
 )
@@ -271,100 +272,73 @@ def _digits_only(elem, ag) -> bool:
 def check_type_annotations(ag: AnnotatedGrammar) -> list[Diagnostic]:
     """Validate subfield shapes against what the annotated rules derive.
 
-    For uint16/uint32 fields over a finite literal set, every string must
-    parse as a decimal unsigned integer within the width; digit runs defer
-    the range check to parse time; anything else is a TYPE_MISMATCH.
+    Every site of a subfield is judged. For uint16/uint32 fields over a
+    finite literal set, every string must parse as a decimal unsigned
+    integer within the width; digit runs defer the range check to parse
+    time; anything else is a TYPE_MISMATCH. A subfield under an unbounded
+    repetition draws one warning.
     """
     out = []
     for entry, table in ag.subfields.items():
         for sf in table.values():
-            out.extend(_check_subfield(entry, sf, ag))
-    for entry, body in ag.entry_points():
-        out.extend(_warn_captures_under_unbounded(entry, body, ag))
+            out.extend(_check_subfield(f"{entry}.{sf.key}", sf, ag))
     return out
 
 
-def _check_subfield(entry, sf: Subfield, ag) -> list[Diagnostic]:
-    where = f"{entry}.{sf.key}"
-    out = []
-    if (sf.declared_shape is not None and sf.def_shape is not None
-            and sf.declared_shape is not sf.def_shape):
-        out.append(_error(
-            Code.TYPE_MISMATCH,
-            f"subfield {where} is {sf.declared_shape.value} at its reference "
-            f"but {sf.def_shape.value} at the rule definition",
-        ))
-    if sf.shape in (Shape.ENUM, Shape.UNION):
-        if resolve_to_alternation(sf.element, ag) is None:
-            out.append(_error(
-                Code.TYPE_MISMATCH,
-                f"subfield {where} is {sf.shape.value} but its rule has no alternation body",
-            ))
+def _check_subfield(where, sf: Subfield, ag) -> list[Diagnostic]:
+    span = sf.sites[0].span
+    out = [diag for site in sf.sites for diag in _check_site(where, sf.shape, site, ag)]
     if sf.shape is Shape.ENUM and sf.children:
         out.append(_error(
             Code.TYPE_MISMATCH,
             f"enum subfield {where} cannot contain named subfields "
             f"({', '.join(sf.children)})",
+            span,
         ))
     if sf.shape in (Shape.RAW, Shape.UINT16, Shape.UINT32) and sf.children:
         out.append(_error(
             Code.TYPE_MISMATCH,
             f"subfield {where} nests named subfields but is not struct or union",
+            span,
         ))
-    if sf.shape in (Shape.UINT16, Shape.UINT32):
-        width = 16 if sf.shape is Shape.UINT16 else 32
-        strings = _finite_strings(sf.element, ag)
+    if sf.repeated:
+        out.append(_warning(
+            Code.TYPE_MISMATCH,
+            f"subfield {where} sits under an unbounded repetition; "
+            f"captures report only the last iteration",
+            span,
+        ))
+    return out
+
+
+def _check_site(where, shape: Shape, site: Annotated, ag) -> list[Diagnostic]:
+    """The diagnostics of one declaration of a subfield of `shape`."""
+    out = []
+
+    def mismatch(message):
+        out.append(_error(Code.TYPE_MISMATCH, f"subfield {where} {message}", site.span))
+
+    def_shape = rule_def_shape(site.inner, ag)
+    if site.shape is not None and def_shape is not None and site.shape is not def_shape:
+        mismatch(f"is {site.shape.value} at its reference "
+                 f"but {def_shape.value} at the rule definition")
+    if shape in (Shape.ENUM, Shape.UNION) and resolve_to_alternation(site.inner, ag) is None:
+        mismatch(f"is {shape.value} but its rule has no alternation body")
+    if shape in (Shape.UINT16, Shape.UINT32):
+        width = 16 if shape is Shape.UINT16 else 32
+        strings = _finite_strings(site.inner, ag)
         if strings is not None:
             bad = sorted(
                 s for s in strings
                 if not (s.isascii() and s.isdigit()) or int(s) >= (1 << width)
             )
             if bad:
-                out.append(_error(
-                    Code.TYPE_MISMATCH,
-                    f"subfield {where} is {sf.shape.value} but derives "
-                    f"{bad[0]!r}" + (f" (+{len(bad) - 1} more)" if len(bad) > 1 else ""),
-                ))
-        elif not _digits_only(sf.element, ag):
+                mismatch(f"is {shape.value} but derives {bad[0]!r}"
+                         + (f" (+{len(bad) - 1} more)" if len(bad) > 1 else ""))
+        elif not _digits_only(site.inner, ag):
             # unbounded and not a pure digit run: cannot be numeric
-            out.append(_error(
-                Code.TYPE_MISMATCH,
-                f"subfield {where} is {sf.shape.value} but its rule does not "
-                f"derive numeric text",
-            ))
+            mismatch(f"is {shape.value} but its rule does not derive numeric text")
         # unbounded digit runs defer the range check to parse time
-    return out
-
-
-def _warn_captures_under_unbounded(entry, body, ag) -> list[Diagnostic]:
-    out = []
-
-    def walk(elem, unbounded, stack):
-        if isinstance(elem, Annotated):
-            if unbounded:
-                out.append(_warning(
-                    Code.TYPE_MISMATCH,
-                    f"subfield {entry}.{elem.name} sits under an unbounded repetition; "
-                    f"captures report only the last iteration",
-                ))
-            walk(elem.inner, unbounded, stack)
-        elif isinstance(elem, Sequence):
-            for item in elem.items:
-                walk(item, unbounded, stack)
-        elif isinstance(elem, Alternation):
-            for branch in elem.branches:
-                walk(branch, unbounded, stack)
-        elif isinstance(elem, Repetition):
-            walk(elem.inner, unbounded or elem.max is None, stack)
-        elif isinstance(elem, RuleRef):
-            low = elem.name.lower()
-            if low in stack:
-                return
-            rule = abnf.resolve(elem.name, ag.base)
-            if rule is not None:
-                walk(rule.body, unbounded, stack | {low})
-
-    walk(body, False, frozenset())
     return out
 
 

@@ -13,6 +13,7 @@ from zebu.engine import compile_grammar, validate
 from zebu.frontend import parse_zebu
 from zebu.mutate import make_mutant
 from zebu.pattern import interpreter_reason
+from zebu.refcheck import reference_validate
 
 SIP_SPEC = REPO / "src" / "zebu" / "grammars" / "sip-subset.zebu"
 RTSP_SPEC = REPO / "src" / "zebu" / "grammars" / "rtsp-subset.zebu"
@@ -96,6 +97,111 @@ def test_header_named_like_a_command_line_is_rejected(tmp_path, capsys, base, na
     assert err.count(f"error[SYNTAX]: header {name!r} takes a command line's name") == 2
     assert "UNRESOLVED_REF" not in err
     assert not out.exists()
+
+
+# --- one subfield name in two alternation branches ---------------------------
+#
+# Each case declares a subfield at two sites, `{0} / {1}` in its header; both
+# branch orders must give the same outcome, since every site is checked and
+# every per-subfield fact is merged over all sites.
+
+TWO_SITES = {
+    "uint-shape": ('header H = {0} / {1}\nX = 1*DIGIT\nY = 1*DIGIT {{ uint32 }}\n',
+                   'X:n:uint16 "x"', 'Y:n:uint16 "y"'),
+    "uint-text": ('header H = {0} / {1}\nN = 1*DIGIT\nA = 1*ALPHA\n',
+                  'N:n:uint16 "x"', 'A:n:uint16 "y"'),
+    "enum": ('header H = {0} / {1}\nX = "p" / "q"\nY = "r"\n',
+             'X:e:enum "a"', 'Y:e:enum "b"'),
+    "ci": ('header H = {0} / {1}\nrequest {{ H.v == "B"; }}\n', '"a":v "x"', '%x62:v "y"'),
+    "union": ('header H = {0} / {1}\nU1 = "p" 1*DIGIT:a / "q" 1*ALPHA:b\n'
+              'U2 = "r" 1*DIGIT:c / "s" 1*ALPHA:d\n', 'U1:u:union "x"', 'U2:u:union "y"'),
+    "repeated": ('header H = {0} / {1}\nX = 1*DIGIT:n\n', '*( X ";" )', '*( X "," )'),
+}
+both_orders = pytest.mark.parametrize("swapped", [False, True], ids=["in-order", "swapped"])
+
+
+def two_sites(tmp_path, case, swapped):
+    """The spec text of `case` with its branches in source order or swapped,
+    and the path it is written to."""
+    template, first, second = TWO_SITES[case]
+    branches = (second, first) if swapped else (first, second)
+    text = TOY_COMMAND_LINES + template.format(*branches)
+    return text, write(tmp_path, f"{case}.zebu", text)
+
+
+def column(text, site):
+    """The 1-based column of the `:` that opens the annotation `site`."""
+    at = text.index(site) + site.index(":")
+    return at - text.rfind("\n", 0, at)
+
+
+@both_orders
+def test_every_site_is_checked_against_its_rule_shape(tmp_path, capsys, swapped):
+    text, spec = two_sites(tmp_path, "uint-shape", swapped)
+    assert main(["check", str(spec)]) == 1
+    assert capsys.readouterr().err == (
+        f"{spec}:4:{column(text, 'Y:n')}: error[TYPE_MISMATCH]: subfield H.n is uint16 "
+        f"at its reference but uint32 at the rule definition\n")
+
+
+@both_orders
+def test_every_site_of_a_uint_is_checked_for_numeric_text(tmp_path, capsys, swapped):
+    text, spec = two_sites(tmp_path, "uint-text", swapped)
+    assert main(["check", str(spec)]) == 1
+    assert capsys.readouterr().err == (
+        f"{spec}:4:{column(text, 'A:n')}: error[TYPE_MISMATCH]: subfield H.n is uint16 "
+        f"but its rule does not derive numeric text\n")
+
+
+@both_orders
+def test_every_site_of_an_enum_needs_an_alternation(tmp_path, capsys, swapped):
+    text, spec = two_sites(tmp_path, "enum", swapped)
+    out = tmp_path / "enum.zbc"
+    assert main(["check", str(spec)]) == 1
+    assert main(["compile", str(spec), "-o", str(out)]) == 1
+    line = (f"{spec}:4:{column(text, 'Y:e')}: error[TYPE_MISMATCH]: subfield H.e is enum "
+            f"but its rule has no alternation body\n")
+    assert capsys.readouterr().err == line * 2
+    assert not out.exists()
+
+
+@both_orders
+def test_a_field_with_a_case_sensitive_site_compares_exactly(tmp_path, swapped):
+    text, _ = two_sites(tmp_path, "ci", swapped)
+    ag = parse_zebu(text)
+    assert not ag.subfields["H"]["v"].ci
+    msg = b"GO X\r\nH: by\r\n\r\n"
+    verdict = validate(compile_grammar(ag), msg)
+    assert verdict.report() == 'REJECT CONSTRAINT block constraint failed: H.v == "B"\n'
+    assert reference_validate(ag, msg) == (False, ['constraint failed: H.v == "B"'])
+
+
+@both_orders
+def test_union_children_merge_by_branch_index(tmp_path, capsys, swapped):
+    _, spec = two_sites(tmp_path, "union", swapped)
+    out, msg = tmp_path / "union.zbc", write(tmp_path, "m.msg", "GO X\r\nH: r12y\r\n\r\n")
+    assert main(["compile", str(spec), "-o", str(out)]) == 0
+    assert main(["parse", str(out), str(msg), "--field", "H.u.c", "--field", "H.u.b"]) == 0
+    assert capsys.readouterr().out == "H.u.c = 12\nH.u.b = ABSENT\nACCEPT\nexec_counter 2\n"
+
+
+@both_orders
+def test_capture_warning_once_per_subfield(tmp_path, capsys, swapped):
+    text, spec = two_sites(tmp_path, "repeated", swapped)
+    assert main(["check", str(spec)]) == 0
+    assert capsys.readouterr().err == (
+        f"{spec}:5:{column(text, 'DIGIT:n')}: warning[TYPE_MISMATCH]: subfield H.n sits "
+        f"under an unbounded repetition; captures report only the last iteration\n")
+
+
+def test_capture_warning_names_a_nested_subfield_by_its_key(tmp_path, capsys):
+    spec = write(tmp_path, "nested.zebu",
+                 TOY_COMMAND_LINES + 'header H = *( P:a:struct "," )\nP = 1*DIGIT:b\n')
+    assert main(["check", str(spec)]) == 0
+    assert capsys.readouterr().err == "".join(
+        f"{spec}:{at}: warning[TYPE_MISMATCH]: subfield {key} sits under an unbounded "
+        f"repetition; captures report only the last iteration\n"
+        for at, key in (("4:16", "H.a"), ("5:12", "H.a.b")))
 
 
 # --- compile ----------------------------------------------------------------

@@ -404,7 +404,11 @@ _TOKENS = (
 # whole declaration that the drawn tokens may extend or break
 _HEADS = ("", "A = ", "header K = ", 'header K { "k" } = ', "request { ", "range A = ",
           'A = "a" / "b" { enum }', "header K = 1*DIGIT:n:uint16 { K.n < 9; multiple }",
-          'request { mandatory H; H.v != "a" }', "range A = 0 <= x < 9")
+          'request { mandatory H; H.v != "a" }', "range A = 0 <= x < 9",
+          # one name declared in two alternation branches
+          'header K = A:e:enum "x" / WSP:e:enum "y"',
+          'header K = WSP:e:enum "x" / DIGIT:e:enum "y"',
+          'header K = DIGIT:n:uint16 "x" / A:n:uint16 "y"', 'header K = "a":v "x" / %x62:v "y"')
 _SKELETON = 'requestLine = "GO" SP 1*DIGIT:n\nstatusLine = "NO"\nheader H = 1*VCHAR:v\n'
 _spec_lines = st.tuples(
     st.sampled_from(_HEADS),

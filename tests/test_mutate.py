@@ -102,20 +102,22 @@ _REPEATED_CAPTURES = (
 
 
 def _check_env(ag, tree) -> int:
-    """Each recorded span derives from its subfield's element, and a
-    recorded branch is a branch of the subfield's alternation that derives
+    """Each recorded span derives from one of its subfield's sites, and a
+    recorded branch is a branch of that site's alternation that derives
     the span. Returns the number of branches recorded."""
     branches = 0
     command = COMMAND_LINE[tree.kind]
     for part in tree.parts:
         table = ag.subfields.get(command if part.decl is None else part.decl.name)
         for key, (start, end, branch) in part.env.items():
-            sf = table[key]
             span = part.value[start:end]
-            assert reference_match(sf.element, ag, span), (key, span)
+            sites = [s.inner for s in table[key].sites if reference_match(s.inner, ag, span)]
+            assert sites, (key, span)
             if branch is not None:
-                alt = resolve_to_alternation(sf.element, ag)
-                assert reference_match(alt.branches[branch], ag, span), (key, branch)
+                alts = [resolve_to_alternation(inner, ag) for inner in sites]
+                assert any(reference_match(alt.branches[branch], ag, span)
+                           for alt in alts if alt is not None and branch < len(alt.branches)), \
+                    (key, branch)
                 branches += 1
     return branches
 
