@@ -455,3 +455,27 @@ def test_fixed_seed_corpus_is_pinned(tmp_path, spec, count, seed, digest):
     assert code == 0
     assert len(list(out.glob("*.raw"))) == count
     assert _corpus_digest(out) == digest
+
+
+def _derivation_digest(ag) -> str:
+    """sha256 over `derive_valid(ag, seed)` for seeds 0-199: the message
+    and, per part, its value, its env items in order and its nodes."""
+    h = hashlib.sha256()
+    for seed in range(200):
+        tree = derive_valid(ag, seed)
+        h.update(repr((tree.message, [
+            (part.value, list(part.env.items()),
+             [(type(node.elem).__name__, node.start, node.end) for node in part.nodes])
+            for part in tree.parts])).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("spec, digest", [
+    ("sip-subset.zebu", "372607e33f364d5c07403eaf33bac9c549c36a15269de47eb87792a5174f4494"),
+    ("rtsp-subset.zebu", "68ff797e0f5610b1460acdcdc2a4aa38c512b1e18e8c8e20847ff474d15ac2d6"),
+])
+def test_derivations_are_pinned(spec, digest):
+    # the corpus digests see only the bytes the families emit; this one
+    # also sees the nodes and envs they choose from
+    ag = parse_zebu((resources.files("zebu") / "grammars" / spec).read_text())
+    assert _derivation_digest(ag) == digest

@@ -112,6 +112,41 @@ def test_rejects_structural_damage(sip_ag):
     assert not reference_validate(sip_ag, sip_request()[:-2])[0]
 
 
+@pytest.mark.parametrize("raw, ok, notes", [
+    (b"", False, ["empty input"]),
+    (b"GO X", False, ["final line lacks CRLF"]),
+    (b"GO X\r\nA: b", False, ["final line lacks CRLF"]),
+    (b"GO X\nA: b\r\n\r\n", False, ["bare LF"]),
+    (b"GO X\r\nA: b\r", False, ["bare CR"]),
+    (b"GO\rX\r\n\r\n", False, ["bare CR"]),
+    (b"GO X\r\nA: b\r\n", False, ["no blank line before body"]),
+    (b"\r\nbody", False, ["no command line"]),
+    (b" GO X\r\n\r\n", False, ["continuation before command line"]),
+    (b"GO X\r\n\tb\r\nA: c\r\n\r\n", False, ["continuation before any header"]),
+    (b"GO X\r\nA b\r\n\r\n", False, ["header line without colon"]),
+    (b"GO X\r\n: b\r\n\r\n", False, ["empty header key"]),
+    # two faults in one head: the first in byte order wins
+    (b"GO\rX\r\nA\nb\r\n\r\n", False, ["bare CR"]),
+    (b"GO X\r\nA\nb\rc\r\n\r\n", False, ["bare LF"]),
+    (b"GO X\r\n: b\r\nA b\r\n\r\n", False, ["empty header key"]),
+    (b"GO X\r\nA b\r\n: b\r\n\r\n", False, ["header line without colon"]),
+    # every line ending of the head is checked before any line's shape
+    (b"GO X\r\nA b\r\nC: d\ne\r\n\r\n", False, ["bare LF"]),
+    # bare CR and LF after the blank line are the body's, and are ignored
+    (b"GO X\r\nA: b\r\n\r\nx\ry\nz\r", True, []),
+    (b"GO X\r\nA \t:  b\r\n \t c\r\n\r\n", True, []),
+])
+def test_scan_structure_notes(raw, ok, notes):
+    assert _scan_structure(raw)[2:] == (ok, notes)
+
+
+def test_scan_structure_unfolds_header_values():
+    command, headers, ok, notes = _scan_structure(
+        b"GO X\r\nA \t:  b\r\n \t c\r\nD:e\r\n\r\nbody")
+    assert (command, ok, notes) == (b"GO X", True, [])
+    assert [(h.key, h.value) for h in headers] == [(b"A", b"b c"), (b"D", b"e")]
+
+
 def test_message_kind_builtin_constraint():
     ag = parse_zebu(
         'protocol toy\nrequestLine = "GO" SP 1*DIGIT:n\nstatusLine = "NO"\n'
