@@ -90,27 +90,31 @@ def _iter_refs(elem: Element) -> Iterator[RuleRef]:
 
 def _references(ag: AnnotatedGrammar):
     """Each rule's references, keyed by the rule's lowercased name in source
-    order (first definitions only), and the entry points' references: the
-    one walk of the bodies that the omission, cycle and reachability checks
-    share, kept on the grammar (`AnnotatedGrammar.memo`)."""
+    order (first definitions only), and each entry point's `(span, refs)`:
+    a command line's rule span, a header's declaration span. The one walk
+    of the bodies that the omission, cycle and reachability checks share,
+    kept on the grammar (`AnnotatedGrammar.memo`)."""
     memo = ag.memo("references")
     if not memo:
         memo["rules"] = {rule.name.lower(): (rule, tuple(_iter_refs(rule.body)))
                          for rule in ag.base}
-        memo["entries"] = tuple(ref for _, body in ag.entry_points()
-                                for ref in _iter_refs(body))
+        entries = [ag.command_lines[kind] for kind in COMMAND_LINE
+                   if kind in ag.command_lines] + ag.headers
+        memo["entries"] = tuple((entry.span, tuple(_iter_refs(entry.body)))
+                                for entry in entries)
     return memo["rules"], memo["entries"]
 
 
 # --- the four checks ---------------------------------------------------------
 
 def check_no_omission(ag: AnnotatedGrammar) -> list[Diagnostic]:
-    """One UNDEFINED_RULE per distinct referenced-but-undefined name."""
+    """One UNDEFINED_RULE per distinct referenced-but-undefined name, at
+    the first rule or entry point that references it."""
     rules, entries = _references(ag)
     out = []
     seen = set()
     sites = [(rule.span, refs) for rule, refs in rules.values()]
-    for span, refs in sites + [((0, 0), entries)]:
+    for span, refs in sites + list(entries):
         for ref in refs:
             low = ref.name.lower()
             if low in seen:
@@ -352,7 +356,7 @@ def check_entry_points(ag: AnnotatedGrammar) -> list[Diagnostic]:
 def check_unreachable(ag: AnnotatedGrammar) -> list[Diagnostic]:
     rules, entries = _references(ag)
     reachable: set[str] = set()
-    frontier = [entries]
+    frontier = [refs for _, refs in entries]
     while frontier:
         for ref in frontier.pop():
             low = ref.name.lower()

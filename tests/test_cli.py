@@ -84,6 +84,18 @@ TOY_COMMAND_LINES = ('protocol t\nrequestLine = 1*ALPHA:method SP "X"\n'
                      'statusLine = "X" SP 3DIGIT:code:uint16\n')
 
 
+@pytest.mark.parametrize("text, line", [
+    (TOY_COMMAND_LINES + "header H = Missing:m\n", "4:1"),
+    (TOY_COMMAND_LINES.replace('SP "X"', "SP Missing", 1), "2:1"),
+], ids=["header", "command-line"])
+def test_undefined_rule_in_an_entry_body_is_reported_at_the_entry(tmp_path, capsys,
+                                                                 text, line):
+    spec = write(tmp_path, "undefined.zebu", text)
+    assert main(["check", str(spec)]) == 1
+    assert capsys.readouterr().err == (
+        f"{spec}:{line}: error[UNDEFINED_RULE]: rule 'Missing' is referenced but never defined\n")
+
+
 @pytest.mark.parametrize("base", ["toy", "sip"])
 @pytest.mark.parametrize("name", ["requestLine", "statusLine"])
 def test_header_named_like_a_command_line_is_rejected(tmp_path, capsys, base, name):
