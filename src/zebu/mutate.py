@@ -17,9 +17,16 @@ once per grammar (`AnnotatedGrammar.memo`), holding that element's facts
 (a byte range's pool, an alternation's CRLF-free branches, a repetition's
 CRLF flag; a rule reference binds its body on first use). Each part records
 its annotation env and a flat pre-order list of its derived nodes while it
-is derived: repair reads the env, the families filter the list. Repair
-re-checks the ranges of re-drawn parts only, and assembles the message once
-every constraint holds.
+is derived: repair reads the env, the families filter the list. A step
+makes its `DNode` and sets the node's slots itself, with no `__init__`
+frame per element.
+
+Repair re-draws a part in place, so it finds once per base message each
+entry's first part, the constraint operand lookup over their envs (an
+entry's pair is replaced when its first part is re-drawn) and the part
+that each constraint re-draws. It re-checks the ranges of re-drawn parts
+only, and assembles the message once every constraint holds. The family
+walks that judge every node read the grammar's memo table once per walk.
 """
 
 from __future__ import annotations
@@ -87,14 +94,12 @@ class Mutant:
 class DNode:
     """One derived grammar element and its span in the part's value. A
     part's nodes are listed in pre-order: each before its children, the
-    children in source order (a repetition has one per iteration)."""
+    children in source order (a repetition has one per iteration).
+
+    The derive steps make a node with `DNode()` and set its three slots
+    themselves: a Python-level `__init__` would cost a frame per element."""
 
     __slots__ = ("elem", "start", "end")
-
-    def __init__(self, elem, start: int, end: int = -1):
-        self.elem = elem
-        self.start = start
-        self.end = end
 
 
 @dataclass
@@ -193,15 +198,22 @@ def _build_step(elem, ag: AnnotatedGrammar):
         data = elem.text.encode("ascii") if isinstance(elem, LiteralCI) else elem.data
 
         def step(d, out, nodes, prefix, env):
-            start = len(out)
+            node = DNode()
+            node.elem = elem
+            node.start = len(out)
             out += data
-            nodes.append(DNode(elem, start, len(out)))
+            node.end = len(out)
+            nodes.append(node)
     elif isinstance(elem, CharRange):
         pool = [b for b in range(elem.lo, elem.hi + 1) if b not in (0x0D, 0x0A)]
         lo = elem.lo
 
         def step(d, out, nodes, prefix, env):
-            nodes.append(DNode(elem, len(out), len(out) + 1))
+            node = DNode()
+            node.elem = elem
+            node.start = len(out)
+            node.end = node.start + 1
+            nodes.append(node)
             out.append(d.rng.choice(pool) if pool else lo)
     elif isinstance(elem, RuleRef):
         body = None
@@ -213,7 +225,9 @@ def _build_step(elem, ag: AnnotatedGrammar):
                 if rule is None:
                     raise ZebuError(f"cannot derive undefined rule {elem.name!r}")
                 body = _step(rule.body, d.ag)
-            node = DNode(elem, len(out))
+            node = DNode()
+            node.elem = elem
+            node.start = len(out)
             nodes.append(node)
             branch = body(d, out, nodes, prefix, env)
             node.end = len(out)
@@ -225,16 +239,20 @@ def _build_step(elem, ag: AnnotatedGrammar):
         def step(d, out, nodes, prefix, env):
             path = f"{prefix}.{name}" if prefix else name
             env.setdefault(path, None)
-            node = DNode(elem, len(out))
+            node = DNode()
+            node.elem = elem
+            node.start = start = len(out)
             nodes.append(node)
             branch = inner(d, out, nodes, path, env)
-            node.end = len(out)
-            env[path] = (node.start, node.end, branch)
+            node.end = end = len(out)
+            env[path] = (start, end, branch)
     elif isinstance(elem, Sequence):
         items = [_step(i, ag) for i in elem.items]
 
         def step(d, out, nodes, prefix, env):
-            node = DNode(elem, len(out))
+            node = DNode()
+            node.elem = elem
+            node.start = len(out)
             nodes.append(node)
             for item in items:
                 item(d, out, nodes, prefix, env)
@@ -246,7 +264,9 @@ def _build_step(elem, ag: AnnotatedGrammar):
 
         def step(d, out, nodes, prefix, env):
             i = d.rng.choice(branches)
-            node = DNode(elem, len(out))
+            node = DNode()
+            node.elem = elem
+            node.start = len(out)
             nodes.append(node)
             steps[i](d, out, nodes, prefix, env)
             node.end = len(out)
@@ -266,7 +286,9 @@ def _build_step(elem, ag: AnnotatedGrammar):
                     count += 1
             else:
                 count = d.rng.randint(lo, min(hi, lo + d.size_budget))
-            node = DNode(elem, len(out))
+            node = DNode()
+            node.elem = elem
+            node.start = len(out)
             nodes.append(node)
             for _ in range(count):
                 inner(d, out, nodes, prefix, env)
@@ -323,51 +345,57 @@ def _derive_message(ag: AnnotatedGrammar, rng: random.Random,
 
 def _repair(tree: DerivationTree, deriver: _Deriver) -> None:
     """Resample constrained entries until every declared constraint holds,
-    then assemble the message and check it against the reference validator."""
+    then assemble the message and check it against the reference validator.
+    The parts stay the same objects while they are re-drawn, so each entry's
+    first part, the constraint operand lookup and the part each constraint
+    re-draws are found once."""
     ag = tree.ag
+    command = COMMAND_LINE[tree.kind]
+    entry_parts = tree.entry_parts()
+    fields = {entry: (part.env, part.value) for entry, part in entry_parts.items()}
+    lookup = refcheck.field_lookup(ag, tree.kind, fields)
+    constraints = [(expr, _part_for_expr(expr, entry_parts)) for expr in ag.blocks[tree.kind]]
+    constraints += [(expr, entry_parts[decl.name]) for decl in ag.headers
+                    if decl.name in entry_parts for expr in decl.local_constraints]
+    uints = refcheck._uint_fields(ag)
     for _ in range(_REPAIR_TRIES):
-        bad_part = _first_violation(tree)
+        bad_part = _first_violation(tree, command, uints, lookup, constraints)
         if bad_part is None:
             tree.assemble()
             ok, notes = refcheck.reference_validate(ag, tree.message)
             if ok:
                 return
             raise BudgetExhausted(f"derived message unexpectedly invalid: {notes}")
-        body = (bad_part.decl.body if bad_part.decl is not None
-                else ag.command_lines[tree.kind].body)
+        if bad_part.decl is None:
+            entry, body = command, ag.command_lines[tree.kind].body
+        else:
+            entry, body = bad_part.decl.name, bad_part.decl.body
         bad_part.draw(deriver, body)
+        if entry_parts[entry] is bad_part:
+            fields[entry] = (bad_part.env, bad_part.value)
     raise BudgetExhausted("constraint-aware resampling budget exhausted")
 
 
-def _first_violation(tree: DerivationTree) -> Part | None:
+def _first_violation(tree: DerivationTree, command: str, uints: dict, lookup,
+                     constraints) -> Part | None:
     """The first part that breaks a declared range or constraint. Every
     part's ranges are checked, each copy of a `multiple` header too, once
-    per draw; cross-field constraints every time."""
-    ag = tree.ag
-    command = COMMAND_LINE[tree.kind]
+    per draw; cross-field constraints every time, each `(expr, part)` naming
+    the part it re-draws."""
     for part in tree.parts:
         if part.clean:
             continue
         entry = command if part.decl is None else part.decl.name
-        if refcheck._range_violations(ag, entry, part.env, part.value):
+        if refcheck._range_violations(entry, uints[entry], part.env, part.value):
             return part
         part.clean = True
-
-    entry_parts = tree.entry_parts()
-    lookup = refcheck.field_lookup(ag, tree.kind, {
-        entry: (part.env, part.value) for entry, part in entry_parts.items()})
-    for expr in ag.blocks[tree.kind]:
+    for expr, part in constraints:
         if refcheck._eval_ref(expr, lookup) is False:
-            return _part_for_expr(expr, tree, entry_parts)
-    for decl in ag.headers:
-        if decl.name in entry_parts:
-            for expr in decl.local_constraints:
-                if refcheck._eval_ref(expr, lookup) is False:
-                    return entry_parts[decl.name]
+            return part
     return None
 
 
-def _part_for_expr(expr, tree, entry_parts) -> Part | None:
+def _part_for_expr(expr, entry_parts) -> Part | None:
     for ref in frontend.iter_field_refs(expr):
         part = entry_parts.get(ref.entry)
         if part is not None:
@@ -714,22 +742,29 @@ def _out_of_range_text(rng, ag, sf: frontend.Subfield, lo, hi, strict) -> bytes 
 
 # --- torture mutations -----------------------------------------------------------
 
+_COMPOSITES = frozenset((RuleRef, Repetition, Sequence, Alternation))
+
+
 def _ws_points(tree: DerivationTree):
     """(part, start, end, in_value) spans derived from whitespace-only
-    grammar positions, plus the delimiter points around the colon."""
+    grammar positions, plus the delimiter points around the colon. The
+    walk reads `_whitespace_only`'s memo itself, learning only on a miss."""
+    ag = tree.ag
+    learnt = ag.memo("mutate.ws")
     out = []
     for part in tree.parts:
-        if part.kind == "header":
+        base = part.value_offset
+        in_value = part.kind == "header"
+        if in_value:
             colon_at = part.offset + len(part.key)
             out.append((part, colon_at, colon_at, False))  # before the colon
-            out.append((part, part.value_offset - 1, part.value_offset - 1, False))
+            out.append((part, base - 1, base - 1, False))
         for node in part.nodes:
-            if isinstance(node.elem, (RuleRef, Repetition, Sequence, Alternation)):
-                if _whitespace_only(node.elem, tree.ag):
-                    out.append((part,
-                                part.value_offset + node.start,
-                                part.value_offset + node.end,
-                                part.kind == "header"))
+            elem = node.elem
+            if type(elem) in _COMPOSITES:
+                hit = learnt.get(id(elem))
+                if hit[1] if hit is not None else _whitespace_only(elem, ag):
+                    out.append((part, base + node.start, base + node.end, in_value))
     return out
 
 

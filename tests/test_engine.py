@@ -186,7 +186,7 @@ def test_engine_and_oracle_agree_on_framing_edits(sip, data):
         msg = None
     assert (msg is not None) == framed
     for decl in sip.ag.headers if framed else ():
-        want = [line.value for line in ref_lines if keys.get(line.key.lower()) is decl]
+        want = [value for key, value in ref_lines if keys.get(key.lower()) is decl]
         assert msg.header_count(decl.name) == len(want)
         assert [msg.parse_header_nth(decl.name, i).value
                 for i in range(len(want))] == want

@@ -144,7 +144,7 @@ def test_scan_structure_unfolds_header_values():
     command, headers, ok, notes = _scan_structure(
         b"GO X\r\nA \t:  b\r\n \t c\r\nD:e\r\n\r\nbody")
     assert (command, ok, notes) == (b"GO X", True, [])
-    assert [(h.key, h.value) for h in headers] == [(b"A", b"b c"), (b"D", b"e")]
+    assert headers == [(b"A", b"b c"), (b"D", b"e")]
 
 
 def test_message_kind_builtin_constraint():
@@ -183,7 +183,7 @@ def test_overflow_decided_on_any_number_of_digits(sip_ag, digits):
 def _labels_and_envs(ag, raw):
     """The label of `raw`, and every entry's env over every line of it."""
     command, headers, ok, _ = _scan_structure(raw)
-    lines = [command] + [h.value for h in headers] if ok else []
+    lines = [command] + [value for _, value in headers] if ok else []
     envs = []
     for entry, body in ag.entry_points():
         for line in lines:
@@ -231,7 +231,7 @@ def test_label_table_hit_equals_fresh_derivation(sip_source, rtsp_source):
             reference_validate(shared, raw)
             fresh = parse_zebu(source)
             command, headers, ok, _ = _scan_structure(raw)
-            for line in [command] + [h.value for h in headers] if ok else []:
+            for line in [command] + [value for _, value in headers] if ok else []:
                 for (entry, body), (_, fresh_body) in zip(shared.entry_points(),
                                                           fresh.entry_points()):
                     for table, fresh_table in ((shared.subfields[entry],
