@@ -102,8 +102,8 @@ LABEL_TABLE_SIZE = 256  # labels kept per grammar; the oldest goes first
 #     iteration `count` of rep, begun at start; inner is rep.inner's (first, nullable)
 _SEQ, _ANN, _REP = range(3)
 
-# the shapes the oracle tells apart, read once: an `Enum` class attribute
-# read costs about 0.2 us on CPython 3.11
+# the shapes the oracle tells apart, read once: on CPython 3.11 reading an
+# `Enum` member through its class costs several times a module global
 _ENUM, _UNION, _RAW, _UINT16, _UINT32 = (
     Shape.ENUM, Shape.UNION, Shape.RAW, Shape.UINT16, Shape.UINT32)
 _BRANCHING = (_ENUM, _UNION)  # an annotation of these shapes pushes its branches
