@@ -25,8 +25,8 @@ Repair re-draws a part in place, so it finds once per base message each
 entry's first part, the constraint operand lookup over their envs (an
 entry's pair is replaced when its first part is re-drawn) and the part
 that each constraint re-draws. It re-checks the ranges of re-drawn parts
-only, and assembles the message once every constraint holds. The family
-walks that judge every node read the grammar's memo table once per walk.
+only, and assembles the message once every constraint holds. The torture
+family's whitespace walk reads `_whitespace_only`'s memo table once.
 """
 
 from __future__ import annotations

@@ -568,9 +568,9 @@ def _scan_structure(raw: bytes):
 
 
 def _line_fault(raw: bytes) -> str:
-    """The first line-ending fault of `raw`, walking its lines in order:
-    the note of the first line that lacks its CRLF or holds a bare CR or
-    LF, or of a head with no command line or no blank line."""
+    """The note of the first fault of `raw`, whose head `_scan_structure`
+    could not split, walking its lines in order: a line that lacks its CRLF
+    or holds a bare CR or LF, a blank first line, or no blank line at all."""
     pos, n = 0, len(raw)
     while pos < n:
         i_cr = raw.find(b"\r", pos)
@@ -581,7 +581,7 @@ def _line_fault(raw: bytes) -> str:
             return "bare LF"
         if raw[i_cr + 1:i_cr + 2] != b"\n":
             return "bare CR"
-        if i_cr == pos:  # a blank line; `_scan_structure` takes one after a line
+        if i_cr == pos:  # only the first line can be blank here
             return "no command line"
         pos = i_cr + 2
     return "no blank line before body"
