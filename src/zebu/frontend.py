@@ -806,6 +806,11 @@ def _extract_keys(pattern: Element, span) -> tuple[str, ...]:
     branches = pattern.branches if isinstance(pattern, Alternation) else (pattern,)
     if not all(isinstance(b, LiteralCI) for b in branches):
         raise ZebuSyntaxError("header key variants must be quoted literals", *span)
+    for b in branches:
+        # a line's key is what precedes its first colon, blanks stripped
+        if ":" in b.text or b.text != b.text.strip(" \t"):
+            raise ZebuSyntaxError(f"header key variant {b.text!r} holds a colon or an "
+                                  "outer blank, so no line can carry it", *span)
     return tuple(b.text for b in branches)
 
 

@@ -7,6 +7,10 @@ character replacement, invalid repetition counts, and constraint
 violations. Torture mutants apply validity-preserving transforms (case
 flips, extra legal whitespace, folding, boundary repetition counts).
 
+A base is read-only once `_repair` has assembled it. Assembly, which only
+`_repair` runs, sets each part's offsets; every family builds its mutant
+as an edit of `tree.message` at those offsets.
+
 Every mutant's ground-truth label is re-verified against the independent
 reference validator before emission; unverified labels would corrupt the
 detection-rate metric. Campaigns are deterministic: the RNG stream is
@@ -626,11 +630,12 @@ def _range_shape_of(expr):
     return ref, lo, hi, strict
 
 
-def mutate_constraint(ag: AnnotatedGrammar, tree: DerivationTree, seed) -> Mutant:
+def mutate_constraint(tree: DerivationTree, seed) -> Mutant:
     """Violate a declared constraint while staying grammar-syntactic where
     the strategy allows: out-of-range rewrite of a checked numeric field,
     deletion of a mandatory header, duplication of a multiple=false header,
     or a cross-field equality broken on one side."""
+    ag = tree.ag
     rng = random.Random(f"constraint:{seed}")
     strategies = []
     entry_parts = tree.entry_parts()
@@ -663,26 +668,15 @@ def mutate_constraint(ag: AnnotatedGrammar, tree: DerivationTree, seed) -> Mutan
             at = part.value_offset + span[0]
             data = _splice(tree.message, at, part.value_offset + span[1], bad)
             describe = f"{entry}.{key} rewritten to {bad.decode('ascii')}"
-        elif kind == "delete":
-            decl = payload
-            parts = [p for p in tree.parts
-                     if p.kind == "header" and p.decl.name == decl.name]
-            keep = [p for p in tree.parts if p not in parts[:1]]
-            clone = DerivationTree(ag, tree.kind, keep)
-            clone.assemble()
-            data = clone.message
-            describe = f"mandatory header {decl.name} deleted"
-        elif kind == "duplicate":
-            decl = payload
-            out = []
-            for p in tree.parts:
-                out.append(p)
-                if p.kind == "header" and p.decl.name == decl.name:
-                    out.append(p)
-            clone = DerivationTree(ag, tree.kind, list(out))
-            clone.assemble()
-            data = clone.message
-            describe = f"header {decl.name} duplicated"
+        elif kind in ("delete", "duplicate"):
+            part = entry_parts[payload.name]
+            end = part.value_offset + len(part.value) + 2  # past the line's CRLF
+            if kind == "delete":
+                data = _splice(tree.message, part.offset, end, b"")
+                describe = f"mandatory header {payload.name} deleted"
+            else:
+                data = _splice(tree.message, end, end, tree.message[part.offset:end])
+                describe = f"header {payload.name} duplicated"
         else:
             side = rng.choice((payload.lhs, payload.rhs))
             entry = side.entry
@@ -780,12 +774,13 @@ def _literal_spans(tree: DerivationTree):
     return out
 
 
-def mutate_torture(ag: AnnotatedGrammar, tree: DerivationTree, seed) -> Mutant:
+def mutate_torture(tree: DerivationTree, seed) -> Mutant:
     """Validity-preserving corner-case transforms: case flips inside
     case-insensitive literals, extra legal whitespace, folds at linear-
     whitespace points, and repetition counts pushed to exact bounds.
     Re-verified VALID before emission; the identity transform is the
     fallback, so this never exhausts."""
+    ag = tree.ag
     rng = random.Random(f"torture:{seed}")
     literal_spans = _literal_spans(tree)
     ws_points = _ws_points(tree)
@@ -930,9 +925,9 @@ def make_mutant(ag: AnnotatedGrammar, index: int, seed, mix=None) -> Mutant:
             elif rule is MutRule.REPETITION:
                 mutant = mutate_repetition(tree, mutant_seed)
             elif rule is MutRule.CONSTRAINT:
-                mutant = mutate_constraint(ag, tree, mutant_seed)
+                mutant = mutate_constraint(tree, mutant_seed)
             else:
-                mutant = mutate_torture(ag, tree, mutant_seed)
+                mutant = mutate_torture(tree, mutant_seed)
             return mutant
         except Exhausted:
             continue

@@ -12,20 +12,12 @@ from zebu.frontend import parse_zebu
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus" / "sip"
 
-# `--hypothesis-profile agreement` runs the regex/interpreter agreement
-# property, `--hypothesis-profile robustness` the front end's robustness
-# property, `--hypothesis-profile framing` the engine/oracle framing
-# property, `--hypothesis-profile backends` the typed layer's
-# cross-backend property, `--hypothesis-profile oracle` the oracle's
-# look-ahead property, and `--hypothesis-profile plan` the property that
-# validate's verdict and counters do not depend on what a session parsed
-# first, with 3 000 examples each; CI does, on every Python it tests
-settings.register_profile("agreement", max_examples=3000)
-settings.register_profile("robustness", max_examples=3000)
-settings.register_profile("framing", max_examples=3000)
-settings.register_profile("backends", max_examples=3000)
-settings.register_profile("oracle", max_examples=3000)
-settings.register_profile("plan", max_examples=3000)
+# `--hypothesis-profile ci` runs each property with 3 000 examples. CI runs
+# six properties under it, on every Python it tests: the regex/interpreter
+# agreement, the front end's robustness, the engine/oracle framing
+# agreement, the typed layer's cross-backend agreement, the oracle's
+# look-ahead, and validate's independence from what a session parsed first
+settings.register_profile("ci", max_examples=3000)
 
 
 def grammar_text(name: str) -> str:

@@ -158,7 +158,7 @@ def _key_variant(draw, keys):
     return (cased + blanks + ":").encode()
 
 
-# `--hypothesis-profile framing` runs 3 000 examples; CI does
+# `--hypothesis-profile ci` runs 3 000 examples; CI does
 @settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(st.data())
 def test_engine_and_oracle_agree_on_framing_edits(sip, data):
@@ -386,7 +386,7 @@ def _typed_layer(grammar, raw: bytes):
         for name, entry in grammar.entries.items() for path in entry.table}
 
 
-# `--hypothesis-profile backends` runs 3 000 examples; CI does
+# `--hypothesis-profile ci` runs 3 000 examples; CI does
 @settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(st.data())
 def test_typed_layer_agrees_across_backends(request, interpreted, data):
@@ -1031,7 +1031,7 @@ def _observed(cg, raw) -> list[str]:
     return lines
 
 
-# `--hypothesis-profile plan` runs 3 000 examples; CI does
+# `--hypothesis-profile ci` runs 3 000 examples; CI does
 @settings(deadline=None)
 @given(st.data())
 def test_validate_agrees_whatever_the_session_parsed_first(request, data):

@@ -344,6 +344,15 @@ MALFORMED = [
      ZebuSyntaxError, "header key variants must be quoted literals", 1, 1),
     ('header To { "To" = "x"\n',
      AbnfSyntaxError, "expected an element, found '='", 1, 18),
+    ('header H { "A:B" } = "x"\n',
+     ZebuSyntaxError, "header key variant 'A:B' holds a colon or an outer blank, "
+     "so no line can carry it", 1, 1),
+    ('header H { "H" / " A" } = "x"\n',
+     ZebuSyntaxError, "header key variant ' A' holds a colon or an outer blank, "
+     "so no line can carry it", 1, 1),
+    ('header H { "A " } = "x"\n',
+     ZebuSyntaxError, "header key variant 'A ' holds a colon or an outer blank, "
+     "so no line can carry it", 1, 1),
     ('header To { "" } = "x"\n',
      AbnfSyntaxError, "empty quoted string (use %x codes for explicit bytes)", 1, 13),
     ("request {\n    mandatory;\n}\n",
@@ -420,7 +429,7 @@ _spec_texts = st.tuples(
 ).map("".join)
 
 
-# `--hypothesis-profile robustness` runs 3 000 examples; CI does
+# `--hypothesis-profile ci` runs 3 000 examples; CI does
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(_spec_texts)
 def test_front_end_raises_only_zebu_errors(text):

@@ -9,6 +9,7 @@ from importlib import resources
 
 import pytest
 
+from zebu import mutate
 from zebu.abnf import Repetition, RuleRef
 from zebu.cli import main
 from zebu.engine import MessageSyntaxError, index_message, unfolded_value, validate
@@ -122,6 +123,11 @@ def _check_env(ag, tree) -> int:
     return branches
 
 
+def _snapshot(tree):
+    return tree.message, [(part.offset, part.value_offset, part.value, list(part.env.items()))
+                          for part in tree.parts]
+
+
 @pytest.mark.parametrize("grammar", ["sip", "rtsp", "repeated-captures"])
 def test_recorded_env_equals_walk_of_the_tree(grammar, sip_ag, rtsp_ag):
     ag = {"sip": sip_ag, "rtsp": rtsp_ag}.get(grammar) or parse_zebu(_REPEATED_CAPTURES)
@@ -145,17 +151,19 @@ def test_recorded_env_equals_walk_of_the_tree(grammar, sip_ag, rtsp_ag):
                 repeated += part.value.count(b",") > 1
         if seed % 20:
             continue
-        # sub-derivations inside the families write into no live part's env
-        before = [list(part.env.items()) for part in tree.parts]
+        # the families leave their base as `_repair` assembled it: its
+        # message, and each part's offsets, value and env (sub-derivations
+        # write into no live part's env)
+        before = _snapshot(tree)
         for family in (lambda: mutate_charset(tree, Position.MIDDLE, seed),
                        lambda: mutate_repetition(tree, seed),
-                       lambda: mutate_constraint(ag, tree, seed),
-                       lambda: mutate_torture(ag, tree, seed)):
+                       lambda: mutate_constraint(tree, seed),
+                       lambda: mutate_torture(tree, seed)):
             try:
                 family()
             except Exhausted:
                 pass
-        assert [list(part.env.items()) for part in tree.parts] == before
+        assert _snapshot(tree) == before
     if grammar == "repeated-captures":
         assert repeated > 0  # some path was recorded more than once
     else:
@@ -224,7 +232,7 @@ def test_constraint_mutants_are_invalid(sip_ag, sip):
     seen = set()
     for seed in range(20):
         tree = derive_valid(sip_ag, seed)
-        mutant = mutate_constraint(sip_ag, tree, seed)
+        mutant = mutate_constraint(tree, seed)
         assert mutant.ground_truth == "INVALID"
         assert not validate(sip, mutant.data).accepted
         seen.add(mutant.provenance.split(" ")[0])
@@ -235,14 +243,79 @@ def test_constraint_exhausted_without_constraints():
     ag = parse_zebu('protocol toy\nrequestLine = "GO"\nstatusLine = "NO"\n')
     tree = derive_valid(ag, seed=1)
     with pytest.raises(Exhausted):
-        mutate_constraint(ag, tree, seed=1)
+        mutate_constraint(tree, seed=1)
+
+
+def _first_line(ag, message: bytes, entry: str) -> tuple[int, int]:
+    """Where `entry`'s first line lies in a fold-free base, found by its
+    key rather than by the parts' offsets."""
+    if entry in COMMAND_LINE.values():
+        return 0, message.index(b"\r\n")
+    keys = {key.lower().encode() for key in ag.header(entry).keys}
+    start = message.index(b"\r\n") + 2
+    while True:
+        end = message.index(b"\r\n", start)
+        if message[start:end].split(b":", 1)[0].lower() in keys:
+            return start, end
+        start = end + 2
+
+
+def _assert_rewrite_lands_on_its_line(ag, base: bytes, mutant):
+    """A mutant that names `E.k rewritten to ...` differs from its base
+    only inside E's first line."""
+    entry = mutant.provenance.split(".", 1)[0]
+    start, end = _first_line(ag, base, entry)
+    data = mutant.data
+    common = min(len(base), len(data))
+    head = 0
+    while head < common and base[head] == data[head]:
+        head += 1
+    tail = 0
+    while tail < common - head and base[-1 - tail] == data[-1 - tail]:
+        tail += 1
+    assert start <= head and len(base) - tail <= end, (mutant.provenance, base, data)
+
+
+@pytest.mark.parametrize("index", [583, 1888])
+def test_rewrite_in_a_campaign_lands_on_the_line_it_names(sip_ag, monkeypatch, index):
+    # each rewrite follows a delete or duplicate attempt on the same base;
+    # it must land on Max-Forwards, not on the second Via
+    seen = []
+    original = mutate.mutate_constraint
+
+    def recording(tree, seed):
+        mutant = original(tree, seed)
+        seen.append((tree.message, mutant))
+        return mutant
+
+    monkeypatch.setattr(mutate, "mutate_constraint", recording)
+    mutant = make_mutant(sip_ag, index, 101)
+    [(base, emitted)] = seen
+    assert emitted is mutant and " rewritten to " in mutant.provenance
+    _assert_rewrite_lands_on_its_line(sip_ag, base, mutant)
+
+
+@pytest.mark.parametrize("grammar", ["sip", "rtsp"])
+def test_rewrites_land_on_the_line_they_name(grammar, sip_ag, rtsp_ag):
+    # several constraint mutants of one base, so a family that moved the
+    # base's offsets would send a later rewrite to another line
+    ag = {"sip": sip_ag, "rtsp": rtsp_ag}[grammar]
+    rewrites = 0
+    for seed in range(30):
+        tree = derive_valid(ag, seed)
+        for attempt in range(3):
+            mutant = mutate_constraint(tree, f"{seed}:{attempt}")
+            if " rewritten to " in mutant.provenance:
+                _assert_rewrite_lands_on_its_line(ag, tree.message, mutant)
+                rewrites += 1
+    assert rewrites > 0
 
 
 def test_range_rewrite_stays_grammar_syntactic(sip_ag):
     # find a range-strategy mutant and confirm the line still parses per grammar
     for seed in range(40):
         tree = derive_valid(sip_ag, seed)
-        mutant = mutate_constraint(sip_ag, tree, seed)
+        mutant = mutate_constraint(tree, seed)
         if "rewritten to" in mutant.provenance and "CSeq.number" in mutant.provenance:
             [span] = index_message(mutant.data, {b"cseq": "CSeq"})[1]["CSeq"]
             value = unfolded_value(mutant.data, *span)
@@ -256,7 +329,7 @@ def test_range_rewrite_stays_grammar_syntactic(sip_ag):
 def test_torture_mutants_are_valid(sip_ag, sip):
     for seed in range(15):
         tree = derive_valid(sip_ag, seed)
-        mutant = mutate_torture(sip_ag, tree, seed)
+        mutant = mutate_torture(tree, seed)
         assert mutant.ground_truth == "VALID"
         assert reference_validate(sip_ag, mutant.data)[0]
         assert validate(sip, mutant.data).accepted, mutant.provenance
@@ -277,7 +350,7 @@ def test_torture_produces_folds_and_case_flips(sip_ag):
     kinds = set()
     for seed in range(60):
         tree = derive_valid(sip_ag, seed)
-        mutant = mutate_torture(sip_ag, tree, seed)
+        mutant = mutate_torture(tree, seed)
         kinds.update(mutant.provenance.split("+"))
     assert "case-flip" in kinds
     assert "extra-whitespace" in kinds

@@ -548,6 +548,7 @@ def words_of(node):
 _RANDOM_SUBJECTS = st.binary(max_size=10).map(lambda b: bytes(_SUBJECT_BYTES[x % 8] for x in b))
 
 
+# `--hypothesis-profile ci` runs 3 000 examples; CI does
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(st.one_of(guardable_trees(), tail_trees()), st.data())

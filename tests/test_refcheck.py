@@ -419,7 +419,7 @@ def _steps(ag, subject: bytes, cap: int) -> int:
     return lo
 
 
-# `--hypothesis-profile oracle` runs 3 000 examples; CI does
+# `--hypothesis-profile ci` runs 3 000 examples; CI does
 @settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(_HEADER, _PLAIN, _PLAIN,
        st.lists(st.tuples(st.integers(0, 2**32), st.integers(0, 12), st.booleans()),
