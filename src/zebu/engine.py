@@ -3,7 +3,9 @@
 `compile_grammar` adds the only thing a verified AnnotatedGrammar lacks:
 its patterns. A CompiledGrammar is that grammar plus one entry table, a
 CompiledEntry per command line and header holding its pattern, its lazy
-subfields' patterns and its declaration.
+subfields' patterns and its declaration. The patterns are compiled for
+subjects without CR or LF (`pattern`'s line-free compile), which are the
+only ones the engine hands them.
 
 `index_message` is level one: a single scan of the head's lines that runs
 no pattern. It finds the command line and the body, and sorts the value
@@ -435,8 +437,8 @@ def compile_grammar(ag: AnnotatedGrammar) -> CompiledGrammar:
     entries = {}
     for name, body in ag.entry_points():
         table = ag.subfields[name]
-        entry_pattern = compile_pattern(body, ag, table=table)
-        lazy_patterns = {sf.name: compile_subfield_pattern(sf, ag, table)
+        entry_pattern = compile_pattern(body, ag, table=table, line_free=True)
+        lazy_patterns = {sf.name: compile_subfield_pattern(sf, ag, table, line_free=True)
                          for sf in table.values() if sf.forced_lazily}
         entries[name] = CompiledEntry(name, entry_pattern, table, lazy_patterns,
                                       decls.get(name))

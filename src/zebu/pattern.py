@@ -8,6 +8,19 @@ repetition is greedy, and backtracking is complete, so a subject matches
 iff some derivation exists. Captures report the spans of the first
 successful derivation under that order.
 
+`compile_grammar` compiles the engine's patterns for line-free subjects
+(`line_free`), as no subject the engine hands a matcher holds CR or LF: a
+command line ends before its CR, a header value is unfolded (each fold
+joined by one SP), and a lazy subfield's subject is a span of a value.
+There a terminal that must read CR or LF never matches, so it compiles to
+NEVER (`(?!)`) and byte ranges lose CR and LF. `_simplify` propagates
+NEVER: a sequence holding it never matches, an alternation drops that
+branch, `*x` becomes empty and `1*x` never matches. A capture in what
+never matches is emptied, not removed, so the span tuple keeps its slots.
+No match, branch order or span changes on such subjects, and SIP's
+`LWS = [*WSP CRLF] 1*WSP` becomes `1*WSP`. Without `line_free` a pattern
+is exact over all 256 bytes.
+
 `match_spans` is the one matching path. It returns the match's spans in
 the shape of `re`'s `Match.regs`: index 0 holds `(0, n)`, index cid + 1
 the span of capture cid, and `(-1, -1)` a capture the derivation did not
@@ -36,8 +49,8 @@ why any other pattern runs on the interpreter (`interpreter_reason`).
     cannot tell the ends apart, skips the bytes of the optional items that
     lead what follows and reads the byte after them. A blank both extends
     an iteration of SIP's `*( SEMI generic-param )` (`SWS "="`) and begins
-    the next one (`SWS ";"`), so its lookahead skips tabs, spaces, CRs and
-    LFs, then reads `;` or the subject's end.
+    the next one (`SWS ";"`), so its lookahead skips tabs and spaces (and
+    CRs and LFs, in an exact pattern), then reads `;` or the subject's end.
     The test runs on the position automaton of the iteration: from where
     one word ends, no longer word may go on with skipped bytes and then a
     byte the lookahead reads;
@@ -151,6 +164,11 @@ PatternNode = Union[PLit, PBytes, PClass, PSeq, PAlt, PRep, PCap]
 # pattern; the subfield's own pattern runs only when forced.
 LAZY_HOLE = PRep(0, None, PClass(frozenset(range(256))))
 
+# What matches nothing: a line-free compile's stand-in for a terminal that
+# must read CR or LF. Its regex is `(?!)`.
+NEVER = PAlt(())
+_LINE_BYTES = frozenset(b"\r\n")
+
 _MAX_INLINE_DEPTH = 128
 
 
@@ -170,12 +188,18 @@ _UNSET = (-1, -1)  # the span of a capture the match did not exercise
 # --- compilation ------------------------------------------------------------
 
 class _Compiler:
-    def __init__(self, ag: AnnotatedGrammar, table: dict[str, Subfield], lazy_holes: bool):
+    def __init__(self, ag: AnnotatedGrammar, table: dict[str, Subfield], lazy_holes: bool,
+                 line_free: bool):
         self.ag = ag
         self.table = table
         self.lazy_holes = lazy_holes
+        self.line_free = line_free
         self.capture_index: dict[str, int] = {}
-        self._depth = 0
+        self._subfields = 0  # subfields compiled so far
+        self._depth = 0  # rules being inlined
+        self._peak = 0   # the greatest depth since the innermost of them began
+        # rule body -> (its compiled node, the depth its inlining adds)
+        self._bodies = ag.memo("line-free bodies" if line_free else "bodies")
 
     def cap_id(self, key: str) -> int:
         return self.capture_index.setdefault(key, len(self.capture_index))
@@ -190,11 +214,18 @@ class _Compiler:
             # table entry; each compiles its own element
             return self.compile_subfield(sf, elem.inner)
         if isinstance(elem, LiteralCI):
+            if self.line_free and ("\r" in elem.text or "\n" in elem.text):
+                return NEVER
             return PLit(elem.text.lower().encode("ascii"))
         if isinstance(elem, CharCodes):
+            if self.line_free and (b"\r" in elem.data or b"\n" in elem.data):
+                return NEVER
             return PBytes(elem.data)
         if isinstance(elem, CharRange):
-            return PClass(frozenset(range(elem.lo, elem.hi + 1)))
+            members = frozenset(range(elem.lo, elem.hi + 1))
+            if self.line_free:
+                members -= _LINE_BYTES
+            return PClass(members) if members else NEVER
         if isinstance(elem, Sequence):
             return PSeq(tuple(self.compile(i, prefix) for i in elem.items))
         if isinstance(elem, Alternation):
@@ -202,24 +233,43 @@ class _Compiler:
         if isinstance(elem, Repetition):
             return PRep(elem.min, elem.max, self.compile(elem.inner, prefix))
         if isinstance(elem, RuleRef):
-            rule = abnf.resolve(elem.name, self.ag.base)
-            if rule is None:
-                raise CompileError(f"undefined rule {elem.name!r}")
-            self._depth += 1
-            if self._depth > _MAX_INLINE_DEPTH:
-                raise InliningDepthExceeded(
-                    f"inlining depth exceeded at rule {elem.name!r}")
-            try:
-                return self.compile(rule.body, prefix)
-            finally:
-                self._depth -= 1
+            return self.inline(elem.name, prefix)
         raise CompileError(f"cannot compile {elem!r}")
+
+    def inline(self, name: str, prefix: tuple[str, ...]):
+        """The compiled body of rule `name`. A body without captures is
+        compiled once per grammar and subject alphabet, and reused wherever
+        inlining it again stays within the depth bound; elsewhere it is
+        compiled again, so InliningDepthExceeded is raised where it always
+        was."""
+        rule = abnf.resolve(name, self.ag.base)
+        if rule is None:
+            raise CompileError(f"undefined rule {name!r}")
+        hit = self._bodies.get(id(rule.body))
+        if hit is not None:
+            node, height = hit[1]
+            if self._depth + height <= _MAX_INLINE_DEPTH:
+                self._peak = max(self._peak, self._depth + height)
+                return node
+        self._depth += 1
+        if self._depth > _MAX_INLINE_DEPTH:
+            raise InliningDepthExceeded(f"inlining depth exceeded at rule {name!r}")
+        peak, self._peak, subfields = self._peak, self._depth, self._subfields
+        try:
+            node = self.compile(rule.body, prefix)
+        finally:
+            self._depth -= 1
+        if self._subfields == subfields:  # no capture, so `prefix` played no part
+            self._bodies[id(rule.body)] = (rule.body, (node, self._peak - self._depth))
+        self._peak = max(peak, self._peak)
+        return node
 
     def compile_subfield(self, sf: Subfield, element: Element):
         """Compile the annotated `element`, one of `sf`'s sites, as the
         subfield `sf` describes."""
         key = sf.key
         cid = self.cap_id(key)
+        self._subfields += 1
         if sf.forced_lazily and self.lazy_holes:
             return PCap(cid, LAZY_HOLE)
         if sf.shape in (Shape.ENUM, Shape.UNION):
@@ -237,27 +287,30 @@ class _Compiler:
         return PCap(cid, node)
 
 
-def compile_pattern(entry, g, *, table: dict[str, Subfield] | None = None) -> Pattern:
+def compile_pattern(entry, g, *, table: dict[str, Subfield] | None = None,
+                    line_free: bool = False) -> Pattern:
     """Compile a rule or entry-point body into an executable Pattern.
 
     `entry` is a Rule or a bare element; `g` a Grammar or AnnotatedGrammar.
     Lazy depth-1 subfields compile to an opaque hole; their own patterns
-    are compiled separately (see compile_subfield_pattern).
+    are compiled separately (see compile_subfield_pattern). The pattern is
+    exact on every subject; with `line_free`, only on subjects that hold
+    neither CR nor LF (see the module docstring).
     """
     ag = g if isinstance(g, AnnotatedGrammar) else AnnotatedGrammar(base=g)
     body = entry.body if isinstance(entry, Rule) else entry
     if table is None:
         table = frontend.collect_subfields(body, ag)
-    comp = _Compiler(ag, table, lazy_holes=True)
+    comp = _Compiler(ag, table, lazy_holes=True, line_free=line_free)
     root = _simplify(comp.compile(body, ()))
     return Pattern(root, comp.capture_index)
 
 
 def compile_subfield_pattern(sf: Subfield, ag: AnnotatedGrammar,
-                             table: dict[str, Subfield]) -> Pattern:
+                             table: dict[str, Subfield], *, line_free: bool = False) -> Pattern:
     """Compile a lazy subfield's own pattern (captures keyed by full path)
-    from its one site."""
-    comp = _Compiler(ag, table, lazy_holes=False)
+    from its one site; `line_free` as for compile_pattern."""
+    comp = _Compiler(ag, table, lazy_holes=False, line_free=line_free)
     root = _simplify(comp.compile_subfield(sf, sf.sites[0].inner))
     return Pattern(root, comp.capture_index)
 
@@ -277,7 +330,40 @@ def _single_byte_set(node) -> frozenset[int] | None:
     return None
 
 
+def _cids(node):
+    """The cids of `node`'s captures, in the order of their groups."""
+    t = type(node)
+    if t is PCap:
+        yield node.cid
+        yield from _cids(node.inner)
+    elif t is PSeq or t is PAlt:
+        for child in node.items if t is PSeq else node.branches:
+            yield from _cids(child)
+    elif t is PRep:
+        yield from _cids(node.inner)
+
+
+def _holds_capture(node) -> bool:
+    return next(_cids(node), None) is not None
+
+
+def _emptied(node):
+    """`node`, which matches nothing: NEVER, followed by each of its
+    captures emptied, so that the span tuple keeps their slots."""
+    caps = tuple(PCap(cid, NEVER) for cid in _cids(node))
+    return PSeq((NEVER,) + caps) if caps else NEVER
+
+
+def _never(node) -> bool:
+    """Whether a simplified node matches nothing (NEVER or an _emptied one)."""
+    return node is NEVER or (type(node) is PSeq and node.items[:1] == (NEVER,))
+
+
 def _simplify(node):
+    """An equivalent tree: sequences and alternations flattened, adjacent
+    exact bytes joined, alternations of single bytes made classes, what
+    cannot match (NEVER, from a line-free compile) propagated, and `[ 1*x ]`
+    made `*x` where x holds no capture and cannot match empty."""
     t = type(node)
     if t is PSeq:
         items = []
@@ -287,6 +373,8 @@ def _simplify(node):
                 items.extend(s.items)
             else:
                 items.append(s)
+        if any(item is NEVER for item in items):
+            return _emptied(PSeq(tuple(items)))
         merged: list = []
         for item in items:
             if type(item) is PBytes and merged and type(merged[-1]) is PBytes:
@@ -300,16 +388,27 @@ def _simplify(node):
             s = _simplify(branch)
             if type(s) is PAlt:
                 flat.extend(s.branches)
-            else:
+            elif s is not NEVER:
                 flat.append(s)
+        if all(map(_never, flat)):
+            return _emptied(PAlt(tuple(flat)))
         sets = [_single_byte_set(b) for b in flat]
         if all(s is not None for s in sets):
             return PClass(frozenset().union(*sets))
         return flat[0] if len(flat) == 1 else PAlt(tuple(flat))
     if t is PRep:
-        return PRep(node.min, node.max, _simplify(node.inner))
+        inner = _simplify(node.inner)
+        if _never(inner):
+            if node.min:
+                return inner
+            return PSeq(()) if inner is NEVER else PRep(0, 1, inner)
+        if (node.min, node.max) == (0, 1) and type(inner) is PRep and inner.min == 1 and not (
+                _holds_capture(inner) or _Planner().facts(inner.inner).nullable):
+            return PRep(0, inner.max, inner.inner)
+        return PRep(node.min, node.max, inner)
     if t is PCap:
-        return PCap(node.cid, _simplify(node.inner))
+        inner = _simplify(node.inner)
+        return _emptied(PCap(node.cid, inner)) if _never(inner) else PCap(node.cid, inner)
     return node
 
 
@@ -679,15 +778,6 @@ class _Planner:
         # the span (1, 1)), so an iteration holding a capture stays atomic.
         possessive = self.follow(cont) == (0, 0, True) and not _holds_capture(node.inner)
         return _Atomic(rep, *look, possessive)
-
-
-def _holds_capture(node) -> bool:
-    t = type(node)
-    if t is PCap:
-        return True
-    if t is PSeq or t is PAlt:
-        return any(map(_holds_capture, node.items if t is PSeq else node.branches))
-    return t is PRep and _holds_capture(node.inner)
 
 
 class _TooLarge(Exception):

@@ -13,10 +13,11 @@ REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus" / "sip"
 
 # `--hypothesis-profile ci` runs each property with 3 000 examples. CI runs
-# six properties under it, on every Python it tests: the regex/interpreter
+# seven properties under it, on every Python it tests: the regex/interpreter
 # agreement, the front end's robustness, the engine/oracle framing
 # agreement, the typed layer's cross-backend agreement, the oracle's
-# look-ahead, and validate's independence from what a session parsed first
+# look-ahead, validate's independence from what a session parsed first,
+# and the agreement of the engine's line-free patterns with exact ones
 settings.register_profile("ci", max_examples=3000)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS, sip_request, sip_response
-from zebu import cli, pattern
+from zebu import cli, engine, pattern
 from zebu.engine import (
     ABSENT,
     DuplicateHeader,
@@ -34,7 +34,8 @@ from zebu.engine import (
 )
 from zebu.errors import ZebuError
 from zebu.frontend import parse_zebu
-from zebu.mutate import make_mutant
+from zebu.mutate import MutRule, derive_valid, make_mutant
+from zebu.pattern import compile_pattern, compile_subfield_pattern, match_spans
 from zebu.refcheck import _scan_structure, reference_validate
 
 
@@ -179,6 +180,7 @@ def test_engine_and_oracle_agree_on_framing_edits(sip, data):
         raw = raw[:at] + piece + raw[at:]
 
     assert validate(sip, raw).accepted == reference_validate(sip.ag, raw)[0]
+    assert _line_break_subjects(sip, raw) == []
     _, ref_lines, framed, _ = _scan_structure(raw)
     try:
         msg = ParsedMessage(sip, raw)
@@ -190,6 +192,111 @@ def test_engine_and_oracle_agree_on_framing_edits(sip, data):
         assert msg.header_count(decl.name) == len(want)
         assert [msg.parse_header_nth(decl.name, i).value
                 for i in range(len(want))] == want
+
+
+# --- line-free subjects -----------------------------------------------------------
+#
+# compile_grammar compiles its patterns for subjects without CR or LF (see
+# `pattern`), which is exact only because the engine never hands a matcher
+# one: the command line ends before the first CR, a value is unfolded, and
+# a lazy subject is a span of a value.
+
+def _line_break_subjects(cg, raw) -> list[bytes]:
+    """The subjects holding CR or LF that `validate`, every top-level select
+    and every `parse_header_nth` of `raw` hand a matcher."""
+    seen = []
+
+    def record(p, subject, budget):
+        if b"\r" in subject or b"\n" in subject:
+            seen.append(subject)
+        return match_spans(p, subject, budget)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "match_full", record)
+        validate(cg, raw)
+        try:
+            selected, indexed = ParsedMessage(cg, raw), ParsedMessage(cg, raw)
+        except MessageSyntaxError:
+            return seen
+        for selector in _selectors(cg):
+            try:
+                selected.select(selector)
+            except ZebuError:
+                pass
+        for decl in cg.ag.headers:
+            for i in range(indexed.header_count(decl.name)):
+                indexed.parse_header_nth(decl.name, i)
+    return seen
+
+
+def test_engine_never_hands_a_matcher_a_line_break(sip, rtsp):
+    runs = [(sip, path.read_bytes()) for path in sorted(CORPUS.glob("*.msg"))]
+    for cg in (sip, rtsp):
+        for family in MutRule:
+            runs += [(cg, make_mutant(cg.ag, i, "line-free", {family: 1.0}).data)
+                     for i in range(40)]
+    # SIP torture mutants fold values
+    assert any(b"\r\n " in raw or b"\r\n\t" in raw for _, raw in runs)
+    for cg, raw in runs:
+        assert _line_break_subjects(cg, raw) == [], raw
+
+
+@pytest.fixture(scope="module")
+def exact_patterns(sip, rtsp):
+    """Per grammar and entry point: the engine's pattern, the exact one, and
+    per lazy subfield the two likewise."""
+    pairs = {}
+    for name, cg in (("sip", sip), ("rtsp", rtsp)):
+        ag = cg.ag
+        for entry_name, body in ag.entry_points():
+            entry, table = cg.entries[entry_name], ag.subfields[entry_name]
+            pairs[name, entry_name] = (
+                entry.pattern, compile_pattern(body, ag, table=table),
+                {key: (p, compile_subfield_pattern(table[key], ag, table))
+                 for key, p in entry.lazy_patterns.items()})
+    return pairs
+
+
+_LINE_FREE_NOISE = st.binary(max_size=12).map(
+    lambda b: b.replace(b"\r", b"").replace(b"\n", b""))
+
+
+# `--hypothesis-profile ci` runs 3 000 examples; CI does
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(st.data())
+def test_line_free_patterns_agree_with_exact_ones(request, exact_patterns, data):
+    name = data.draw(st.sampled_from(["sip", "rtsp"]))
+    cg = request.getfixturevalue(name)
+    seed = data.draw(st.integers(0, 9_999))
+    raw = (derive_valid(cg.ag, seed).message if data.draw(st.booleans())
+           else make_mutant(cg.ag, seed, "line-free").data)
+    try:
+        cmd_end, values, _ = index_message(raw, cg.by_key)
+    except MessageSyntaxError:
+        cmd_end, values = 0, {}
+    for entry_name, entry in cg.entries.items():
+        line_free, exact, lazy = exact_patterns[name, entry_name]
+        assert line_free.capture_index == exact.capture_index
+        subjects = [unfolded_value(raw, start, end) for start, end in values.get(entry_name, ())]
+        if entry.decl is None and cmd_end:
+            subjects.append(raw[:cmd_end])
+        for subject in list(subjects):
+            at = data.draw(st.integers(0, len(subject)))
+            subjects.append(subject[:at] + data.draw(_LINE_FREE_NOISE) + subject[at:])
+        subjects.append(data.draw(_LINE_FREE_NOISE))
+        holes = {key: [data.draw(_LINE_FREE_NOISE)] for key in lazy}
+        for subject in subjects:
+            spans = match_spans(exact, subject)
+            assert match_spans(line_free, subject) == spans, (entry_name, subject)
+            for key in lazy if spans else ():
+                start, end = spans[exact.capture_index[key] + 1]
+                if start >= 0:
+                    holes[key].append(subject[start:end])
+        for key, (lazy_free, lazy_exact) in lazy.items():
+            assert lazy_free.capture_index == lazy_exact.capture_index
+            for subject in holes[key]:
+                assert match_spans(lazy_free, subject) == match_spans(lazy_exact, subject), (
+                    entry_name, key, subject)
 
 
 # --- message type ----------------------------------------------------------------
@@ -830,6 +937,30 @@ def test_engine_and_oracle_agree_on_constraint_forms(decls, command, value, fail
     assert verdict.accepted is reference_validate(ag, raw)[0] is (failure is None)
     assert [(r.code, r.location) for r in verdict.reasons] == (
         [] if failure is None else [failure])
+
+
+@pytest.mark.parametrize("body, reports", [
+    ('"a" CRLF "b"', ["REJECT SYNTAX H value b'ab' does not match the header grammar\n",
+                      "REJECT SYNTAX H value b'a b' does not match the header grammar\n",
+                      "REJECT SYNTAX H value b'a b' does not match the header grammar\n"]),
+    ('"a" [ CRLF ] "b"', ["ACCEPT\n",
+                          "REJECT SYNTAX H value b'a b' does not match the header grammar\n",
+                          "REJECT SYNTAX H value b'a b' does not match the header grammar\n"]),
+])
+def test_header_whose_grammar_needs_a_line_break(tmp_path, capsys, body, reports):
+    # a value is matched unfolded, so a CRLF that a header's grammar
+    # requires is never met: the engine's patterns leave it out
+    spec = tmp_path / "spec.zebu"
+    spec.write_text(_KIND_BASE + f"header H = {body}\n")
+    assert cli.main(["compile", str(spec), "-o", str(tmp_path / "spec.zbc")]) == 0
+    assert capsys.readouterr().err == ""
+    ag = parse_zebu(spec.read_text())
+    cg = compile_grammar(ag)
+    for value, report in zip([b"ab", b"a b", b"a\r\n b"], reports):
+        raw = b"GO X\r\nH: " + value + b"\r\n\r\n"
+        verdict = validate(cg, raw)
+        assert verdict.report() == report
+        assert reference_validate(ag, raw)[0] is verdict.accepted
 
 
 # --- misc -----------------------------------------------------------------------------------

@@ -196,6 +196,53 @@ def test_exhaustive_agreement_small(fig):
     assert exhaustive_agreement(fig, "CSeq", b"CSEQ01: ", 4) == []
 
 
+@pytest.mark.parametrize("rule, alphabet", [
+    ('[ 1*( "a" / "b" ) ] "c"', b"abAc"),
+    ('[ 1*DIGIT ] ";" [ 1*DIGIT ]', b"01;a"),
+])
+def test_optional_run_becomes_a_run(rule, alphabet):
+    # `[ 1*x ]` and `*x` derive the same words and try them in the same
+    # order, when x cannot match empty
+    g = parse_abnf(f"R = {rule}")
+    first = compile_pattern(g.get("R"), g).root.items[0]
+    assert (type(first), first.min, first.max) == (PRep, 0, None)
+    assert exhaustive_agreement(g, "R", alphabet, 6) == []
+
+
+@pytest.mark.parametrize("rule, backend", [
+    ("[ 1*( DIGIT:d ) ]", "regex"),
+    ('[ 1*( *"a" ) ]', "interpreter"),
+])
+def test_optional_run_of_a_capture_or_of_a_nullable_is_kept(rule, backend):
+    g = parse_zebu(f"R = {rule}\n")
+    p = compile_pattern(g.base.get("R"), g)
+    assert (p.root.min, p.root.max, p.root.inner.min, p.root.inner.max) == (0, 1, 1, None)
+    assert backend_of(p) == backend
+
+
+@pytest.mark.parametrize("spec", [
+    'R = ( "a" CRLF:n ) / 1*DIGIT:d',
+    'R = 1*DIGIT:d [ ":" CR:c ] *( ";" ( LF:e / ALPHA:f ) )',
+    'R = [ 1*( DIGIT:d CRLF ) ] "x" *( %x0A-0D:g )',
+    'R = M:m "x"\nM = "a" / %x0D / "b" { enum }',
+    'R = 1*DIGIT:d [ "x" 1*CR ]',
+    'R = 1*DIGIT:d / ( "a" CRLF:n )',
+])
+def test_line_free_compile_keeps_capture_slots(spec):
+    # what must read CR or LF is compiled out, and a capture inside it is
+    # emptied, not removed: same slots, same spans on a line-free subject
+    g = parse_zebu(spec + "\n")
+    exact = compile_pattern(g.base.get("R"), g)
+    line_free = compile_pattern(g.base.get("R"), g, line_free=True)
+    assert line_free.capture_index == exact.capture_index
+    assert backend_of(line_free) == "regex"
+    assert line_free.backend[1] == exact.backend[1]  # the same groups hold each cid
+    for length in range(5):
+        for combo in itertools.product(b"a1:;x\x0b", repeat=length):
+            subject = bytes(combo)
+            assert match_spans(line_free, subject) == match_spans(exact, subject), subject
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     n=st.integers(0, 3),
@@ -253,6 +300,21 @@ def test_inlining_depth_guard():
     g = parse_abnf("\n".join(lines))
     with pytest.raises(InliningDepthExceeded):
         compile_pattern(g.get("A0"), g)
+
+
+@pytest.mark.parametrize("links, raises", [(126, False), (127, True)])
+def test_inlining_depth_guard_holds_for_a_rule_compiled_before(links, raises):
+    # B, two levels deep, is compiled first at depth 1 and then reached
+    # again at the end of a chain of `links` rules
+    from zebu.pattern import InliningDepthExceeded
+    lines = ["R = B C0", "B = D", 'D = "x"']
+    lines += [f"C{i} = C{i + 1}" for i in range(links - 1)] + [f"C{links - 1} = B"]
+    g = parse_abnf("\n".join(lines))
+    if raises:
+        with pytest.raises(InliningDepthExceeded):
+            compile_pattern(g.get("R"), g)
+    else:
+        assert match_spans(compile_pattern(g.get("R"), g), b"xx") is not None
 
 
 def test_reference_budget_enforced():
@@ -421,6 +483,9 @@ def test_bundled_patterns_use_regex(request, grammar, count):
     for name, p in named:
         assert flagged_repetition(p.root) is None, name
         assert backend_of(p) == "regex", name
+        # compiled line-free: no CR or LF is read, so LWS's fold is gone
+        text = p.backend[0].pattern
+        assert not any(b in text for b in (b"\r", b"\n", b"\\x0a", b"\\x0d")), name
 
 
 def test_capture_kept_from_earlier_iteration():
