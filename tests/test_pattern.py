@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import time
 
@@ -20,6 +21,7 @@ from zebu.pattern import (
     PRep,
     PSeq,
     compile_pattern,
+    compile_subfield_pattern,
     interpreter_reason,
     match_spans,
     regex_text,
@@ -486,6 +488,25 @@ def test_bundled_patterns_use_regex(request, grammar, count):
         # compiled line-free: no CR or LF is read, so LWS's fold is gone
         text = p.backend[0].pattern
         assert not any(b in text for b in (b"\r", b"\n", b"\\x0a", b"\\x0d")), name
+
+
+def test_bundled_regex_texts_are_pinned(sip, rtsp, sip_ag, rtsp_ag):
+    # per bundled grammar, the regex of every pattern `compile_grammar` makes
+    # and of the exact (not line-free) pattern of every entry point and lazy
+    # subfield; any change to a regex text changes the digest
+    h = hashlib.sha256()
+    for cg, ag in ((sip, sip_ag), (rtsp, rtsp_ag)):
+        named = list(cg.named_patterns())
+        for name, body in ag.entry_points():
+            table = ag.subfields[name]
+            named.append((f"exact {name}", compile_pattern(body, ag, table=table)))
+            named += [(f"exact {name} lazy subfield {sf.name}",
+                       compile_subfield_pattern(sf, ag, table))
+                      for sf in table.values() if sf.forced_lazily]
+        for name, p in named:
+            assert backend_of(p) == "regex", name
+            h.update(name.encode() + b"\0" + p.backend[0].pattern + b"\0")
+    assert h.hexdigest() == "c48b6b5877fc4862c9964ef023acd39707d69cf0c633fe28e2fca230698c256d"
 
 
 def test_capture_kept_from_earlier_iteration():
