@@ -350,7 +350,7 @@ def _collect(elem, prefix, ag, stack, repeated):
             children=_child_names(inner, path),
             range=(declared_range(elem.inner, ag)
                    if shape in (Shape.UINT16, Shape.UINT32) else None),
-            ci=terminals_all_ci(elem.inner, ag),
+            ci=not leaf_mask(elem.inner, ag) & LEAF_CODES,
             repeated=repeated,
             branch_children=branch_children,
         )
@@ -415,28 +415,30 @@ def _merge_branches(out, new):
                                                  fillvalue=()))
 
 
-def reachable_leaves(elem: Element, ag: AnnotatedGrammar) -> tuple:
-    """The leaves reachable from `elem`, each once, in depth-first source
-    order: terminals, `Annotated` markers (whose inner elements are walked
-    too), and references to undefined rules.
+# A leaf mask: bit b (0-255) when a terminal reachable from an element holds
+# byte b (a quoted literal's as written), plus the two flag bits below.
+LEAF_HOLE = 1 << 256   # an annotation or an undefined rule is reachable
+LEAF_CODES = 1 << 257  # a char code or char range is reachable
 
-    Each rule body is entered at most once, tracked by a visited set of
-    rule names, so a cycle needs no stack and every answer is complete.
-    Answers are memoised on the grammar (`AnnotatedGrammar.memo`).
-    """
+
+def leaf_mask(elem: Element, ag: AnnotatedGrammar) -> int:
+    """The leaf mask of `elem` (see LEAF_HOLE). Each rule body is entered
+    at most once, tracked by a visited set of rule names, so a cycle needs
+    no stack and every answer is complete. Answers are memoised on the
+    grammar (`AnnotatedGrammar.memo`)."""
     memo = ag.memo("leaves")
     hit = memo.get(id(elem))
     if hit is not None:
         return hit[1]
-    leaves: dict[int, Element] = {}
+    mask = 0
     entered: set[str] = set()
     todo = [elem]
     while todo:
         e = todo.pop()
         if isinstance(e, Sequence):
-            todo.extend(reversed(e.items))
+            todo.extend(e.items)
         elif isinstance(e, Alternation):
-            todo.extend(reversed(e.branches))
+            todo.extend(e.branches)
         elif isinstance(e, Repetition):
             todo.append(e.inner)
         elif isinstance(e, RuleRef):
@@ -446,28 +448,24 @@ def reachable_leaves(elem: Element, ag: AnnotatedGrammar) -> tuple:
             entered.add(low)
             rule = abnf.resolve(e.name, ag.base)
             if rule is None:
-                leaves[id(e)] = e
+                mask |= LEAF_HOLE
             else:
                 todo.append(rule.body)
+        elif isinstance(e, LiteralCI):
+            for b in e.text.encode("ascii"):
+                mask |= 1 << b
+        elif isinstance(e, CharCodes):
+            mask |= LEAF_CODES
+            for b in e.data:
+                mask |= 1 << b
+        elif isinstance(e, CharRange):
+            mask |= LEAF_CODES | (1 << e.hi + 1) - (1 << e.lo)
         else:
-            leaves[id(e)] = e
+            mask |= LEAF_HOLE
             if isinstance(e, Annotated):
                 todo.append(e.inner)
-    result = tuple(leaves.values())
-    memo[id(elem)] = (elem, result)
-    return result
-
-
-def terminal_bytes(leaf) -> bytes | range | None:
-    """The byte values a terminal leaf is built from (a quoted literal's as
-    written); None for an `Annotated` marker or an undefined reference."""
-    if isinstance(leaf, LiteralCI):
-        return leaf.text.encode("ascii")
-    if isinstance(leaf, CharCodes):
-        return leaf.data
-    if isinstance(leaf, CharRange):
-        return range(leaf.lo, leaf.hi + 1)
-    return None
+    memo[id(elem)] = (elem, mask)
+    return mask
 
 
 def follow_refs(elem: Element,
@@ -499,13 +497,6 @@ def resolve_to_alternation(elem: Element, ag: AnnotatedGrammar) -> Alternation |
     enum/union subfields); None when the element cannot supply one."""
     chain = follow_refs(elem, ag)
     return chain[0] if chain is not None and isinstance(chain[0], Alternation) else None
-
-
-def terminals_all_ci(elem: Element, ag: AnnotatedGrammar) -> bool:
-    """True when every terminal reachable from `elem` is a case-insensitive
-    literal; governs case-insensitive string comparison in constraints."""
-    return not any(isinstance(leaf, (CharCodes, CharRange))
-                   for leaf in reachable_leaves(elem, ag))
 
 
 # --- parsing ----------------------------------------------------------------

@@ -30,7 +30,7 @@ entry's first part, the constraint operand lookup over their envs (an
 entry's pair is replaced when its first part is re-drawn) and the part
 that each constraint re-draws. It re-checks the ranges of re-drawn parts
 only, and assembles the message once every constraint holds. The torture
-family's whitespace walk reads `_whitespace_only`'s memo table once.
+family's whitespace walk reads `frontend.leaf_mask`'s memo table once.
 """
 
 from __future__ import annotations
@@ -303,30 +303,18 @@ def _build_step(elem, ag: AnnotatedGrammar):
     return step
 
 
-_WHITESPACE = frozenset(b" \t\r\n")
+_CRLF = 1 << 0x0D | 1 << 0x0A
+# the bits a leaf mask of whitespace alone may hold: no capture or undefined rule
+_WHITESPACE = frontend.LEAF_CODES | 1 << 0x20 | 1 << 0x09 | _CRLF
 
 
 def _may_contain_crlf(elem, ag) -> bool:
-    memo = ag.memo("mutate.crlf")
-    hit = memo.get(id(elem))
-    if hit is None:
-        leaves = frontend.reachable_leaves(elem, ag)
-        hit = memo[id(elem)] = (elem, any(
-            b is not None and (0x0D in b or 0x0A in b)
-            for b in map(frontend.terminal_bytes, leaves)))
-    return hit[1]
+    return bool(frontend.leaf_mask(elem, ag) & _CRLF)
 
 
 def _whitespace_only(elem, ag) -> bool:
     """False as soon as a capture or an undefined rule is reachable."""
-    memo = ag.memo("mutate.ws")
-    hit = memo.get(id(elem))
-    if hit is None:
-        leaves = frontend.reachable_leaves(elem, ag)
-        hit = memo[id(elem)] = (elem, all(
-            b is not None and _WHITESPACE.issuperset(b)
-            for b in map(frontend.terminal_bytes, leaves)))
-    return hit[1]
+    return not frontend.leaf_mask(elem, ag) & ~_WHITESPACE
 
 
 def _derive_message(ag: AnnotatedGrammar, rng: random.Random,
@@ -742,9 +730,9 @@ _COMPOSITES = frozenset((RuleRef, Repetition, Sequence, Alternation))
 def _ws_points(tree: DerivationTree):
     """(part, start, end, in_value) spans derived from whitespace-only
     grammar positions, plus the delimiter points around the colon. The
-    walk reads `_whitespace_only`'s memo itself, learning only on a miss."""
+    walk reads `frontend.leaf_mask`'s memo itself, learning only on a miss."""
     ag = tree.ag
-    learnt = ag.memo("mutate.ws")
+    learnt = ag.memo("leaves")
     out = []
     for part in tree.parts:
         base = part.value_offset
@@ -757,7 +745,8 @@ def _ws_points(tree: DerivationTree):
             elem = node.elem
             if type(elem) in _COMPOSITES:
                 hit = learnt.get(id(elem))
-                if hit[1] if hit is not None else _whitespace_only(elem, ag):
+                mask = hit[1] if hit is not None else frontend.leaf_mask(elem, ag)
+                if not mask & ~_WHITESPACE:
                     out.append((part, base + node.start, base + node.end, in_value))
     return out
 

@@ -86,7 +86,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import and_, or_
 from typing import Optional, Union
 
@@ -132,7 +132,7 @@ class PBytes:
 
 @dataclass(frozen=True)
 class PClass:
-    members: frozenset[int]
+    mask: int  # bit b for byte b
 
 
 @dataclass(frozen=True)
@@ -162,12 +162,13 @@ PatternNode = Union[PLit, PBytes, PClass, PSeq, PAlt, PRep, PCap]
 
 # Opaque matcher standing in for a lazy subfield inside its enclosing
 # pattern; the subfield's own pattern runs only when forced.
-LAZY_HOLE = PRep(0, None, PClass(frozenset(range(256))))
+_ALL = (1 << 256) - 1
+LAZY_HOLE = PRep(0, None, PClass(_ALL))
 
 # What matches nothing: a line-free compile's stand-in for a terminal that
 # must read CR or LF. Its regex is `(?!)`.
 NEVER = PAlt(())
-_LINE_BYTES = frozenset(b"\r\n")
+_LINE_BYTES = 1 << 0x0D | 1 << 0x0A
 
 _MAX_INLINE_DEPTH = 128
 
@@ -214,18 +215,16 @@ class _Compiler:
             # table entry; each compiles its own element
             return self.compile_subfield(sf, elem.inner)
         if isinstance(elem, LiteralCI):
-            if self.line_free and ("\r" in elem.text or "\n" in elem.text):
-                return NEVER
             return PLit(elem.text.lower().encode("ascii"))
         if isinstance(elem, CharCodes):
             if self.line_free and (b"\r" in elem.data or b"\n" in elem.data):
                 return NEVER
             return PBytes(elem.data)
         if isinstance(elem, CharRange):
-            members = frozenset(range(elem.lo, elem.hi + 1))
+            mask = (1 << elem.hi + 1) - (1 << elem.lo)
             if self.line_free:
-                members -= _LINE_BYTES
-            return PClass(members) if members else NEVER
+                mask &= ~_LINE_BYTES
+            return PClass(mask) if mask else NEVER
         if isinstance(elem, Sequence):
             return PSeq(tuple(self.compile(i, prefix) for i in elem.items))
         if isinstance(elem, Alternation):
@@ -317,16 +316,19 @@ def compile_subfield_pattern(sf: Subfield, ag: AnnotatedGrammar,
 
 # --- simplification ---------------------------------------------------------
 
-def _single_byte_set(node) -> frozenset[int] | None:
+def _byte_masks(node) -> list[int]:
+    """One byte set per byte of a PBytes or PLit."""
+    if type(node) is PBytes:
+        return [1 << b for b in node.data]
+    return [1 << b | 1 << (b - 32 if 0x61 <= b <= 0x7A else b) for b in node.data]
+
+
+def _single_byte_set(node) -> int | None:
     t = type(node)
     if t is PClass:
-        return node.members
-    if t is PBytes and len(node.data) == 1:
-        return frozenset(node.data)
-    if t is PLit and len(node.data) == 1:
-        b = node.data[0]
-        upper = b - 32 if 0x61 <= b <= 0x7A else b
-        return frozenset((b, upper))
+        return node.mask
+    if (t is PBytes or t is PLit) and len(node.data) == 1:
+        return _byte_masks(node)[0]
     return None
 
 
@@ -393,8 +395,8 @@ def _simplify(node):
         if all(map(_never, flat)):
             return _emptied(PAlt(tuple(flat)))
         sets = [_single_byte_set(b) for b in flat]
-        if all(s is not None for s in sets):
-            return PClass(frozenset().union(*sets))
+        if None not in sets:
+            return PClass(reduce(or_, sets))
         return flat[0] if len(flat) == 1 else PAlt(tuple(flat))
     if t is PRep:
         inner = _simplify(node.inner)
@@ -458,7 +460,7 @@ def _interpret(root, subject: bytes, budget: int) -> tuple | None:
             raise MatchBudgetExceeded("match step budget exhausted")
         t = type(node)
         if t is PClass:
-            if pos < n and subject[pos] in node.members:
+            if pos < n and node.mask >> subject[pos] & 1:
                 yield pos + 1
         elif t is PBytes:
             end = pos + len(node.data)
@@ -476,10 +478,10 @@ def _interpret(root, subject: bytes, budget: int) -> tuple | None:
         elif t is PRep:
             inner = node.inner
             if type(inner) is PClass:
-                members = inner.members
+                mask = inner.mask
                 limit = n if node.max is None else min(n, pos + node.max)
                 k = pos
-                while k < limit and subject[k] in members:
+                while k < limit and mask >> subject[k] & 1:
                     k += 1
                 lowest = pos + node.min
                 for end in range(k, lowest - 1, -1):
@@ -541,26 +543,12 @@ def _span_count(node) -> int:
 #
 # _Planner.plan marks the possessive and atomic cuts (see the module
 # docstring), _flagged judges the planned tree on its _Automaton, and
-# regex_text translates it. Byte sets are ints here, bit b standing for byte b.
+# regex_text translates it.
 
-_ALL = (1 << 256) - 1
 _NEVER = "(?!)"
 _MAX_DFA_STATES = 512  # per atomic repetition
 _MAX_UNROLL = 16       # one-byte counted repetitions up to this count get a state per iteration
 _MAX_PAIRS = 200_000   # reachable pairs of the product automaton
-
-
-def _mask(members) -> int:
-    m = 0
-    for b in members:
-        m |= 1 << b
-    return m
-
-
-def _byte_masks(node) -> list[int]:
-    """One byte set per byte of a PBytes or PLit."""
-    t = type(node)
-    return [_mask(_single_byte_set(t(node.data[i:i + 1]))) for i in range(len(node.data))]
 
 
 @dataclass(frozen=True)
@@ -606,8 +594,7 @@ class _Planner:
     def _compute(self, node) -> _Facts:
         t = type(node)
         if t is PClass:
-            m = _mask(node.members)
-            return _Facts(False, m, m)
+            return _Facts(False, node.mask, node.mask)
         if t is PBytes or t is PLit:
             masks = _byte_masks(node)
             if not masks:
@@ -759,9 +746,9 @@ class _Planner:
             return PCap(node.cid, self.plan(node.inner, cont))
         if t is not PRep:
             return node
-        members = _single_byte_set(node.inner)
-        if members is not None:
-            if node.max != node.min and self.absorbs_after(_mask(members), cont):
+        c = _single_byte_set(node.inner)
+        if c is not None:
+            if node.max != node.min and self.absorbs_after(c, cont):
                 return _Possessive(node)
             return node
         if node.max is not None and node.max <= 1:
@@ -847,7 +834,7 @@ class _Automaton:
     def build(self, node, reps: tuple = ()) -> tuple:
         t = type(node)
         if t is PClass or t is PBytes or t is PLit:
-            masks = [_mask(node.members)] if t is PClass else _byte_masks(node)
+            masks = [node.mask] if t is PClass else _byte_masks(node)
             if not masks:
                 return True, 0, {}, {}
             states = [self.state(reps) for _ in masks]
@@ -888,7 +875,7 @@ class _Automaton:
         """A repetition of one byte: a state per iteration up to
         _MAX_UNROLL, a loop beyond. A possessive one stops before its
         maximum count only where no byte of its class follows."""
-        c = _mask(_single_byte_set(rep.inner))
+        c = _single_byte_set(rep.inner)
         barred = c if possessive else 0
         empty = barred if rep.min == 0 else 0
         if rep.max is None or rep.max > _MAX_UNROLL:
@@ -1113,7 +1100,7 @@ def regex_text(node, groups: list) -> str:
     `groups` in group-number order."""
     t = type(node)
     if t is PClass:
-        return _class_text(_mask(node.members))
+        return _class_text(node.mask)
     if t is PBytes:
         return re.escape(node.data.decode("latin-1"))
     if t is PLit:

@@ -17,16 +17,17 @@ from . import abnf
 from .abnf import Alternation, CharCodes, CharRange, Element, LiteralCI, Repetition, RuleRef, Sequence
 from .frontend import (
     COMMAND_LINE,
+    LEAF_CODES,
+    LEAF_HOLE,
     Annotated,
     AnnotatedGrammar,
     Shape,
     Subfield,
     iter_field_refs,
-    reachable_leaves,
+    leaf_mask,
     resolve_to_alternation,
     rule_def_shape,
     strongly_connected,
-    terminal_bytes,
 )
 
 
@@ -264,13 +265,13 @@ def _finite_strings(elem, ag, stack=frozenset()) -> set[str] | None:
     return None
 
 
-_DIGITS = frozenset(b"0123456789")
+# the bits a leaf mask of decimal digits alone may hold
+_DIGITS = LEAF_HOLE | LEAF_CODES | (1 << 0x3A) - (1 << 0x30)
 
 
 def _digits_only(elem, ag) -> bool:
     """True when every terminal reachable from `elem` is a decimal digit."""
-    return all(b is None or _DIGITS.issuperset(b)
-               for b in map(terminal_bytes, reachable_leaves(elem, ag)))
+    return not leaf_mask(elem, ag) & ~_DIGITS
 
 
 def check_type_annotations(ag: AnnotatedGrammar) -> list[Diagnostic]:
