@@ -890,6 +890,7 @@ _KIND_BASE = 'requestLine = 1*ALPHA:method SP "X"\nstatusLine = "X" SP 3DIGIT:co
 _H = 'header H = 1*DIGIT:a:uint16 "-" 1*ALPHA:w'
 _BLOCK_RANGE = (ReasonCode.RANGE, "block")
 _BLOCK_CONSTRAINT = (ReasonCode.CONSTRAINT, "block")
+_E = 'header H = E:e:enum\nE = "a" / "b"'
 
 
 @pytest.mark.parametrize("decls, command, value, failure", [
@@ -929,6 +930,16 @@ _BLOCK_CONSTRAINT = (ReasonCode.CONSTRAINT, "block")
                  _BLOCK_CONSTRAINT, id="kind-fails"),
     pytest.param(_H + '\nrequest { message.kind != "request" || H.a > 1; }', b"GO X",
                  b"1-x", _BLOCK_CONSTRAINT, id="kind-or"),
+    # a number and bytes are never equal, not even where the bytes are digits
+    pytest.param("header H = 1*DIGIT:d\nrequest { H.d == 5; }", b"GO X", b"5", _BLOCK_RANGE,
+                 id="raw-equals-integer"),
+    pytest.param("header H = 1*DIGIT:d\nrequest { H.d != 5; }", b"GO X", b"5", None,
+                 id="raw-differs-from-integer"),
+    pytest.param(_E + '\nrequest { H.e == "a"; }', b"GO X", b"a", _BLOCK_CONSTRAINT,
+                 id="enum-equals-string"),
+    pytest.param(_E + '\nrequest { H.e != "a"; }', b"GO X", b"a", None,
+                 id="enum-differs-from-string"),
+    pytest.param(_E + "\nrequest { H.e == 0; }", b"GO X", b"a", None, id="enum-equals-index"),
 ])
 def test_engine_and_oracle_agree_on_constraint_forms(decls, command, value, failure):
     ag = parse_zebu(_KIND_BASE + decls + "\n")
@@ -937,6 +948,21 @@ def test_engine_and_oracle_agree_on_constraint_forms(decls, command, value, fail
     assert verdict.accepted is reference_validate(ag, raw)[0] is (failure is None)
     assert [(r.code, r.location) for r in verdict.reasons] == (
         [] if failure is None else [failure])
+
+
+@pytest.mark.parametrize("value, report", [
+    (b"<b>", "REJECT SYNTAX H.l lazy value b'b' does not match its grammar\n"),
+    (b"<a2>", "REJECT RANGE block constraint failed: H.l.n == 1\n"),
+    (b"<a1>", "ACCEPT\n"),
+])
+def test_constraint_under_a_failed_lazy_force_is_unavailable(value, report):
+    # the force's SYNTAX reason stands alone: a constraint reading a field
+    # under the lazy subfield gives no reason of its own
+    ag = parse_zebu(_KIND_BASE + 'header H = "<" ( "a" 1*DIGIT:n:uint16 ):l:struct:lazy ">"\n'
+                    "request { H.l.n == 1; }\n")
+    raw = b"GO X\r\nH: " + value + b"\r\n\r\n"
+    assert validate(compile_grammar(ag), raw).report() == report
+    assert reference_validate(ag, raw)[0] is (report == "ACCEPT\n")
 
 
 @pytest.mark.parametrize("body, reports", [

@@ -154,6 +154,54 @@ def test_uint32_over_digit_run_deferred():
     assert check_type_annotations(ag) == []
 
 
+NOT_NUMERIC = "subfield H.n is {} but its rule does not derive numeric text"
+
+
+@pytest.mark.parametrize("spec,expected", [
+    # a sequence derives each string of its first item followed by each of the rest's
+    ('header H = N:n:uint32\nN = "7" "0000000000"\n',
+     [("subfield H.n is uint32 but derives '70000000000'", (3, 13))]),
+    ('header H = N:n:uint16\nN = "6" "5535"\n', []),
+    # an unbounded item, or more than 4096 strings, leave only the digit-run test
+    ('header H = N:n:uint32\nN = "1" 1*DIGIT\n', []),
+    ("header H = N:n:uint32\nN = 2DIGIT 2DIGIT\n", []),
+    ("header H = N:n:uint32\nN = 2DIGIT 2ALPHA\n", [(NOT_NUMERIC.format("uint32"), (3, 13))]),
+    # char codes derive their bytes read as ASCII
+    ("header H = %x37.41:n:uint16\n", [("subfield H.n is uint16 but derives '7A'", (3, 19))]),
+    ("header H = %x37.30:n:uint16\n", []),
+    # a byte beyond ASCII gives no finite set, and is not a digit
+    ("header H = %xFF:n:uint16\n", [(NOT_NUMERIC.format("uint16"), (3, 16))]),
+    ("header H = 1*%x30-39:n:uint32\n", []),
+    ("header H = 1*%x30-3A:n:uint32\n", [(NOT_NUMERIC.format("uint32"), (3, 21))]),
+    # a nested annotation derives what its element does
+    ('header H = N:n:uint16\nN = "1" D:d\nD = "x"\n',
+     [("subfield H.n is uint16 but derives '1x'", (3, 13)),
+      ("subfield H.n nests named subfields but is not struct or union", (3, 13))]),
+])
+def test_uint_over_sequences_codes_and_annotations(spec, expected):
+    diags = check_type_annotations(parse_zebu(ENTRY_STUB + spec))
+    assert codes(diags) == [Code.TYPE_MISMATCH] * len(expected)
+    assert [(d.message, d.span) for d in diags] == expected
+
+
+@pytest.mark.parametrize("spec,expected", [
+    ('header H = M:m:enum\nM = "1":a / "2":b\n',
+     "enum subfield H.m cannot contain named subfields (a, b)"),
+    ('header H = M:m\nM = "1" D:d\nD = "2"\n',
+     "subfield H.m nests named subfields but is not struct or union"),
+    ('header H = M:m:uint16\nM = "1" D:d\nD = "2"\n',
+     "subfield H.m nests named subfields but is not struct or union"),
+    ('header H = M:m:struct\nM = "1" D:d\nD = "2"\n', None),
+])
+def test_only_struct_and_union_nest_named_subfields(spec, expected):
+    diags = check_type_annotations(parse_zebu(ENTRY_STUB + spec))
+    if expected is None:
+        assert diags == []
+    else:
+        assert [(d.code, d.message, d.span) for d in diags] == [
+            (Code.TYPE_MISMATCH, expected, (3, 13))]
+
+
 def test_enum_requires_alternation():
     ag = parse_zebu(ENTRY_STUB + "header H = 1*DIGIT:n:enum\n")
     diags = check_type_annotations(ag)
