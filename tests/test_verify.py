@@ -162,7 +162,7 @@ NOT_NUMERIC = "subfield H.n is {} but its rule does not derive numeric text"
     ('header H = N:n:uint32\nN = "7" "0000000000"\n',
      [("subfield H.n is uint32 but derives '70000000000'", (3, 13))]),
     ('header H = N:n:uint16\nN = "6" "5535"\n', []),
-    # an unbounded item, or more than 4096 strings, leave only the digit-run test
+    # an unbounded item, a wide byte range or over 4096 strings leave the digit-run test
     ('header H = N:n:uint32\nN = "1" 1*DIGIT\n', []),
     ("header H = N:n:uint32\nN = 2DIGIT 2DIGIT\n", []),
     ("header H = N:n:uint32\nN = 2DIGIT 2ALPHA\n", [(NOT_NUMERIC.format("uint32"), (3, 13))]),
