@@ -370,6 +370,19 @@ def test_ambiguous_repetition_stays_on_budgeted_interpreter(rule, subject):
         match_spans(p, subject, budget=2_000)
 
 
+@pytest.mark.parametrize("spec,reason", [
+    ('R = 1*( D D ) "x"\nD = 1*DIGIT',
+     r"ambiguous repetition (?:(?:[\x30-\x39])+(?:[\x30-\x39])+)+"),
+    ('R = *( W W ) "x"\nW = 1*( "a" / "b" )',
+     r"ambiguous repetition (?:(?:[\x41-\x42\x61-\x62])+(?:[\x41-\x42\x61-\x62])+)*"),
+])
+def test_warning_names_the_outer_repetition_over_a_shared_rule(spec, reason):
+    # the two inlined copies of the rule's body may be one shared node; the
+    # warning still names the repetition that loops over both
+    g = parse_abnf(spec)
+    assert interpreter_reason(compile_pattern(g.get("R"), g)) == reason
+
+
 def test_optional_nullable_inner_stays_on_interpreter():
     # the interpreter skips the empty iteration of [ ... ]; `re` would
     # record it, and the later capture would then take both bytes
@@ -498,23 +511,37 @@ def test_bundled_patterns_use_regex(request, grammar, count):
         assert not any(b in text for b in (b"\r", b"\n", b"\\x0a", b"\\x0d")), name
 
 
-def test_bundled_regex_texts_are_pinned(sip, rtsp, sip_ag, rtsp_ag):
-    # per bundled grammar, the regex of every pattern `compile_grammar` makes
-    # and of the exact (not line-free) pattern of every entry point and lazy
-    # subfield; any change to a regex text changes the digest
-    h = hashlib.sha256()
+def bundled_patterns(sip, rtsp, sip_ag, rtsp_ag):
+    """(name, pattern) per bundled grammar: every pattern `compile_grammar`
+    makes, then the exact (not line-free) pattern of every entry point and
+    of its lazy subfields."""
     for cg, ag in ((sip, sip_ag), (rtsp, rtsp_ag)):
-        named = list(cg.named_patterns())
+        yield from cg.named_patterns()
         for name, body in ag.entry_points():
             table = ag.subfields[name]
-            named.append((f"exact {name}", compile_pattern(body, ag, table=table)))
-            named += [(f"exact {name} lazy subfield {sf.name}",
-                       compile_subfield_pattern(sf, ag, table))
-                      for sf in table.values() if sf.forced_lazily]
-        for name, p in named:
-            assert backend_of(p) == "regex", name
-            h.update(name.encode() + b"\0" + p.backend[0].pattern + b"\0")
+            yield f"exact {name}", compile_pattern(body, ag, table=table)
+            yield from ((f"exact {name} lazy subfield {sf.name}",
+                         compile_subfield_pattern(sf, ag, table))
+                        for sf in table.values() if sf.forced_lazily)
+
+
+def test_bundled_regex_texts_are_pinned(sip, rtsp, sip_ag, rtsp_ag):
+    # any change to a regex text changes the digest
+    h = hashlib.sha256()
+    for name, p in bundled_patterns(sip, rtsp, sip_ag, rtsp_ag):
+        assert backend_of(p) == "regex", name
+        h.update(name.encode() + b"\0" + p.backend[0].pattern + b"\0")
     assert h.hexdigest() == "c48b6b5877fc4862c9964ef023acd39707d69cf0c633fe28e2fca230698c256d"
+
+
+def test_bundled_trees_are_pinned(sip, rtsp, sip_ag, rtsp_ag):
+    # any change to a compiled tree or to its capture ids changes the
+    # digest; CI runs this under two hash seeds, so no set or dict order may
+    # reach a tree
+    h = hashlib.sha256()
+    for name, p in bundled_patterns(sip, rtsp, sip_ag, rtsp_ag):
+        h.update(f"{name}\0{p.root!r}\0{p.capture_index!r}\0".encode())
+    assert h.hexdigest() == "88bb8881ea8de8f397b44a71dbe0fb6df28b25fab622ca88509a78815c74e46b"
 
 
 def test_capture_kept_from_earlier_iteration():
