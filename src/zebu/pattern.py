@@ -1,7 +1,14 @@
 """Executable match patterns compiled from entry-point grammar bodies.
 
 `compile_pattern` fully inlines rule references (the verifier guarantees
-acyclicity) and attaches capture nodes for named subfields. `match_spans`
+acyclicity) and attaches capture nodes for named subfields. It builds each
+node in its final form from final children, in one pass: sequences and
+alternations are flat, adjacent exact bytes are joined, an alternation of
+single bytes is a class, and `[ 1*x ]` is `*x` where x holds no capture
+and cannot match empty. Final nodes are shared: a capture-free rule body
+is compiled once per grammar and subject alphabet, and that one node sits
+wherever the rule is inlined, so nothing may tell nodes apart by identity
+without copying them first (`_Planner.plan` does). `match_spans`
 decides whether the whole subject derives from the inlined tree under one
 disambiguation contract: alternation branches are tried in source order,
 repetition is greedy, and backtracking is complete, so a subject matches
@@ -13,9 +20,9 @@ successful derivation under that order.
 command line ends before its CR, a header value is unfolded (each fold
 joined by one SP), and a lazy subfield's subject is a span of a value.
 There a terminal that must read CR or LF never matches, so it compiles to
-NEVER (`(?!)`) and byte ranges lose CR and LF. `_simplify` propagates
-NEVER: a sequence holding it never matches, an alternation drops that
-branch, `*x` becomes empty and `1*x` never matches. A capture in what
+NEVER (`(?!)`) and byte ranges lose CR and LF. NEVER propagates as the
+tree is built: a sequence holding it never matches, an alternation drops
+that branch, `*x` becomes empty and `1*x` never matches. A capture in what
 never matches is emptied, not removed, so the span tuple keeps its slots.
 No match, branch order or span changes on such subjects, and SIP's
 `LWS = [*WSP CRLF] 1*WSP` becomes `1*WSP`. Without `line_free` a pattern
@@ -189,20 +196,19 @@ _UNSET = (-1, -1)  # the span of a capture the match did not exercise
 # --- compilation ------------------------------------------------------------
 
 class _Compiler:
-    def __init__(self, ag: AnnotatedGrammar, table: dict[str, Subfield], lazy_holes: bool,
-                 line_free: bool):
+    def __init__(self, ag: AnnotatedGrammar, table: dict[str, Subfield], line_free: bool):
         self.ag = ag
         self.table = table
-        self.lazy_holes = lazy_holes
         self.line_free = line_free
         self.capture_index: dict[str, int] = {}
-        self._subfields = 0  # subfields compiled so far
+        self._captures = 0  # captures compiled so far
         self._depth = 0  # rules being inlined
         self._peak = 0   # the greatest depth since the innermost of them began
         # rule body -> (its compiled node, the depth its inlining adds)
         self._bodies = ag.memo("line-free bodies" if line_free else "bodies")
 
     def cap_id(self, key: str) -> int:
+        self._captures += 1
         return self.capture_index.setdefault(key, len(self.capture_index))
 
     def compile(self, elem, prefix: tuple[str, ...]):
@@ -211,6 +217,8 @@ class _Compiler:
             sf = self.table.get(key)
             if sf is None:
                 raise CompileError(f"no subfield metadata for {key!r}")
+            if sf.forced_lazily:
+                return PCap(self.cap_id(key), LAZY_HOLE)
             # same-named subfields in two alternation branches share one
             # table entry; each compiles its own element
             return self.compile_subfield(sf, elem.inner)
@@ -226,11 +234,11 @@ class _Compiler:
                 mask &= ~_LINE_BYTES
             return PClass(mask) if mask else NEVER
         if isinstance(elem, Sequence):
-            return PSeq(tuple(self.compile(i, prefix) for i in elem.items))
+            return _seq(self.compile(i, prefix) for i in elem.items)
         if isinstance(elem, Alternation):
-            return PAlt(tuple(self.compile(b, prefix) for b in elem.branches))
+            return _alt(self.compile(b, prefix) for b in elem.branches)
         if isinstance(elem, Repetition):
-            return PRep(elem.min, elem.max, self.compile(elem.inner, prefix))
+            return _rep(elem.min, elem.max, self.compile(elem.inner, prefix))
         if isinstance(elem, RuleRef):
             return self.inline(elem.name, prefix)
         raise CompileError(f"cannot compile {elem!r}")
@@ -253,12 +261,12 @@ class _Compiler:
         self._depth += 1
         if self._depth > _MAX_INLINE_DEPTH:
             raise InliningDepthExceeded(f"inlining depth exceeded at rule {name!r}")
-        peak, self._peak, subfields = self._peak, self._depth, self._subfields
+        peak, self._peak, captures = self._peak, self._depth, self._captures
         try:
             node = self.compile(rule.body, prefix)
         finally:
             self._depth -= 1
-        if self._subfields == subfields:  # no capture, so `prefix` played no part
+        if self._captures == captures:  # no capture, so `prefix` played no part
             self._bodies[id(rule.body)] = (rule.body, (node, self._peak - self._depth))
         self._peak = max(peak, self._peak)
         return node
@@ -268,22 +276,16 @@ class _Compiler:
         subfield `sf` describes."""
         key = sf.key
         cid = self.cap_id(key)
-        self._subfields += 1
-        if sf.forced_lazily and self.lazy_holes:
-            return PCap(cid, LAZY_HOLE)
         if sf.shape in (Shape.ENUM, Shape.UNION):
             alt = frontend.resolve_to_alternation(element, self.ag)
             if alt is None:
                 raise CompileError(
                     f"subfield {key!r} is {sf.shape.value} but derives no alternation")
-            branches = tuple(
-                PCap(self.cap_id(f"{key}#{i}"), self.compile(b, sf.path))
-                for i, b in enumerate(alt.branches)
-            )
-            node = PAlt(branches)
+            node = _alt(_cap(self.cap_id(f"{key}#{i}"), self.compile(b, sf.path))
+                        for i, b in enumerate(alt.branches))
         else:
             node = self.compile(element, sf.path)
-        return PCap(cid, node)
+        return _cap(cid, node)
 
 
 def compile_pattern(entry, g, *, table: dict[str, Subfield] | None = None,
@@ -300,8 +302,8 @@ def compile_pattern(entry, g, *, table: dict[str, Subfield] | None = None,
     body = entry.body if isinstance(entry, Rule) else entry
     if table is None:
         table = frontend.collect_subfields(body, ag)
-    comp = _Compiler(ag, table, lazy_holes=True, line_free=line_free)
-    root = _simplify(comp.compile(body, ()))
+    comp = _Compiler(ag, table, line_free)
+    root = comp.compile(body, ())
     return Pattern(root, comp.capture_index)
 
 
@@ -309,12 +311,12 @@ def compile_subfield_pattern(sf: Subfield, ag: AnnotatedGrammar,
                              table: dict[str, Subfield], *, line_free: bool = False) -> Pattern:
     """Compile a lazy subfield's own pattern (captures keyed by full path)
     from its one site; `line_free` as for compile_pattern."""
-    comp = _Compiler(ag, table, lazy_holes=False, line_free=line_free)
-    root = _simplify(comp.compile_subfield(sf, sf.sites[0].inner))
+    comp = _Compiler(ag, table, line_free)
+    root = comp.compile_subfield(sf, sf.sites[0].inner)
     return Pattern(root, comp.capture_index)
 
 
-# --- simplification ---------------------------------------------------------
+# --- final nodes --------------------------------------------------------------
 
 def _byte_masks(node) -> list[int]:
     """One byte set per byte of a PBytes or PLit."""
@@ -357,61 +359,64 @@ def _emptied(node):
 
 
 def _never(node) -> bool:
-    """Whether a simplified node matches nothing (NEVER or an _emptied one)."""
+    """Whether a final node matches nothing (NEVER or an _emptied one)."""
     return node is NEVER or (type(node) is PSeq and node.items[:1] == (NEVER,))
 
 
-def _simplify(node):
-    """An equivalent tree: sequences and alternations flattened, adjacent
-    exact bytes joined, alternations of single bytes made classes, what
-    cannot match (NEVER, from a line-free compile) propagated, and `[ 1*x ]`
-    made `*x` where x holds no capture and cannot match empty."""
-    t = type(node)
-    if t is PSeq:
-        items = []
-        for item in node.items:
-            s = _simplify(item)
-            if type(s) is PSeq:
-                items.extend(s.items)
-            else:
-                items.append(s)
-        if any(item is NEVER for item in items):
-            return _emptied(PSeq(tuple(items)))
-        merged: list = []
-        for item in items:
-            if type(item) is PBytes and merged and type(merged[-1]) is PBytes:
-                merged[-1] = PBytes(merged[-1].data + item.data)
-            else:
-                merged.append(item)
-        return merged[0] if len(merged) == 1 else PSeq(tuple(merged))
-    if t is PAlt:
-        flat = []
-        for branch in node.branches:
-            s = _simplify(branch)
-            if type(s) is PAlt:
-                flat.extend(s.branches)
-            elif s is not NEVER:
-                flat.append(s)
-        if all(map(_never, flat)):
-            return _emptied(PAlt(tuple(flat)))
-        sets = [_single_byte_set(b) for b in flat]
-        if None not in sets:
-            return PClass(reduce(or_, sets))
-        return flat[0] if len(flat) == 1 else PAlt(tuple(flat))
-    if t is PRep:
-        inner = _simplify(node.inner)
-        if _never(inner):
-            if node.min:
-                return inner
-            return PSeq(()) if inner is NEVER else PRep(0, 1, inner)
-        if (node.min, node.max) == (0, 1) and type(inner) is PRep and inner.min == 1 and not (
-                _holds_capture(inner) or _Planner().facts(inner.inner).nullable):
-            return PRep(0, inner.max, inner.inner)
-        return PRep(node.min, node.max, inner)
-    if t is PCap:
-        inner = _simplify(node.inner)
-        return _emptied(PCap(node.cid, inner)) if _never(inner) else PCap(node.cid, inner)
-    return node
+def _seq(items):
+    """The sequence of final `items`: nested sequences flattened and
+    adjacent exact bytes joined. One holding NEVER is emptied."""
+    flat = []
+    for item in items:
+        if type(item) is PSeq:
+            flat.extend(item.items)
+        else:
+            flat.append(item)
+    if any(item is NEVER for item in flat):
+        return _emptied(PSeq(tuple(flat)))
+    merged: list = []
+    for item in flat:
+        if type(item) is PBytes and merged and type(merged[-1]) is PBytes:
+            merged[-1] = PBytes(merged[-1].data + item.data)
+        else:
+            merged.append(item)
+    return merged[0] if len(merged) == 1 else PSeq(tuple(merged))
+
+
+def _alt(branches):
+    """The alternation of final `branches`: nested alternations flattened,
+    NEVER branches dropped, and single bytes made a class. One with no
+    branch that can match is emptied."""
+    flat = []
+    for branch in branches:
+        if type(branch) is PAlt:
+            flat.extend(branch.branches)
+        elif branch is not NEVER:
+            flat.append(branch)
+    if all(map(_never, flat)):
+        return _emptied(PAlt(tuple(flat)))
+    sets = [_single_byte_set(b) for b in flat]
+    if None not in sets:
+        return PClass(reduce(or_, sets))
+    return flat[0] if len(flat) == 1 else PAlt(tuple(flat))
+
+
+def _rep(lo: int, hi: int | None, inner):
+    """The repetition of a final `inner`; `[ 1*x ]` is `*x` where x holds
+    no capture and cannot match empty."""
+    if _never(inner):
+        if lo:
+            return inner
+        return PSeq(()) if inner is NEVER else PRep(0, 1, inner)
+    if (lo, hi) == (0, 1) and type(inner) is PRep and inner.min == 1 and not (
+            _holds_capture(inner) or _Planner().facts(inner.inner).nullable):
+        return PRep(0, inner.max, inner.inner)
+    return PRep(lo, hi, inner)
+
+
+def _cap(cid: int, inner):
+    """The capture of a final `inner`."""
+    return _emptied(PCap(cid, inner)) if _never(inner) else PCap(cid, inner)
 
 
 # --- matching ---------------------------------------------------------------
@@ -522,21 +527,11 @@ def _interpret(root, subject: bytes, budget: int) -> tuple | None:
     try:
         for end in m(root, 0):
             if end == n:
-                slots = range(_span_count(root) - 1)
+                slots = range(max(_cids(root), default=-1) + 1)
                 return ((0, n),) + tuple(caps.get(cid, _UNSET) for cid in slots)
     except RecursionError:
         raise MatchBudgetExceeded("recursion limit exhausted during match") from None
     return None
-
-
-def _span_count(node) -> int:
-    """The length of a span tuple of `node`: the largest cid + 2."""
-    t = type(node)
-    if t is PCap:
-        return max(node.cid + 2, _span_count(node.inner))
-    if t is PSeq or t is PAlt:
-        return max(map(_span_count, node.items if t is PSeq else node.branches), default=1)
-    return _span_count(node.inner) if t is PRep else 1
 
 
 # --- regex backend ------------------------------------------------------------
@@ -750,7 +745,9 @@ class _Planner:
         if c is not None:
             if node.max != node.min and self.absorbs_after(c, cont):
                 return _Possessive(node)
-            return node
+            # a final node is shared where a rule is inlined twice, and the
+            # automaton tells repetitions apart by identity
+            return PRep(node.min, node.max, node.inner)
         if node.max is not None and node.max <= 1:
             return PRep(node.min, node.max, self.plan(node.inner, cont))
         inner_cont = (node,) + cont
@@ -1151,7 +1148,7 @@ def _regex_backend(root) -> tuple:
     if cids == list(range(len(cids))):
         return rx, None, None
     return rx, ((0,),) + tuple(tuple(g for g, c in enumerate(cids, 1) if c == cid)
-                               for cid in range(_span_count(root) - 1)), None
+                               for cid in range(max(cids) + 1)), None
 
 
 def interpreter_reason(pattern: Pattern) -> str | None:
