@@ -434,8 +434,8 @@ class ElementParser:
 
         def take_num() -> int:
             value = s.take_int(base, "a character code", start)
-            if value > 0xFF:
-                s.error(f"character code {value} exceeds one byte", start)
+            if value > 0xFF:  # named without its value, which may have thousands of digits
+                s.error("character code exceeds one byte", start)
             return value
 
         first = take_num()

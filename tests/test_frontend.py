@@ -145,19 +145,20 @@ def test_constraint_string_is_printable_ascii():
         "non-printable character in string literal", 1, 31)
 
 
-# `int()` refuses decimal strings of more than 4 300 digits
-@pytest.mark.parametrize("text", [
-    "A = {}DIGIT\n",
-    "A = %d{}\n",
-    'range A = 0 <= x < {}\nA = "1"\n',
-    "header H = 1*DIGIT:n:uint16 {{ H.n < {} }}\n",
-], ids=["count", "numval", "range", "constraint"])
-def test_overlong_integer_is_a_syntax_error(text):
+# `int()` refuses decimal strings of more than 4 300 digits, and `str()`
+# an int that long; the error points at the digits or at `%x`
+@pytest.mark.parametrize("text, message, at", [
+    ("A = {}DIGIT\n", "integer has too many digits", "#"),
+    ("A = %d{}\n", "integer has too many digits", "#"),
+    ('range A = 0 <= x < {}\nA = "1"\n', "integer has too many digits", "#"),
+    ("header H = 1*DIGIT:n:uint16 {{ H.n < {} }}\n", "integer has too many digits", "#"),
+    ("A = %x4{}\n", "character code exceeds one byte", "%x"),
+], ids=["count", "numval", "range", "constraint", "hex"])
+def test_overlong_integer_is_a_syntax_error(text, message, at):
     with pytest.raises(AbnfSyntaxError) as exc:
         parse_zebu(text.format("9" * 5000))
     err = exc.value
-    assert (err.message, err.line, err.col) == (
-        "integer has too many digits", 1, text.format("#").index("#") + 1)
+    assert (err.message, err.line, err.col) == (message, 1, text.format("#").index(at) + 1)
 
 
 def test_zero_annotation_file_round_trips_base_grammar():
