@@ -3,7 +3,7 @@
 Checks: every referenced rule is defined, no rule is defined twice, the
 rule-reference graph is acyclic, type annotations are consistent with
 what the annotated rules can derive, and every constraint operand names a
-subfield that compares. Compilation proceeds only when no
+subfield that compares, and never a number with bytes. Compilation proceeds only when no
 ERROR-severity diagnostic is produced.
 """
 
@@ -16,13 +16,22 @@ from typing import Iterator
 from . import abnf
 from .abnf import Alternation, CharCodes, CharRange, Element, LiteralCI, Repetition, RuleRef, Sequence
 from .frontend import (
+    BUILTIN_MESSAGE,
     COMMAND_LINE,
     LEAF_CODES,
     LEAF_HOLE,
+    And,
     Annotated,
     AnnotatedGrammar,
+    Cmp,
+    FieldRef,
+    IntLit,
+    Not,
+    Or,
     Shape,
+    StrLit,
     Subfield,
+    expr_to_text,
     iter_field_refs,
     leaf_mask,
     resolve_to_alternation,
@@ -377,9 +386,35 @@ def check_unreachable(ag: AnnotatedGrammar) -> list[Diagnostic]:
     return out
 
 
+def _comparisons(expr) -> Iterator[Cmp]:
+    if isinstance(expr, Cmp):
+        yield expr
+    elif isinstance(expr, (And, Or)):
+        for item in expr.items:
+            yield from _comparisons(item)
+    elif isinstance(expr, Not):
+        yield from _comparisons(expr.item)
+
+
+_VALUE_TYPES = {Shape.RAW: bytes, Shape.UINT16: int, Shape.UINT32: int, Shape.ENUM: int}
+
+
+def _value_type(operand, ag: AnnotatedGrammar):
+    """`int` for an operand that is a number (a uint or enum field, an
+    integer literal), `bytes` for one that is bytes (a raw field, a string
+    literal, `message.kind`), None for any other."""
+    if isinstance(operand, IntLit):
+        return int
+    if isinstance(operand, StrLit) or operand.entry == BUILTIN_MESSAGE:
+        return bytes
+    sf = ag.subfields.get(operand.entry, {}).get(".".join(operand.sub_path))
+    return None if sf is None else _VALUE_TYPES.get(sf.shape)
+
+
 def check_constraint_refs(ag: AnnotatedGrammar) -> list[Diagnostic]:
     """Every constraint operand names a declared subfield that compares;
-    struct and union subfields do not."""
+    struct and union subfields do not, and a number never compares with
+    bytes, as the two are never equal."""
     out = []
     for expr in ag.all_constraints():
         for ref in iter_field_refs(expr):
@@ -394,6 +429,13 @@ def check_constraint_refs(ag: AnnotatedGrammar) -> list[Diagnostic]:
                                   f"constraint operand {path!r} is a {sf.shape.value} "
                                   f"subfield; struct and union subfields do not compare",
                                   ref.span))
+        for cmp in _comparisons(expr):
+            operands = (cmp.lhs, cmp.rhs)
+            if {_value_type(x, ag) for x in operands} == {int, bytes}:
+                span = next((x.span for x in operands if isinstance(x, FieldRef)), (0, 0))
+                out.append(_error(Code.TYPE_MISMATCH,
+                                  f"constraint '{expr_to_text(cmp)}' compares a number with "
+                                  f"bytes, which are never equal", span))
     return out
 
 

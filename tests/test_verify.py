@@ -11,6 +11,7 @@ from zebu.verify import (
     Severity,
     check_no_cycles,
     check_no_duplicates,
+    check_constraint_refs,
     check_no_omission,
     check_type_annotations,
     format_diagnostic,
@@ -200,6 +201,32 @@ def test_only_struct_and_union_nest_named_subfields(spec, expected):
     else:
         assert [(d.code, d.message, d.span) for d in diags] == [
             (Code.TYPE_MISMATCH, expected, (3, 13))]
+
+
+NEVER_EQUAL = "constraint '{}' compares a number with bytes, which are never equal"
+COMPARED = ('header H = 1*DIGIT:d SP 1*DIGIT:n:uint16 SP M:m\n'
+            'M = "a" / "b" { enum }\n')
+
+
+@pytest.mark.parametrize("block,expected", [
+    # a raw field against an integer literal, even where its bytes are digits
+    ("H.d == 5", [("H.d == 5", (5, 11))]),
+    ("5 != H.d", [("5 != H.d", (5, 16))]),
+    # a uint or enum field against a string literal or a raw field
+    ('H.n < "7"', [('H.n < "7"', (5, 11))]),
+    ('H.m == "a"', [('H.m == "a"', (5, 11))]),
+    ("H.n == H.d", [("H.n == H.d", (5, 11))]),
+    # message.kind is bytes
+    ("message.kind == 1", [("message.kind == 1", (5, 11))]),
+    # each comparison is judged on its own
+    ('H.n == 5 && !(H.d == "5" || H.m == H.d)', [("H.m == H.d", (5, 39))]),
+    # numbers with numbers, bytes with bytes
+    ('H.n == 5 && H.m == 1 && H.n > H.m && H.d == "5" && message.kind == "REQUEST"', []),
+])
+def test_a_number_never_compares_with_bytes(block, expected):
+    ag = parse_zebu(ENTRY_STUB + COMPARED + f"request {{ {block}; }}\n")
+    assert [(d.code, d.message, d.span) for d in check_constraint_refs(ag)] == [
+        (Code.TYPE_MISMATCH, NEVER_EQUAL.format(text), span) for text, span in expected]
 
 
 def test_enum_requires_alternation():
