@@ -383,6 +383,36 @@ def test_warning_names_the_outer_repetition_over_a_shared_rule(spec, reason):
     assert interpreter_reason(compile_pattern(g.get("R"), g)) == reason
 
 
+_SIXTEEN = '\nX = 16( "a" / "b" )'
+
+
+@pytest.mark.parametrize("spec,over,under,named,subjects", [
+    # the atomic iteration's deterministic copy outgrows its state bound
+    (lambda n: f'*( ";" *( "a" / "b" ) "a" {n}( "a" / "b" ) )', 9, 7, "(?>",
+     [b";" + b"a" * 10, b";" + b"ab" * 5 + b";" + b"bab" * 3 + b"a" * 3,
+      b";" + b"b" * 10, b";" + b"a" * 9, b""]),
+    # the product automaton outgrows its pair bound; no single repetition
+    # is to blame, so the reason names the whole tree
+    (lambda n: f'*( "a" / "b" ) {"X " * n}"z"' + _SIXTEEN, 30, 10,
+     "(?:[\\x41-\\x42\\x61-\\x62])*",
+     [b"a" * 480 + b"z", b"ab" * 300 + b"Z", b"a" * 479 + b"z", b"z"]),
+    # so does the automaton of one iteration, and the lookahead gives up
+    (lambda n: f'*( ";" *( "a" / "b" ) {"X " * n})' + _SIXTEEN, 30, 10, "(?:(?i:;)",
+     [b";" + b"a" * 480, b";" + b"ab" * 250 + b";" + b"b" * 480, b";" + b"a" * 479, b";"]),
+], ids=["dfa-states", "pairs", "lookahead-pairs"])
+def test_tree_too_large_to_judge_stays_on_interpreter(spec, over, under, named, subjects):
+    g = parse_abnf("R = " + spec(over))
+    p = compile_pattern(g.get("R"), g)
+    assert backend_of(p) == "interpreter"
+    assert interpreter_reason(p).startswith("ambiguous repetition " + named)
+    verdicts = [reference_match(g.get("R"), g, subject) for subject in subjects]
+    assert True in verdicts and False in verdicts
+    assert [match_spans(p, subject) is not None for subject in subjects] == verdicts
+    # a near miss is judged, and passes
+    g = parse_abnf("R = " + spec(under))
+    assert backend_of(compile_pattern(g.get("R"), g)) == "regex"
+
+
 def test_optional_nullable_inner_stays_on_interpreter():
     # the interpreter skips the empty iteration of [ ... ]; `re` would
     # record it, and the later capture would then take both bytes
