@@ -2,13 +2,9 @@
 
 `compile_pattern` fully inlines rule references (the verifier guarantees
 acyclicity) and attaches capture nodes for named subfields. It builds each
-node in its final form from final children, in one pass: sequences and
-alternations are flat, adjacent exact bytes are joined, an alternation of
-single bytes is a class, and `[ 1*x ]` is `*x` where x holds no capture
-and cannot match empty. Final nodes are shared: a capture-free rule body
-is compiled once per grammar and subject alphabet, and that one node sits
-wherever the rule is inlined, so nothing may tell nodes apart by identity
-without copying them first (`_Planner.plan` does). `match_spans`
+node in its final form from final children (`_seq`, `_alt`, `_rep`,
+`_cap`), and a capture-free rule body once per grammar: that one node is
+shared wherever the rule is inlined. `match_spans`
 decides whether the whole subject derives from the inlined tree under one
 disambiguation contract: alternation branches are tried in source order,
 repetition is greedy, and backtracking is complete, so a subject matches
@@ -366,20 +362,15 @@ def _never(node) -> bool:
 def _seq(items):
     """The sequence of final `items`: nested sequences flattened and
     adjacent exact bytes joined. One holding NEVER is emptied."""
-    flat = []
-    for item in items:
-        if type(item) is PSeq:
-            flat.extend(item.items)
-        else:
-            flat.append(item)
-    if any(item is NEVER for item in flat):
-        return _emptied(PSeq(tuple(flat)))
     merged: list = []
-    for item in flat:
-        if type(item) is PBytes and merged and type(merged[-1]) is PBytes:
-            merged[-1] = PBytes(merged[-1].data + item.data)
-        else:
-            merged.append(item)
+    for item in items:
+        for x in item.items if type(item) is PSeq else (item,):
+            if type(x) is PBytes and merged and type(merged[-1]) is PBytes:
+                merged[-1] = PBytes(merged[-1].data + x.data)
+            else:
+                merged.append(x)
+    if any(x is NEVER for x in merged):
+        return _emptied(PSeq(tuple(merged)))
     return merged[0] if len(merged) == 1 else PSeq(tuple(merged))
 
 
