@@ -148,17 +148,19 @@ class Not:
     item: object
 
 
-def iter_field_refs(expr):
-    if isinstance(expr, FieldRef):
+def iter_comparisons(expr):
+    if isinstance(expr, Cmp):
         yield expr
-    elif isinstance(expr, Cmp):
-        yield from iter_field_refs(expr.lhs)
-        yield from iter_field_refs(expr.rhs)
     elif isinstance(expr, (And, Or)):
         for item in expr.items:
-            yield from iter_field_refs(item)
+            yield from iter_comparisons(item)
     elif isinstance(expr, Not):
-        yield from iter_field_refs(expr.item)
+        yield from iter_comparisons(expr.item)
+
+
+def iter_field_refs(expr):
+    for cmp in iter_comparisons(expr):
+        yield from (x for x in (cmp.lhs, cmp.rhs) if isinstance(x, FieldRef))
 
 
 def expr_to_text(expr) -> str:
@@ -190,21 +192,8 @@ def is_range_shaped(expr) -> bool:
     refs = {".".join(r.path) for r in iter_field_refs(expr)}
     if len(refs) != 1:
         return False
-    return _int_only(expr)
-
-
-def _int_only(expr) -> bool:
-    if isinstance(expr, (FieldRef, IntLit)):
-        return True
-    if isinstance(expr, StrLit):
-        return False
-    if isinstance(expr, Cmp):
-        return _int_only(expr.lhs) and _int_only(expr.rhs)
-    if isinstance(expr, (And, Or)):
-        return all(_int_only(i) for i in expr.items)
-    if isinstance(expr, Not):
-        return _int_only(expr.item)
-    return False
+    return not any(isinstance(x, StrLit) for cmp in iter_comparisons(expr)
+                   for x in (cmp.lhs, cmp.rhs))
 
 
 # --- declarations -----------------------------------------------------------

@@ -20,19 +20,14 @@ from .frontend import (
     COMMAND_LINE,
     LEAF_CODES,
     LEAF_HOLE,
-    And,
     Annotated,
     AnnotatedGrammar,
-    Cmp,
     FieldRef,
     IntLit,
-    Not,
-    Or,
     Shape,
-    StrLit,
     Subfield,
     expr_to_text,
-    iter_field_refs,
+    iter_comparisons,
     leaf_mask,
     resolve_to_alternation,
     rule_def_shape,
@@ -386,52 +381,36 @@ def check_unreachable(ag: AnnotatedGrammar) -> list[Diagnostic]:
     return out
 
 
-def _comparisons(expr) -> Iterator[Cmp]:
-    if isinstance(expr, Cmp):
-        yield expr
-    elif isinstance(expr, (And, Or)):
-        for item in expr.items:
-            yield from _comparisons(item)
-    elif isinstance(expr, Not):
-        yield from _comparisons(expr.item)
-
-
-_VALUE_TYPES = {Shape.RAW: bytes, Shape.UINT16: int, Shape.UINT32: int, Shape.ENUM: int}
-
-
-def _value_type(operand, ag: AnnotatedGrammar):
-    """`int` for an operand that is a number (a uint or enum field, an
-    integer literal), `bytes` for one that is bytes (a raw field, a string
-    literal, `message.kind`), None for any other."""
-    if isinstance(operand, IntLit):
-        return int
-    if isinstance(operand, StrLit) or operand.entry == BUILTIN_MESSAGE:
-        return bytes
-    sf = ag.subfields.get(operand.entry, {}).get(".".join(operand.sub_path))
-    return None if sf is None else _VALUE_TYPES.get(sf.shape)
-
-
 def check_constraint_refs(ag: AnnotatedGrammar) -> list[Diagnostic]:
     """Every constraint operand names a declared subfield that compares;
-    struct and union subfields do not, and a number never compares with
-    bytes, as the two are never equal."""
+    struct and union subfields do not. A number (a uint or enum field, an
+    integer literal) never compares with bytes (a raw field, a string
+    literal, `message.kind`): the two are never equal."""
     out = []
     for expr in ag.all_constraints():
-        for ref in iter_field_refs(expr):
-            path = ".".join(ref.path)
-            if ref.entry is None:
-                out.append(_error(Code.UNRESOLVED_REF,
-                                  f"constraint references unknown field {path!r}", ref.span))
-                continue
-            sf = ag.subfields.get(ref.entry, {}).get(".".join(ref.sub_path))
-            if sf is not None and sf.shape in (Shape.STRUCT, Shape.UNION):
-                out.append(_error(Code.TYPE_MISMATCH,
-                                  f"constraint operand {path!r} is a {sf.shape.value} "
-                                  f"subfield; struct and union subfields do not compare",
-                                  ref.span))
-        for cmp in _comparisons(expr):
+        for cmp in iter_comparisons(expr):
             operands = (cmp.lhs, cmp.rhs)
-            if {_value_type(x, ag) for x in operands} == {int, bytes}:
+            types = set()  # of the operands that compare
+            for ref in operands:
+                if not isinstance(ref, FieldRef):
+                    types.add(int if isinstance(ref, IntLit) else bytes)
+                    continue
+                path = ".".join(ref.path)
+                if ref.entry is None:
+                    out.append(_error(Code.UNRESOLVED_REF,
+                                      f"constraint references unknown field {path!r}", ref.span))
+                    continue
+                sf = ag.subfields.get(ref.entry, {}).get(".".join(ref.sub_path))
+                if ref.entry == BUILTIN_MESSAGE or sf.shape is Shape.RAW:
+                    types.add(bytes)
+                elif sf.shape in (Shape.STRUCT, Shape.UNION):
+                    out.append(_error(Code.TYPE_MISMATCH,
+                                      f"constraint operand {path!r} is a {sf.shape.value} "
+                                      f"subfield; struct and union subfields do not compare",
+                                      ref.span))
+                else:
+                    types.add(int)
+            if types == {int, bytes}:
                 span = next((x.span for x in operands if isinstance(x, FieldRef)), (0, 0))
                 out.append(_error(Code.TYPE_MISMATCH,
                                   f"constraint '{expr_to_text(cmp)}' compares a number with "
