@@ -3,8 +3,8 @@
 Checks: every referenced rule is defined, no rule is defined twice, the
 rule-reference graph is acyclic, type annotations are consistent with
 what the annotated rules can derive, and every constraint operand names a
-subfield that compares, and never a number with bytes. Compilation proceeds only when no
-ERROR-severity diagnostic is produced.
+subfield that compares, and never a number with bytes. Compilation
+proceeds only when no ERROR-severity diagnostic is produced.
 """
 
 from __future__ import annotations
@@ -391,23 +391,24 @@ def check_constraint_refs(ag: AnnotatedGrammar) -> list[Diagnostic]:
         for cmp in iter_comparisons(expr):
             operands = (cmp.lhs, cmp.rhs)
             types = set()  # of the operands that compare
-            for ref in operands:
-                if not isinstance(ref, FieldRef):
-                    types.add(int if isinstance(ref, IntLit) else bytes)
+            for operand in operands:
+                if not isinstance(operand, FieldRef):
+                    types.add(int if isinstance(operand, IntLit) else bytes)
                     continue
-                path = ".".join(ref.path)
-                if ref.entry is None:
+                path = ".".join(operand.path)
+                if operand.entry is None:
                     out.append(_error(Code.UNRESOLVED_REF,
-                                      f"constraint references unknown field {path!r}", ref.span))
+                                      f"constraint references unknown field {path!r}",
+                                      operand.span))
                     continue
-                sf = ag.subfields.get(ref.entry, {}).get(".".join(ref.sub_path))
-                if ref.entry == BUILTIN_MESSAGE or sf.shape is Shape.RAW:
+                sf = ag.subfields.get(operand.entry, {}).get(".".join(operand.sub_path))
+                if operand.entry == BUILTIN_MESSAGE or sf.shape is Shape.RAW:
                     types.add(bytes)
                 elif sf.shape in (Shape.STRUCT, Shape.UNION):
                     out.append(_error(Code.TYPE_MISMATCH,
                                       f"constraint operand {path!r} is a {sf.shape.value} "
                                       f"subfield; struct and union subfields do not compare",
-                                      ref.span))
+                                      operand.span))
                 else:
                     types.add(int)
             if types == {int, bytes}:
