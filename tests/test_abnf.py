@@ -12,6 +12,7 @@ from zebu.abnf import (
     LiteralCI,
     Repetition,
     RuleRef,
+    Scanner,
     Sequence,
     core_rules,
     parse_abnf,
@@ -210,3 +211,16 @@ def test_grammar_text_round_trip():
     g1 = parse_abnf(src)
     g2 = parse_abnf(g1.to_text())
     assert g1 == g2
+
+
+def test_location_starts_a_line_after_each_line_feed_only():
+    # LF, CRLF and CR endings, blank lines and an indented last line: a CR
+    # alone ends no line, so the column counts on across it
+    text = 'A = "a"\nB = "b"\r\nC = "c"\rD = "d"\n\n\r\n E\r'
+    s = Scanner(text)
+    line, col = 1, 1
+    for pos, ch in enumerate(text + "$"):
+        assert s.location(pos) == (line, col), pos
+        line, col = (line + 1, 1) if ch == "\n" else (line, col + 1)
+    s.pos = 17
+    assert s.location() == s.location(17) == (3, 1)

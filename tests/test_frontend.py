@@ -386,6 +386,22 @@ MALFORMED = [
      UnknownAnnotation, "'mandatory' is not valid here", 1, 11),
     ('A = "a":x:enum:uint16\n',
      AbnfSyntaxError, "subfield 'x' given two shapes", 1, 22),
+    # the scanner's edge cases: a comment that ends the input, CR-only line
+    # ends (only LF starts a line), a continuation line that ends the input,
+    # a bare CR before an indented line (a continuation), a string and a
+    # name that end the input
+    ('A = "a" / ; trailing comment',
+     AbnfSyntaxError, "expected an element, found end of input", 1, 29),
+    ('A = "a"\rB = )\r',
+     AbnfSyntaxError, "expected an element, found ')'", 1, 13),
+    ('A = "a" /\n  ',
+     AbnfSyntaxError, "expected an element, found end of input", 2, 3),
+    ('A = "a"\r "b" )\n',
+     AbnfSyntaxError, "unexpected ')' after declaration", 1, 14),
+    ('A = "ab',
+     AbnfSyntaxError, "unterminated quoted string", 1, 5),
+    ('A = "a"\nAbc-1',
+     AbnfSyntaxError, "expected '=' after rule name, found end of input", 2, 6),
 ]
 
 
