@@ -10,6 +10,8 @@ verifier.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Union
@@ -169,20 +171,30 @@ def _print(elem: Element, level: int) -> str:
 
 # --- scanner --------------------------------------------------------------
 
-_WSP = " \t"
-_NAME_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 _DIGITS = frozenset("0123456789")
-_HEX_DIGITS = _DIGITS | frozenset("abcdefABCDEF")
-_NAME_CONT = _NAME_START | _DIGITS | {"-"}
+
+# Each token is one match from the scanner's position. Inline whitespace
+# is spaces, tabs, comments and line continuations: a line break (CRLF, CR
+# or LF) followed by a space, a tab or the end of the input.
+_INLINE = re.compile(r"(?:[ \t]+|;[^\r\n]*|(?:\r\n?|\n)(?=[ \t]|\Z))*")
+_BLANK = re.compile(r"(?:[ \t\r\n]+|;[^\r\n]*)*")
+_NAME = re.compile(r"[A-Za-z][A-Za-z0-9-]*")
+_INT = {10: re.compile(r"[0-9]*"), 16: re.compile(r"[0-9A-Fa-f]*")}
+_QUOTED = re.compile(r'"[ !#-~]*')  # up to the first character not printable or a quote
+_LINE_FEED = re.compile(r"\n")
 
 
 class Scanner:
-    """Character cursor over source text with line/column tracking."""
+    """Cursor over source text. Each token is one precompiled regex match
+    from `pos`; `location` turns an offset into a line and column."""
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
         self.n = len(text)
+        # the offset each line starts at: 0, then one past every LF
+        self._line_starts = [0] + [m.end() for m in _LINE_FEED.finditer(text)]
 
     def at_end(self) -> bool:
         return self.pos >= self.n
@@ -207,67 +219,34 @@ class Scanner:
             self.error(f"expected {what or repr(ch)}, found {found}")
 
     def location(self, pos: int | None = None) -> tuple[int, int]:
+        """The 1-based line and column of offset `pos` (default: here).
+        Only LF starts a line; a CR alone is one more column."""
         p = self.pos if pos is None else pos
-        line = self.text.count("\n", 0, p) + 1
-        col = p - (self.text.rfind("\n", 0, p) + 1) + 1
-        return line, col
+        line = bisect_right(self._line_starts, p)
+        return line, p - self._line_starts[line - 1] + 1
 
     def error(self, message: str, pos: int | None = None) -> None:
         line, col = self.location(pos)
         raise AbnfSyntaxError(message, line, col)
 
-    # Whitespace inside a rule body: spaces/tabs, comments, and line
-    # continuations (newline followed by indent). Stops before a newline
-    # that starts a non-indented line.
     def skip_inline(self) -> None:
-        while not self.at_end():
-            ch = self.peek()
-            if ch in _WSP:
-                self.pos += 1
-            elif ch == ";":
-                self._skip_comment()
-            elif ch in "\r\n":
-                save = self.pos
-                self._skip_newline()
-                if self.peek() in _WSP:
-                    continue  # continuation line
-                self.pos = save
-                return
-            else:
-                return
+        """Whitespace inside a rule body; stops before a line break that
+        starts a line with no indent."""
+        self.pos = _INLINE.match(self.text, self.pos).end()
 
-    # Whitespace between rules: anything including blank lines.
     def skip_blank(self) -> None:
-        while not self.at_end():
-            ch = self.peek()
-            if ch in _WSP or ch in "\r\n":
-                self.pos += 1
-            elif ch == ";":
-                self._skip_comment()
-            else:
-                return
-
-    def _skip_comment(self) -> None:
-        while not self.at_end() and self.peek() not in "\r\n":
-            self.pos += 1
-
-    def _skip_newline(self) -> None:
-        if self.eat("\r"):
-            self.eat("\n")
-        else:
-            self.eat("\n")
+        """Whitespace between rules, blank lines and comments included."""
+        self.pos = _BLANK.match(self.text, self.pos).end()
 
     def at_line_break(self) -> bool:
         return self.peek() in ("\r", "\n")
 
     def take_name(self, what: str = "rule name") -> str:
-        if self.peek() not in _NAME_START:
+        m = _NAME.match(self.text, self.pos)
+        if m is None:
             self.error(f"expected {what}")
-        start = self.pos
-        self.pos += 1
-        while self.peek() in _NAME_CONT:
-            self.pos += 1
-        return self.text[start:self.pos]
+        self.pos = m.end()
+        return m.group()
 
     def at_name(self) -> bool:
         return self.peek() in _NAME_START
@@ -281,9 +260,7 @@ class Scanner:
         16). A missing integer is an error that names `what` and points at
         `at` (default: here)."""
         start = self.pos
-        digits = _HEX_DIGITS if base == 16 else _DIGITS
-        while self.peek() in digits:
-            self.pos += 1
+        self.pos = _INT[base].match(self.text, start).end()
         if start == self.pos:
             self.error(f"expected {what}", at)
         try:
@@ -296,15 +273,14 @@ class Scanner:
         scanner sits on the opening quote. Errors name `what` and point at
         the opening quote."""
         start = self.pos
-        self.pos += 1
-        while True:
-            if self.at_end() or self.at_line_break():
-                self.error(f"unterminated {what}", start)
-            ch = self.take()
-            if ch == '"':
-                return self.text[start + 1:self.pos - 1]
-            if not " " <= ch <= "~":
-                self.error(f"non-printable character in {what}", start)
+        end = _QUOTED.match(self.text, start).end()
+        stop = self.text[end:end + 1]
+        if stop == '"':
+            self.pos = end + 1
+            return self.text[start + 1:end]
+        if stop in ("", "\r", "\n"):
+            self.error(f"unterminated {what}", start)
+        self.error(f"non-printable character in {what}", start)
 
 
 # --- element parser -------------------------------------------------------

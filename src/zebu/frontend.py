@@ -25,6 +25,7 @@ recognized inside braces. The full dialect grammar lives in docs/dialect.md.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
@@ -362,9 +363,9 @@ def _collect(elem, prefix, ag, stack, repeated):
         low = elem.name.lower()
         if low in stack:
             return {}
+        if not _rule_masks(ag).get(low, 0) & LEAF_HOLE:
+            return {}  # an undefined rule, or one that reaches no annotation
         rule = abnf.resolve(elem.name, ag.base)
-        if rule is None:
-            return {}
         return _collect(rule.body, prefix, ag, stack | {low}, repeated)
     return {}
 
@@ -411,16 +412,27 @@ LEAF_CODES = 1 << 257  # a char code or char range is reachable
 
 
 def leaf_mask(elem: Element, ag: AnnotatedGrammar) -> int:
-    """The leaf mask of `elem` (see LEAF_HOLE). Each rule body is entered
-    at most once, tracked by a visited set of rule names, so a cycle needs
-    no stack and every answer is complete. Answers are memoised on the
-    grammar (`AnnotatedGrammar.memo`)."""
+    """The leaf mask of `elem` (see LEAF_HOLE): its own leaves, found by a
+    walk that enters no rule, OR'd with the mask of every rule it names
+    (`_rule_masks`). Answers are memoised on the grammar
+    (`AnnotatedGrammar.memo`) as (element, mask)."""
     memo = ag.memo("leaves")
     hit = memo.get(id(elem))
     if hit is not None:
         return hit[1]
+    mask, names = _own_leaves(elem)
+    rule_masks = _rule_masks(ag)
+    for low in names:
+        mask |= rule_masks.get(low, LEAF_HOLE)
+    memo[id(elem)] = (elem, mask)
+    return mask
+
+
+def _own_leaves(elem: Element) -> tuple[int, list[str]]:
+    """The leaf mask of `elem` without the rules it names, and the
+    lowercased names of those rules."""
     mask = 0
-    entered: set[str] = set()
+    names = []
     todo = [elem]
     while todo:
         e = todo.pop()
@@ -431,15 +443,7 @@ def leaf_mask(elem: Element, ag: AnnotatedGrammar) -> int:
         elif isinstance(e, Repetition):
             todo.append(e.inner)
         elif isinstance(e, RuleRef):
-            low = e.name.lower()
-            if low in entered:
-                continue
-            entered.add(low)
-            rule = abnf.resolve(e.name, ag.base)
-            if rule is None:
-                mask |= LEAF_HOLE
-            else:
-                todo.append(rule.body)
+            names.append(e.name.lower())
         elif isinstance(e, LiteralCI):
             for b in e.text.encode("ascii"):
                 mask |= 1 << b
@@ -453,8 +457,37 @@ def leaf_mask(elem: Element, ag: AnnotatedGrammar) -> int:
             mask |= LEAF_HOLE
             if isinstance(e, Annotated):
                 todo.append(e.inner)
-    memo[id(elem)] = (elem, mask)
-    return mask
+    return mask, names
+
+
+def _rule_masks(ag: AnnotatedGrammar) -> dict[str, int]:
+    """Lowercased rule name -> the leaf mask of its body, for every rule of
+    `ag.base` and the core rules; an undefined name counts as LEAF_HOLE.
+    Learnt once per grammar: a rule's mask is the union of the own leaves
+    of the rules it reaches, so one pass over the strongly connected
+    components of the reference graph, successors first, gives them all."""
+    table = ag.memo("rule leaves")
+    if table:
+        return table
+    names = dict.fromkeys(rule.name.lower()
+                          for grammar in (ag.base, abnf.core_rules()) for rule in grammar.definitions)
+    own = {}
+    graph = {}
+    for low in names:
+        mask, refs = _own_leaves(abnf.resolve(low, ag.base).body)
+        if any(r not in names for r in refs):
+            mask |= LEAF_HOLE
+        own[low] = mask
+        graph[low] = [r for r in refs if r in names]
+    for comp in strongly_connected(graph):
+        mask = 0
+        for low in comp:
+            mask |= own[low]
+            for r in graph[low]:
+                mask |= table.get(r, 0)  # a member of `comp` adds its own leaves itself
+        for low in comp:
+            table[low] = mask
+    return table
 
 
 def follow_refs(elem: Element,
@@ -527,6 +560,7 @@ _KIND_ITEMS = frozenset({_MANDATORY_HEADER, _CONSTRAINT})
 _RULE_ITEMS = frozenset({_SHAPE})
 _KEYWORDS = frozenset({"mandatory", "multiple", *_SHAPE_WORDS})
 
+_BLOCK_WS = re.compile(r"[ \t\r\n]*")  # comments are not recognised inside braces
 _CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
 _CHAINS = (("||", Or), ("&&", And))  # loosest first
 
@@ -712,8 +746,8 @@ class _ZebuParser:
         block.exprs.append(self._parse_expr())
 
     def _skip_block_ws(self):
-        while self.s.peek() in (" ", "\t", "\r", "\n"):
-            self.s.pos += 1
+        s = self.s
+        s.pos = _BLOCK_WS.match(s.text, s.pos).end()
 
     # constraint expressions --------------------------------------------------
 

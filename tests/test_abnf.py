@@ -224,3 +224,126 @@ def test_location_starts_a_line_after_each_line_feed_only():
         line, col = (line + 1, 1) if ch == "\n" else (line, col + 1)
     s.pos = 17
     assert s.location() == s.location(17) == (3, 1)
+
+
+# --- the scanner against its character loops --------------------------------
+
+_WSP = " \t"
+_NAME_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_DIGITS = frozenset("0123456789")
+_HEX_DIGITS = _DIGITS | frozenset("abcdefABCDEF")
+_NAME_CONT = _NAME_START | _DIGITS | {"-"}
+
+
+class LoopScanner(Scanner):
+    """The scanner as one Python call per character, the reference the
+    regex scanner must agree with."""
+
+    def location(self, pos=None):
+        p = self.pos if pos is None else pos
+        line = self.text.count("\n", 0, p) + 1
+        col = p - (self.text.rfind("\n", 0, p) + 1) + 1
+        return line, col
+
+    def skip_inline(self):
+        while not self.at_end():
+            ch = self.peek()
+            if ch in _WSP:
+                self.pos += 1
+            elif ch == ";":
+                self._skip_comment()
+            elif ch in "\r\n":
+                save = self.pos
+                self._skip_newline()
+                if self.peek() in _WSP:  # "" in _WSP: a break that ends the input
+                    continue
+                self.pos = save
+                return
+            else:
+                return
+
+    def skip_blank(self):
+        while not self.at_end():
+            ch = self.peek()
+            if ch in _WSP or ch in "\r\n":
+                self.pos += 1
+            elif ch == ";":
+                self._skip_comment()
+            else:
+                return
+
+    def _skip_comment(self):
+        while not self.at_end() and self.peek() not in "\r\n":
+            self.pos += 1
+
+    def _skip_newline(self):
+        if self.eat("\r"):
+            self.eat("\n")
+        else:
+            self.eat("\n")
+
+    def take_name(self, what="rule name"):
+        if self.peek() not in _NAME_START:
+            self.error(f"expected {what}")
+        start = self.pos
+        self.pos += 1
+        while self.peek() in _NAME_CONT:
+            self.pos += 1
+        return self.text[start:self.pos]
+
+    def take_int(self, base=10, what="an integer", at=None):
+        start = self.pos
+        digits = _HEX_DIGITS if base == 16 else _DIGITS
+        while self.peek() in digits:
+            self.pos += 1
+        if start == self.pos:
+            self.error(f"expected {what}", at)
+        try:
+            return int(self.text[start:self.pos], base)
+        except ValueError:
+            self.error("integer has too many digits", start)
+
+    def take_quoted(self, what):
+        start = self.pos
+        self.pos += 1
+        while True:
+            if self.at_end() or self.at_line_break():
+                self.error(f"unterminated {what}", start)
+            ch = self.take()
+            if ch == '"':
+                return self.text[start + 1:self.pos - 1]
+            if not " " <= ch <= "~":
+                self.error(f"non-printable character in {what}", start)
+
+
+# ABNF's punctuation and line breaks, letters and digits (hex ones too),
+# and the characters that sit just outside the scanner's classes
+_SCAN_TEXT = st.text(alphabet=' \t\r\n;"%=/*()[]<>-.aFgzAZ09~\x7f\x00é²٣',
+                     max_size=40)
+_SCANS = (("skip_inline", ()), ("skip_blank", ()), ("take_name", ()),
+          ("take_name", ("header name",)), ("take_int", ()), ("take_int", (16,)),
+          ("take_int", (16, "a character code", 0)), ("take_quoted", ("string literal",)))
+
+
+def _scan(cls, text, pos, method, args):
+    s = cls(text)
+    s.pos = pos
+    try:
+        return "ok", getattr(s, method)(*args), s.pos
+    except AbnfSyntaxError as err:
+        return "error", err.message, err.line, err.col
+
+
+# `--hypothesis-profile ci` runs 3 000 examples; CI does
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(_SCAN_TEXT, st.data())
+def test_scanner_agrees_with_its_character_loops(text, data):
+    pos = data.draw(st.integers(0, len(text)))
+    for method, args in _SCANS:
+        if method == "take_quoted" and text[pos:pos + 1] != '"':
+            continue  # the scanner must sit on the opening quote
+        assert _scan(Scanner, text, pos, method, args) == \
+            _scan(LoopScanner, text, pos, method, args), method
+    regex, loops = Scanner(text), LoopScanner(text)
+    assert [regex.location(p) for p in range(len(text) + 1)] == \
+        [loops.location(p) for p in range(len(text) + 1)]

@@ -5,11 +5,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import grammar_text
-from zebu.abnf import AbnfSyntaxError, parse_abnf
+from zebu import abnf
+from zebu.abnf import (
+    AbnfSyntaxError,
+    Alternation,
+    CharCodes,
+    CharRange,
+    LiteralCI,
+    Repetition,
+    RuleRef,
+    Sequence,
+    parse_abnf,
+)
 from zebu.cli import main
 from zebu.engine import compile_grammar, validate
 from zebu.errors import ZebuError
 from zebu.frontend import (
+    LEAF_CODES,
+    LEAF_HOLE,
     Annotated,
     DuplicateEntryPoint,
     DuplicateSubfield,
@@ -22,6 +35,7 @@ from zebu.frontend import (
     is_range_shaped,
     iter_field_refs,
     iter_unresolved,
+    leaf_mask,
     parse_zebu,
     resolve_constraint_refs,
 )
@@ -457,3 +471,76 @@ def test_front_end_raises_only_zebu_errors(text):
     if has_errors(verify_all(ag)):
         return
     validate(compile_grammar(ag), b"GO 1\r\nH: x\r\n\r\n")
+
+
+def visited_set_leaf_mask(elem, ag):
+    """The leaf mask by one walk from `elem` that enters each rule body at
+    most once, tracked by a visited set: the reference `leaf_mask` must
+    agree with."""
+    mask = 0
+    entered = set()
+    todo = [elem]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, Sequence):
+            todo.extend(e.items)
+        elif isinstance(e, Alternation):
+            todo.extend(e.branches)
+        elif isinstance(e, Repetition):
+            todo.append(e.inner)
+        elif isinstance(e, RuleRef):
+            low = e.name.lower()
+            if low in entered:
+                continue
+            entered.add(low)
+            rule = abnf.resolve(e.name, ag.base)
+            if rule is None:
+                mask |= LEAF_HOLE
+            else:
+                todo.append(rule.body)
+        elif isinstance(e, LiteralCI):
+            for b in e.text.encode("ascii"):
+                mask |= 1 << b
+        elif isinstance(e, CharCodes):
+            mask |= LEAF_CODES
+            for b in e.data:
+                mask |= 1 << b
+        elif isinstance(e, CharRange):
+            mask |= LEAF_CODES | (1 << e.hi + 1) - (1 << e.lo)
+        else:
+            mask |= LEAF_HOLE
+            if isinstance(e, Annotated):
+                todo.append(e.inner)
+    return mask
+
+
+def _elements_of(elem):
+    yield elem
+    for child in getattr(elem, "items", None) or getattr(elem, "branches", None) or ():
+        yield from _elements_of(child)
+    if isinstance(elem, (Repetition, Annotated)):
+        yield from _elements_of(elem.inner)
+
+
+# Rules that reach one another in cycles, through annotations and through
+# undefined rules, ahead of a random spec that may use or redefine them
+_CYCLES = (
+    "",
+    'Ring = Link / "r"\nLink = *Ring Tail "l"\nTail = Missing / Ring\n',
+    'header K = Self:s\nSelf = "s" [ Self ] / Gap:g:uint16\n',
+    "Loop = [ Loop ] DIGIT:d SP\nA = Loop / %x00-1F / WSP\n",
+)
+
+
+# `--hypothesis-profile ci` runs 3 000 examples; CI does
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(st.sampled_from(_CYCLES), _spec_texts)
+def test_leaf_mask_agrees_with_the_visited_set_walk(cycles, text):
+    try:
+        ag = parse_zebu(cycles + text)
+    except ZebuError:
+        return
+    bodies = [rule.body for rule in ag.base.definitions]
+    bodies += [body for _, body in ag.entry_points()]
+    for elem in (e for body in bodies for e in _elements_of(body)):
+        assert leaf_mask(elem, ag) == visited_set_leaf_mask(elem, ag), elem
