@@ -132,6 +132,7 @@ class Cmp:
     op: str  # == != < <= > >=
     lhs: object
     rhs: object
+    span: tuple[int, int] = field(default=(0, 0), compare=False)  # line, column of `lhs`
 
 
 @dataclass
@@ -778,13 +779,14 @@ class _ZebuParser:
             self._skip_block_ws()
             s.expect(")", "')'")
             return inner
+        span = s.location()
         lhs = self._parse_operand()
         self._skip_block_ws()
         op = next((op for op in _CMP_OPS if s.eat(op)), None)
         if op is None:
             s.error("expected a comparison operator")
         rhs = self._parse_operand()
-        return Cmp(op, lhs, rhs)
+        return Cmp(op, lhs, rhs, span)
 
     def _parse_operand(self):
         s = self.s

@@ -412,7 +412,7 @@ def check_constraint_refs(ag: AnnotatedGrammar) -> list[Diagnostic]:
                 else:
                     types.add(int)
             if types == {int, bytes}:
-                span = next((x.span for x in operands if isinstance(x, FieldRef)), (0, 0))
+                span = next((x.span for x in operands if isinstance(x, FieldRef)), cmp.span)
                 out.append(_error(Code.TYPE_MISMATCH,
                                   f"constraint '{expr_to_text(cmp)}' compares a number with "
                                   f"bytes, which are never equal", span))

@@ -220,6 +220,8 @@ COMPARED = ('header H = 1*DIGIT:d SP 1*DIGIT:n:uint16 SP M:m\n'
     ("message.kind == 1", [("message.kind == 1", (5, 11))]),
     # each comparison is judged on its own
     ('H.n == 5 && !(H.d == "5" || H.m == H.d)', [("H.m == H.d", (5, 39))]),
+    # two literals: the comparison's own span
+    ('H.n == 5 && (5 == "a")', [('5 == "a"', (5, 24))]),
     # numbers with numbers, bytes with bytes
     ('H.n == 5 && H.m == 1 && H.n > H.m && H.d == "5" && message.kind == "REQUEST"', []),
 ])
