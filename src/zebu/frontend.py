@@ -437,55 +437,58 @@ def _own_leaves(elem: Element) -> tuple[int, list[str]]:
     todo = [elem]
     while todo:
         e = todo.pop()
-        if isinstance(e, Sequence):
-            todo.extend(e.items)
-        elif isinstance(e, Alternation):
-            todo.extend(e.branches)
-        elif isinstance(e, Repetition):
-            todo.append(e.inner)
-        elif isinstance(e, RuleRef):
+        kind = type(e)
+        if kind is RuleRef:
             names.append(e.name.lower())
-        elif isinstance(e, LiteralCI):
+        elif kind is LiteralCI:
             for b in e.text.encode("ascii"):
                 mask |= 1 << b
-        elif isinstance(e, CharCodes):
+        elif kind is Sequence:
+            todo.extend(e.items)
+        elif kind is Alternation:
+            todo.extend(e.branches)
+        elif kind is Repetition:
+            todo.append(e.inner)
+        elif kind is CharCodes:
             mask |= LEAF_CODES
             for b in e.data:
                 mask |= 1 << b
-        elif isinstance(e, CharRange):
+        elif kind is CharRange:
             mask |= LEAF_CODES | (1 << e.hi + 1) - (1 << e.lo)
         else:
             mask |= LEAF_HOLE
-            if isinstance(e, Annotated):
+            if kind is Annotated:
                 todo.append(e.inner)
     return mask, names
 
 
 def _rule_masks(ag: AnnotatedGrammar) -> dict[str, int]:
     """Lowercased rule name -> the leaf mask of its body, for every rule of
-    `ag.base` and the core rules; an undefined name counts as LEAF_HOLE.
-    Learnt once per grammar: a rule's mask is the union of the own leaves
-    of the rules it reaches, so one pass over the strongly connected
-    components of the reference graph, successors first, gives them all."""
+    `ag.base` and the core rules; an undefined name it reaches sets
+    LEAF_HOLE. Learnt once per grammar: a rule's mask is the union of the
+    own leaves of the rules it reaches, so one pass over the strongly
+    connected components of the reference graph, successors first, gives
+    them all."""
     table = ag.memo("rule leaves")
     if table:
         return table
-    names = dict.fromkeys(rule.name.lower()
-                          for grammar in (ag.base, abnf.core_rules()) for rule in grammar.definitions)
+    rules = {}  # as abnf.resolve finds them: a base rule's first definition, then core
+    for grammar in (ag.base, abnf.core_rules()):
+        for rule in grammar.definitions:
+            rules.setdefault(rule.name.lower(), rule)
     own = {}
     graph = {}
-    for low in names:
-        mask, refs = _own_leaves(abnf.resolve(low, ag.base).body)
-        if any(r not in names for r in refs):
-            mask |= LEAF_HOLE
-        own[low] = mask
-        graph[low] = [r for r in refs if r in names]
+    for low, rule in rules.items():
+        mask, refs = _own_leaves(rule.body)
+        defined = [r for r in refs if r in rules]
+        own[low] = mask if len(defined) == len(refs) else mask | LEAF_HOLE
+        graph[low] = defined
     for comp in strongly_connected(graph):
         mask = 0
         for low in comp:
             mask |= own[low]
             for r in graph[low]:
-                mask |= table.get(r, 0)  # a member of `comp` adds its own leaves itself
+                mask |= table.get(r, 0)  # 0 for a member of `comp`: its own leaves are in
         for low in comp:
             table[low] = mask
     return table

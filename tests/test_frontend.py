@@ -523,12 +523,14 @@ def _elements_of(elem):
 
 
 # Rules that reach one another in cycles, through annotations and through
-# undefined rules, ahead of a random spec that may use or redefine them
+# undefined rules, or that are defined twice or redefine a core rule, ahead
+# of a random spec that may use or redefine them
 _CYCLES = (
     "",
     'Ring = Link / "r"\nLink = *Ring Tail "l"\nTail = Missing / Ring\n',
     'header K = Self:s\nSelf = "s" [ Self ] / Gap:g:uint16\n',
     "Loop = [ Loop ] DIGIT:d SP\nA = Loop / %x00-1F / WSP\n",
+    'Twice = "t"\nTwice = %x00\nDIGIT = "d" / Twice\nA = Twice HEXDIG\n',
 )
 
 
