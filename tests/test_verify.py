@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from zebu import abnf
 from zebu.cli import main
 from zebu.frontend import parse_zebu
 from zebu.verify import (
@@ -314,6 +315,43 @@ def test_unreachable_rule_is_warning_only():
     assert len(unreachable) == 1
     assert not unreachable[0].is_error
     assert not has_errors(diags)
+
+
+# A spec whose fifth line redefines a core rule: the new definition holds
+# wherever the name resolves, inside the other core rules too
+_CORE_BASE = ('requestLine = "GO" WSP Word\nstatusLine = "NO"\nheader H = 1*DIGIT\n'
+              'Word = 1*ALPHA\n')
+
+
+@pytest.mark.parametrize("redefinition, message", [
+    ("SP = WSP", "rule cycle: SP -> WSP -> SP"),
+    ("LF = CRLF", "rule cycle: LF -> CRLF -> LF"),
+])
+def test_a_cycle_through_a_core_rule_is_reported_where_the_spec_closes_it(redefinition, message):
+    ag = parse_zebu(_CORE_BASE + redefinition + "\n")
+    cycles = [d for d in verify_all(ag) if d.code is Code.RULE_CYCLE]
+    assert [(d.message, d.span) for d in cycles] == [(message, (5, 1))]
+    path = cycles[0].cycle_path
+    for src, dst in zip(path, path[1:]):
+        assert dst.lower() in repr(abnf.resolve(src, ag.base).body).lower()
+
+
+def test_a_redefined_core_rule_reached_through_core_rules_is_reachable():
+    ag = parse_zebu(_CORE_BASE + "HTAB = %x09 / %x0B\nVCHAR = %x21-7E\n")
+    diags = verify_all(ag)
+    assert [(d.code, d.message, d.span) for d in diags] == [(
+        Code.UNREACHABLE_RULE, "rule 'VCHAR' is never referenced from any entry point", (6, 1))]
+
+
+@pytest.mark.parametrize("command", ["check", "compile"])
+def test_a_cycle_through_a_core_rule_stops_check_and_compile(tmp_path, capsys, command):
+    spec = tmp_path / "spec.zebu"
+    spec.write_text(_CORE_BASE + "SP = WSP\n")
+    args = [command, str(spec)] + (["-o", str(tmp_path / "out.zbc")] if command == "compile" else [])
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert "spec.zebu:5:1: error[RULE_CYCLE]: rule cycle: SP -> WSP -> SP" in captured.err
+    assert "inlining depth exceeded" not in captured.out + captured.err
 
 
 def test_bundled_grammars_verify_clean(sip_ag, rtsp_ag):
