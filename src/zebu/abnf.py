@@ -296,15 +296,11 @@ class ElementParser:
         self.s = scanner
 
     def parse_alternation(self) -> Element:
-        branches = [self.parse_sequence()]
-        while True:
+        branches = [self.parse_sequence()]  # each ends past inline whitespace
+        while self.s.peek() == "/":
+            self.s.take()
             self.s.skip_inline()
-            if self.s.peek() == "/":
-                self.s.take()
-                self.s.skip_inline()
-                branches.append(self.parse_sequence())
-            else:
-                break
+            branches.append(self.parse_sequence())
         return branches[0] if len(branches) == 1 else Alternation(tuple(branches))
 
     def parse_sequence(self) -> Element:
@@ -354,14 +350,12 @@ class ElementParser:
             s.take()
             s.skip_inline()
             inner = self.parse_alternation()
-            s.skip_inline()
             s.expect(")", "')'")
             return inner
         if ch == "[":
             s.take()
             s.skip_inline()
             inner = self.parse_alternation()
-            s.skip_inline()
             s.expect("]", "']'")
             return Repetition(0, 1, inner)
         if ch == '"':

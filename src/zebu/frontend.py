@@ -28,6 +28,7 @@ import enum
 import re
 from dataclasses import dataclass, field
 from itertools import zip_longest
+from typing import NamedTuple
 
 from . import abnf
 from .abnf import (
@@ -364,10 +365,10 @@ def _collect(elem, prefix, ag, stack, repeated):
         low = elem.name.lower()
         if low in stack:
             return {}
-        if not _rule_masks(ag).get(low, 0) & LEAF_HOLE:
+        graph = rule_graph(ag)
+        if not graph.masks.get(low, 0) & LEAF_HOLE:
             return {}  # an undefined rule, or one that reaches no annotation
-        rule = abnf.resolve(elem.name, ag.base)
-        return _collect(rule.body, prefix, ag, stack | {low}, repeated)
+        return _collect(graph.rules[low].rule.body, prefix, ag, stack | {low}, repeated)
     return {}
 
 
@@ -415,31 +416,39 @@ LEAF_CODES = 1 << 257  # a char code or char range is reachable
 def leaf_mask(elem: Element, ag: AnnotatedGrammar) -> int:
     """The leaf mask of `elem` (see LEAF_HOLE): its own leaves, found by a
     walk that enters no rule, OR'd with the mask of every rule it names
-    (`_rule_masks`). Answers are memoised on the grammar
+    (`RuleGraph.masks`). Answers are memoised on the grammar
     (`AnnotatedGrammar.memo`) as (element, mask)."""
     memo = ag.memo("leaves")
     hit = memo.get(id(elem))
     if hit is not None:
         return hit[1]
-    mask, names = _own_leaves(elem)
-    rule_masks = _rule_masks(ag)
-    for low in names:
-        mask |= rule_masks.get(low, LEAF_HOLE)
+    rule_masks = rule_graph(ag).masks
+    mask, refs, _ = _own_leaves(elem, rule_masks)
+    for low in refs:
+        mask |= rule_masks[low]
     memo[id(elem)] = (elem, mask)
     return mask
 
 
-def _own_leaves(elem: Element) -> tuple[int, list[str]]:
-    """The leaf mask of `elem` without the rules it names, and the
-    lowercased names of those rules."""
+def _own_leaves(elem: Element, rules: dict) -> tuple[int, list[str], list[str]]:
+    """The leaf mask of `elem` without the rules it names, with LEAF_HOLE
+    when it names one that is not a key of `rules`; the lowercased names it
+    references that are keys of `rules`, and the others as written, each in
+    source order."""
     mask = 0
-    names = []
+    refs = []
+    missing = []
     todo = [elem]
     while todo:
         e = todo.pop()
         kind = type(e)
         if kind is RuleRef:
-            names.append(e.name.lower())
+            low = e.name.lower()
+            if low in rules:
+                refs.append(low)
+            else:
+                missing.append(e.name)
+                mask |= LEAF_HOLE
         elif kind is LiteralCI:
             for b in e.text.encode("ascii"):
                 mask |= 1 << b
@@ -459,39 +468,64 @@ def _own_leaves(elem: Element) -> tuple[int, list[str]]:
             mask |= LEAF_HOLE
             if kind is Annotated:
                 todo.append(e.inner)
-    return mask, names
+    # children go on the stack in order and come off last first, so the walk
+    # meets the rule names, which are leaves, in reverse source order
+    refs.reverse()
+    missing.reverse()
+    return mask, refs, missing
 
 
-def _rule_masks(ag: AnnotatedGrammar) -> dict[str, int]:
-    """Lowercased rule name -> the leaf mask of its body, for every rule of
-    `ag.base` and the core rules; an undefined name it reaches sets
-    LEAF_HOLE. Learnt once per grammar: a rule's mask is the union of the
-    own leaves of the rules it reaches, so one pass over the strongly
-    connected components of the reference graph, successors first, gives
-    them all."""
-    table = ag.memo("rule leaves")
-    if table:
-        return table
-    rules = {}  # as abnf.resolve finds them: a base rule's first definition, then core
+# --- the rule-reference graph --------------------------------------------------
+
+class RefNode(NamedTuple):
+    """A rule or an entry point of the reference graph: its definition, its
+    own leaves, the lowercased names of the rules its body references, and
+    the names that resolve to nothing, as written (`_own_leaves`)."""
+    rule: Rule | HeaderDecl  # a header's declaration has a name, a body and a span too
+    own: int
+    refs: list[str]
+    missing: list[str]
+
+
+@dataclass(frozen=True)
+class RuleGraph:
+    """The rule-reference graph that `abnf.resolve` follows, core rules
+    included: a spec's redefinition of a core rule holds inside the other
+    core rules too. The verifier and the leaf masks read it."""
+    # by lowercased name: ag.base's first definitions in source order, then the core rules
+    rules: dict[str, RefNode]
+    entries: list[RefNode]  # the command lines, in COMMAND_LINE order, then the headers
+    components: list[list[str]]  # strongly connected components of `rules`, successors first
+    masks: dict[str, int]  # each rule's leaf mask
+
+
+def rule_graph(ag: AnnotatedGrammar) -> RuleGraph:
+    """The reference graph of `ag`, built once per grammar
+    (`AnnotatedGrammar.memo`). A rule's leaf mask is the union of the own
+    leaves of the rules it reaches, so one pass over the components,
+    successors first, gives them all."""
+    memo = ag.memo("rule graph")
+    if memo:
+        return memo["graph"]
+    found = {}
     for grammar in (ag.base, abnf.core_rules()):
         for rule in grammar.definitions:
-            rules.setdefault(rule.name.lower(), rule)
-    own = {}
-    graph = {}
-    for low, rule in rules.items():
-        mask, refs = _own_leaves(rule.body)
-        defined = [r for r in refs if r in rules]
-        own[low] = mask if len(defined) == len(refs) else mask | LEAF_HOLE
-        graph[low] = defined
-    for comp in strongly_connected(graph):
+            found.setdefault(rule.name.lower(), rule)
+    rules = {low: RefNode(rule, *_own_leaves(rule.body, found)) for low, rule in found.items()}
+    entries = [ag.command_lines[kind] for kind in COMMAND_LINE if kind in ag.command_lines]
+    entries = [RefNode(e, *_own_leaves(e.body, found)) for e in entries + ag.headers]
+    components = strongly_connected({low: n.refs for low, n in rules.items()})
+    masks = {}
+    for comp in components:
         mask = 0
         for low in comp:
-            mask |= own[low]
-            for r in graph[low]:
-                mask |= table.get(r, 0)  # 0 for a member of `comp`: its own leaves are in
+            mask |= rules[low].own
+            for r in rules[low].refs:
+                mask |= masks.get(r, 0)  # 0 for a member of `comp`: its own leaves are in
         for low in comp:
-            table[low] = mask
-    return table
+            masks[low] = mask
+    graph = memo["graph"] = RuleGraph(rules, entries, components, masks)
+    return graph
 
 
 def follow_refs(elem: Element,
@@ -703,10 +737,10 @@ class _ZebuParser:
 
     def _block(self, takes: frozenset, what: str = "annotation block") -> _Block:
         """The `{ ... }` block that may follow a declaration, holding only
-        the items in `takes`; an empty `_Block` when there is none."""
+        the items in `takes`; an empty `_Block` when there is none. Every
+        caller stands past inline whitespace."""
         s = self.s
         block = _Block()
-        s.skip_inline()
         if not s.eat("{"):
             return block
         while True:

@@ -110,7 +110,9 @@ from .frontend import Annotated, AnnotatedGrammar, Shape, Subfield
 
 
 class InliningDepthExceeded(ZebuError):
-    """Defensive bound hit while inlining; signals a verifier bug."""
+    """Defensive bound hit while inlining. The verifier rejects every rule
+    cycle, through core rules too (`WSP` reads a redefined `SP`), so only a
+    verifier bug or an acyclic chain deeper than `_MAX_INLINE_DEPTH` hits it."""
 
 
 class MatchBudgetExceeded(ZebuError):

@@ -322,15 +322,15 @@ def _starts(elem, ag: AnnotatedGrammar) -> int:
 
 def _learn_rules(ag: AnnotatedGrammar, rules: dict) -> None:
     """Fill `rules` with lowercased rule name -> `(first, nullable)` for
-    every rule, the least fixed point over rule references."""
-    bodies = {rule.name.lower(): rule.body for rule in abnf.core_rules()}
-    bodies.update((rule.name.lower(), rule.body) for rule in ag.base)
-    rules.update((name, (0, False)) for name in bodies)
+    every rule of the grammar's reference graph, the least fixed point
+    over rule references."""
+    graph = frontend.rule_graph(ag).rules
+    rules.update((name, (0, False)) for name in graph)
     changed = True
     while changed:
         changed = False
-        for name, body in bodies.items():
-            fact = _first_of(body, rules)
+        for name, node in graph.items():
+            fact = _first_of(node.rule.body, rules)
             if fact != rules[name]:
                 rules[name], changed = fact, True
 

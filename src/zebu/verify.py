@@ -5,16 +5,21 @@ rule-reference graph is acyclic, type annotations are consistent with
 what the annotated rules can derive, and every constraint operand names a
 subfield that compares, and never a number with bytes. Compilation
 proceeds only when no ERROR-severity diagnostic is produced.
+
+The omission, cycle and reachability checks read the grammar's one
+reference graph (`frontend.rule_graph`), the one name resolution follows.
+A spec may redefine a core rule, and the new definition holds inside the
+other core rules too (`WSP` reads a redefined `SP`), so cycles and
+reachability are judged through the core rules.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator
 
 from . import abnf
-from .abnf import Alternation, CharCodes, CharRange, Element, LiteralCI, Repetition, RuleRef, Sequence
+from .abnf import Alternation, CharCodes, CharRange, LiteralCI, Repetition, RuleRef, Sequence
 from .frontend import (
     BUILTIN_MESSAGE,
     COMMAND_LINE,
@@ -31,7 +36,7 @@ from .frontend import (
     leaf_mask,
     resolve_to_alternation,
     rule_def_shape,
-    strongly_connected,
+    rule_graph,
 )
 
 
@@ -76,60 +81,23 @@ def _warning(code, message, span=(0, 0)):
     return Diagnostic(Severity.WARNING, code, message, span)
 
 
-# --- reference walking -------------------------------------------------------
-
-def _iter_refs(elem: Element) -> Iterator[RuleRef]:
-    if isinstance(elem, RuleRef):
-        yield elem
-    elif isinstance(elem, Annotated):
-        yield from _iter_refs(elem.inner)
-    elif isinstance(elem, Sequence):
-        for item in elem.items:
-            yield from _iter_refs(item)
-    elif isinstance(elem, Alternation):
-        for branch in elem.branches:
-            yield from _iter_refs(branch)
-    elif isinstance(elem, Repetition):
-        yield from _iter_refs(elem.inner)
-
-
-def _references(ag: AnnotatedGrammar):
-    """Each rule's references, keyed by the rule's lowercased name in source
-    order (first definitions only), and each entry point's `(span, refs)`:
-    a command line's rule span, a header's declaration span. The one walk
-    of the bodies that the omission, cycle and reachability checks share,
-    kept on the grammar (`AnnotatedGrammar.memo`)."""
-    memo = ag.memo("references")
-    if not memo:
-        memo["rules"] = {rule.name.lower(): (rule, tuple(_iter_refs(rule.body)))
-                         for rule in ag.base}
-        entries = [ag.command_lines[kind] for kind in COMMAND_LINE
-                   if kind in ag.command_lines] + ag.headers
-        memo["entries"] = tuple((entry.span, tuple(_iter_refs(entry.body)))
-                                for entry in entries)
-    return memo["rules"], memo["entries"]
-
-
 # --- the four checks ---------------------------------------------------------
 
 def check_no_omission(ag: AnnotatedGrammar) -> list[Diagnostic]:
     """One UNDEFINED_RULE per distinct referenced-but-undefined name, at
     the first rule or entry point that references it."""
-    rules, entries = _references(ag)
+    graph = rule_graph(ag)
     out = []
     seen = set()
-    sites = [(rule.span, refs) for rule, refs in rules.values()]
-    for span, refs in sites + list(entries):
-        for ref in refs:
-            low = ref.name.lower()
-            if low in seen:
-                continue
-            seen.add(low)
-            if abnf.resolve(ref.name, ag.base) is None:
+    for node in [*graph.rules.values(), *graph.entries]:
+        for name in node.missing:
+            low = name.lower()
+            if low not in seen:
+                seen.add(low)
                 out.append(_error(
                     Code.UNDEFINED_RULE,
-                    f"rule {ref.name!r} is referenced but never defined",
-                    span,
+                    f"rule {name!r} is referenced but never defined",
+                    node.rule.span,
                 ))
     return out
 
@@ -168,33 +136,32 @@ def check_no_duplicates(ag: AnnotatedGrammar) -> list[Diagnostic]:
 
 def check_no_cycles(ag: AnnotatedGrammar) -> list[Diagnostic]:
     """One RULE_CYCLE per strongly connected component of size > 1 or
-    self-loop in the rule-reference graph, with a witness path."""
-    rules, _ = _references(ag)
-    graph = {low: [t for t in (ref.name.lower() for ref in refs) if t in rules]
-             for low, (_, refs) in rules.items()}
-
+    self-loop in the rule-reference graph, with a witness path from the
+    first member by name that the spec defines, at its definition."""
+    graph = rule_graph(ag)
     out = []
-    for scc in [sorted(c) for c in strongly_connected(graph)]:
-        members = set(scc)
-        if len(scc) > 1 or scc[0] in graph.get(scc[0], ()):
-            path = _witness_cycle(graph, scc[0], members)
-            names = tuple(rules[n][0].name for n in path)
+    for comp in graph.components:
+        if len(comp) > 1 or comp[0] in graph.rules[comp[0]].refs:
+            # a cycle passes through a rule of the spec: core rules alone have none
+            start = min(low for low in comp if low in ag.base)
+            path = _witness_cycle(graph.rules, start, set(comp))
+            names = tuple(graph.rules[low].rule.name for low in path)
             out.append(_error(
                 Code.RULE_CYCLE,
                 "rule cycle: " + " -> ".join(names),
-                rules[scc[0]][0].span,
+                graph.rules[start].rule.span,
                 cycle=names,
             ))
     return out
 
 
-def _witness_cycle(graph, start, members) -> list[str]:
+def _witness_cycle(rules, start, members) -> list[str]:
     # DFS within the SCC from start back to start
     stack = [(start, [start])]
     visited = set()
     while stack:
         node, path = stack.pop()
-        for nxt in graph.get(node, ()):
+        for nxt in rules[node].refs:
             if nxt == start:
                 return path + [start]
             if nxt in members and nxt not in visited:
@@ -359,17 +326,14 @@ def check_entry_points(ag: AnnotatedGrammar) -> list[Diagnostic]:
 
 
 def check_unreachable(ag: AnnotatedGrammar) -> list[Diagnostic]:
-    rules, entries = _references(ag)
+    graph = rule_graph(ag)
     reachable: set[str] = set()
-    frontier = [refs for _, refs in entries]
+    frontier = [node.refs for node in graph.entries]
     while frontier:
-        for ref in frontier.pop():
-            low = ref.name.lower()
-            if low in reachable:
-                continue
-            reachable.add(low)
-            if low in rules:
-                frontier.append(rules[low][1])
+        for low in frontier.pop():
+            if low not in reachable:
+                reachable.add(low)
+                frontier.append(graph.rules[low].refs)
     out = []
     for rule in ag.base:
         if rule.name.lower() not in reachable:

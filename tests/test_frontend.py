@@ -434,17 +434,20 @@ _TOKENS = (
     "protocol", "requestLine", "statusLine", "header", "request", "response",
     "range", "mandatory", "multiple", "enum", "uint16", "uint32", "struct",
     "union", "lazy", "x", "A", "H", "DIGIT", "VCHAR", "SP", "H.v", "a.b",
+    "WSP", "CRLF", "HEXDIG",
     "0", "1", "7", "70000", "9" * 4301, "\u00b2", "\u0663", "\u00e9", "\u00df",
     '"', '"a"', '"\u00e9"', '""', "%x41", "%x30-39", "%d", "%b1", "<p>",
     "{", "}", "(", ")", "[", "]", "/", "*", "=", "=/", ":", ";", ".",
     "==", "!=", "<", "<=", ">", ">=", "&&", "||", "!",
     " ", "\t", "\n", "\r\n", "\n ",
 )
-# Each line starts with one of these: nothing, a declaration's head, or a
-# whole declaration that the drawn tokens may extend or break
-_HEADS = ("", "A = ", "header K = ", 'header K { "k" } = ', "request { ", "range A = ",
+# Each line starts with one of these: nothing, a declaration's head (some
+# redefine a core rule), or a whole declaration that the drawn tokens may
+# extend or break
+_HEADS = ("", "A = ", "SP = ", "LF = ", "HTAB = ", "header K = ", 'header K { "k" } = ',
+          "request { ", "range A = ",
           'A = "a" / "b" { enum }', "header K = 1*DIGIT:n:uint16 { K.n < 9; multiple }",
-          'request { mandatory H; H.v != "a" }', "range A = 0 <= x < 9",
+          'request { mandatory H; H.v != "a" }', "range A = 0 <= x < 9", "SP = WSP",
           # one name declared in two alternation branches
           'header K = A:e:enum "x" / WSP:e:enum "y"',
           'header K = WSP:e:enum "x" / DIGIT:e:enum "y"',
