@@ -530,17 +530,19 @@ def rule_graph(ag: AnnotatedGrammar) -> RuleGraph:
 
 def follow_refs(elem: Element,
                 ag: AnnotatedGrammar) -> tuple[Element, tuple[str, ...]] | None:
-    """Follow `elem`'s chain of rule references to the first element that
-    is not one. Returns that element and the lowercased names of the rules
-    passed through, or None when the chain loops or names an undefined rule."""
+    """Follow `elem`'s chain of rule references through the rule graph to the
+    first element that is not one. Returns that element and the lowercased
+    names of the rules passed through, or None when the chain loops or names
+    an undefined rule."""
+    rules = rule_graph(ag).rules
     names: list[str] = []
     while isinstance(elem, RuleRef):
         low = elem.name.lower()
-        rule = abnf.resolve(elem.name, ag.base)
-        if low in names or rule is None:
+        node = rules.get(low)
+        if low in names or node is None:
             return None
         names.append(low)
-        elem = rule.body
+        elem = node.rule.body
     return elem, tuple(names)
 
 

@@ -1,15 +1,16 @@
 """Executable match patterns compiled from entry-point grammar bodies.
 
-`compile_pattern` fully inlines rule references (the verifier guarantees
-acyclicity) and attaches capture nodes for named subfields. It builds each
-node in its final form from final children (`_seq`, `_alt`, `_rep`,
-`_cap`), and a capture-free rule body once per grammar: that one node is
-shared wherever the rule is inlined. `match_spans`
-decides whether the whole subject derives from the inlined tree under one
-disambiguation contract: alternation branches are tried in source order,
-repetition is greedy, and backtracking is complete, so a subject matches
-iff some derivation exists. Captures report the spans of the first
-successful derivation under that order.
+`compile_pattern` fully inlines rule references as the grammar's rule
+graph resolves them (the verifier guarantees acyclicity) and attaches
+capture nodes for named subfields. It builds each node in its final form
+from final children (`_seq`, `_alt`, `_rep`, `_cap`). The graph's leaf
+mask decides sharing: a rule body that reaches no annotation is compiled
+once per grammar, and that one node is shared wherever it is inlined.
+`match_spans` decides whether the whole subject derives from the inlined
+tree under one disambiguation contract: alternation branches are tried in
+source order, repetition is greedy, and backtracking is complete, so a
+subject matches iff some derivation exists. Captures report the spans of
+the first successful derivation under that order.
 
 `compile_grammar` compiles the engine's patterns for line-free subjects
 (`line_free`), as no subject the engine hands a matcher holds CR or LF: a
@@ -64,7 +65,8 @@ why any other pattern runs on the interpreter (`interpreter_reason`).
     merely atomic, because some CPython releases misplace a group inside a
     possessive repetition.
 * the budgeted backtracking interpreter, for trees the guard flags, for
-  a regex `re` cannot compile, and for bare pattern nodes.
+  trees nested too deeply for its recursive walks to judge, for a regex
+  `re` cannot compile, and for bare pattern nodes.
 
 The guard judges the position automaton of the translated tree, cuts
 included; a possessive tail as the atomic repetition it refines. It flags
@@ -93,7 +95,7 @@ from functools import cached_property, reduce
 from operator import and_, or_
 from typing import Optional, Union
 
-from . import abnf, frontend
+from . import frontend
 from .abnf import (
     Alternation,
     CharCodes,
@@ -107,12 +109,6 @@ from .abnf import (
 )
 from .errors import ZebuError
 from .frontend import Annotated, AnnotatedGrammar, Shape, Subfield
-
-
-class InliningDepthExceeded(ZebuError):
-    """Defensive bound hit while inlining. The verifier rejects every rule
-    cycle, through core rules too (`WSP` reads a redefined `SP`), so only a
-    verifier bug or an acyclic chain deeper than `_MAX_INLINE_DEPTH` hits it."""
 
 
 class MatchBudgetExceeded(ZebuError):
@@ -175,8 +171,6 @@ LAZY_HOLE = PRep(0, None, PClass(_ALL))
 NEVER = PAlt(())
 _LINE_BYTES = 1 << 0x0D | 1 << 0x0A
 
-_MAX_INLINE_DEPTH = 128
-
 
 @dataclass
 class Pattern:
@@ -199,14 +193,11 @@ class _Compiler:
         self.table = table
         self.line_free = line_free
         self.capture_index: dict[str, int] = {}
-        self._captures = 0  # captures compiled so far
-        self._depth = 0  # rules being inlined
-        self._peak = 0   # the greatest depth since the innermost of them began
-        # rule body -> (its compiled node, the depth its inlining adds)
-        self._bodies = ag.memo("line-free bodies" if line_free else "bodies")
+        self.graph = frontend.rule_graph(ag)
+        # lowercased rule name -> its shared compiled body
+        self._shared = ag.memo("line-free rules" if line_free else "rules")
 
     def cap_id(self, key: str) -> int:
-        self._captures += 1
         return self.capture_index.setdefault(key, len(self.capture_index))
 
     def compile(self, elem, prefix: tuple[str, ...]):
@@ -242,31 +233,21 @@ class _Compiler:
         raise CompileError(f"cannot compile {elem!r}")
 
     def inline(self, name: str, prefix: tuple[str, ...]):
-        """The compiled body of rule `name`. A body without captures is
-        compiled once per grammar and subject alphabet, and reused wherever
-        inlining it again stays within the depth bound; elsewhere it is
-        compiled again, so InliningDepthExceeded is raised where it always
-        was."""
-        rule = abnf.resolve(name, self.ag.base)
-        if rule is None:
+        """The compiled body of rule `name`, as the rule graph resolves it.
+        The graph's leaf mask decides sharing: a rule whose mask lacks
+        LEAF_HOLE reaches no annotation, so its body compiles to one
+        capture-free node, once per grammar and subject alphabet. Any other
+        rule is compiled at each site, under `prefix`."""
+        low = name.lower()
+        node = self._shared.get(low)
+        if node is not None:
+            return node
+        ref = self.graph.rules.get(low)
+        if ref is None:
             raise CompileError(f"undefined rule {name!r}")
-        hit = self._bodies.get(id(rule.body))
-        if hit is not None:
-            node, height = hit[1]
-            if self._depth + height <= _MAX_INLINE_DEPTH:
-                self._peak = max(self._peak, self._depth + height)
-                return node
-        self._depth += 1
-        if self._depth > _MAX_INLINE_DEPTH:
-            raise InliningDepthExceeded(f"inlining depth exceeded at rule {name!r}")
-        peak, self._peak, captures = self._peak, self._depth, self._captures
-        try:
-            node = self.compile(rule.body, prefix)
-        finally:
-            self._depth -= 1
-        if self._captures == captures:  # no capture, so `prefix` played no part
-            self._bodies[id(rule.body)] = (rule.body, (node, self._peak - self._depth))
-        self._peak = max(peak, self._peak)
+        node = self.compile(ref.rule.body, prefix)
+        if not self.graph.masks[low] & frontend.LEAF_HOLE:
+            self._shared[low] = node
         return node
 
     def compile_subfield(self, sf: Subfield, element: Element):
@@ -286,6 +267,9 @@ class _Compiler:
         return _cap(cid, node)
 
 
+_TOO_DEEP = "rules nested too deeply to compile"
+
+
 def compile_pattern(entry, g, *, table: dict[str, Subfield] | None = None,
                     line_free: bool = False) -> Pattern:
     """Compile a rule or entry-point body into an executable Pattern.
@@ -294,14 +278,18 @@ def compile_pattern(entry, g, *, table: dict[str, Subfield] | None = None,
     Lazy depth-1 subfields compile to an opaque hole; their own patterns
     are compiled separately (see compile_subfield_pattern). The pattern is
     exact on every subject; with `line_free`, only on subjects that hold
-    neither CR nor LF (see the module docstring).
+    neither CR nor LF (see the module docstring). Rules nested too deeply
+    for Python's stack, the only bound on inlining, raise CompileError.
     """
     ag = g if isinstance(g, AnnotatedGrammar) else AnnotatedGrammar(base=g)
     body = entry.body if isinstance(entry, Rule) else entry
     if table is None:
         table = frontend.collect_subfields(body, ag)
     comp = _Compiler(ag, table, line_free)
-    root = comp.compile(body, ())
+    try:
+        root = comp.compile(body, ())
+    except RecursionError:
+        raise CompileError(_TOO_DEEP) from None
     return Pattern(root, comp.capture_index)
 
 
@@ -310,7 +298,10 @@ def compile_subfield_pattern(sf: Subfield, ag: AnnotatedGrammar,
     """Compile a lazy subfield's own pattern (captures keyed by full path)
     from its one site; `line_free` as for compile_pattern."""
     comp = _Compiler(ag, table, line_free)
-    root = comp.compile_subfield(sf, sf.sites[0].inner)
+    try:
+        root = comp.compile_subfield(sf, sf.sites[0].inner)
+    except RecursionError:
+        raise CompileError(_TOO_DEEP) from None
     return Pattern(root, comp.capture_index)
 
 
@@ -1128,12 +1119,15 @@ def _regex_backend(root) -> tuple:
     tuple; otherwise it names, per index of the span tuple, the groups
     whose greatest span goes there."""
     planner = _Planner()
-    planned = planner.plan(root)
-    rep = _flagged(planned, planner.facts)
-    if rep is not None:
-        return None, None, f"ambiguous repetition {regex_text(rep, [])}"
     cids: list[int] = []
-    text = regex_text(planned, cids)
+    try:
+        planned = planner.plan(root)
+        rep = _flagged(planned, planner.facts)
+        if rep is not None:
+            return None, None, f"ambiguous repetition {regex_text(rep, [])}"
+        text = regex_text(planned, cids)
+    except RecursionError:
+        return None, None, "pattern nested too deeply to judge"
     try:
         rx = re.compile(text.encode("latin-1"))
     except (re.error, RecursionError, OverflowError) as exc:

@@ -302,7 +302,10 @@ def _check_site(where, shape: Shape, site: Annotated, ag) -> list[Diagnostic]:
         mismatch(f"is {shape.value} but its rule has no alternation body")
     if shape in (Shape.UINT16, Shape.UINT32):
         width = 16 if shape is Shape.UINT16 else 32
-        strings = _finite_strings(site.inner, ag)
+        try:
+            strings = _finite_strings(site.inner, ag)
+        except RecursionError:  # too deep to enumerate, so not finite
+            strings = None
         if strings is not None:
             bad = sorted(
                 s for s in strings

@@ -14,12 +14,12 @@ CORPUS = REPO / "corpus" / "sip"
 
 # `--hypothesis-profile ci` runs each property with 3 000 examples. CI runs
 # nine properties under it, on every Python it tests: the regex/interpreter
-# agreement, the front end's robustness, the scanner's agreement with its
-# character loops, the rule leaf masks' agreement with the visited-set
-# walk, the engine/oracle framing agreement, the typed layer's
-# cross-backend agreement, the oracle's look-ahead, validate's independence
-# from what a session parsed first, and the agreement of the engine's
-# line-free patterns with exact ones
+# agreement, the front end's robustness (with every pattern's backend
+# decided), the scanner's agreement with its character loops, the rule leaf
+# masks' agreement with the visited-set walk, the engine/oracle framing
+# agreement, the typed layer's cross-backend agreement, the oracle's
+# look-ahead, validate's independence from what a session parsed first, and
+# the agreement of the engine's line-free patterns with exact ones
 settings.register_profile("ci", max_examples=3000)
 
 

@@ -266,6 +266,44 @@ def test_compile_bundled_grammars_warns_nothing(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+_DEEP_SPECS = {
+    # a chain of 200 plain references
+    "chain": ('requestLine = "GO" SP A0\nstatusLine = "NO"\n'
+              + "".join(f"A{i} = A{i + 1}\n" for i in range(200)) + 'A200 = "x"\n'),
+    # 100 rules, each wrapping the next in 20 options
+    "options": ('requestLine = "GO" SP A0\nstatusLine = "NO"\n'
+                + "".join(f'A{i} = {"[ " * 20}"a" A{i + 1}{" ]" * 20}\n' for i in range(100))
+                + 'A100 = "x"\n'),
+    # a uint16 site over 600 nested options, too deep to enumerate
+    "uint": ('protocol t\nrequestLine = "GO" SP N0:n:uint16\n'
+             'statusLine = "X" SP 3DIGIT:code:uint16\n'
+             + "".join(f"N{i} = [ N{i + 1} ]\n" for i in range(600)) + "N600 = DIGIT\n"),
+}
+
+
+@pytest.mark.parametrize("name, compiles", [("chain", True), ("options", False),
+                                            ("uint", False)])
+def test_deep_verified_spec_compiles_or_exits_2(tmp_path, capsys, name, compiles):
+    # only Python's stack bounds how deeply rules nest: a spec that checks
+    # either compiles and runs, or compile exits 2 saying it nests too deeply
+    spec = write(tmp_path, f"{name}.zebu", _DEEP_SPECS[name])
+    out = tmp_path / "deep.zbc"
+    assert main(["check", str(spec)]) == 0
+    assert main(["compile", str(spec), "-o", str(out)]) == (0 if compiles else 2)
+    if compiles:
+        msg = tmp_path / "go.msg"
+        msg.write_bytes(b"GO x\r\n\r\n")
+        assert main(["parse", str(out), str(msg)]) == 0
+        assert main(["mutate", str(out), "--count", "5", "--seed", "1",
+                     "--out", str(tmp_path / "m")]) == 0
+    else:
+        assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out.startswith("ACCEPT\nexec_counter 1\n") is compiles
+    assert "Traceback" not in captured.err
+    assert captured.err == ("" if compiles else "error: rules nested too deeply to compile\n")
+
+
 def test_artifact_round_trip_agrees_on_corpus(compiled_artifact, sip_ag, sip):
     loaded = artifact.load(compiled_artifact)
     assert artifact.serialize(loaded) == compiled_artifact.read_bytes()

@@ -39,6 +39,7 @@ from zebu.frontend import (
     parse_zebu,
     resolve_constraint_refs,
 )
+from zebu.pattern import interpreter_reason
 from zebu.verify import has_errors, verify_all
 
 MINI = """\
@@ -473,7 +474,11 @@ def test_front_end_raises_only_zebu_errors(text):
         return
     if has_errors(verify_all(ag)):
         return
-    validate(compile_grammar(ag), b"GO 1\r\nH: x\r\n\r\n")
+    compiled = compile_grammar(ag)
+    validate(compiled, b"GO 1\r\nH: x\r\n\r\n")
+    # every pattern's backend, decided as `zebu compile` warns
+    for _, pattern in compiled.named_patterns():
+        interpreter_reason(pattern)
 
 
 def visited_set_leaf_mask(elem, ag):

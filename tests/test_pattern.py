@@ -304,29 +304,6 @@ def test_matched_is_independent_of_branch_order(order, subject):
     assert got == other
 
 
-def test_inlining_depth_guard():
-    from zebu.pattern import InliningDepthExceeded
-    lines = [f"A{i} = A{i + 1}" for i in range(200)] + ['A200 = "x"']
-    g = parse_abnf("\n".join(lines))
-    with pytest.raises(InliningDepthExceeded):
-        compile_pattern(g.get("A0"), g)
-
-
-@pytest.mark.parametrize("links, raises", [(126, False), (127, True)])
-def test_inlining_depth_guard_holds_for_a_rule_compiled_before(links, raises):
-    # B, two levels deep, is compiled first at depth 1 and then reached
-    # again at the end of a chain of `links` rules
-    from zebu.pattern import InliningDepthExceeded
-    lines = ["R = B C0", "B = D", 'D = "x"']
-    lines += [f"C{i} = C{i + 1}" for i in range(links - 1)] + [f"C{links - 1} = B"]
-    g = parse_abnf("\n".join(lines))
-    if raises:
-        with pytest.raises(InliningDepthExceeded):
-            compile_pattern(g.get("R"), g)
-    else:
-        assert match_spans(compile_pattern(g.get("R"), g), b"xx") is not None
-
-
 def test_reference_budget_enforced():
     g = parse_abnf('R = 1*( 1*"a" ) "b"')
     with pytest.raises(ReferenceBudgetExceeded):
@@ -411,6 +388,19 @@ def test_tree_too_large_to_judge_stays_on_interpreter(spec, over, under, named, 
     # a near miss is judged, and passes
     g = parse_abnf("R = " + spec(under))
     assert backend_of(compile_pattern(g.get("R"), g)) == "regex"
+
+
+def test_a_tree_too_deep_to_judge_runs_on_the_interpreter():
+    # the planner, the guard and the translation recurse over the tree;
+    # where Python's stack runs out, the tree goes to the interpreter, whose
+    # own overflow is a budget verdict
+    node = PBytes(b"a")
+    for _ in range(2000):
+        node = PRep(0, 1, node)
+    p = Pattern(node)
+    assert interpreter_reason(p) == "pattern nested too deeply to judge"
+    with pytest.raises(MatchBudgetExceeded):
+        match_spans(p, b"a")
 
 
 def test_optional_nullable_inner_stays_on_interpreter():
