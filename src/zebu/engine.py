@@ -420,7 +420,7 @@ class ValidationPlan:
 
         def planned(owner, expr):
             code = ReasonCode.RANGE if is_range_shaped(expr) else ReasonCode.CONSTRAINT
-            return owner, _holds(expr, grammar), Reason(
+            return owner, _holds(expr), Reason(
                 code, owner or "block", f"constraint failed: {expr_to_text(expr)}")
         local = [planned(d.name, expr) for d in headers for expr in d.local_constraints]
         self.constraints = {
@@ -541,18 +541,17 @@ def _reader(pattern: Pattern, table: dict[str, Subfield], sf: Subfield, location
     tags = [EnumTag(branch) for branch in range(len(branches))]  # shared: they are frozen
 
     def read(spans, source, errors):
-        if spans[slot][0] < 0:
+        span = spans[slot]
+        if span[0] < 0:
             return ABSENT
+        # the branch taken spans what the subfield does; under a repetition
+        # another branch's capture may be left from an earlier iteration
         for branch, branch_slot in enumerate(branches):
-            if spans[branch_slot][0] >= 0:
+            if spans[branch_slot] == span:
                 break
-        else:
-            errors.append(Reason(ReasonCode.SYNTAX, location, "no alternation branch recorded"))
-            return ABSENT
         if shape is Shape.ENUM:
             return tags[branch]
-        fields = per_branch[branch] if branch < len(per_branch) else ()
-        return UnionVal(branch, _read_fields(fields, spans, source, errors))
+        return UnionVal(branch, _read_fields(per_branch[branch], spans, source, errors))
     return read
 
 
@@ -838,11 +837,11 @@ _OPS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
         "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def _holds(expr, grammar: CompiledGrammar):
+def _holds(expr):
     """`expr` as a function of (msg, kind, found), three-valued. Every item
     of an And or Or is evaluated: a field read forces nothing new."""
     if isinstance(expr, (And, Or)):
-        items = [_holds(item, grammar) for item in expr.items]
+        items = [_holds(item) for item in expr.items]
         combine = all if isinstance(expr, And) else any
 
         def holds(msg, kind, found):
@@ -850,12 +849,12 @@ def _holds(expr, grammar: CompiledGrammar):
             return None if None in verdicts else combine(verdicts)
         return holds
     if isinstance(expr, Not):
-        inner = _holds(expr.item, grammar)
+        inner = _holds(expr.item)
         return lambda msg, kind, found: (
             None if (verdict := inner(msg, kind, found)) is None else not verdict)
     if not isinstance(expr, Cmp):
         raise ZebuError(f"not a constraint expression: {expr!r}")
-    lhs, rhs = _operand(expr.lhs, grammar), _operand(expr.rhs, grammar)
+    lhs, rhs = _operand(expr.lhs), _operand(expr.rhs)
     op, mismatch = _OPS[expr.op], expr.op == "!="
 
     def holds(msg, kind, found):
@@ -869,7 +868,7 @@ def _holds(expr, grammar: CompiledGrammar):
     return holds
 
 
-def _operand(node, grammar: CompiledGrammar):
+def _operand(node):
     """`node` as a function of (msg, kind, found) giving (value, ci), the
     value a number, bytes or None (neither) and `ci` true when bytes compare
     in any case; or None when the field is unavailable."""
@@ -882,8 +881,7 @@ def _operand(node, grammar: CompiledGrammar):
     elif node.entry == frontend.BUILTIN_MESSAGE:
         return lambda msg, kind, found: None if kind is None else (kind.name.encode(), True)
     else:
-        name, path = node.entry, list(node.sub_path)
-        ci = grammar.entries[name].table[".".join(path)].ci
+        name, path, ci = node.entry, list(node.subfield.path), node.subfield.ci
 
         def get(msg, kind, found):
             parsed = found.get(name)

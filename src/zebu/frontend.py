@@ -114,8 +114,9 @@ class Annotated:
 class FieldRef:
     path: tuple[str, ...]
     span: tuple[int, int]
-    entry: str | None = None          # bound entry key, set by parse_zebu
-    sub_path: tuple[str, ...] = ()    # bound path within the entry
+    entry: str | None = None  # bound entry key, set by parse_zebu
+    # the bound subfield's record; None while unbound, and for `message.kind`
+    subfield: Subfield | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -491,7 +492,9 @@ class RefNode(NamedTuple):
 class RuleGraph:
     """The rule-reference graph that `abnf.resolve` follows, core rules
     included: a spec's redefinition of a core rule holds inside the other
-    core rules too. The verifier and the leaf masks read it."""
+    core rules too. Its readers are the compiler, the derivation steps,
+    the verifier, the leaf masks and the oracle's FIRST sets; the oracle
+    resolves names itself (see `refcheck`)."""
     # by lowercased name: ag.base's first definitions in source order, then the core rules
     rules: dict[str, RefNode]
     entries: list[RefNode]  # the command lines, in COMMAND_LINE order, then the headers
@@ -875,8 +878,8 @@ def parse_zebu(source: str) -> AnnotatedGrammar:
     Plain ABNF rules land in `.base`; annotated rules become entry points.
     Subfield namespaces are computed per entry point; a duplicate name is
     rejected at its second declaration. Every constraint field reference
-    that names a declared subfield is bound to its entry and sub-path; the
-    rest stay unbound (`iter_unresolved`).
+    that names a declared subfield is bound to its entry and its subfield
+    record; the rest stay unbound (`iter_unresolved`).
     """
     try:
         return _ZebuParser(source).parse()
@@ -891,10 +894,9 @@ BUILTIN_KIND_PATH = (BUILTIN_MESSAGE, "kind")
 
 
 def _bind_ref(ref: FieldRef, ag: AnnotatedGrammar) -> None:
-    """Bind `ref` to the entry and sub-path it names, if any."""
+    """Bind `ref` to the entry and subfield record it names, if any."""
     if ref.path == BUILTIN_KIND_PATH:
         ref.entry = BUILTIN_MESSAGE
-        ref.sub_path = ("kind",)
         return
     if len(ref.path) < 2:
         return
@@ -906,10 +908,9 @@ def _bind_ref(ref: FieldRef, ag: AnnotatedGrammar) -> None:
         if decl is None:
             return
         entry = decl.name
-    sub = ref.path[1:]
-    if ".".join(sub) in ag.subfields.get(entry, {}):
-        ref.entry = entry
-        ref.sub_path = sub
+    sf = ag.subfields.get(entry, {}).get(".".join(ref.path[1:]))
+    if sf is not None:
+        ref.entry, ref.subfield = entry, sf
 
 
 def iter_unresolved(ag: AnnotatedGrammar):

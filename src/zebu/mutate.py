@@ -40,7 +40,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from . import abnf, frontend, refcheck
+from . import frontend, refcheck
 from .abnf import Alternation, CharCodes, CharRange, LiteralCI, Repetition, RuleRef, Sequence
 from .errors import ZebuError
 from .frontend import (
@@ -225,10 +225,10 @@ def _build_step(elem, ag: AnnotatedGrammar):
         def step(d, out, nodes, prefix, env):
             nonlocal body
             if body is None:
-                rule = abnf.resolve(elem.name, d.ag.base)
-                if rule is None:
+                ref = frontend.rule_graph(d.ag).rules.get(elem.name.lower())
+                if ref is None:
                     raise ZebuError(f"cannot derive undefined rule {elem.name!r}")
-                body = _step(rule.body, d.ag)
+                body = _step(ref.rule.body, d.ag)
             node = DNode()
             node.elem = elem
             node.start = len(out)
@@ -345,7 +345,7 @@ def _repair(tree: DerivationTree, deriver: _Deriver) -> None:
     command = COMMAND_LINE[tree.kind]
     entry_parts = tree.entry_parts()
     fields = {entry: (part.env, part.value) for entry, part in entry_parts.items()}
-    lookup = refcheck.field_lookup(ag, tree.kind, fields)
+    lookup = refcheck.field_lookup(tree.kind, fields)
     constraints = [(expr, _part_for_expr(expr, entry_parts)) for expr in ag.blocks[tree.kind]]
     constraints += [(expr, entry_parts[decl.name]) for decl in ag.headers
                     if decl.name in entry_parts for expr in decl.local_constraints]
@@ -556,9 +556,8 @@ def _range_targets(tree: DerivationTree):
     out = []
     entry_parts = tree.entry_parts()
     for entry, part in entry_parts.items():
-        table = ag.subfields.get(entry) or {}
         env = part.env
-        for key, sf in table.items():
+        for key, sf in ag.subfields[entry].items():
             if sf.shape not in (Shape.UINT16, Shape.UINT32) or key not in env:
                 continue
             width = 16 if sf.shape is Shape.UINT16 else 32
@@ -572,15 +571,10 @@ def _range_targets(tree: DerivationTree):
         if parsed is None:
             continue
         ref, lo, hi, strict = parsed
-        entry = ref.entry
-        part = entry_parts.get(entry)
-        if part is None:
+        part, sf = entry_parts.get(ref.entry), ref.subfield
+        if part is None or sf.key not in part.env:
             continue
-        key = ".".join(ref.sub_path)
-        sf = (ag.subfields.get(entry) or {}).get(key)
-        if sf is None or key not in part.env:
-            continue
-        out.append((part, entry, key, sf, lo, hi, strict))
+        out.append((part, ref.entry, sf.key, sf, lo, hi, strict))
     return out
 
 
@@ -667,14 +661,10 @@ def mutate_constraint(tree: DerivationTree, seed) -> Mutant:
                 describe = f"header {payload.name} duplicated"
         else:
             side = rng.choice((payload.lhs, payload.rhs))
-            entry = side.entry
+            entry, sf = side.entry, side.subfield
             part = entry_parts.get(entry)
-            if part is None:
-                continue
-            key = ".".join(side.sub_path)
-            hit = part.env.get(key)
-            sf = (ag.subfields.get(entry) or {}).get(key)
-            if hit is None or sf is None:
+            hit = part.env.get(sf.key) if part is not None else None
+            if hit is None:
                 continue
             start, end, branch = hit
             # the first site's branches; refcheck labels the mutant whichever
@@ -687,7 +677,7 @@ def mutate_constraint(tree: DerivationTree, seed) -> Mutant:
             value, _ = deriver.derive_value(alt.branches[new_branch])
             at = part.value_offset + start
             data = _splice(tree.message, at, part.value_offset + end, value)
-            describe = (f"{entry}.{key} rewritten to alternation branch {new_branch} "
+            describe = (f"{entry}.{sf.key} rewritten to alternation branch {new_branch} "
                         f"breaking {expr_to_text(payload)}")
         if data is None:
             continue

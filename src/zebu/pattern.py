@@ -386,13 +386,14 @@ def _alt(branches):
 
 
 def _rep(lo: int, hi: int | None, inner):
-    """The repetition of a final `inner`; `[ 1*x ]` is `*x` where x holds
-    no capture and cannot match empty."""
+    """The repetition of a final `inner`; `[ m*n x ]` with m <= 1 is `*n x`
+    where x holds no capture and cannot match empty: the option adds only
+    the stop that `*n x` already ends with."""
     if _never(inner):
         if lo:
             return inner
         return PSeq(()) if inner is NEVER else PRep(0, 1, inner)
-    if (lo, hi) == (0, 1) and type(inner) is PRep and inner.min == 1 and not (
+    if (lo, hi) == (0, 1) and type(inner) is PRep and inner.min <= 1 and not (
             _holds_capture(inner) or _Planner().facts(inner.inner).nullable):
         return PRep(0, inner.max, inner.inner)
     return PRep(lo, hi, inner)

@@ -61,6 +61,15 @@ command line) is walked line by line, to name its first fault.
 
 `reference_match`, the oracle of `pattern.match_spans`, decides
 derivability alone from memoised end-position sets, with its own budget.
+
+Both oracles resolve a rule reference with `abnf.resolve`, not through
+`frontend.rule_graph`, the table that every other walker reads. That
+lookup does not depend on the graph, so a rule the graph resolves wrongly
+still shows here as a disagreement. It is also the cheaper one where it
+runs most: `reference_match` on a plain `Grammar` wraps a fresh
+`AnnotatedGrammar` on every call, and building that grammar's graph would
+cost more than the match. Only the FIRST sets, which prune choice points,
+are learnt over the graph's rules.
 """
 
 from __future__ import annotations
@@ -142,7 +151,6 @@ def _derive_env(body, ag: AnnotatedGrammar, subject: bytes, table):
     n = len(subject)
     steps = DEFAULT_BUDGET
     facts = ag.memo("refcheck")
-    firsts = ag.memo("refcheck.first")
     stack = []  # choice points (elem, pos, env, prefix, cont); elem None resumes cont at pos
     elem, pos, env, prefix, cont = body, 0, None, (), None
     while True:
@@ -156,18 +164,16 @@ def _derive_env(body, ag: AnnotatedGrammar, subject: bytes, table):
                 elem = (facts.get(id(elem)) or _learn(facts, elem, ag))[1]
                 continue
             elif t is Repetition:
-                members = (facts.get(id(elem)) or _learn(facts, elem, ag))[1]
+                members, inner = (facts.get(id(elem)) or _learn(facts, elem, ag))[1]
                 if members is None:
                     # entered as if its zeroth iteration had just ended
-                    cont = (_REP, elem, 0, -1, prefix, cont, _follow(cont),
-                            (firsts.get(id(elem.inner)) or _learn_first(firsts, elem.inner, ag))[1])
+                    cont = (_REP, elem, 0, -1, prefix, cont, _follow(cont), inner)
                 else:
                     limit = n - pos if elem.max is None else min(elem.max, n - pos)
                     k = _run_length(subject, pos, limit, members)
                     follow = _follow(cont)
                     ends = range(pos + elem.min, pos + k + 1)
-                    if not follow & (firsts.get(id(elem.inner))
-                                     or _learn_first(firsts, elem.inner, ag))[1][0]:
+                    if not follow & inner[0]:
                         ends = ends[-1:]  # a shorter end is followed by a member byte
                     for end in ends:
                         if follow >> (subject[end] if end < n else _EOS) & 1:
@@ -265,7 +271,8 @@ def _learn(facts: dict, elem, ag: AnnotatedGrammar) -> tuple:
     a rule reference's body, a literal's lowercased bytes, an alternation's
     `(branch, starts)` pairs, an enum or union annotation's
     `(index, branch, starts)` triples (both last branch first, the order
-    they are pushed in), a repetition's byte-run members (or None)."""
+    they are pushed in), a repetition's `(members, inner)`: its byte-run
+    members (or None) and the `(first, nullable)` of its inner element."""
     if isinstance(elem, RuleRef):
         rule = abnf.resolve(elem.name, ag.base)
         if rule is None:
@@ -288,7 +295,7 @@ def _learn(facts: dict, elem, ag: AnnotatedGrammar) -> tuple:
         fact = tuple((i, b, _starts(b, ag)) for i, b in reversed(list(enumerate(branches))))
     else:
         members = _byte_set(elem.inner, ag, set())
-        fact = bytes(sorted(members)) if members is not None else None
+        fact = (bytes(sorted(members)) if members is not None else None, _first(elem.inner, ag))
     hit = facts[id(elem)] = (elem, fact)
     return hit
 
@@ -296,21 +303,14 @@ def _learn(facts: dict, elem, ag: AnnotatedGrammar) -> tuple:
 # --- one byte of look-ahead ---------------------------------------------------------
 
 def _first(elem, ag: AnnotatedGrammar) -> tuple[int, bool]:
-    """`(first, nullable)`, once per grammar: the mask of the bytes a
-    non-empty derivation of `elem` can begin with, and whether `elem`
-    derives the empty string."""
-    firsts = ag.memo("refcheck.first")
-    return (firsts.get(id(elem)) or _learn_first(firsts, elem, ag))[1]
-
-
-def _learn_first(firsts: dict, elem, ag: AnnotatedGrammar) -> tuple:
-    """Record and return `(elem, (first, nullable))`, learning every
-    rule's facts on first use."""
+    """`(first, nullable)`: the mask of the bytes a non-empty derivation of
+    `elem` can begin with, and whether `elem` derives the empty string.
+    Every rule's facts are learnt on first use; `_learn` keeps the results
+    in the element records that need them."""
     rules = ag.memo("refcheck.rules")
     if not rules:
         _learn_rules(ag, rules)
-    hit = firsts[id(elem)] = (elem, _first_of(elem, rules))
-    return hit
+    return _first_of(elem, rules)
 
 
 def _starts(elem, ag: AnnotatedGrammar) -> int:
@@ -589,17 +589,13 @@ def _line_fault(raw: bytes) -> str:
 
 # --- field extraction and constraint evaluation --------------------------------
 
-def _env_value(ag, entry, env, subject, key):
-    """Typed comparison value for a constraint operand: an int, a
-    (bytes, ci_flag) pair, or None when unavailable."""
-    hit = env.get(key)
+def _env_value(sf, env, subject):
+    """Typed comparison value of subfield `sf` in `env` over `subject`: an
+    int, a (bytes, ci_flag) pair, or None when unavailable."""
+    hit = env.get(sf.key)
     if hit is None:
         return None
     start, end, branch = hit
-    table = ag.subfields.get(entry) or {}
-    sf = table.get(key)
-    if sf is None:
-        return None
     shape = sf.shape
     if shape is _UINT16 or shape is _UINT32:
         text = subject[start:end]
@@ -613,7 +609,7 @@ def _env_value(ag, entry, env, subject, key):
     return None
 
 
-def field_lookup(ag, kind: MessageKind, entries: dict):
+def field_lookup(kind: MessageKind, entries: dict):
     """The constraint operand lookup for a message of `kind` whose entries
     derived as `entries` (entry -> (env, subject), each header's first
     instance): a bound field reference's typed value, or None when the
@@ -627,7 +623,7 @@ def field_lookup(ag, kind: MessageKind, entries: dict):
         if hit is None:
             return None
         env, subject = hit
-        return _env_value(ag, ref.entry, env, subject, ".".join(ref.sub_path))
+        return _env_value(ref.subfield, env, subject)
 
     return lookup
 
@@ -797,7 +793,7 @@ def reference_validate(ag: AnnotatedGrammar, raw: bytes) -> tuple[bool, list[str
             if i == 0:
                 envs[decl.name] = (env, value)
 
-    lookup = field_lookup(ag, kind, {**envs, cmd_entry: (cmd_env, command)})
+    lookup = field_lookup(kind, {**envs, cmd_entry: (cmd_env, command)})
     for expr in ag.blocks[kind]:
         if _eval_ref(expr, lookup) is False:
             problems.append(f"constraint failed: {frontend.expr_to_text(expr)}")

@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from . import abnf
 from .abnf import Alternation, CharCodes, CharRange, LiteralCI, Repetition, RuleRef, Sequence
 from .frontend import (
     BUILTIN_MESSAGE,
@@ -227,12 +226,10 @@ def _finite_strings(elem, ag, stack=frozenset()) -> set[str] | None:
         return out
     if isinstance(elem, RuleRef):
         low = elem.name.lower()
-        if low in stack:
+        node = rule_graph(ag).rules.get(low)
+        if low in stack or node is None:
             return None
-        rule = abnf.resolve(elem.name, ag.base)
-        if rule is None:
-            return None
-        return _finite_strings(rule.body, ag, stack | {low})
+        return _finite_strings(node.rule.body, ag, stack | {low})
     return None
 
 
@@ -368,7 +365,7 @@ def check_constraint_refs(ag: AnnotatedGrammar) -> list[Diagnostic]:
                                       f"constraint references unknown field {path!r}",
                                       operand.span))
                     continue
-                sf = ag.subfields.get(operand.entry, {}).get(".".join(operand.sub_path))
+                sf = operand.subfield
                 if operand.entry == BUILTIN_MESSAGE or sf.shape is Shape.RAW:
                     types.add(bytes)
                 elif sf.shape in (Shape.STRUCT, Shape.UNION):

@@ -27,6 +27,17 @@ def grammar_text(name: str) -> str:
     return (resources.files("zebu") / "grammars" / name).read_text()
 
 
+# an enum and a union under a repetition: a header's captures keep the
+# branch each earlier iteration took
+REPEATED_BRANCHES = (
+    'protocol t\nrequestLine = "GO"\nstatusLine = "NO"\n'
+    'header H = 1*( E:e ";" ) { mandatory }\n'
+    'header V = 1*( K:u:union ";" )\n'
+    'E = "a" / "b" { enum }\n'
+    'K = ( "n" 1*DIGIT:n ) / ( "w" 1*ALPHA:w )\n'
+    "request { H.e == 1; }\n")
+
+
 @pytest.fixture(scope="session")
 def sip_source() -> str:
     return grammar_text("sip-subset.zebu")

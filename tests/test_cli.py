@@ -304,6 +304,28 @@ def test_deep_verified_spec_compiles_or_exits_2(tmp_path, capsys, name, compiles
     assert captured.err == ("" if compiles else "error: rules nested too deeply to compile\n")
 
 
+_NESTED_OPTIONS = {
+    # 30 rules, each wrapping the next in 20 options
+    "deep": ('requestLine = "GO" SP A0\nstatusLine = "NO"\n'
+             + "".join(f'A{i} = {"[ " * 20}A{i + 1}{" ]" * 20}\n' for i in range(30))
+             + 'A30 = "x"\n'),
+    "short": 'requestLine = "GO" SP A\nstatusLine = "NO"\nA = [ [ "a" ] ] [ *"b" ] "c"\n',
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NESTED_OPTIONS))
+def test_nested_options_compile_to_one_option_on_re(tmp_path, capsys, name):
+    # `[ [ x ] ]` is `[ x ]`: no pattern is left too deep or too ambiguous
+    # for `re`, so none runs on the budgeted interpreter
+    spec = write(tmp_path, f"{name}.zebu", _NESTED_OPTIONS[name])
+    out = tmp_path / "nested.zbc"
+    assert main(["compile", str(spec), "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["mutate", str(out), "--count", "20", "--seed", "1",
+                 "--out", str(tmp_path / "m")]) == 0
+    assert "falseRejects 0 " in (tmp_path / "m" / "report.txt").read_text()
+
+
 def test_artifact_round_trip_agrees_on_corpus(compiled_artifact, sip_ag, sip):
     loaded = artifact.load(compiled_artifact)
     assert artifact.serialize(loaded) == compiled_artifact.read_bytes()

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CORPUS, sip_request, sip_response
+from conftest import CORPUS, REPEATED_BRANCHES, sip_request, sip_response
 from zebu import cli, engine, pattern
 from zebu.engine import (
     ABSENT,
@@ -34,7 +34,7 @@ from zebu.engine import (
 )
 from zebu.errors import ZebuError
 from zebu.frontend import parse_zebu
-from zebu.mutate import MutRule, derive_valid, make_mutant
+from zebu.mutate import MutRule, derive_valid, make_mutant, run_campaign
 from zebu.pattern import compile_pattern, compile_subfield_pattern, match_spans
 from zebu.refcheck import _scan_structure, reference_validate
 
@@ -132,6 +132,7 @@ MALFORMED_MESSAGES = [
     ]),
     (b" CMD a b\r\nnocolon\r\nX: y\nZ: w\r\n\r\n",
      [(SYNTAX, "offset 23", "bare LF outside CRLF")]),
+    (b"INVITE a b\r\nX: y\n", [(SYNTAX, "offset 16", "bare LF outside CRLF")]),
     (sip_request() + b"body\r bare \n and \r\r", []),
 ]
 
@@ -1012,6 +1013,38 @@ def test_union_subfield_conversion():
     value2 = msg2.parse_header("H").get_subfield("k")
     assert value2.branch == 1
     assert value2.get("w") == RawSlice(b"ab", 0, 2)
+
+
+@pytest.mark.parametrize("backend", ["regex", "interpreter"])
+@pytest.mark.parametrize("h, v, e, u", [
+    (b"a;b;", b"n1;wab;", EnumTag(1), UnionVal(1, {"w": RawSlice(b"ab", 0, 2)})),
+    (b"b;", b"wab;n1;", EnumTag(1), UnionVal(0, {"n": RawSlice(b"1", 0, 1)})),
+])
+def test_a_branch_under_a_repetition_is_the_last_iterations(backend, h, v, e, u):
+    ag = parse_zebu(REPEATED_BRANCHES)
+    cg = compile_grammar(ag)
+    if backend == "interpreter":
+        for _, p in cg.named_patterns():
+            p.__dict__["backend"] = (None, None, "forced")
+    raw = b"GO\r\nH: " + h + b"\r\nV: " + v + b"\r\n\r\n"
+    assert validate(cg, raw).report() == "ACCEPT\n"
+    assert reference_validate(ag, raw) == (True, [])
+    msg = ParsedMessage(cg, raw)
+    assert (msg.select("H.e"), msg.select("V.u")) == (e, u)
+
+
+def test_a_campaign_over_branches_under_a_repetition_rejects_no_valid_mutant():
+    ag = parse_zebu(REPEATED_BRANCHES)
+    cg = compile_grammar(ag)
+    report = run_campaign(ag, lambda raw: validate(cg, raw).accepted, 200, "1")
+    assert report.false_rejects == 0
+
+
+def test_a_command_line_conversion_failure_rejects_the_message():
+    cg = compile_grammar(parse_zebu('requestLine = "GO" SP 1*DIGIT:n:uint16\n'
+                                    'statusLine = "NO"\n'))
+    assert validate(cg, b"GO 70000\r\n\r\n").report() == (
+        "REJECT RANGE requestLine.n value 70000 overflows uint16\n")
 
 
 def test_same_named_subfields_in_two_branches_compile_their_own_element():

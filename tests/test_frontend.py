@@ -240,7 +240,8 @@ def test_parse_binds_every_reference(name):
     ag = parse_zebu(grammar_text(name))
     refs = [r for expr in ag.all_constraints() for r in iter_field_refs(expr)]
     assert refs
-    assert all(r.entry is not None and r.sub_path for r in refs)
+    assert all(r.subfield is not None
+               and r.subfield is ag.subfields[r.entry][".".join(r.path[1:])] for r in refs)
 
 
 def test_unresolved_reference_stays_unbound(tmp_path, capsys):
@@ -249,10 +250,10 @@ def test_unresolved_reference_stays_unbound(tmp_path, capsys):
            "request { Foo.bar == 1; CSeq.number < 10; }\n")
     ag = parse_zebu(src)
     refs = [r for expr in ag.all_constraints() for r in iter_field_refs(expr)]
-    bindings = [(r.entry, r.sub_path) for r in refs]
-    assert bindings == [(None, ()), ("CSeq", ("number",))]
+    bindings = [(r.entry, r.subfield) for r in refs]
+    assert bindings == [(None, None), ("CSeq", ag.subfields["CSeq"]["number"])]
     assert [r.path for r in iter_unresolved(ag)] == [("Foo", "bar")]
-    assert [(r.entry, r.sub_path) for r in refs] == bindings
+    assert [(r.entry, r.subfield) for r in refs] == bindings
     spec = tmp_path / "unresolved.zebu"
     spec.write_text(src)
     assert main(["check", str(spec)]) == 1
@@ -263,10 +264,11 @@ def test_unresolved_reference_stays_unbound(tmp_path, capsys):
 def test_resolve_constraint_refs_binds_paths():
     ag = resolve_constraint_refs(parse_zebu(MINI))
     refs = [r for expr in ag.blocks[MessageKind.REQUEST] for r in iter_field_refs(expr)]
-    assert {(r.entry, r.sub_path) for r in refs} == {
+    assert {(r.entry, r.subfield.path) for r in refs} == {
         ("CSeq", ("method",)), ("requestLine", ("method",))}
     code_refs = [r for expr in ag.blocks[MessageKind.RESPONSE] for r in iter_field_refs(expr)]
-    assert all(r.entry == "statusLine" and r.sub_path == ("code",) for r in code_refs)
+    assert all(r.entry == "statusLine" and r.subfield is ag.subfields["statusLine"]["code"]
+               for r in code_refs)
 
 
 def test_resolve_constraint_refs_is_idempotent():

@@ -219,6 +219,20 @@ def test_optional_run_becomes_a_run(rule, alphabet):
     assert exhaustive_agreement(g, "R", alphabet, 6) == []
 
 
+@pytest.mark.parametrize("rule, alphabet, most", [
+    ('[ *( "a" / "b" ) ] "c"', b"abAc", None),
+    ('[ [ "a" ] ] [ *"b" ] "c"', b"abc", 1),
+    ('[ [ [ "a" "b" ] ] ] "c"', b"abc", 1),
+])
+def test_optional_option_or_run_becomes_one_repetition(rule, alphabet, most):
+    # `[ *n x ]` is `*n x` too, so options nested directly add no depth
+    g = parse_abnf(f"R = {rule}")
+    first = compile_pattern(g.get("R"), g).root.items[0]
+    assert (type(first), first.min, first.max) == (PRep, 0, most)
+    assert type(first.inner) is not PRep
+    assert exhaustive_agreement(g, "R", alphabet, 6) == []
+
+
 @pytest.mark.parametrize("rule, backend", [
     ("[ 1*( DIGIT:d ) ]", "regex"),
     ('[ 1*( *"a" ) ]', "interpreter"),

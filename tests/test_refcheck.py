@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sip_request, sip_response
+from conftest import REPEATED_BRANCHES, sip_request, sip_response
 from zebu import engine, pattern, refcheck
 from zebu.abnf import Repetition
 from zebu.engine import compile_grammar, index_message, unfolded_value, validate
-from zebu.frontend import COMMAND_LINE, RangeBound, parse_zebu
+from zebu.frontend import COMMAND_LINE, RangeBound, Shape, parse_zebu
 from zebu.mutate import _Deriver, derive_valid, make_mutant, run_campaign
 from zebu.pattern import match_spans
 from zebu.refcheck import (
@@ -488,12 +488,14 @@ def test_right_recursive_chain_labels_in_linear_time():
 
 def _engine_env(entry, subject: bytes):
     """The engine's captures over one line as an env: the entry pattern's
-    spans, each lazy pattern's offset by its hole, and the matched branch
-    of each enum or union subfield; None when the entry does not match."""
+    spans, each lazy pattern's offset by its hole, and the branch that the
+    entry's readers give each enum or union subfield; None when the entry
+    does not match."""
     spans = match_spans(entry.pattern, subject)
     if spans is None:
         return None
     env = {}
+    values = entry.read(spans, subject, [])
     runs = [(entry.pattern, spans, 0)]
     for name, lazy in entry.lazy_patterns.items():
         start, end = spans[entry.pattern.capture_index[name] + 1]
@@ -501,20 +503,30 @@ def _engine_env(entry, subject: bytes):
             sub = match_spans(lazy, subject[start:end])
             assert sub is not None, (entry.name, name, subject)
             runs.append((lazy, sub, start))
+            values[name] = entry.lazy_fields[name][2](sub, subject[start:end], [])
     for pat, result, offset in runs:
         for key, cid in pat.capture_index.items():
             if result[cid + 1][0] >= 0 and "#" not in key:
                 start, end = result[cid + 1]
                 env[key] = (start + offset, end + offset, None)
-        for key, cid in pat.capture_index.items():
-            if result[cid + 1][0] >= 0 and "#" in key:
-                name, _, branch = key.partition("#")
-                env[name] = env[name][:2] + (int(branch),)
+    for key, (start, end, _) in env.items():
+        sf = entry.table[key]
+        if sf.shape in (Shape.ENUM, Shape.UNION):
+            value = values[sf.path[0]]
+            for name in sf.path[1:]:
+                value = value.fields[name]
+            env[key] = (start, end, value.branch)
     return env
 
 
+@pytest.fixture(scope="module")
+def repeated():
+    return compile_grammar(parse_zebu(REPEATED_BRANCHES))
+
+
 @pytest.mark.parametrize("grammar,count,seed", [("sip", 600, "captures"),
-                                                ("rtsp", 600, "captures")])
+                                                ("rtsp", 600, "captures"),
+                                                ("repeated", 600, "captures")])
 def test_engine_captures_equal_the_oracle_env(request, grammar, count, seed):
     grammar = request.getfixturevalue(grammar)
     ag = grammar.ag
