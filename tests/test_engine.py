@@ -1020,7 +1020,7 @@ def test_union_subfield_conversion():
     (b"a;b;", b"n1;wab;", EnumTag(1), UnionVal(1, {"w": RawSlice(b"ab", 0, 2)})),
     (b"b;", b"wab;n1;", EnumTag(1), UnionVal(0, {"n": RawSlice(b"1", 0, 1)})),
 ])
-def test_a_branch_under_a_repetition_is_the_last_iterations(backend, h, v, e, u):
+def test_a_branch_under_a_repetition_reads_the_last_iteration(backend, h, v, e, u):
     ag = parse_zebu(REPEATED_BRANCHES)
     cg = compile_grammar(ag)
     if backend == "interpreter":
