@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="ABNF-based protocol message parser toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="verify a grammar specification")
+    p = sub.add_parser("check", help="verify a grammar specification and compile it in memory")
     p.add_argument("spec", type=Path)
     p.set_defaults(func=cmd_check)
 
@@ -145,7 +145,10 @@ def _load_spec(path: Path) -> tuple[AnnotatedGrammar | None, int]:
 
 
 def cmd_check(args) -> int:
-    return _load_spec(args.spec)[1]
+    ag, status = _load_spec(args.spec)
+    if ag is not None:
+        compile_grammar(ag)  # so check exits 2 wherever compile would
+    return status
 
 
 def cmd_compile(args) -> int:

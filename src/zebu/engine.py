@@ -484,8 +484,8 @@ def _reader(pattern: Pattern, table: dict[str, Subfield], sf: Subfield, location
             return ABSENT if start < 0 else RawSlice(source, start, end)
         return read
 
-    if shape is Shape.UINT16 or shape is Shape.UINT32:
-        width = 16 if shape is Shape.UINT16 else 32
+    width = sf.width
+    if width:
         limit, typed = 1 << width, U16 if width == 16 else U32
         most = len(str(limit))  # digits
         bound = sf.range

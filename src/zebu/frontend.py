@@ -94,6 +94,7 @@ COMMAND_LINE = {MessageKind.REQUEST: "requestLine", MessageKind.RESPONSE: "statu
 
 
 _SHAPE_WORDS = {s.value: s for s in Shape if s is not Shape.RAW}
+_UINT_WIDTHS = {Shape.UINT16: 16, Shape.UINT32: 32}
 
 
 # --- annotated element ------------------------------------------------------
@@ -240,6 +241,11 @@ class Subfield:
     repeated: bool = False  # some site sits under an unbounded repetition
     # union shape: the direct child names each alternation branch declares
     branch_children: tuple[tuple[str, ...], ...] = ()
+    # uint shapes: 16 or 32 bits; 0 for every other shape
+    width: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.width = _UINT_WIDTHS.get(self.shape, 0)
 
     @property
     def key(self) -> str:
@@ -341,12 +347,12 @@ def _collect(elem, prefix, ag, stack, repeated):
             lazy=elem.lazy,
             sites=(elem,),
             children=_child_names(inner, path),
-            range=(declared_range(elem.inner, ag)
-                   if shape in (Shape.UINT16, Shape.UINT32) else None),
             ci=not leaf_mask(elem.inner, ag) & LEAF_CODES,
             repeated=repeated,
             branch_children=branch_children,
         )
+        if sf.width:
+            sf.range = declared_range(elem.inner, ag)
         out = {sf.key: sf}
         out.update(inner)
         return out

@@ -51,7 +51,6 @@ from .frontend import (
     FieldRef,
     HeaderDecl,
     MessageKind,
-    Shape,
     expr_to_text,
 )
 
@@ -557,12 +556,11 @@ def _range_targets(tree: DerivationTree):
     entry_parts = tree.entry_parts()
     for entry, part in entry_parts.items():
         env = part.env
-        for key, sf in ag.subfields[entry].items():
-            if sf.shape not in (Shape.UINT16, Shape.UINT32) or key not in env:
+        for key, sf in refcheck._uint_fields(ag)[entry]:
+            if key not in env:
                 continue
-            width = 16 if sf.shape is Shape.UINT16 else 32
             bound = sf.range
-            hi = bound.hi if bound is not None else (1 << width)
+            hi = bound.hi if bound is not None else (1 << sf.width)
             strict = bound.hi_strict if bound is not None else True
             lo = bound.lo if bound is not None else 0
             out.append((part, entry, key, sf, lo, hi, strict))
@@ -570,23 +568,23 @@ def _range_targets(tree: DerivationTree):
         parsed = _range_shape_of(expr)
         if parsed is None:
             continue
-        ref, lo, hi, strict = parsed
+        ref, lo, hi = parsed
         part, sf = entry_parts.get(ref.entry), ref.subfield
         if part is None or sf.key not in part.env:
             continue
-        out.append((part, ref.entry, sf.key, sf, lo, hi, strict))
+        out.append((part, ref.entry, sf.key, sf, lo, hi, False))
     return out
 
 
 def _range_shape_of(expr):
-    """(ref, lo, hi, hi_strict) for `lo <= f && f < hi`-shaped constraints."""
+    """(ref, lo, hi) for `lo <= f && f <= hi`-shaped constraints."""
     if not frontend.is_range_shaped(expr):
         return None
     refs = list(frontend.iter_field_refs(expr))
     if not refs:
         return None
     ref = refs[0]
-    lo, hi, strict = 0, None, True
+    lo, hi = 0, None
     items = expr.items if isinstance(expr, frontend.And) else (expr,)
     for item in items:
         if not isinstance(item, Cmp):
@@ -604,12 +602,11 @@ def _range_shape_of(expr):
             lo = max(lo, lit if op == "<=" else lit + 1)
         elif op in (">", ">="):
             hi = lit if op == ">=" else lit - 1
-            strict = False
         else:
             return None
     if hi is None:
         return None
-    return ref, lo, hi, strict
+    return ref, lo, hi
 
 
 def mutate_constraint(tree: DerivationTree, seed) -> Mutant:

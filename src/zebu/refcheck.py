@@ -74,6 +74,8 @@ are learnt over the graph's rules.
 
 from __future__ import annotations
 
+import operator
+
 from . import abnf, frontend
 from .abnf import Alternation, CharCodes, CharRange, LiteralCI, Repetition, Rule, RuleRef, Sequence
 from .errors import ZebuError
@@ -113,8 +115,7 @@ _SEQ, _ANN, _REP = range(3)
 
 # the shapes the oracle tells apart, read once: on CPython 3.11 reading an
 # `Enum` member through its class costs several times a module global
-_ENUM, _UNION, _RAW, _UINT16, _UINT32 = (
-    Shape.ENUM, Shape.UNION, Shape.RAW, Shape.UINT16, Shape.UINT32)
+_ENUM, _UNION, _RAW = Shape.ENUM, Shape.UNION, Shape.RAW
 _BRANCHING = (_ENUM, _UNION)  # an annotation of these shapes pushes its branches
 
 # look-ahead masks: bit b for byte b, bit _EOS for the end of the subject
@@ -596,12 +597,12 @@ def _env_value(sf, env, subject):
     if hit is None:
         return None
     start, end, branch = hit
-    shape = sf.shape
-    if shape is _UINT16 or shape is _UINT32:
+    if sf.width:
         text = subject[start:end]
         if not text.isdigit():
             return None
-        return _uint_value(text, 16 if shape is _UINT16 else 32)
+        return _uint_value(text, sf.width)
+    shape = sf.shape
     if shape is _ENUM:
         return branch
     if shape is _RAW:
@@ -639,23 +640,16 @@ def _uint_value(digits: bytes, width: int) -> int | None:
     return value if value < (1 << width) else None
 
 
+_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
 def _eval_ref(expr, lookup):
-    if isinstance(expr, And):
-        result = True
-        for item in expr.items:
-            v = _eval_ref(item, lookup)
-            if v is None:
-                return None
-            result = result and v
-        return result
-    if isinstance(expr, Or):
-        result = False
-        for item in expr.items:
-            v = _eval_ref(item, lookup)
-            if v is None:
-                return None
-            result = result or v
-        return result
+    if isinstance(expr, (And, Or)):
+        values = [_eval_ref(item, lookup) for item in expr.items]
+        if None in values:
+            return None
+        return (all if isinstance(expr, And) else any)(values)
     if isinstance(expr, Not):
         v = _eval_ref(expr.item, lookup)
         return None if v is None else not v
@@ -673,17 +667,7 @@ def _eval_ref(expr, lookup):
                 a, b = a.lower(), b.lower()
         else:
             return expr.op == "!="  # type mismatch never compares equal
-        if expr.op == "==":
-            return a == b
-        if expr.op == "!=":
-            return a != b
-        if expr.op == "<":
-            return a < b
-        if expr.op == "<=":
-            return a <= b
-        if expr.op == ">":
-            return a > b
-        return a >= b
+        return _COMPARE[expr.op](a, b)
     raise ZebuError(f"not a constraint expression: {expr!r}")
 
 
@@ -702,7 +686,7 @@ def _range_violations(entry: str, fields: tuple, env, subject) -> list[str]:
     whose text in `subject` is not a number of its width within its
     declared range."""
     out = []
-    for key, sf, width in fields:
+    for key, sf in fields:
         hit = env.get(key)
         if hit is None:
             continue
@@ -711,10 +695,10 @@ def _range_violations(entry: str, fields: tuple, env, subject) -> list[str]:
         if not text.isdigit():
             out.append(f"{entry}.{key}: non-numeric {text!r}")
             continue
-        value = _uint_value(text, width)
+        value = _uint_value(text, sf.width)
         if value is None:
             out.append(f"{entry}.{key}: {text.lstrip(b'0').decode('ascii')} "
-                       f"overflows uint{width}")
+                       f"overflows uint{sf.width}")
             continue
         if sf.range is not None and not sf.range.holds(value):
             out.append(f"{entry}.{key}: {value} outside declared range")
@@ -722,14 +706,12 @@ def _range_violations(entry: str, fields: tuple, env, subject) -> list[str]:
 
 
 def _uint_fields(ag: AnnotatedGrammar) -> dict:
-    """Entry name -> `(key, subfield, width)` of each of its uint
-    subfields, in table order, for every entry, once per grammar."""
+    """Entry name -> `(key, subfield)` of each of its uint subfields, in
+    table order, for every entry, once per grammar."""
     memo = ag.memo("refcheck.uints")
     if not memo:
-        memo.update((entry, tuple(
-            (key, sf, 16 if sf.shape is _UINT16 else 32)
-            for key, sf in table.items() if sf.shape is _UINT16 or sf.shape is _UINT32))
-            for entry, table in ag.subfields.items())
+        memo.update((entry, tuple((key, sf) for key, sf in table.items() if sf.width))
+                    for entry, table in ag.subfields.items())
     return memo
 
 

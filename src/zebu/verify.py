@@ -260,7 +260,7 @@ def check_type_annotations(ag: AnnotatedGrammar) -> list[Diagnostic]:
 
 def _check_subfield(where, sf: Subfield, ag) -> list[Diagnostic]:
     span = sf.sites[0].span
-    out = [diag for site in sf.sites for diag in _check_site(where, sf.shape, site, ag)]
+    out = [diag for site in sf.sites for diag in _check_site(where, sf, site, ag)]
     if sf.shape is Shape.ENUM and sf.children:
         out.append(_error(
             Code.TYPE_MISMATCH,
@@ -268,7 +268,7 @@ def _check_subfield(where, sf: Subfield, ag) -> list[Diagnostic]:
             f"({', '.join(sf.children)})",
             span,
         ))
-    if sf.shape in (Shape.RAW, Shape.UINT16, Shape.UINT32) and sf.children:
+    if (sf.shape is Shape.RAW or sf.width) and sf.children:
         out.append(_error(
             Code.TYPE_MISMATCH,
             f"subfield {where} nests named subfields but is not struct or union",
@@ -284,9 +284,10 @@ def _check_subfield(where, sf: Subfield, ag) -> list[Diagnostic]:
     return out
 
 
-def _check_site(where, shape: Shape, site: Annotated, ag) -> list[Diagnostic]:
-    """The diagnostics of one declaration of a subfield of `shape`."""
+def _check_site(where, sf: Subfield, site: Annotated, ag) -> list[Diagnostic]:
+    """The diagnostics of one declaration of subfield `sf`."""
     out = []
+    shape = sf.shape
 
     def mismatch(message):
         out.append(_error(Code.TYPE_MISMATCH, f"subfield {where} {message}", site.span))
@@ -297,16 +298,20 @@ def _check_site(where, shape: Shape, site: Annotated, ag) -> list[Diagnostic]:
                  f"but {def_shape.value} at the rule definition")
     if shape in (Shape.ENUM, Shape.UNION) and resolve_to_alternation(site.inner, ag) is None:
         mismatch(f"is {shape.value} but its rule has no alternation body")
-    if shape in (Shape.UINT16, Shape.UINT32):
-        width = 16 if shape is Shape.UINT16 else 32
+    if sf.width:
+        limit = 1 << sf.width
+        most = len(str(limit))  # digits; a shorter string cannot overflow
         try:
             strings = _finite_strings(site.inner, ag)
         except RecursionError:  # too deep to enumerate, so not finite
             strings = None
         if strings is not None:
+            # int() refuses strings of more than 4 300 digits, so a longer
+            # one is judged by its significant digits' count alone
             bad = sorted(
                 s for s in strings
-                if not (s.isascii() and s.isdigit()) or int(s) >= (1 << width)
+                if not (s.isascii() and s.isdigit()) or len(s) >= most and (
+                    len(n := s.lstrip("0")) > most or int(n or "0") >= limit)
             )
             if bad:
                 mismatch(f"is {shape.value} but derives {bad[0]!r}"

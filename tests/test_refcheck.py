@@ -290,8 +290,8 @@ def test_byte_run_shortcut_agrees_with_per_byte_derivation(runs, draws):
             assert got is not None and list(got.items()) == list(want.items()), subject
         else:
             assert got is None, subject
-    assert any(isinstance(elem, Repetition) and members is not None
-               for elem, members in fast.memo("refcheck").values())
+    assert any(isinstance(elem, Repetition) and fact[0] is not None
+               for elem, fact in fast.memo("refcheck").values())
 
 
 # --- one oracle module ------------------------------------------------------------------

@@ -186,6 +186,22 @@ def test_uint_over_sequences_codes_and_annotations(spec, expected):
     assert [(d.message, d.span) for d in diags] == expected
 
 
+@pytest.mark.parametrize("width,digits,overflows", [
+    (16, "65536", True), (16, "65535", False),
+    (16, "4294967296", True), (32, "4294967296", True), (32, "4294967295", False),
+    # leading zeros count for nothing
+    (16, "000070000", True), (16, "000000007", False),
+    # int() refuses strings of more than 4 300 digits
+    (16, "1" * 5000, True), (32, "0" * 4999 + "7", False),
+])
+def test_uint_overflow_is_decided_at_the_width(width, digits, overflows):
+    codes_ = ".".join(f"{ord(c):x}" for c in digits)
+    diags = check_type_annotations(
+        parse_zebu(ENTRY_STUB + f"header H = %x{codes_}:n:uint{width}\n"))
+    assert [d.message for d in diags] == (
+        [f"subfield H.n is uint{width} but derives {digits!r}"] if overflows else [])
+
+
 @pytest.mark.parametrize("spec,expected", [
     ('header H = M:m:enum\nM = "1":a / "2":b\n',
      "enum subfield H.m cannot contain named subfields (a, b)"),
