@@ -37,6 +37,10 @@ their reasons and field references resolved. Per message it visits only the
 headers the line scan found, in declaration order with each missing
 mandatory one in its place: it parses them, forces their lazy subfields and
 checks the constraints, accumulating every reason, not stopping at the first.
+
+A session holds no exception object: it stores a failed command line or lazy
+force as its reasons and raises a new exception from them on each call, so
+reference counting frees the session, with no traceback holding it in a cycle.
 """
 
 from __future__ import annotations
@@ -214,7 +218,8 @@ class UnionVal:
 class LazyPending:
     """Handle for a declared-lazy subfield; forcing it runs its own pattern.
     `field` is its entry's `lazy_fields` item. `outcome` is None until then,
-    and after it the typed value or the ForceFailed that forcing raises."""
+    and after it the typed value or, when forcing failed, the list of its
+    reasons."""
 
     __slots__ = ("field", "source", "span", "outcome")
 
@@ -595,8 +600,8 @@ class ParsedMessage:
         self._cmd_end, self._values, self._body = index_message(raw, grammar.by_key)
         self._exec = 0
         self._lazy_exec = 0
-        # the command line's record, or the MessageTypeError that typing it raised
-        self._command: ParsedEntry | MessageTypeError | None = None
+        # the command line's record, or the reasons it matches neither command line
+        self._command: ParsedEntry | list[Reason] | None = None
         # each header instance parsed, by the offset of its value
         self._parsed: dict[int, ParsedEntry] = {}
 
@@ -634,9 +639,11 @@ class ParsedMessage:
         return _KIND_OF_LINE[self.command_fields().entry.name]
 
     def command_fields(self) -> ParsedEntry:
-        """The command line's record; raises MessageTypeError when it
-        matches neither command line."""
-        if self._command is None:
+        """The command line's record. When it matches neither command line,
+        every call raises a new MessageTypeError with the reasons of the
+        first, which alone runs patterns."""
+        command = self._command
+        if command is None:
             subject = self.raw[:self._cmd_end]
             # the request line first; a budget reason ends the search
             for name in COMMAND_LINE.values():
@@ -646,11 +653,11 @@ class ParsedMessage:
                     "matches neither the request line nor the status line")
                 if fields is not None or failures[0].code is ReasonCode.BUDGET:
                     break
-            self._command = (MessageTypeError(failures) if fields is None
-                             else ParsedEntry(entry, subject, fields, failures))
-        if isinstance(self._command, MessageTypeError):
-            raise self._command
-        return self._command
+            command = self._command = (failures if fields is None
+                                       else ParsedEntry(entry, subject, fields, failures))
+        if type(command) is list:
+            raise MessageTypeError(command)
+        return command
 
     # headers ------------------------------------------------------------------
 
@@ -698,17 +705,19 @@ class ParsedMessage:
 
     def force_lazy(self, pending: LazyPending):
         """Run the subfield's own pattern over its raw span exactly once;
-        later calls return the memoized value without a pattern run."""
-        if pending.outcome is None:
+        later calls return the memoized value without a pattern run. When
+        it fails, every call raises a new ForceFailed with its reasons."""
+        outcome = pending.outcome
+        if outcome is None:
             pattern, location, read = pending.field
             start, end = pending.span
             self._lazy_exec += 1
             value, failures = self._outcome(pattern, pending.source[start:end], location, read,
                                             "lazy value {!r} does not match its grammar")
-            pending.outcome = ForceFailed(failures) if failures else value
-        if isinstance(pending.outcome, ForceFailed):
-            raise pending.outcome
-        return pending.outcome
+            outcome = pending.outcome = failures or value
+        if type(outcome) is list:
+            raise ForceFailed(outcome)
+        return outcome
 
     # selectors ----------------------------------------------------------------------
 

@@ -39,6 +39,7 @@ import enum
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import frontend, refcheck
 from .abnf import Alternation, CharCodes, CharRange, LiteralCI, Repetition, RuleRef, Sequence
@@ -431,7 +432,7 @@ def _charset_targets(tree: DerivationTree) -> list[tuple]:
     return out
 
 
-def _target_facts(source, i: int) -> tuple[set[int] | frozenset[int], str]:
+def _target_facts(source, i: int) -> tuple[frozenset[int], str]:
     """The valid bytes at offset `i` of a charset target, and its description."""
     if isinstance(source, tuple):
         return source
@@ -440,16 +441,24 @@ def _target_facts(source, i: int) -> tuple[set[int] | frozenset[int], str]:
     if isinstance(source, LiteralCI):
         return _case_pair(ord(source.text[i])), f"literal {source.text!r}"
     if isinstance(source, CharCodes):
-        return {source.data[i]}, f"char codes {source.data!r}"
-    return set(range(source.lo, source.hi + 1)), f"char range {source.lo:#04x}-{source.hi:#04x}"
+        return frozenset((source.data[i],)), f"char codes {source.data!r}"
+    return (frozenset(range(source.lo, source.hi + 1)),
+            f"char range {source.lo:#04x}-{source.hi:#04x}")
 
 
-def _case_pair(b: int) -> set[int]:
+def _case_pair(b: int) -> frozenset[int]:
     if 0x41 <= b <= 0x5A:
-        return {b, b + 32}
+        return frozenset((b, b + 32))
     if 0x61 <= b <= 0x7A:
-        return {b, b - 32}
-    return {b}
+        return frozenset((b, b - 32))
+    return frozenset((b,))
+
+
+@cache
+def _replacement_pool(valid: frozenset[int]) -> tuple[int, ...]:
+    """The bytes a charset mutant may put where `valid` ones belong, in
+    byte order: every byte outside `valid` but CR and LF."""
+    return tuple(b for b in range(256) if b not in valid and b not in (0x0D, 0x0A))
 
 
 def _splice(data: bytes, start: int, end: int, insert: bytes) -> bytes:
@@ -473,7 +482,7 @@ def mutate_charset(tree: DerivationTree, position: Position, seed) -> Mutant:
         else:
             idx = length // 2
         valid, describe = _target_facts(source, idx)
-        pool = [b for b in range(256) if b not in valid and b not in (0x0D, 0x0A)]
+        pool = _replacement_pool(valid)
         if not pool:
             continue
         replacement = rng.choice(pool)

@@ -516,6 +516,10 @@ def _interpret(root, subject: bytes, budget: int) -> tuple | None:
                 return ((0, n),) + tuple(caps.get(cid, _UNSET) for cid in slots)
     except RecursionError:
         raise MatchBudgetExceeded("recursion limit exhausted during match") from None
+    finally:
+        # the three matchers hold each other through their closures; break
+        # the cycle so that reference counting frees them
+        del m, seq, rep
     return None
 
 

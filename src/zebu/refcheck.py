@@ -520,6 +520,10 @@ def reference_match(entry, g, subject: bytes,
     except RecursionError:
         raise ReferenceBudgetExceeded(
             "recursion limit exhausted during reference match") from None
+    finally:
+        # the two closures hold each other and the memo; break the cycle so
+        # that reference counting frees them
+        del ends, _ends
 
 
 # --- structural scan ----------------------------------------------------------

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import time
 import tracemalloc
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS, REPEATED_BRANCHES, sip_request, sip_response
 from zebu import cli, engine, pattern
+from zebu.abnf import parse_abnf
 from zebu.engine import (
     ABSENT,
     DuplicateHeader,
@@ -35,8 +38,18 @@ from zebu.engine import (
 from zebu.errors import ZebuError
 from zebu.frontend import parse_zebu
 from zebu.mutate import MutRule, derive_valid, make_mutant, run_campaign
-from zebu.pattern import compile_pattern, compile_subfield_pattern, match_spans
-from zebu.refcheck import _scan_structure, reference_validate
+from zebu.pattern import (
+    MatchBudgetExceeded,
+    compile_pattern,
+    compile_subfield_pattern,
+    match_spans,
+)
+from zebu.refcheck import (
+    ReferenceBudgetExceeded,
+    _scan_structure,
+    reference_match,
+    reference_validate,
+)
 
 
 # --- line scan ----------------------------------------------------------------
@@ -1186,6 +1199,104 @@ def test_long_tail_memory_is_bounded(request, grammar, raw):
     assert peak <= 1_000_000
 
 
+# --- reference counting ------------------------------------------------------------
+#
+# A session or a matcher's state that takes part in a reference cycle
+# outlives the call and is left to the cyclic collector, whose pauses make
+# the latency tail. These checks run with the collector off and ask it
+# afterwards what it would have found among the objects made since.
+
+@contextmanager
+def _collector_off():
+    """Run the block with the collector off. The objects that exist before
+    it are frozen, so that a `gc.collect()` in it sees only those made since
+    and costs no full collection."""
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
+
+
+def _raise_depth(call, *args) -> int | None:
+    """The traceback depth of the ZebuError that call(*args) raises, or None
+    when it returns; keeps no reference to the exception."""
+    try:
+        call(*args)
+    except ZebuError as exc:
+        depth, tb = 0, exc.__traceback__
+        while tb is not None:
+            depth, tb = depth + 1, tb.tb_next
+        return depth
+    return None
+
+
+def _lazy_fields(msg: ParsedMessage, cg) -> list[LazyPending]:
+    """The LazyPending of every lazy field of the command line and of each
+    header instance that parsed."""
+    try:
+        records = [msg.command_fields()]
+    except MessageTypeError:
+        records = []
+    for name, entry in cg.entries.items():
+        if entry.decl is not None:
+            records += [msg.parse_header_nth(name, i) for i in range(msg.header_count(name))]
+    return [value for parsed in records for value in parsed.fields.values()
+            if isinstance(value, LazyPending)]
+
+
+def test_sessions_leave_no_cyclic_garbage(sip, rtsp, sip_ag, rtsp_ag):
+    # a session that kept a raised exception was held in a cycle by that
+    # exception's traceback, which each re-raise made two frames deeper
+    no_type = b"GARBAGE\r\nCSeq: 1 INVITE\r\n\r\n"
+    bad_uri = sip_request().replace(b"<sip:alice@example.com>", b"<sip:alice@@host>")
+    runs = [(sip, path.read_bytes()) for path in sorted(CORPUS.glob("*.msg"))]
+    for cg, ag in ((sip, sip_ag), (rtsp, rtsp_ag)):
+        runs += [(cg, make_mutant(ag, i, "refcount", {family: 1.0}).data)
+                 for family in MutRule for i in range(8)]
+    runs += [(sip, no_type), (sip, bad_uri)]
+    with _collector_off():
+        depths = {}  # (raw, call) -> the depths of three calls
+        for cg, raw in runs:
+            validate(cg, raw)
+            try:
+                msg = ParsedMessage(cg, raw)
+            except MessageSyntaxError:
+                continue
+            validate(cg, raw, msg)
+            depths[raw, "command_fields"] = [_raise_depth(msg.command_fields) for _ in range(3)]
+            for i, pending in enumerate(_lazy_fields(msg, cg)):
+                depths[raw, f"force_lazy {i}"] = [
+                    _raise_depth(msg.force_lazy, pending) for _ in range(3)]
+            for selector in _selectors(cg):
+                depths[raw, selector] = [_raise_depth(msg.select, selector) for _ in range(3)]
+        assert gc.collect() == 0
+    assert None not in depths[no_type, "command_fields"]
+    assert None not in depths[bad_uri, "force_lazy 1"]  # From's uri, after the request URI
+    assert None not in depths[bad_uri, "From.uri"]
+    assert [call for call, trio in depths.items() if len(set(trio)) > 1] == []
+
+
+def test_matchers_leave_no_cyclic_garbage():
+    # each matcher's nested functions hold each other through their closures
+    g = parse_abnf('R = *( "a" / "aa" )')
+    rule, root = g.get("R"), compile_pattern(g.get("R"), g).root
+    with _collector_off():
+        assert reference_match(rule, g, b"a" * 30)
+        with pytest.raises(ReferenceBudgetExceeded):
+            reference_match(rule, g, b"a" * 30, budget=5)
+        assert gc.collect() == 0
+        assert match_spans(root, b"a" * 30) is not None
+        assert match_spans(root, b"a" * 8 + b"b") is None
+        with pytest.raises(MatchBudgetExceeded):
+            match_spans(root, b"a" * 30 + b"b", budget=2_000)
+        assert gc.collect() == 0
+
+
 # --- pinned outputs ---------------------------------------------------------------
 
 def _selectors(cg):
@@ -1229,6 +1340,13 @@ def test_validate_agrees_whatever_the_session_parsed_first(request, data):
     grammar = request.getfixturevalue(name)
     mutant = make_mutant(grammar.ag, data.draw(st.integers(0, 9_999)),
                          data.draw(st.integers(0, 2**32)))
+    # the engine's calls alone run with the collector off; none leaves a cycle
+    with _collector_off():
+        _agrees_whatever_parsed_first(grammar, mutant)
+        assert gc.collect() == 0
+
+
+def _agrees_whatever_parsed_first(grammar, mutant):
     raw = mutant.data
     verdict = validate(grammar, raw)
     assert verdict.accepted is (mutant.ground_truth == "VALID")
