@@ -233,16 +233,13 @@ def _load_for_mutation(path: Path) -> str | None:
 
 
 def _mutate_worker(packed):
-    source_text, n, seed, mix_values, lo, hi, out_dir = packed
+    source_text, n, seed, mix, lo, hi, out = packed
     ag = parse_zebu(source_text)
     compiled = compile_grammar(ag)
-    mix = {mutate.MutRule(k): v for k, v in mix_values.items()}
-    out = Path(out_dir) if out_dir else None
     manifest: list[str] = []
 
     def sink(index, mutant):
-        if out is not None:
-            (out / f"{index:06d}.raw").write_bytes(mutant.data)
+        (out / f"{index:06d}.raw").write_bytes(mutant.data)
         manifest.append(
             f"{index:06d} {mutant.rule.value} {mutant.ground_truth} "
             f"{mutant.seed} {mutant.provenance}")
@@ -264,11 +261,10 @@ def cmd_mutate(args) -> int:
         print(f"error: cannot create {args.out}: {exc.strerror}", file=sys.stderr)
         return 2
     n = args.count
-    mix_values = {rule.value: weight for rule, weight in mix.items()}
     jobs = min(args.jobs, n)
     chunk = -(-n // jobs)
     ranges = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    tasks = [(source_text, n, args.seed, mix_values, lo, hi, str(args.out))
+    tasks = [(source_text, n, args.seed, mix, lo, hi, args.out)
              for lo, hi in ranges]
     report = mutate.MutationReport(seed=args.seed)
     manifest: list[str] = []

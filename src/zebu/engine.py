@@ -2,10 +2,10 @@
 
 `compile_grammar` adds the only thing a verified AnnotatedGrammar lacks:
 its patterns. A CompiledGrammar is that grammar plus one entry table, a
-CompiledEntry per command line and header holding its pattern, its lazy
-subfields' patterns and its declaration. The patterns are compiled for
-subjects without CR or LF (`pattern`'s line-free compile), which are the
-only ones the engine hands them.
+CompiledEntry per command line and header holding its pattern, which
+carries its lazy holes' own patterns, and its declaration. The patterns
+are compiled for subjects without CR or LF (`pattern`'s line-free
+compile), which are the only ones the engine hands them.
 
 `index_message` is level one: a single scan of the head's lines that runs
 no pattern. It finds the command line and the body, and sorts the value
@@ -69,7 +69,7 @@ from .frontend import (
     expr_to_text,
     is_range_shaped,
 )
-from .pattern import MatchBudgetExceeded, Pattern, compile_pattern, compile_subfield_pattern
+from .pattern import MatchBudgetExceeded, Pattern, compile_pattern
 # every pattern run goes through this module-level name, so a tracer that
 # wraps `engine.match_full` (perfbench's does) sees each one
 from .pattern import match_spans as match_full
@@ -335,22 +335,22 @@ def unfolded_value(raw: bytes, start: int, end: int) -> bytes:
 
 @dataclass
 class CompiledEntry:
-    """One entry point's patterns: the entry's own and one per lazy
-    subfield forced on demand. `decl` is the header declaration, or None
-    for a command line.
+    """One entry point's pattern, as `compile_pattern` returns it: the
+    entry's own, with the own pattern of each lazy hole forced on demand in
+    its `lazy`. `decl` is the header declaration, or None for a command
+    line.
 
     `read` gives the top-level fields of a match of `pattern` from (spans,
     source, errors), appending conversion failures to `errors`; a lazy
     field reads as a LazyPending over its hole. `lazy_fields` holds, per
-    lazy subfield, what forcing it runs: (its own pattern, the location of
-    its reasons, the read of its value from a match). Both are plain
+    hole, what forcing it runs: (its own pattern, the location of its
+    reasons, the read of its value from a match). Both are plain
     attributes, as every pattern run reads one and a cached_property is
     read on a slower path."""
 
     name: str
     pattern: Pattern
     table: dict[str, Subfield]
-    lazy_patterns: dict[str, Pattern]
     decl: HeaderDecl | None
     lazy_fields: dict[str, tuple] = dc_field(init=False, repr=False, compare=False)
     read: object = dc_field(init=False, repr=False, compare=False)
@@ -358,10 +358,10 @@ class CompiledEntry:
     def __post_init__(self):
         self.lazy_fields = {key: (p, f"{self.name}.{key}",
                                   _reader(p, self.table, self.table[key], f"{self.name}.{key}"))
-                            for key, p in self.lazy_patterns.items()}
+                            for key, p in self.pattern.lazy.items()}
         self.read = partial(_read_fields, tuple(
             (sf.name, _pending_reader(self.pattern, sf.key, self.lazy_fields[sf.key])
-             if sf.key in self.lazy_patterns
+             if sf.key in self.lazy_fields
              else _reader(self.pattern, self.table, sf, f"{self.name}.{sf.key}"))
             for sf in self.table.values() if len(sf.path) == 1))
 
@@ -394,8 +394,8 @@ class CompiledGrammar:
         for entry in self.entries.values():
             where = f"{'entry' if entry.decl is None else 'header'} {entry.name}"
             yield where, entry.pattern
-            for name, p in entry.lazy_patterns.items():
-                yield f"{where} lazy subfield {name}", p
+            for key, (p, _, _) in entry.lazy_fields.items():
+                yield f"{where} lazy subfield {key}", p
 
     def header(self, name: str) -> CompiledEntry | None:
         """The declared header called `name`, in any case."""
@@ -442,11 +442,9 @@ def compile_grammar(ag: AnnotatedGrammar) -> CompiledGrammar:
     entries = {}
     for name, body in ag.entry_points():
         table = ag.subfields[name]
-        entry_pattern = compile_pattern(body, ag, table=table, line_free=True)
-        lazy_patterns = {sf.name: compile_subfield_pattern(sf, ag, table, line_free=True)
-                         for sf in table.values() if sf.forced_lazily}
-        entries[name] = CompiledEntry(name, entry_pattern, table, lazy_patterns,
-                                      decls.get(name))
+        entries[name] = CompiledEntry(
+            name, compile_pattern(body, ag, table=table, line_free=True), table,
+            decls.get(name))
     return CompiledGrammar(ag, entries)
 
 
@@ -818,7 +816,7 @@ def validate(grammar: CompiledGrammar, raw: bytes,
             if parsed.failures:
                 reasons += parsed.failures
                 continue
-            if entry.lazy_patterns:
+            if entry.lazy_fields:
                 _force_all(msg, parsed, reasons)
             if i == 0:
                 found[name] = parsed
@@ -831,7 +829,7 @@ def validate(grammar: CompiledGrammar, raw: bytes,
 
 def _force_all(msg: ParsedMessage, parsed: ParsedEntry, reasons: list[Reason]) -> None:
     """Force the record's lazy fields, in field order."""
-    for key in parsed.entry.lazy_patterns:
+    for key in parsed.entry.lazy_fields:
         value = parsed.fields.get(key)
         if isinstance(value, LazyPending):
             try:

@@ -251,13 +251,6 @@ class Subfield:
     def key(self) -> str:
         return ".".join(self.path)
 
-    @property
-    def forced_lazily(self) -> bool:
-        """A lazy top-level subfield declared at one site: a hole in its
-        entry's pattern, with its own pattern run only when forced. At
-        several sites, each compiles from its own element instead."""
-        return self.lazy and len(self.path) == 1 and len(self.sites) == 1
-
 
 @dataclass
 class AnnotatedGrammar:

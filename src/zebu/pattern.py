@@ -176,6 +176,8 @@ _LINE_BYTES = 1 << 0x0D | 1 << 0x0A
 class Pattern:
     root: PatternNode
     capture_index: dict[str, int] = field(default_factory=dict)
+    # each hole's own pattern, keyed by the subfield's name
+    lazy: dict[str, Pattern] = field(default_factory=dict)
 
     @cached_property
     def backend(self) -> tuple:
@@ -193,6 +195,7 @@ class _Compiler:
         self.table = table
         self.line_free = line_free
         self.capture_index: dict[str, int] = {}
+        self.lazy: dict[str, Pattern] = {}
         self.graph = frontend.rule_graph(ag)
         # lowercased rule name -> its shared compiled body
         self._shared = ag.memo("line-free rules" if line_free else "rules")
@@ -206,7 +209,14 @@ class _Compiler:
             sf = self.table.get(key)
             if sf is None:
                 raise CompileError(f"no subfield metadata for {key!r}")
-            if sf.forced_lazily:
+            # the one deferral rule: a lazy top-level subfield declared at
+            # one site is a hole, its own pattern compiled from that site;
+            # any other compiles in place
+            if sf.lazy and len(sf.path) == 1 and len(sf.sites) == 1:
+                if key not in self.lazy:  # inlining may reach the site twice
+                    sub = _Compiler(self.ag, self.table, self.line_free)
+                    self.lazy[key] = Pattern(sub.compile_subfield(sf, elem.inner),
+                                             sub.capture_index)
                 return PCap(self.cap_id(key), LAZY_HOLE)
             # same-named subfields in two alternation branches share one
             # table entry; each compiles its own element
@@ -275,11 +285,13 @@ def compile_pattern(entry, g, *, table: dict[str, Subfield] | None = None,
     """Compile a rule or entry-point body into an executable Pattern.
 
     `entry` is a Rule or a bare element; `g` a Grammar or AnnotatedGrammar.
-    Lazy depth-1 subfields compile to an opaque hole; their own patterns
-    are compiled separately (see compile_subfield_pattern). The pattern is
-    exact on every subject; with `line_free`, only on subjects that hold
-    neither CR nor LF (see the module docstring). Rules nested too deeply
-    for Python's stack, the only bound on inlining, raise CompileError.
+    A lazy top-level subfield declared at one site compiles to an opaque
+    hole, and its own pattern (captures keyed by full path) is compiled
+    from that site into the returned Pattern's `lazy`, by name. Each
+    pattern is exact on every subject; with `line_free`, only on subjects
+    that hold neither CR nor LF (see the module docstring). Rules nested
+    too deeply for Python's stack, the only bound on inlining, raise
+    CompileError.
     """
     ag = g if isinstance(g, AnnotatedGrammar) else AnnotatedGrammar(base=g)
     body = entry.body if isinstance(entry, Rule) else entry
@@ -290,19 +302,7 @@ def compile_pattern(entry, g, *, table: dict[str, Subfield] | None = None,
         root = comp.compile(body, ())
     except RecursionError:
         raise CompileError(_TOO_DEEP) from None
-    return Pattern(root, comp.capture_index)
-
-
-def compile_subfield_pattern(sf: Subfield, ag: AnnotatedGrammar,
-                             table: dict[str, Subfield], *, line_free: bool = False) -> Pattern:
-    """Compile a lazy subfield's own pattern (captures keyed by full path)
-    from its one site; `line_free` as for compile_pattern."""
-    comp = _Compiler(ag, table, line_free)
-    try:
-        root = comp.compile_subfield(sf, sf.sites[0].inner)
-    except RecursionError:
-        raise CompileError(_TOO_DEEP) from None
-    return Pattern(root, comp.capture_index)
+    return Pattern(root, comp.capture_index, comp.lazy)
 
 
 # --- final nodes --------------------------------------------------------------

@@ -239,6 +239,12 @@ def test_compile_failing_grammar_writes_nothing(tmp_path):
     assert not out.exists()
 
 
+def test_compile_to_a_missing_directory_exits_3(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.zbc"
+    assert main(["compile", str(SIP_SPEC), "-o", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
 def test_compile_warns_once_per_interpreter_pattern(tmp_path, capsys):
     spec = write(tmp_path, "ambiguous.zebu",
                  'requestLine = "GO"\nstatusLine = "NO"\nheader H = 1*( 1*"a" ) "b"\n'
@@ -630,6 +636,13 @@ def test_mutate_bad_mix_weight_exits_2(compiled_artifact, tmp_path, capsys, mix,
     assert err == (f"error: weight {weight!r} of mutation rule 'charset' "
                    "is not a finite number >= 0\n")
     assert not (tmp_path / "m").exists()
+
+
+def test_mutate_out_below_a_regular_file_exits_2(compiled_artifact, tmp_path, capsys):
+    out = write(tmp_path, "file", "") / "out"
+    assert main(["mutate", str(compiled_artifact), "--count", "1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot create {out}: ")
 
 
 def test_mutate_count_zero_is_usage_error(compiled_artifact, tmp_path):

@@ -36,12 +36,11 @@ from zebu.engine import (
     validate,
 )
 from zebu.errors import ZebuError
-from zebu.frontend import parse_zebu
+from zebu.frontend import UnresolvedFieldRef, parse_zebu
 from zebu.mutate import MutRule, derive_valid, make_mutant, run_campaign
 from zebu.pattern import (
     MatchBudgetExceeded,
     compile_pattern,
-    compile_subfield_pattern,
     match_spans,
 )
 from zebu.refcheck import (
@@ -50,6 +49,19 @@ from zebu.refcheck import (
     reference_match,
     reference_validate,
 )
+
+
+# --- compile_grammar ------------------------------------------------------------
+
+def test_compile_grammar_guards_a_grammar_that_was_not_verified():
+    ag = parse_zebu('requestLine = "GO"\nstatusLine = "NO"\nheader H = 1*DIGIT:n\n'
+                    "request { H.m == 1; }\n")
+    with pytest.raises(UnresolvedFieldRef) as exc:
+        compile_grammar(ag)
+    assert exc.value.path == ("H", "m")
+    with pytest.raises(ZebuError) as exc:
+        compile_grammar(parse_zebu('requestLine = "GO"\nheader H = 1*DIGIT:n\n'))
+    assert str(exc.value) == "grammar must define requestLine and statusLine"
 
 
 # --- line scan ----------------------------------------------------------------
@@ -263,11 +275,10 @@ def exact_patterns(sip, rtsp):
     for name, cg in (("sip", sip), ("rtsp", rtsp)):
         ag = cg.ag
         for entry_name, body in ag.entry_points():
-            entry, table = cg.entries[entry_name], ag.subfields[entry_name]
-            pairs[name, entry_name] = (
-                entry.pattern, compile_pattern(body, ag, table=table),
-                {key: (p, compile_subfield_pattern(table[key], ag, table))
-                 for key, p in entry.lazy_patterns.items()})
+            line_free = cg.entries[entry_name].pattern
+            exact = compile_pattern(body, ag, table=ag.subfields[entry_name])
+            pairs[name, entry_name] = (line_free, exact, {
+                key: (p, exact.lazy[key]) for key, p in line_free.lazy.items()})
     return pairs
 
 
@@ -432,6 +443,12 @@ TYPED_CONVERSIONS = [
     ("range-le", "typed", b"GO\r\nR: 11\r\n\r\n",
      [(RANGE, "R.n", "value 11 outside 0 <= x <= 10")], {}),
     ("range-le-zero-padded", "typed", b"GO\r\nR: 010\r\n\r\n", [], {"R.n": U16(10)}),
+    # more digits than the width's limit has: the reader's slow path
+    ("range-lt-long-digits", "sip", sip_request(cseq=b"02147483648"),
+     [(RANGE, "CSeq.number", "value 2147483648 outside 0 <= x < 2147483648")], {}),
+    ("range-le-long-digits", "typed", b"GO\r\nR: 000011\r\n\r\n",
+     [(RANGE, "R.n", "value 11 outside 0 <= x <= 10")], {}),
+    ("range-le-long-digits-bound", "typed", b"GO\r\nR: 000010\r\n\r\n", [], {"R.n": U16(10)}),
     ("multiple-second-instance", "typed", b"GO\r\nH: 1\r\nH: 70000\r\nH: 65536\r\n\r\n",
      [(RANGE, "H.a", "value 70000 overflows uint16"),
       (RANGE, "H.a", "value 65536 overflows uint16")], {"H.a": U16(1)}),
@@ -693,6 +710,29 @@ def test_lazy_hole_followed_by_what_it_may_match_agrees_with_oracle(body, value)
     expected, _ = reference_validate(ag, raw)
     assert expected
     assert validate(compile_grammar(ag), raw).accepted is expected
+
+
+def test_lazy_tag_below_the_top_level_is_matched_in_place():
+    ag = parse_zebu('requestLine = "GO"\nstatusLine = "NO"\nheader H = X:s:struct\n'
+                    'X = 1*ALPHA:a:lazy "-" 1*DIGIT:b\n')
+    cg = compile_grammar(ag)
+    assert cg.header("H").pattern.lazy == {}
+    msg = ParsedMessage(cg, b"GO\r\nH: ab-12\r\n\r\n")
+    assert msg.select("H.s.a") == RawSlice(b"ab", 0, 2)
+    assert msg.lazy_exec_counter == 0
+    reasons = validate(cg, b"GO\r\nH: ab-x\r\n\r\n").reasons
+    assert [(r.code, r.location) for r in reasons] == [(ReasonCode.SYNTAX, "H")]
+
+
+def test_a_lazy_site_inlined_twice_is_one_hole_with_one_pattern():
+    ag = parse_zebu('requestLine = "GO"\nstatusLine = "NO"\nheader H = R "." / "x" R\n'
+                    "R = 1*ALPHA:a:lazy\n")
+    cg = compile_grammar(ag)
+    assert list(cg.header("H").pattern.lazy) == ["a"]
+    for value in (b"ab.", b"xab"):
+        msg = ParsedMessage(cg, b"GO\r\nH: " + value + b"\r\n\r\n")
+        assert msg.select("H.a") == RawSlice(b"ab", 0, 2)
+        assert msg.lazy_exec_counter == 1
 
 
 # --- counters ---------------------------------------------------------------------------
@@ -1086,7 +1126,7 @@ def test_same_named_lazy_subfields_in_two_branches_agree_with_oracle(
     expected, _ = reference_validate(ag, raw)
     assert validate(cg, raw).accepted is expected
     assert expected is (value != b"12y")
-    assert cg.header("H").lazy_patterns == {}
+    assert cg.header("H").pattern.lazy == {}
 
 
 @pytest.mark.parametrize("count", [1000, 10000])

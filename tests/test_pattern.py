@@ -21,7 +21,6 @@ from zebu.pattern import (
     PRep,
     PSeq,
     compile_pattern,
-    compile_subfield_pattern,
     interpreter_reason,
     match_spans,
     regex_text,
@@ -552,11 +551,10 @@ def bundled_patterns(sip, rtsp, sip_ag, rtsp_ag):
     for cg, ag in ((sip, sip_ag), (rtsp, rtsp_ag)):
         yield from cg.named_patterns()
         for name, body in ag.entry_points():
-            table = ag.subfields[name]
-            yield f"exact {name}", compile_pattern(body, ag, table=table)
-            yield from ((f"exact {name} lazy subfield {sf.name}",
-                         compile_subfield_pattern(sf, ag, table))
-                        for sf in table.values() if sf.forced_lazily)
+            exact = compile_pattern(body, ag, table=ag.subfields[name])
+            yield f"exact {name}", exact
+            yield from ((f"exact {name} lazy subfield {key}", p)
+                        for key, p in exact.lazy.items())
 
 
 def test_bundled_regex_texts_are_pinned(sip, rtsp, sip_ag, rtsp_ag):

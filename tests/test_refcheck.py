@@ -497,7 +497,7 @@ def _engine_env(entry, subject: bytes):
     env = {}
     values = entry.read(spans, subject, [])
     runs = [(entry.pattern, spans, 0)]
-    for name, lazy in entry.lazy_patterns.items():
+    for name, lazy in entry.pattern.lazy.items():
         start, end = spans[entry.pattern.capture_index[name] + 1]
         if start >= 0:
             sub = match_spans(lazy, subject[start:end])
