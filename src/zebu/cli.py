@@ -156,7 +156,7 @@ def cmd_compile(args) -> int:
     if ag is None:
         return status
     compiled = compile_grammar(ag)
-    for line in _interpreter_warnings(compiled):
+    for line in _compile_warnings(compiled):
         print(line, file=sys.stderr)
     try:
         artifact.save(compiled, args.out)
@@ -166,13 +166,18 @@ def cmd_compile(args) -> int:
     return 0
 
 
-def _interpreter_warnings(compiled) -> list[str]:
-    """One line per pattern that `match_spans` runs on the budgeted
-    interpreter, giving the reason its backend decision recorded: the
-    repetition the ambiguity guard flags, or the `re.compile` error."""
-    return [f"warning: {where}: {why} runs on the budgeted interpreter"
-            for where, p in compiled.named_patterns()
-            if (why := interpreter_reason(p)) is not None]
+def _compile_warnings(compiled) -> list[str]:
+    """One line per lazy subfield that is matched in place, giving why the
+    grammar does not fix its span; then one per pattern that `match_spans`
+    runs on the budgeted interpreter, giving the reason its backend
+    decision recorded: the repetition the ambiguity guard flags, or the
+    `re.compile` error."""
+    return [f"warning: lazy subfield {entry.name}.{key} matched in place: {why}"
+            for entry in compiled.entries.values()
+            for key, why in entry.pattern.in_place.items()] + [
+        f"warning: {where}: {why} runs on the budgeted interpreter"
+        for where, p in compiled.named_patterns()
+        if (why := interpreter_reason(p)) is not None]
 
 
 def _render_value(value) -> str:

@@ -10,12 +10,12 @@ compile), which are the only ones the engine hands them.
 `index_message` is level one: a single scan of the head's lines that runs
 no pattern. It finds the command line and the body, and sorts the value
 spans of declared headers by header as it goes. Per line it makes a few
-single-byte finds (memchr) and one dict lookup; an undeclared header costs
-nothing more and builds nothing. A value is unfolded from its span on first
-use. Dedicated patterns then run on demand per requested header; lazy
-subfields defer their own pattern until forced. A session counts pattern
-executions so the cost model (independent of total header count) is
-observable.
+single-byte finds (memchr) and one dict lookup, whose key is a slice of the
+line and its lowercase copy. For an undeclared header both are dropped at
+once and nothing is kept. A value is unfolded from its span on first use.
+Dedicated patterns then run on demand per requested header; lazy subfields
+defer their own pattern until forced. A session counts pattern executions
+so the cost model (independent of total header count) is observable.
 
 Typed fields are read straight from a match's spans. Both matcher backends
 give one span shape, `re`'s `Match.regs` (see `pattern.match_spans`), and

@@ -25,6 +25,16 @@ No match, branch order or span changes on such subjects, and SIP's
 `LWS = [*WSP CRLF] 1*WSP` becomes `1*WSP`. Without `line_free` a pattern
 is exact over all 256 bytes.
 
+A lazy top-level subfield is a hole in its entry's pattern only where the
+grammar fixes its span (`_place_holes` states the rule). The hole is a
+possessive run over every byte but those that may follow it: `[^ ]*+`
+after SIP's Request-URI, `[^>]*+` after its addr-spec (CR and LF left out,
+line-free). `re` runs it in its single-byte loop and never gives a byte
+back, where a run over any bytes took the rest of the value and
+backtracked to what follows. A bad byte inside the value still fails only
+the force, when the subfield's own pattern checks the span. Elsewhere the
+subfield is matched in place, and `zebu compile` warns.
+
 `match_spans` is the one matching path. It returns the match's spans in
 the shape of `re`'s `Match.regs`: index 0 holds `(0, n)`, index cid + 1
 the span of capture cid, and `(-1, -1)` a capture the derivation did not
@@ -39,6 +49,10 @@ why any other pattern runs on the interpreter (`interpreter_reason`).
 * the stdlib `re` engine. On first use the tree is translated into a bytes
   regex (one group per capture, `(?i:...)` for case-insensitive literals,
   ordered `(?:a|b)`, greedy `{m,n}`), compiled, and kept on the Pattern.
+  An option over more than one byte is the branch `(?:x|)`: `re` runs
+  `(?:x)?` in its general repeat, which keeps a record per iteration, and a
+  branch is the same match without it. A one-byte option stays `x?`, which
+  `re` runs in its single-byte loop.
   Where group g holds cid g - 1, as in every bundled pattern, `m.regs` is
   the span tuple as it stands. Otherwise a group map rebuilds it, and a
   cid in two groups (same-named subfields in two branches) takes the span
@@ -92,7 +106,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import and_, or_
+from itertools import chain
+from operator import and_, is_, or_
 from typing import Optional, Union
 
 from . import frontend
@@ -161,15 +176,21 @@ class PCap:
 
 PatternNode = Union[PLit, PBytes, PClass, PSeq, PAlt, PRep, PCap]
 
-# Opaque matcher standing in for a lazy subfield inside its enclosing
-# pattern; the subfield's own pattern runs only when forced.
 _ALL = (1 << 256) - 1
-LAZY_HOLE = PRep(0, None, PClass(_ALL))
 
 # What matches nothing: a line-free compile's stand-in for a terminal that
 # must read CR or LF. Its regex is `(?!)`.
 NEVER = PAlt(())
 _LINE_BYTES = 1 << 0x0D | 1 << 0x0A
+_LOWER = (1 << 0x7B) - (1 << 0x61)
+
+
+@dataclass(frozen=True)
+class _Hole:
+    """Where a lazy subfield sits while its entry compiles; `_place_holes`
+    replaces it with the hole's run, or the entry compiles again with the
+    subfield in place. No finished tree holds one."""
+    key: str
 
 
 @dataclass
@@ -178,6 +199,8 @@ class Pattern:
     capture_index: dict[str, int] = field(default_factory=dict)
     # each hole's own pattern, keyed by the subfield's name
     lazy: dict[str, Pattern] = field(default_factory=dict)
+    # why each lazy top-level subfield that is not a hole is matched in place
+    in_place: dict[str, str] = field(default_factory=dict)
 
     @cached_property
     def backend(self) -> tuple:
@@ -190,57 +213,66 @@ _UNSET = (-1, -1)  # the span of a capture the match did not exercise
 # --- compilation ------------------------------------------------------------
 
 class _Compiler:
-    def __init__(self, ag: AnnotatedGrammar, table: dict[str, Subfield], line_free: bool):
+    def __init__(self, ag: AnnotatedGrammar, table: dict[str, Subfield], line_free: bool,
+                 in_place: dict[str, str] | None = None):
         self.ag = ag
         self.table = table
         self.line_free = line_free
+        self.in_place = {} if in_place is None else in_place
         self.capture_index: dict[str, int] = {}
         self.lazy: dict[str, Pattern] = {}
+        self.holes = 0  # the _Hole nodes made
         self.graph = frontend.rule_graph(ag)
         # lowercased rule name -> its shared compiled body
         self._shared = ag.memo("line-free rules" if line_free else "rules")
+        # the id of each of those bodies -> its rule's leaf mask; `_shared`
+        # keeps each body alive, so no other node takes its id
+        self.shared_ids = ag.memo("line-free rule ids" if line_free else "rule ids")
 
     def cap_id(self, key: str) -> int:
         return self.capture_index.setdefault(key, len(self.capture_index))
 
     def compile(self, elem, prefix: tuple[str, ...]):
-        if isinstance(elem, Annotated):
-            key = ".".join(prefix + (elem.name,))
-            sf = self.table.get(key)
-            if sf is None:
-                raise CompileError(f"no subfield metadata for {key!r}")
-            # the one deferral rule: a lazy top-level subfield declared at
-            # one site is a hole, its own pattern compiled from that site;
-            # any other compiles in place
-            if sf.lazy and len(sf.path) == 1 and len(sf.sites) == 1:
-                if key not in self.lazy:  # inlining may reach the site twice
-                    sub = _Compiler(self.ag, self.table, self.line_free)
-                    self.lazy[key] = Pattern(sub.compile_subfield(sf, elem.inner),
-                                             sub.capture_index)
-                return PCap(self.cap_id(key), LAZY_HOLE)
-            # same-named subfields in two alternation branches share one
-            # table entry; each compiles its own element
-            return self.compile_subfield(sf, elem.inner)
-        if isinstance(elem, LiteralCI):
+        # the commonest kinds first: a compile makes hundreds of these tests
+        t = type(elem)
+        if t is RuleRef:
+            return self.inline(elem.name, prefix)
+        if t is Sequence:
+            return _seq([self.compile(i, prefix) for i in elem.items])
+        if t is LiteralCI:
             return PLit(elem.text.lower().encode("ascii"))
-        if isinstance(elem, CharCodes):
+        if t is Alternation:
+            return _alt([self.compile(b, prefix) for b in elem.branches])
+        if t is Repetition:
+            return _rep(elem.min, elem.max, self.compile(elem.inner, prefix))
+        if t is CharCodes:
             if self.line_free and (b"\r" in elem.data or b"\n" in elem.data):
                 return NEVER
             return PBytes(elem.data)
-        if isinstance(elem, CharRange):
+        if t is CharRange:
             mask = (1 << elem.hi + 1) - (1 << elem.lo)
             if self.line_free:
                 mask &= ~_LINE_BYTES
             return PClass(mask) if mask else NEVER
-        if isinstance(elem, Sequence):
-            return _seq(self.compile(i, prefix) for i in elem.items)
-        if isinstance(elem, Alternation):
-            return _alt(self.compile(b, prefix) for b in elem.branches)
-        if isinstance(elem, Repetition):
-            return _rep(elem.min, elem.max, self.compile(elem.inner, prefix))
-        if isinstance(elem, RuleRef):
-            return self.inline(elem.name, prefix)
-        raise CompileError(f"cannot compile {elem!r}")
+        if t is not Annotated:
+            raise CompileError(f"cannot compile {elem!r}")
+        key = ".".join(prefix + (elem.name,))
+        sf = self.table.get(key)
+        if sf is None:
+            raise CompileError(f"no subfield metadata for {key!r}")
+        # a lazy top-level subfield declared at one site may be a hole, its
+        # own pattern compiled from that site; `_place_holes` then decides
+        # whether it stays one. Any other compiles in place
+        if sf.lazy and len(sf.path) == 1 and len(sf.sites) == 1 and key not in self.in_place:
+            if key not in self.lazy:  # inlining may reach the site twice
+                sub = _Compiler(self.ag, self.table, self.line_free)
+                self.lazy[key] = Pattern(sub.compile_subfield(sf, elem.inner),
+                                         sub.capture_index)
+            self.holes += 1
+            return PCap(self.cap_id(key), _Hole(key))
+        # same-named subfields in two alternation branches share one table
+        # entry; each compiles its own element
+        return self.compile_subfield(sf, elem.inner)
 
     def inline(self, name: str, prefix: tuple[str, ...]):
         """The compiled body of rule `name`, as the rule graph resolves it.
@@ -258,6 +290,7 @@ class _Compiler:
         node = self.compile(ref.rule.body, prefix)
         if not self.graph.masks[low] & frontend.LEAF_HOLE:
             self._shared[low] = node
+            self.shared_ids[id(node)] = self.graph.masks[low]
         return node
 
     def compile_subfield(self, sf: Subfield, element: Element):
@@ -285,24 +318,189 @@ def compile_pattern(entry, g, *, table: dict[str, Subfield] | None = None,
     """Compile a rule or entry-point body into an executable Pattern.
 
     `entry` is a Rule or a bare element; `g` a Grammar or AnnotatedGrammar.
-    A lazy top-level subfield declared at one site compiles to an opaque
-    hole, and its own pattern (captures keyed by full path) is compiled
-    from that site into the returned Pattern's `lazy`, by name. Each
-    pattern is exact on every subject; with `line_free`, only on subjects
-    that hold neither CR nor LF (see the module docstring). Rules nested
-    too deeply for Python's stack, the only bound on inlining, raise
-    CompileError.
+    A lazy top-level subfield declared at one site compiles to a hole where
+    the grammar fixes its span (`_place_holes`), and its own pattern
+    (captures keyed by full path) is compiled from that site into the
+    returned Pattern's `lazy`, by name; elsewhere it is matched in place,
+    and `in_place` says why. Each pattern is exact on every subject; with
+    `line_free`, only on subjects that hold neither CR nor LF (see the
+    module docstring). Rules nested too deeply for Python's stack, the only
+    bound on inlining, raise CompileError.
     """
     ag = g if isinstance(g, AnnotatedGrammar) else AnnotatedGrammar(base=g)
     body = entry.body if isinstance(entry, Rule) else entry
     if table is None:
         table = frontend.collect_subfields(body, ag)
-    comp = _Compiler(ag, table, line_free)
+    in_place: dict[str, str] = {}
     try:
-        root = comp.compile(body, ())
+        while True:
+            comp = _Compiler(ag, table, line_free, in_place)
+            root, refused = _place_holes(comp.compile(body, ()), comp, line_free)
+            if not refused:
+                return Pattern(root, comp.capture_index, comp.lazy, in_place)
+            # each refused subfield compiles in place, which may change what
+            # the other holes see around them
+            in_place.update(refused)
     except RecursionError:
         raise CompileError(_TOO_DEEP) from None
-    return Pattern(root, comp.capture_index, comp.lazy)
+
+
+# --- lazy holes ---------------------------------------------------------------
+
+def _place_holes(root, comp: _Compiler, line_free: bool) -> tuple:
+    """(`root` with each _Hole made its run, {key: why} for each subfield
+    whose span the grammar does not fix).
+
+    Every match of the enclosing pattern gives a hole the span a derivation
+    would when: what precedes it is empty or ends at a byte it holds
+    nowhere else, so its start is fixed; the subfield holds no byte that
+    may begin what follows, so its end is fixed; it sits under no
+    repetition, as its one capture keeps one span; and in a branch or an
+    option, what follows it begins with a byte that no later alternative,
+    nor what follows the alternation, holds, so that no later alternative
+    could have matched instead. The hole is then a possessive run over
+    every byte but those that may follow it. Another hole counts as any
+    bytes, but in a later alternative as its subfield's bytes."""
+    if not comp.holes:
+        return root, {}
+    alphabet = _ALL & ~_LINE_BYTES if line_free else _ALL
+    planner = _Planner()
+    refused: dict[str, str] = {}
+
+    def own(key: str) -> int:
+        """The bytes of subfield `key`, from its site's leaf mask, which a
+        case-insensitive literal gives in one case."""
+        return _folded(frontend.leaf_mask(comp.table[key].sites[0].inner, comp.ag) & _ALL)
+
+    def place(cap, path):
+        """The hole `cap` made final, or `cap` when it is refused. `path`
+        holds (node, index of the child) from the root down to it."""
+        key = cap.inner.key
+        before: list = []
+        cont: tuple = ()
+        # each enclosing branch or option with later alternatives: those,
+        # and where in `cont` what follows them begins
+        branches = []
+        for node, i in reversed(path):
+            t = type(node)
+            if t is PSeq:
+                before[:0] = node.items[:i]
+                cont += (node.items[i + 1:],)
+            elif t is PAlt and i + 1 < len(node.branches):
+                branches.append((node.branches[i + 1:], len(cont)))
+            elif t is PRep and node.min == 0 and node.max == 1:
+                branches.append(((), len(cont)))
+            elif t is PRep and (node.max is None or node.max > 1):
+                refused.setdefault(key, "it may match more than once in a value")
+                return cap
+        # the bytes those alternatives and what follows them hold
+        later = reduce(or_, (_held(item, own, shared) for alternatives, at in branches
+                             for item in (*alternatives, *chain.from_iterable(cont[at:]))), 0)
+        _, first, at_end = planner.follow(cont)
+        if not _fixed_start(before, shared):
+            why = "what precedes it does not end at a byte it holds nowhere else"
+        elif own(key) & first:
+            why = "it may hold a byte that begins what follows"
+        elif branches and (at_end or later & first):
+            why = "a later alternative may match where its branch does"
+        else:
+            mask = alphabet & ~first
+            return PCap(cap.cid, _rep(0, None, PClass(mask) if mask else NEVER))
+        refused.setdefault(key, why)
+        return cap
+
+    def walk(node, path):
+        nonlocal unplaced
+        t = type(node)
+        if t is PCap:
+            # what another subfield captures holds no top-level hole
+            if type(node.inner) is not _Hole:
+                return node
+            unplaced -= 1
+            return place(node, path)
+        if t is PSeq:
+            children = node.items
+        elif t is PAlt:
+            children = node.branches
+        elif t is PRep:
+            children = (node.inner,)
+        else:
+            return node
+        if id(node) in shared:  # a rule body that reaches no annotation
+            return node
+        new = list(children)
+        for i, child in enumerate(children):
+            if not unplaced:
+                break
+            new[i] = walk(child, path + ((node, i),))
+        if all(map(is_, new, children)):
+            return node
+        if t is PRep:
+            return PRep(node.min, node.max, new[0])
+        return PSeq(tuple(new)) if t is PSeq else PAlt(tuple(new))
+
+    shared = comp.shared_ids
+    unplaced = comp.holes  # the walk may stop once it met them all
+    try:
+        return walk(root, ()), refused
+    finally:
+        # `walk` holds itself through its closure; break the cycle so that
+        # reference counting frees it
+        del walk
+
+
+def _fixed_start(before: tuple, shared: dict) -> bool:
+    """Whether the sequence of `before` is empty or ends at a byte it holds
+    nowhere else, so that it ends after the first such byte of a subject; a
+    _Hole may hold any byte."""
+    if not before:
+        return True
+    last = before[-1]
+    while type(last) is PCap:
+        last = last.inner
+    t = type(last)
+    if t is PClass:
+        masks = [last.mask]
+    elif (t is PBytes or t is PLit) and last.data:
+        masks = _byte_masks(last)
+    else:
+        return False
+    held = reduce(or_, masks[:-1], 0)
+    for item in before[:-1]:
+        held |= _held(item, lambda _: _ALL, shared)
+    return not masks[-1] & held
+
+
+def _held(node, hole, shared: dict) -> int:
+    """The bytes that words of `node` hold, or more: a _Hole holds
+    `hole(key)`, and a rule body in `shared` what its leaf mask holds."""
+    held = either = 0  # `either` is held in both cases
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        t = type(node)
+        if id(node) in shared:
+            either |= shared[id(node)]
+        elif t is PClass:
+            held |= node.mask
+        elif t is PBytes or t is PLit:
+            for b in node.data:
+                if t is PLit:
+                    either |= 1 << b
+                else:
+                    held |= 1 << b
+        elif t is PSeq or t is PAlt:
+            todo.extend(node.items if t is PSeq else node.branches)
+        elif t is _Hole:
+            held |= hole(node.key)
+        elif t is PCap or node.max != 0:
+            todo.append(node.inner)
+    return held | _folded(either & _ALL)
+
+
+def _folded(mask: int) -> int:
+    """`mask` with the other case of each ASCII letter in it."""
+    return mask | (mask & _LOWER) >> 32 | (mask & _LOWER >> 32) << 32
 
 
 # --- final nodes --------------------------------------------------------------
@@ -319,7 +517,8 @@ def _single_byte_set(node) -> int | None:
     if t is PClass:
         return node.mask
     if (t is PBytes or t is PLit) and len(node.data) == 1:
-        return _byte_masks(node)[0]
+        b = node.data[0]
+        return 1 << b | 1 << b - 32 if t is PLit and 0x61 <= b <= 0x7A else 1 << b
     return None
 
 
@@ -379,10 +578,13 @@ def _alt(branches):
             flat.append(branch)
     if all(map(_never, flat)):
         return _emptied(PAlt(tuple(flat)))
-    sets = [_single_byte_set(b) for b in flat]
-    if None not in sets:
-        return PClass(reduce(or_, sets))
-    return flat[0] if len(flat) == 1 else PAlt(tuple(flat))
+    mask = 0
+    for branch in flat:
+        one = _single_byte_set(branch)
+        if one is None:
+            return flat[0] if len(flat) == 1 else PAlt(tuple(flat))
+        mask |= one
+    return PClass(mask)
 
 
 def _rep(lo: int, hi: int | None, inner):
@@ -589,6 +791,8 @@ class _Planner:
             return _Facts(False, masks[0], every)
         if t is PCap:
             return self.facts(node.inner)
+        if t is _Hole:  # what `_place_holes` has yet to decide: any bytes
+            return _Facts(True, _ALL, _ALL)
         if t is _Possessive or t is _Atomic:
             return self.facts(node.rep)
         if t is PRep:
@@ -1098,7 +1302,10 @@ def regex_text(node, groups: list) -> str:
             return _NEVER
         return "(?:" + "|".join(regex_text(b, groups) for b in node.branches) + ")"
     if t is PRep:
-        return "(?:" + regex_text(node.inner, groups) + ")" + _quantifier(node.min, node.max)
+        inner = regex_text(node.inner, groups)
+        if (node.min, node.max) == (0, 1) and _single_byte_set(node.inner) is None:
+            return "(?:" + inner + "|)"  # a branch, not `re`'s general repeat
+        return "(?:" + inner + ")" + _quantifier(node.min, node.max)
     if t is _Possessive:
         return regex_text(node.rep, groups) + "+"
     if t is _Atomic:

@@ -266,6 +266,15 @@ def test_compile_warns_for_a_regex_re_cannot_compile(tmp_path, capsys):
     assert err[0].endswith(") runs on the budgeted interpreter")
 
 
+def test_compile_warns_once_for_a_lazy_subfield_matched_in_place(tmp_path, capsys):
+    spec = write(tmp_path, "lazy.zebu",
+                 'requestLine = "GO"\nstatusLine = "NO"\nheader H = ( "ab" ):x:lazy *"b"\n')
+    assert main(["compile", str(spec), "-o", str(tmp_path / "a.zbc")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: lazy subfield H.x matched in place: "
+        "it may hold a byte that begins what follows\n")
+
+
 def test_compile_bundled_grammars_warns_nothing(tmp_path, capsys):
     for spec in (SIP_SPEC, RTSP_SPEC):
         assert main(["compile", str(spec), "-o", str(tmp_path / "out.zbc")]) == 0
